@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize as _opt
+import scipy.special as _sp
 
 from . import specfun
 
@@ -157,8 +157,8 @@ class Rician(ChannelModel):
             raise ValueError(f"k must be >= 0, got {self.k}")
 
     def cdf(self, y):
-        # F(y) = 1 - Q1(sqrt(2k), sqrt(2y/lam)), evaluated by the
-        # complement series so the deep lower tail keeps relative accuracy
+        # F(y) = 1 - Q1(sqrt(2k), sqrt(2y/lam)), evaluated as a CDF so
+        # the deep lower tail keeps relative accuracy
         y = self._check_y(y)
         return specfun.marcum_q1_complement(
             math.sqrt(2.0 * self.k), math.sqrt(2.0 * y / self.lam))
@@ -167,15 +167,9 @@ class Rician(ChannelModel):
         p = self._check_p(p)
         if p == 0.0:
             return 0.0
-        hi = self.lam * (1.0 + self.k) + self.lam
-        for _ in range(200):
-            if self.cdf(hi) > p:
-                break
-            hi *= 2.0
-        else:
-            raise RuntimeError("Rician quantile bracket growth failed")
-        return float(_opt.brentq(lambda y: self.cdf(y) - p, 0.0, hi,
-                                 xtol=1e-300, rtol=4.0 * np.finfo(float).eps))
+        if self.k == 0.0:
+            return -self.lam * math.log1p(-p)
+        return 0.5 * self.lam * float(_sp.chndtrix(p, 2.0, 2.0 * self.k))
 
     def sample(self, rng, count):
         count = self._check_count(count)

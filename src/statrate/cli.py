@@ -96,8 +96,12 @@ def _parse_kv_file(path: str) -> dict[str, str]:
 
 
 def _as_int(text: str) -> int:
-    value = float(text)
-    if value != int(value):
+    # exact for any size; the float route only serves forms such as 1e5
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer():
         raise ValueError(f"expected an integer, got {text!r}")
     return int(value)
 

@@ -182,14 +182,15 @@ def tail_quantile(fit: TailFit, eps_n: float) -> float:
 def load_sample_file(path) -> TrainingSample:
     """Read a training sample: one non-negative decimal per line.
 
-    Blank lines are ignored. Any unparsable or negative entry raises
+    Everything from a `#` to the end of its line is a comment; blank
+    lines are ignored. Any unparsable or negative entry raises
     SampleParseError carrying the 1-based line number.
     """
     path = Path(path)
     values = []
     with path.open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
+            text = line.partition("#")[0].strip()
             if not text:
                 continue
             try:

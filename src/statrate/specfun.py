@@ -6,11 +6,12 @@ regularized incomplete gamma/beta, their inverses, the first-order
 Marcum Q function, and the standard normal quantile.
 
 Standard functions are delegated to math/scipy.special, which meet the
-stated tolerances on the supported domains; the Marcum family is
-implemented here as a Poisson mixture of Erlang tails with explicit
-truncation bounds, because the lower tail of the Rician CDF needs a
-complement series that avoids 1 - Q cancellation and the same kernel
-must extend to noncentral-chi-square sums.
+stated tolerances on the supported domains. The Marcum family and the
+noncentral chi-square tails delegate to scipy's ncx2: the upper tail to
+scipy.stats.ncx2.sf, the lower tail to scipy.special.chndtr, which
+computes the CDF directly and so avoids 1 - Q cancellation in the deep
+lower tail of the Rician CDF. Both lose relative accuracy in far tails
+(values below about 1e-130), down to returning 0.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize as _opt
 import scipy.special as _sp
+import scipy.stats as _stats
 
 __all__ = [
     "AccuracySpec",
@@ -42,8 +44,8 @@ __all__ = [
 class AccuracySpec:
     """Tolerance bundle for iterative kernels.
 
-    rel_tol bounds the relative truncation/inversion error; max_iter
-    caps bracket growth and series extensions.
+    max_iter caps bracket growth in inv_reg_lower_gamma. rel_tol is
+    validated but no kernel reads it.
     """
 
     rel_tol: float = 1e-10
@@ -123,96 +125,65 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     return float(_sp.betainc(a, b, x))
 
 
-def _nc_chi2_tail(x: float, half_df: int, nc: float, upper: bool,
-                  acc: AccuracySpec) -> float:
-    """Tail of the noncentral chi-square with 2*half_df dof.
-
-    Writing u = nc/2 and v = x/2, the distribution is a Poisson(u)
-    mixture of Erlang(half_df + j) laws in v, which after swapping the
-    summation order gives a single series over Erlang point masses
-    erl_i = exp(-v) v^i / i! with Poisson-tail weights:
-
-        P[W > x]  = Q(M, v) + sum_{i>=M} erl_i * P(i-M+1, u)
-        P[W <= x] =            sum_{i>=M} erl_i * Q(i-M+1, u)
-
-    with M = half_df. All terms are nonnegative, so both series are
-    cancellation-free; truncation after index I leaves at most
-    min(P(I+1, v), Poisson-tail weight) of mass, which is checked
-    against rel_tol and the window extended if necessary.
-    """
+def _nc_chi2(x: float, half_df: int, nc: float, upper: bool) -> float:
+    """Upper or lower tail of the noncentral chi-square with 2*half_df dof."""
     if half_df < 1 or half_df != int(half_df):
         raise ValueError(f"half_df must be a positive integer, got {half_df}")
     if nc < 0.0:
         raise ValueError(f"noncentrality must be >= 0, got {nc}")
     if x < 0.0:
         raise ValueError(f"argument must be >= 0, got {x}")
-    m_ord = int(half_df)
-    u = nc / 2.0
-    v = x / 2.0
-    if v == 0.0:
+    if x == 0.0:
         return 1.0 if upper else 0.0
-    if u == 0.0:
+    if nc == 0.0:
         # central case: plain Erlang/gamma tail
-        return float(_sp.gammaincc(m_ord, v)) if upper else float(_sp.gammainc(m_ord, v))
-
-    span = 40.0
-    for _ in range(acc.max_iter):
-        i_hi = int(max(v + span * math.sqrt(v),
-                       m_ord + u + span * math.sqrt(u + 1.0)) + span + 24.0)
-        i = np.arange(m_ord, i_hi + 1, dtype=np.float64)
-        log_erl = -v + i * math.log(v) - _sp.gammaln(i + 1.0)
-        erl = np.exp(log_erl)
-        r = i - m_ord + 1.0
-        weights = _sp.gammainc(r, u) if upper else _sp.gammaincc(r, u)
-        total = float(erl @ weights)
-        if upper:
-            total += float(_sp.gammaincc(m_ord, v))
-        # remaining mass beyond i_hi
-        erl_tail = float(_sp.gammainc(i_hi + 1.0, v))
-        if upper:
-            tail = min(erl_tail, float(_sp.gammainc(i_hi - m_ord + 2.0, u)))
-        else:
-            tail = erl_tail
-        if tail <= acc.rel_tol * total + 1e-320:
-            return min(total, 1.0)
-        span *= 2.0
-    raise RuntimeError("noncentral chi-square series failed to converge")
+        gamma_tail = _sp.gammaincc if upper else _sp.gammainc
+        return float(gamma_tail(half_df, x / 2.0))
+    if upper:
+        return float(_stats.ncx2.sf(x, 2.0 * half_df, nc))
+    return float(_sp.chndtr(x, 2.0 * half_df, nc))
 
 
-def marcum_q1(a: float, b: float, acc: AccuracySpec | None = None) -> float:
+def marcum_q1(a: float, b: float) -> float:
     """First-order Marcum Q function Q_1(a, b) = P[ncchi2_2(a^2) > b^2].
 
-    Relative error <= 1e-10 for a <= 10, b <= 40 wherever the value is
-    representable in double precision.
+    Relative error <= 1e-12 against a 40-digit mpmath oracle for
+    a <= 10, b <= 40 wherever the value is >= 1e-250; below that,
+    scipy's ncx2.sf loses accuracy and can return 0.
     """
-    acc = acc or DEFAULT_ACCURACY
     if a < 0.0 or b < 0.0:
         raise ValueError(f"marcum_q1 requires a, b >= 0, got a={a}, b={b}")
-    return _nc_chi2_tail(b * b, 1, a * a, upper=True, acc=acc)
+    return _nc_chi2(b * b, 1, a * a, upper=True)
 
 
-def marcum_q1_complement(a: float, b: float, acc: AccuracySpec | None = None) -> float:
-    """1 - Q_1(a, b), evaluated by its own series.
+def marcum_q1_complement(a: float, b: float) -> float:
+    """1 - Q_1(a, b), evaluated as a CDF.
 
-    Accurate in the deep lower tail (b small), where forming
-    1 - marcum_q1 would cancel.
+    Keeps relative accuracy in the deep lower tail (b small), where
+    forming 1 - marcum_q1 would cancel: relative error <= 1e-12 for
+    a <= 10 wherever the value is >= 1e-150. scipy's chndtr loses
+    accuracy for b^2 in [1e-161, 1e-155].
     """
-    acc = acc or DEFAULT_ACCURACY
     if a < 0.0 or b < 0.0:
         raise ValueError(f"marcum_q1_complement requires a, b >= 0, got a={a}, b={b}")
-    return _nc_chi2_tail(b * b, 1, a * a, upper=False, acc=acc)
+    return _nc_chi2(b * b, 1, a * a, upper=False)
 
 
-def nc_chi2_sf(x: float, half_df: int, nc: float,
-               acc: AccuracySpec | None = None) -> float:
-    """Survival P[W > x] for W ~ noncentral chi-square(2*half_df, nc)."""
-    return _nc_chi2_tail(x, half_df, nc, upper=True, acc=acc or DEFAULT_ACCURACY)
+def nc_chi2_sf(x: float, half_df: int, nc: float) -> float:
+    """Survival P[W > x] for W ~ noncentral chi-square(2*half_df, nc).
+
+    Relative error <= 1e-12 against a 40-digit mpmath oracle at
+    half_df = 1e4 and 1e5 within two standard deviations of the mean.
+    """
+    return _nc_chi2(x, half_df, nc, upper=True)
 
 
-def nc_chi2_cdf(x: float, half_df: int, nc: float,
-                acc: AccuracySpec | None = None) -> float:
-    """CDF P[W <= x] for W ~ noncentral chi-square(2*half_df, nc)."""
-    return _nc_chi2_tail(x, half_df, nc, upper=False, acc=acc or DEFAULT_ACCURACY)
+def nc_chi2_cdf(x: float, half_df: int, nc: float) -> float:
+    """CDF P[W <= x] for W ~ noncentral chi-square(2*half_df, nc).
+
+    Same oracle accuracy as nc_chi2_sf.
+    """
+    return _nc_chi2(x, half_df, nc, upper=False)
 
 
 def std_normal_quantile(p: float) -> float:

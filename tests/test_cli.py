@@ -170,6 +170,28 @@ class TestSweep:
         assert run_cli("sweep", c4).returncode == 0
         assert out1.read_bytes() == out4.read_bytes()
 
+    def test_seeds_differing_above_2_53_stay_distinct(self, tmp_path):
+        # 2^53 + 1 has no double of its own, so a float parse merges it with 2^53
+        rows = {}
+        for seed in (2**53, 2**53 + 1):
+            out = tmp_path / f"{seed}.csv"
+            cfg = write_sweep_config(tmp_path / f"{seed}.txt", out, drop=("seed",),
+                                     extra=f"seed = {seed}\n")
+            assert run_cli("sweep", cfg).returncode == 0
+            rows[seed] = list(csv.DictReader(out.open()))
+            assert all(r["seed"] == str(seed) for r in rows[seed])
+        assert rows[2**53][0]["rate_mean"] != rows[2**53 + 1][0]["rate_mean"]
+
+    def test_integer_keys_accept_exponent_form_only_when_finite(self, tmp_path):
+        out = tmp_path / "o.csv"
+        cfg = write_sweep_config(tmp_path / "c.txt", out, drop=("trials",),
+                                 extra="trials = 5e0\n")
+        assert run_cli("sweep", cfg).returncode == 0
+        assert all(r["trials"] == "5" for r in csv.DictReader(out.open()))
+        cfg = write_sweep_config(tmp_path / "c.txt", out, drop=("trials",),
+                                 extra="trials = inf\n")
+        assert run_cli("sweep", cfg).returncode == 2
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_sweep_config(tmp_path / "c.txt", tmp_path / "o.csv",
                                  extra="wat = 1\n")

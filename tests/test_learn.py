@@ -266,6 +266,15 @@ class TestLoadSampleFile:
         s = load_sample_file(p)
         np.testing.assert_allclose(s.values, [1.5, 2e-3, 0.0, 4.0])
 
+    def test_comments_ignored(self, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_text("# gains, linear scale\n1.5  # first\n2.0#\n  # indented\n")
+        np.testing.assert_allclose(load_sample_file(p).values, [1.5, 2.0])
+        p.write_text("# header\n1.0\nbogus # note\n")
+        with pytest.raises(SampleParseError) as exc:
+            load_sample_file(p)
+        assert exc.value.line_no == 3
+
     def test_unparsable_line_number(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text("1.0\n2.0\nbogus\n4.0\n")

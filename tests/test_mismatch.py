@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -164,6 +165,20 @@ class TestMetaProbMismatch:
                 for lam in (0.1, 1.0, 10.0)]
         for v in vals:
             assert v == pytest.approx(vals[0], rel=1e-9)
+
+    def test_rician_underflow_is_zero_in_bounded_memory(self):
+        # the true value is below the smallest double; computing that 0
+        # must not take memory that grows with a truncation window
+        n = 10_000
+        eps_n = epsn_rayleigh_pcr(1e-4, 1e-2, n)
+        tracemalloc.start()
+        try:
+            got = meta_prob_mismatch(Rician(1.0, 10.0), eps_n, 1e-4, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == 0.0
+        assert peak < 10e6
 
     def test_method_validation(self):
         with pytest.raises(ValueError):

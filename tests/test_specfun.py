@@ -8,6 +8,7 @@ closed form), and the derivation is recorded next to the constant.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -283,6 +284,43 @@ class TestNcChi2:
     def test_sum_property(self):
         s = nc_chi2_sf(30.0, 10, 12.0) + nc_chi2_cdf(30.0, 10, 12.0)
         assert s == pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def mp_sf(x, half_df, nc):
+        """P[W > x] at 40 digits: sum_j Pois(j; nc/2) Q(half_df + j, x/2).
+
+        The Poisson weights and Erlang tails advance by their exact
+        recurrences over j within 20 sd of nc/2; the mass outside that
+        window is below 1e-80.
+        """
+        with mpmath.workdps(40):
+            u, v = mpmath.mpf(nc) / 2, mpmath.mpf(x) / 2
+            j_lo = max(0, int(u - 20 * mpmath.sqrt(u)))
+            j_hi = int(u + 20 * mpmath.sqrt(u)) + 1
+            a = half_df + j_lo
+            weight = mpmath.exp(-u + j_lo * mpmath.log(u) - mpmath.loggamma(j_lo + 1))
+            tail = mpmath.gammainc(a, v, mpmath.inf, regularized=True)
+            erl = mpmath.exp(-v + a * mpmath.log(v) - mpmath.loggamma(a + 1))
+            total = mpmath.mpf(0)
+            for j in range(j_lo, j_hi + 1):
+                total += weight * tail
+                tail += erl  # Q(a + 1, v) = Q(a, v) + v^a e^-v / a!
+                a += 1
+                erl *= v / a
+                weight *= u / (j + 1)
+            return total
+
+    @pytest.mark.parametrize("half_df, k", [(10_000, 1.0), (10_000, 10.0), (100_000, 1.0)])
+    def test_large_df_mpmath_oracle(self, half_df, k):
+        # the mismatch meta-probability evaluates half_df = n around the mean
+        nc = 2.0 * half_df * k
+        mean = 2.0 * half_df + nc
+        sd = math.sqrt(2.0 * (2.0 * half_df + 2.0 * nc))
+        for z in (-2.0, -1.0, 1.0, 2.0):
+            x = mean + z * sd
+            ref = self.mp_sf(x, half_df, nc)
+            assert nc_chi2_sf(x, half_df, nc) == pytest.approx(float(ref), rel=1e-12), z
+            assert nc_chi2_cdf(x, half_df, nc) == pytest.approx(float(1 - ref), rel=1e-12), z
 
 
 class TestStdNormalQuantile:
