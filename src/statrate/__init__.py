@@ -40,8 +40,10 @@ from .mismatch import (
     meta_prob_mismatch,
 )
 from .rateselect import (
+    Calibration,
     ReliabilityTarget,
     SelectorSpec,
+    calibrate,
     epsn_powerlaw,
     epsn_rayleigh_ar,
     epsn_rayleigh_pcr,
@@ -83,6 +85,8 @@ __all__ = [
     "rate_powerlaw",
     "select_rate",
     "make_rate_fn",
+    "Calibration",
+    "calibrate",
     "mean_outage_exact_rayleigh",
     "meta_prob_exact_rayleigh",
     "mean_outage_mismatch",

@@ -42,15 +42,20 @@ class PowerLawTail:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
 
 
+def _as_scalar(values: np.ndarray):
+    # a 0-d result goes back to the caller as a plain float
+    return float(values) if values.ndim == 0 else values
+
+
 class ChannelModel:
     """Common interface of the fading models."""
 
     lam: float
 
-    def _check_y(self, y: float) -> float:
-        y = float(y)
-        if y < 0.0:
-            raise ValueError(f"received power must be >= 0, got {y}")
+    def _check_y(self, y) -> np.ndarray:
+        y = np.asarray(y, dtype=np.float64)
+        if (y < 0.0).any():
+            raise ValueError(f"received power must be >= 0, got {y.min()}")
         return y
 
     def _check_p(self, p: float) -> float:
@@ -71,8 +76,8 @@ class ChannelModel:
             raise ValueError(f"count must be a positive integer, got {count}")
         return int(count)
 
-    def cdf(self, y: float) -> float:
-        """P[Y <= y]."""
+    def cdf(self, y):
+        """P[Y <= y], elementwise for an array y; a float for a scalar y."""
         raise NotImplementedError
 
     def quantile(self, p: float) -> float:
@@ -118,7 +123,7 @@ class Rayleigh(ChannelModel):
 
     def cdf(self, y):
         y = self._check_y(y)
-        return -math.expm1(-y / self.lam)
+        return _as_scalar(-np.expm1(-y / self.lam))
 
     def quantile(self, p):
         p = self._check_p(p)
@@ -157,11 +162,11 @@ class Rician(ChannelModel):
             raise ValueError(f"k must be >= 0, got {self.k}")
 
     def cdf(self, y):
-        # F(y) = 1 - Q1(sqrt(2k), sqrt(2y/lam)), evaluated as a CDF so
-        # the deep lower tail keeps relative accuracy
+        # F(y) = 1 - Q1(sqrt(2k), sqrt(2y/lam)), the noncentral
+        # chi-square CDF, evaluated directly so the deep lower tail
+        # keeps relative accuracy
         y = self._check_y(y)
-        return specfun.marcum_q1_complement(
-            math.sqrt(2.0 * self.k), math.sqrt(2.0 * y / self.lam))
+        return _as_scalar(_sp.chndtr(2.0 * y / self.lam, 2.0, 2.0 * self.k))
 
     def quantile(self, p):
         p = self._check_p(p)
@@ -206,7 +211,7 @@ class Nakagami(ChannelModel):
 
     def cdf(self, y):
         y = self._check_y(y)
-        return specfun.reg_lower_gamma(self.m, y / self.lam)
+        return _as_scalar(_sp.gammainc(self.m, y / self.lam))
 
     def quantile(self, p):
         p = self._check_p(p)

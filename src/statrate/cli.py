@@ -42,9 +42,7 @@ from .rateselect import (
     PCR,
     ReliabilityTarget,
     SelectorSpec,
-    epsn_powerlaw,
-    epsn_rayleigh_ar,
-    epsn_rayleigh_pcr,
+    calibrate,
     select_rate,
 )
 
@@ -193,18 +191,12 @@ def cmd_epsn(args) -> int:
     if args.beta is not None and args.family == "rayleigh":
         args.parser.error("--beta is only valid for power-law families")
 
-    if args.family == "rayleigh":
-        if args.constraint == AR:
-            eps_n = epsn_rayleigh_ar(args.eps, args.n)
-        else:
-            eps_n = epsn_rayleigh_pcr(args.eps, args.xi, args.n)
-    else:
-        target = _build_target(args.constraint, args.eps, args.xi)
-        mode = "asymptotic" if args.family == "powerlaw-asym" else "non-asymptotic"
+    beta = args.beta
+    if beta is None and args.family != "rayleigh":
         # the asymptotic AR level is beta-free; any admissible placeholder works
-        beta = args.beta if args.beta is not None else 0.5
-        eps_n = epsn_powerlaw(target, args.n, beta, mode=mode)
-    print(_fmt(eps_n))
+        beta = 0.5
+    target = _build_target(args.constraint, args.eps, args.xi)
+    print(_fmt(calibrate(SelectorSpec(args.family, beta=beta), target, args.n).eps_n))
     return 0
 
 
@@ -303,7 +295,7 @@ def cmd_mismatch(args) -> int:
     beta = _take(entries, "beta", float, required=False)
     n = _take(entries, "n", _as_int)
     trials = _take(entries, "trials", _as_int, required=False)
-    seed = _take(entries, "seed", _as_int, required=False, default=0)
+    seed = _take(entries, "seed", _as_int, required=False)
     output = _take(entries, "output", str)
     _reject_unknown(entries)
 
@@ -323,14 +315,18 @@ def cmd_mismatch(args) -> int:
         raise ConfigError("key 'beta' is only valid with power-law selectors")
     if needs_mc and trials is None:
         raise ConfigError("power-law selectors require key 'trials'")
+    if not needs_mc and (trials is not None or seed is not None):
+        raise ConfigError("keys 'trials' and 'seed' are only valid with power-law selectors")
+    if seed is None:
+        seed = 0
 
     try:
-        levels = {}
+        designs = {}
         for sel in selectors:
-            if sel == "rayleigh-ar":
-                levels[sel] = epsn_rayleigh_ar(eps, n)
-            elif sel == "rayleigh-pcr":
-                levels[sel] = epsn_rayleigh_pcr(eps, xi, n)
+            family, _, kind = sel.rpartition("-")
+            selector = SelectorSpec(family, beta=None if family == "rayleigh" else beta)
+            target = ReliabilityTarget(eps, kind, xi if kind == PCR else None)
+            designs[sel] = (selector, target, calibrate(selector, target, n))
         models = [Rician(lam, v) if param == "k" else Nakagami(lam, v)
                   for v in param_values]
     except (NoSolutionError, InsufficientTailDataError):
@@ -343,18 +339,16 @@ def cmd_mismatch(args) -> int:
     nan = math.nan
     for value, model in zip(param_values, models):
         for sel in selectors:
+            selector, target, cal = designs[sel]
             if sel.startswith("rayleigh"):
-                eps_n = levels[sel]
+                eps_n = cal.eps_n
                 mo_num = mean_outage_mismatch(model, eps_n, n, method="numeric")
                 mo_app = mean_outage_mismatch(model, eps, n, method="weak_n")
                 mp_num = meta_prob_mismatch(model, eps_n, eps, n, method="numeric")
                 mp_ch = meta_prob_mismatch(model, eps_n, eps, n, method="chernoff")
             else:
-                kind = AR if sel.endswith("-ar") else PCR
-                target = ReliabilityTarget(eps, kind, xi if kind == PCR else None)
-                cfg = EvalConfig(model, SelectorSpec("powerlaw-asym", beta=beta),
-                                 target, n, trials, seed)
-                rep = evaluate(cfg, axis_index=row_index)
+                cfg = EvalConfig(model, selector, target, n, trials, seed)
+                rep = evaluate(cfg, axis_index=row_index, calibration=cal)
                 mo_num, mo_app = rep.mean_outage.value, nan
                 mp_num, mp_ch = rep.meta_prob.value, nan
             rows.append([param, _fmt(value), sel, _fmt(mo_num), _fmt(mo_app),

@@ -12,30 +12,39 @@ Reported quantities per configuration:
     meta-probability   P[q > eps]     (Wilson CI)
     throughput ratio   E[R (1-q)] / (R_eps (1-eps))   (normal CI)
 
-Trials use counter-based Philox streams keyed by (seed, axis index,
-trial), so every trial is reproducible in isolation and sweep results
-are bitwise identical for any worker count.
+Trials are drawn in blocks of block_rows(n) = max(1, 2**16 // n)
+training samples. Block b holds trials b*rows .. (b+1)*rows - 1 and is
+drawn from its own counter-based Philox stream keyed by
+(seed, axis index, b) (Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC'11); unused rows of the last block are dropped. The
+block size depends on n alone, never on trials or workers, so trial t
+reads the same values for any trial count and can be reproduced alone
+from trial_block(..., t // rows)[t % rows], and sweep results are
+bitwise identical for any worker count.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import specfun
-from .channels import ChannelModel, Nakagami, Rician
-from .learn import TrainingSample
-from .rateselect import PCR, ReliabilityTarget, SelectorSpec, make_rate_fn
+from .channels import ChannelModel, Nakagami, Rayleigh, Rician
+from .rateselect import PCR, Calibration, ReliabilityTarget, SelectorSpec, calibrate
 
 __all__ = [
     "SWEEP_AXES",
     "Estimate",
     "EvalConfig",
     "EvalReport",
+    "block_rows",
+    "trial_block",
+    "trial_outcomes",
     "evaluate",
     "sweep",
 ]
@@ -46,6 +55,9 @@ SWEEP_AXES = ("n", "k", "m", "epsilon", "xi", "beta")
 
 _LN2 = math.log(2.0)
 _Z95 = abs(specfun.std_normal_quantile(0.025))
+
+# values drawn from one Philox stream; a block is about 0.5 MB of float64
+_BLOCK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -97,10 +109,21 @@ class EvalReport:
     seed: int
 
 
-def _substream(seed: int, axis_index: int, trial: int) -> np.random.Generator:
-    # one independent Philox stream per (seed, axis point, trial)
-    key = np.array([seed, (axis_index << 32) | trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def block_rows(n: int) -> int:
+    """Trials per block for samples of size n; depends on n alone."""
+    return max(1, _BLOCK_VALUES // int(n))
+
+
+def trial_block(model: ChannelModel, n: int, seed: int, axis_index: int,
+                block: int) -> np.ndarray:
+    """The (block_rows(n), n) training samples of one block.
+
+    Row r is the sample of trial block * block_rows(n) + r.
+    """
+    key = np.array([seed, (axis_index << 32) | block], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    rows = block_rows(n)
+    return model.sample(rng, rows * n).reshape(rows, n)
 
 
 def _normal_ci(values: np.ndarray, lo_clip: float, hi_clip: float) -> Estimate:
@@ -120,34 +143,46 @@ def _wilson_ci(successes: int, t: int) -> Estimate:
     return Estimate(p, max(center - half, 0.0), min(center + half, 1.0))
 
 
-def evaluate(config: EvalConfig, axis_index: int = 0, rate_fn=None) -> EvalReport:
-    """Run the Monte Carlo loop for one configuration.
+def trial_outcomes(config: EvalConfig, axis_index: int = 0,
+                   calibration: Calibration | None = None):
+    """Per-trial (rates, outages) arrays of length config.trials.
 
-    axis_index offsets the trial streams so distinct sweep points never
-    share randomness; rate_fn overrides the selector's rate function
-    (sample -> rate), which is otherwise pre-calibrated once via
-    make_rate_fn.
+    The outage of a trial is its exact conditional outage probability
+    F(2^R - 1) under the true model. calibration overrides the one
+    calibrate() derives from the config; anything with a rates(samples)
+    method serves.
     """
     if not isinstance(config, EvalConfig):
         raise TypeError("config must be an EvalConfig")
     if not (0 <= int(axis_index) < 2**32):
         raise ValueError(f"axis_index must be in [0, 2^32), got {axis_index}")
-    if rate_fn is None:
-        rate_fn = make_rate_fn(config.selector, config.target, config.n)
+    n, trials = int(config.n), int(config.trials)
+    if calibration is None:
+        calibration = calibrate(config.selector, config.target, n)
 
+    rows = block_rows(n)
+    rates = np.empty(trials)
+    for lo in range(0, trials, rows):
+        block = trial_block(config.true_model, n, config.seed, int(axis_index),
+                            lo // rows)
+        hi = min(lo + rows, trials)
+        rates[lo:hi] = calibration.rates(block[:hi - lo])
+    # conditional outage is an exact CDF value, not a simulated rate
+    outages = config.true_model.cdf(np.expm1(rates * _LN2))
+    return rates, outages
+
+
+def evaluate(config: EvalConfig, axis_index: int = 0,
+             calibration: Calibration | None = None) -> EvalReport:
+    """Run the Monte Carlo trials of one configuration and aggregate them.
+
+    axis_index separates the streams of distinct sweep points;
+    calibration is passed on to trial_outcomes.
+    """
+    rates, outages = trial_outcomes(config, axis_index, calibration)
     model = config.true_model
     eps = config.target.epsilon
-    trials = int(config.trials)
-    rates = np.empty(trials)
-    outages = np.empty(trials)
-    for t in range(trials):
-        rng = _substream(config.seed, int(axis_index), t)
-        sample = TrainingSample(model.sample(rng, config.n))
-        r = rate_fn(sample)
-        rates[t] = r
-        # conditional outage is an exact CDF value, not a simulated rate
-        outages[t] = model.cdf(math.expm1(r * _LN2)) if r > 0.0 else 0.0
-
+    trials = rates.size
     r_eps = model.epsilon_outage_capacity(eps)
     denom = r_eps * (1.0 - eps)
     if denom > 0.0:
@@ -181,16 +216,20 @@ def _apply_axis(base: EvalConfig, axis: str, value) -> EvalConfig:
         return replace(base, target=replace(base.target, xi=float(value)))
     if axis == "beta":
         return replace(base, selector=replace(base.selector, beta=float(value)))
-    if axis == "k":
-        return replace(base, true_model=Rician(lam=base.true_model.lam, k=float(value)))
-    if axis == "m":
-        return replace(base, true_model=Nakagami(lam=base.true_model.lam, m=float(value)))
+    if axis in ("k", "m"):
+        # Rayleigh is the k = 0 Rician and the m = 1 Nakagami model
+        family = Rician if axis == "k" else Nakagami
+        if not isinstance(base.true_model, (family, Rayleigh)):
+            raise ValueError(
+                f"axis {axis!r} requires a {family.__name__.lower()} or rayleigh "
+                f"model, got {type(base.true_model).__name__.lower()}")
+        return replace(base, true_model=family(base.true_model.lam, float(value)))
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
 def _sweep_point(task) -> EvalReport:
-    base, axis, value, idx = task
-    return evaluate(_apply_axis(base, axis, value), axis_index=idx)
+    config, idx = task
+    return evaluate(config, axis_index=idx)
 
 
 def sweep(base: EvalConfig, axis: str, values,
@@ -198,7 +237,8 @@ def sweep(base: EvalConfig, axis: str, values,
     """Evaluate base along one axis; (value, report) pairs in axis order.
 
     Axis streams are keyed by position, so results do not depend on
-    workers; with workers > 1 the points run in separate processes.
+    workers. The points run in min(workers, len(values), os.cpu_count())
+    processes; with one, they run in this process.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -207,16 +247,18 @@ def sweep(base: EvalConfig, axis: str, values,
         raise ValueError("sweep needs at least one axis value")
     if workers != int(workers) or int(workers) < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
-    tasks = [(base, axis, v, i) for i, v in enumerate(values)]
+    tasks = [(_apply_axis(base, axis, v), i) for i, v in enumerate(values)]
+    # no process beyond one per point and one per CPU
+    procs = min(int(workers), len(tasks), os.cpu_count() or 1)
 
     results: list[tuple[float, EvalReport]] = []
-    if int(workers) == 1:
-        for task in tasks:
-            results.append((task[2], _sweep_point(task)))
-            logger.info("sweep %s=%s done (%d/%d)", axis, task[2],
+    if procs == 1:
+        for value, task in zip(values, tasks):
+            results.append((value, _sweep_point(task)))
+            logger.info("sweep %s=%s done (%d/%d)", axis, value,
                         len(results), len(tasks))
         return results
-    with ProcessPoolExecutor(max_workers=int(workers)) as pool:
+    with ProcessPoolExecutor(max_workers=procs) as pool:
         for i, report in enumerate(pool.map(_sweep_point, tasks)):
             results.append((values[i], report))
             logger.info("sweep %s=%s done (%d/%d)", axis, values[i],

@@ -27,9 +27,11 @@ from .errors import InsufficientTailDataError, SampleParseError
 __all__ = [
     "TrainingSample",
     "TailFit",
+    "sample_rows",
     "rayleigh_mle",
     "empirical_cdf",
     "fit_power_tail",
+    "fit_power_tails",
     "tail_quantile",
     "load_sample_file",
 ]
@@ -45,6 +47,28 @@ def _floor_with_float_guard(v: float) -> int:
     return int(math.floor(round(v, 9)))
 
 
+def _check_values(arr: np.ndarray) -> None:
+    if arr.size == 0:
+        raise ValueError("empty sample")
+    if not np.isfinite(arr).all():
+        raise ValueError("sample contains non-finite values")
+    if float(arr.min()) < 0.0:
+        raise ValueError("sample values must be >= 0")
+
+
+def sample_rows(values) -> np.ndarray:
+    """A (B, n) float64 array of B training samples, one per row.
+
+    Every row passes the checks a TrainingSample makes: non-empty,
+    finite and non-negative.
+    """
+    arr = np.ascontiguousarray(values, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a (B, n) array of samples, got shape {arr.shape}")
+    _check_values(arr)
+    return arr
+
+
 class TrainingSample:
     """Immutable batch of non-negative received-power measurements.
 
@@ -57,12 +81,7 @@ class TrainingSample:
         arr = np.ascontiguousarray(values, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"sample must be one-dimensional, got shape {arr.shape}")
-        if arr.size == 0:
-            raise ValueError("empty sample")
-        if not np.isfinite(arr).all():
-            raise ValueError("sample contains non-finite values")
-        if float(arr.min()) < 0.0:
-            raise ValueError("sample values must be >= 0")
+        _check_values(arr)
         self._values = arr
         self._values.setflags(write=False)
         self._sorted: np.ndarray | None = None
@@ -145,26 +164,41 @@ def empirical_cdf(sample: TrainingSample, y: float) -> float:
     return idx / sample.n
 
 
-def fit_power_tail(sample: TrainingSample, beta: float) -> TailFit:
-    """Fit the log-domain tail law to the l = ceil(beta*n) smallest values."""
+def fit_power_tails(rows: np.ndarray, beta: float):
+    """fit_power_tail on every row of a (B, n) sample array.
+
+    Returns (l, alpha_hat, kappa_hat, z_l), the last three of shape
+    (B,). Raises as fit_power_tail does if any row fails.
+    """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must be in (0, 1), got {beta}")
-    n = sample.n
+    n = rows.shape[1]
     l = _ceil_with_float_guard(beta * n)
     if l < 2:
         raise InsufficientTailDataError(
             f"tail fit needs ceil(beta*n) >= 2 values, got l={l} (n={n}, beta={beta})")
-    tail = sample.smallest(l)
-    if tail[0] <= 0.0:
+    tail = np.partition(rows, l - 1, axis=1)[:, :l]
+    # ascending, so each row mean sums in the same order for any B
+    tail.sort(axis=1)
+    if (tail[:, 0] <= 0.0).any():
         raise ValueError("tail fit requires strictly positive sample values")
     z = np.log(tail)
-    z_l = float(z[-1])
-    kappa = z_l - float(z.mean())
-    if kappa <= 0.0:
+    z_l = z[:, -1]
+    kappa = z_l - z.mean(axis=1)
+    if (kappa <= 0.0).any():
         raise InsufficientTailDataError(
             "degenerate tail: the l smallest values are all identical")
-    alpha = (l / n) * math.exp(-z_l / kappa)
-    return TailFit(alpha_hat=alpha, kappa_hat=kappa, l=l, beta=float(beta), z_l=z_l)
+    alpha = (l / n) * np.exp(-z_l / kappa)
+    if not (alpha > 0.0).all():
+        raise ValueError("alpha_hat must be > 0: the fitted tail underflows")
+    return l, alpha, kappa, z_l
+
+
+def fit_power_tail(sample: TrainingSample, beta: float) -> TailFit:
+    """Fit the log-domain tail law to the l = ceil(beta*n) smallest values."""
+    l, alpha, kappa, z_l = fit_power_tails(sample.values[None], beta)
+    return TailFit(alpha_hat=float(alpha[0]), kappa_hat=float(kappa[0]), l=l,
+                   beta=float(beta), z_l=float(z_l[0]))
 
 
 def tail_quantile(fit: TailFit, eps_n: float) -> float:
@@ -176,7 +210,12 @@ def tail_quantile(fit: TailFit, eps_n: float) -> float:
     eps_n = float(eps_n)
     if not (0.0 < eps_n < 1.0):
         raise ValueError(f"quantile level must be in (0, 1), got {eps_n}")
-    return fit.kappa_hat * math.log(eps_n / fit.alpha_hat)
+    return float(log_tail_quantile(fit.alpha_hat, fit.kappa_hat, eps_n))
+
+
+def log_tail_quantile(alpha_hat, kappa_hat, eps_n: float):
+    """tail_quantile for scalars or arrays of fitted (alpha_hat, kappa_hat)."""
+    return kappa_hat * np.log(eps_n / alpha_hat)
 
 
 def load_sample_file(path) -> TrainingSample:

@@ -9,7 +9,10 @@ Each selector maps a TrainingSample of size n to a rate in bits per
 channel use, through a backed-off quantile level eps_n (parametric and
 power-law families) or an order-statistic index l (non-parametric
 family). Calibration depends only on (eps, xi, n, beta), never on the
-sample itself, so it can be computed once and reused across trials.
+sample itself: calibrate() solves it once into a Calibration, whose
+rates() maps a (B, n) array of samples to B rates. Every other entry
+point (select_rate, make_rate_fn, the rate_* helpers) is that array
+path on a batch of one.
 
 Families:
 
@@ -38,7 +41,9 @@ from .learn import (
     TrainingSample,
     _ceil_with_float_guard,
     _floor_with_float_guard,
-    fit_power_tail,
+    fit_power_tails,
+    log_tail_quantile,
+    sample_rows,
     tail_quantile,
 )
 
@@ -48,6 +53,8 @@ __all__ = [
     "FAMILIES",
     "ReliabilityTarget",
     "SelectorSpec",
+    "Calibration",
+    "calibrate",
     "epsn_rayleigh_ar",
     "epsn_rayleigh_pcr",
     "epsn_powerlaw",
@@ -340,29 +347,72 @@ def epsn_powerlaw(target: ReliabilityTarget, n: int, beta: float,
     return (l / n) * math.exp(float(root))
 
 
+def _log2_1p(y):
+    return np.log1p(y) / _LN2
+
+
+def _rayleigh_rates(rows: np.ndarray, eps_n: float) -> np.ndarray:
+    return _log2_1p(-math.log1p(-eps_n) * rows.mean(axis=1))
+
+
+def _order_stat_rates(rows: np.ndarray, l: int) -> np.ndarray:
+    # log2(1 + x_(l)); partial selection, no full sort
+    return _log2_1p(np.partition(rows, l - 1, axis=1)[:, l - 1])
+
+
 def rate_rayleigh(sample: TrainingSample, eps_n: float) -> float:
     """Rayleigh-MLE rate log2(1 - log(1-eps_n) * mean(sample))."""
     eps_n = _check_eps(eps_n)
-    return math.log1p(-math.log1p(-eps_n) * sample.mean()) / _LN2
+    return float(_rayleigh_rates(sample.values[None], eps_n)[0])
 
 
 def rate_nonparam(sample: TrainingSample, l: int) -> float:
     """Order-statistic rate log2(1 + x_(l)) for 1 <= l <= n."""
     if not (1 <= l <= sample.n):
         raise IndexError(f"order-statistic index {l} outside [1, {sample.n}]")
-    return math.log1p(sample.order_stat(l)) / _LN2
+    return float(_order_stat_rates(sample.values[None], l)[0])
 
 
 def rate_powerlaw(fit: TailFit, eps_n: float) -> float:
     """Tail-extrapolated rate log2(1 + exp(fitted log-quantile))."""
-    return math.log1p(math.exp(tail_quantile(fit, eps_n))) / _LN2
+    return float(_log2_1p(np.exp(tail_quantile(fit, eps_n))))
 
 
-def make_rate_fn(selector: SelectorSpec, target: ReliabilityTarget, n: int):
-    """Pre-calibrate a selector for sample size n.
+@dataclass(frozen=True)
+class Calibration:
+    """A selector solved for a target and a sample size n.
 
-    Returns a function TrainingSample -> rate. All constraint solving
-    happens here, once; the returned function only touches the sample.
+    eps_n is the quantile level of the rayleigh, plugin-rayleigh and
+    power-law families; l is the order-statistic index of the
+    nonparametric families, where l = 0 is the zero-rate regime.
+    """
+
+    selector: SelectorSpec
+    n: int
+    eps_n: float | None = None
+    l: int | None = None
+
+    def rates(self, samples) -> np.ndarray:
+        """Rates for a (B, n) array of training samples, one per row."""
+        rows = sample_rows(samples)
+        if rows.shape[1] != self.n:
+            raise ValueError(
+                f"calibrated for n={self.n}, got samples of size {rows.shape[1]}")
+        if self.l is not None:
+            if self.l == 0:
+                return np.zeros(rows.shape[0])
+            return _order_stat_rates(rows, self.l)
+        if self.selector.family in _POWERLAW_FAMILIES:
+            _, alpha, kappa, _ = fit_power_tails(rows, self.selector.beta)
+            return _log2_1p(np.exp(log_tail_quantile(alpha, kappa, self.eps_n)))
+        return _rayleigh_rates(rows, self.eps_n)
+
+
+def calibrate(selector: SelectorSpec, target: ReliabilityTarget,
+              n: int) -> Calibration:
+    """Solve a selector's constraint for sample size n.
+
+    This is the only place eps_n or l is derived from (target, n).
     """
     if not isinstance(selector, SelectorSpec):
         raise TypeError("selector must be a SelectorSpec")
@@ -370,38 +420,33 @@ def make_rate_fn(selector: SelectorSpec, target: ReliabilityTarget, n: int):
         raise TypeError("target must be a ReliabilityTarget")
     n = _check_n(n)
     fam = selector.family
+    eps, pcr = target.epsilon, target.kind == PCR
 
     if fam == FAMILY_RAYLEIGH:
-        if target.kind == AR:
-            eps_n = epsn_rayleigh_ar(target.epsilon, n)
-        else:
-            eps_n = epsn_rayleigh_pcr(target.epsilon, target.xi, n)
-        return lambda s: rate_rayleigh(s, eps_n)
-
+        eps_n = epsn_rayleigh_pcr(eps, target.xi, n) if pcr else epsn_rayleigh_ar(eps, n)
+        return Calibration(selector, n, eps_n=eps_n)
     if fam == FAMILY_NONPARAMETRIC:
-        if target.kind == AR:
-            l = nonparam_l_ar(target.epsilon, n)
-        else:
-            l = nonparam_l_pcr(target.epsilon, target.xi, n)
-        if l == 0:
-            return lambda s: 0.0
-        return lambda s: rate_nonparam(s, l)
-
+        l = nonparam_l_pcr(eps, target.xi, n) if pcr else nonparam_l_ar(eps, n)
+        return Calibration(selector, n, l=l)
     if fam in _POWERLAW_FAMILIES:
         mode = "asymptotic" if fam == FAMILY_POWERLAW_ASYM else "non-asymptotic"
-        eps_n = epsn_powerlaw(target, n, selector.beta, mode=mode)
-        beta = selector.beta
-        return lambda s: rate_powerlaw(fit_power_tail(s, beta), eps_n)
-
+        return Calibration(selector, n,
+                           eps_n=epsn_powerlaw(target, n, selector.beta, mode=mode))
     if fam == FAMILY_PLUGIN_RAYLEIGH:
-        eps = target.epsilon
-        return lambda s: rate_rayleigh(s, eps)
-
+        return Calibration(selector, n, eps_n=eps)
     if fam == FAMILY_PLUGIN_NONPARAMETRIC:
-        l = plug_in_nonparam_index(target.epsilon, n)
-        return lambda s: rate_nonparam(s, l)
-
+        return Calibration(selector, n, l=plug_in_nonparam_index(eps, n))
     raise AssertionError(f"unhandled family {fam!r}")
+
+
+def make_rate_fn(selector: SelectorSpec, target: ReliabilityTarget, n: int):
+    """Pre-calibrate a selector for sample size n.
+
+    Returns a function TrainingSample -> rate that applies
+    calibrate(selector, target, n) to a batch of one.
+    """
+    cal = calibrate(selector, target, n)
+    return lambda s: float(cal.rates(s.values[None])[0])
 
 
 def select_rate(selector: SelectorSpec, target: ReliabilityTarget,

@@ -54,6 +54,17 @@ class TestCdf:
         for model in ALL_MODELS:
             with pytest.raises(ValueError):
                 model.cdf(-1e-9)
+            with pytest.raises(ValueError):
+                model.cdf(np.array([[1.0, -1e-9]]))
+
+    def test_array_is_elementwise_scalar(self):
+        ys = np.geomspace(1e-12, 50.0, 24).reshape(4, 6)
+        for model in ALL_MODELS:
+            vals = model.cdf(ys)
+            assert isinstance(vals, np.ndarray) and vals.shape == ys.shape
+            scalars = [model.cdf(float(y)) for y in ys.ravel()]
+            assert all(isinstance(v, float) for v in scalars)
+            assert vals.ravel().tolist() == scalars
 
     def test_range_and_monotone(self):
         ys = np.geomspace(1e-8, 50.0, 60)

@@ -228,6 +228,16 @@ class TestSweep:
     def test_missing_config_file(self, tmp_path):
         assert run_cli("sweep", str(tmp_path / "absent.txt")).returncode == 4
 
+    def test_axis_k_on_nakagami_model_rejected(self, tmp_path):
+        out = tmp_path / "o.csv"
+        cfg = write_sweep_config(
+            tmp_path / "c.txt", out, drop=("model", "axis", "axis_values"),
+            extra="model = nakagami\nm = 0.5\naxis = k\naxis_values = 1, 2\n")
+        res = run_cli("sweep", cfg)
+        assert res.returncode == 2
+        assert "axis 'k'" in res.stderr
+        assert not out.exists()
+
 
 class TestMismatch:
     def test_k_sweep_signs(self, tmp_path):
@@ -313,6 +323,20 @@ class TestMismatch:
         cfg2 = tmp_path / "cfg2.txt"
         cfg2.write_text(base + "beta = 0.05\n")
         assert run_cli("mismatch", str(cfg2)).returncode == 2
+
+    def test_trials_and_seed_need_powerlaw_selector(self, tmp_path):
+        base = ("param = k\n"
+                "param_values = 1\n"
+                "selectors = rayleigh-ar\n"
+                "eps = 1e-4\n"
+                "n = 100\n"
+                f"output = {tmp_path / 'x.csv'}\n")
+        for extra in ("trials = 10\n", "seed = 3\n"):
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(base + extra)
+            res = run_cli("mismatch", str(cfg))
+            assert res.returncode == 2
+            assert "power-law" in res.stderr
 
     def test_unknown_selector(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

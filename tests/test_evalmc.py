@@ -4,7 +4,19 @@ import numpy as np
 import pytest
 
 from statrate.channels import Nakagami, Rayleigh, Rician
-from statrate.evalmc import SWEEP_AXES, Estimate, EvalConfig, EvalReport, evaluate, sweep
+from statrate import evalmc
+from statrate.evalmc import (
+    SWEEP_AXES,
+    Estimate,
+    EvalConfig,
+    EvalReport,
+    block_rows,
+    evaluate,
+    sweep,
+    trial_block,
+    trial_outcomes,
+)
+from statrate.learn import TrainingSample
 from statrate.mismatch import mean_outage_exact_rayleigh, meta_prob_exact_rayleigh
 from statrate.rateselect import (
     PCR,
@@ -15,6 +27,7 @@ from statrate.rateselect import (
     make_rate_fn,
     nonparam_l_ar,
     nonparam_l_pcr,
+    select_rate,
 )
 
 
@@ -55,7 +68,12 @@ class TestDegenerateSelector:
         model = Rayleigh(1.0)
         eps = 1e-2
         r_star = model.epsilon_outage_capacity(eps)
-        report = evaluate(_cfg(eps=eps, trials=100), rate_fn=lambda s: r_star)
+
+        class Oracle:
+            def rates(self, samples):
+                return np.full(len(samples), r_star)
+
+        report = evaluate(_cfg(eps=eps, trials=100), calibration=Oracle())
         assert report.throughput_ratio.value == pytest.approx(1.0, abs=1e-12)
         assert report.mean_outage.value == pytest.approx(eps, abs=1e-12)
         assert report.rate_mean == pytest.approx(r_star, rel=1e-14)
@@ -171,6 +189,49 @@ class TestDeterminism:
         assert serial == again
 
 
+class TestBlockEngine:
+    def test_block_size_depends_on_n_alone(self):
+        assert [block_rows(n) for n in (1, 10, 1000, 10**4, 2**16, 10**5)] == [
+            2**16, 6553, 65, 6, 1, 1]
+
+    def test_trial_reproducible_from_its_block(self):
+        cases = ((Rayleigh(1.0), "rayleigh", None, 100, 700),
+                 (Rician(1.0, 2.0), "nonparametric", None, 5000, 30),
+                 (Nakagami(1.0, 2.0), "powerlaw-asym", 0.05, 3000, 50))
+        for model, family, beta, n, trials in cases:
+            cfg = _cfg(model=model, family=family, beta=beta, kind=PCR, xi=0.1,
+                       n=n, trials=trials, seed=60)
+            rates, outages = trial_outcomes(cfg, axis_index=3)
+            rows = block_rows(n)
+            for t in (0, rows - 1, rows, trials - 1):
+                sample = trial_block(model, n, 60, 3, t // rows)[t % rows]
+                rate = select_rate(cfg.selector, cfg.target, TrainingSample(sample))
+                assert rate == rates[t]
+                assert model.cdf(np.expm1(rate * math.log(2.0))) == outages[t]
+
+    def test_first_trials_unchanged_when_trials_grow(self):
+        for n, few, many in ((10, 100, 7000), (5000, 20, 50)):
+            base = _cfg(n=n, trials=few, seed=61)
+            short = trial_outcomes(base, axis_index=1)
+            longer = trial_outcomes(_cfg(n=n, trials=many, seed=61), axis_index=1)
+            for part, whole in zip(short, longer):
+                assert np.array_equal(part, whole[:few])
+
+    def test_large_n_memory_bounded(self):
+        import tracemalloc
+        n = 10**5
+        for family, beta in (("nonparametric", None), ("powerlaw-asym", 0.01)):
+            cfg = _cfg(family=family, beta=beta, kind=PCR, xi=0.1, n=n,
+                       trials=3, seed=62)
+            tracemalloc.start()
+            try:
+                evaluate(cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - 8 * n < 10 * 2**20
+
+
 class TestSweep:
     def test_returns_value_report_pairs(self):
         base = _cfg(trials=10, seed=51)
@@ -197,6 +258,43 @@ class TestSweep:
         base = _cfg(model=Rayleigh(2.0), n=50, trials=20, seed=54)
         out = sweep(base, "m", [0.5, 2.0])
         assert len(out) == 2
+
+    def test_axis_k_and_m_keep_the_model_family(self):
+        with pytest.raises(ValueError, match="axis 'k'"):
+            sweep(_cfg(model=Nakagami(1.0, 0.5), trials=5), "k", [1.0])
+        with pytest.raises(ValueError, match="axis 'm'"):
+            sweep(_cfg(model=Rician(1.0, 2.0), trials=5), "m", [1.0])
+        (_, rician), = sweep(_cfg(model=Rician(2.0, 1.0), trials=5), "k", [3.0])
+        (_, direct), = sweep(_cfg(model=Rician(2.0, 3.0), trials=5), "n", [100])
+        assert rician == direct
+
+    def test_pool_size_capped_by_points_and_cpus(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(evalmc, "ProcessPoolExecutor", RecordingPool)
+        base = _cfg(trials=5, seed=63)
+        serial = sweep(base, "n", [10, 20])
+        monkeypatch.setattr(evalmc.os, "cpu_count", lambda: 2)
+        assert sweep(base, "n", [10, 20], workers=2) == serial
+        assert sweep(base, "n", [10, 20], workers=64) == serial
+        assert started == [2, 2]
+        monkeypatch.setattr(evalmc.os, "cpu_count", lambda: 64)
+        sweep(base, "n", [10, 20, 30], workers=8)
+        sweep(base, "n", [10], workers=8)
+        assert started == [2, 2, 3]
 
     def test_omega_non_decreasing_in_n(self):
         base = _cfg(trials=2000, seed=55)

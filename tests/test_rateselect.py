@@ -8,7 +8,7 @@ import scipy.stats
 from statrate import rateselect as rs
 from statrate.channels import Rayleigh
 from statrate.errors import InsufficientTailDataError
-from statrate.learn import TailFit, TrainingSample, fit_power_tail
+from statrate.learn import TailFit, TrainingSample, fit_power_tail, sample_rows
 from statrate.mismatch import mean_outage_mismatch, meta_prob_mismatch
 from statrate.rateselect import (
     AR,
@@ -16,6 +16,7 @@ from statrate.rateselect import (
     PCR,
     ReliabilityTarget,
     SelectorSpec,
+    calibrate,
     epsn_powerlaw,
     epsn_rayleigh_ar,
     epsn_rayleigh_pcr,
@@ -444,3 +445,71 @@ class TestSelectRate:
             make_rate_fn(SelectorSpec("rayleigh"), (1e-3, AR), 100)
         with pytest.raises(ValueError):
             make_rate_fn(SelectorSpec("rayleigh"), ReliabilityTarget(1e-3), 0)
+
+
+class TestCalibrate:
+    TARGETS = (ReliabilityTarget(1e-2), ReliabilityTarget(1e-2, PCR, 0.1))
+
+    def _designs(self):
+        for fam in FAMILIES:
+            beta = 0.05 if fam.startswith("powerlaw") else None
+            for target in self.TARGETS:
+                if fam == "powerlaw-nonasym" and target.kind == AR:
+                    continue  # the finite-sample bound is PCR only
+                yield SelectorSpec(fam, beta=beta), target
+
+    def test_batch_rows_equal_single_sample_selection(self):
+        samples = RNG(33).exponential(size=(5, 2000))
+        for selector, target in self._designs():
+            batch = calibrate(selector, target, 2000).rates(samples)
+            assert batch.shape == (5,)
+            for row, rate in zip(samples, batch):
+                # bitwise: a scalar selection is a batch of one
+                assert select_rate(selector, target, TrainingSample(row)) == rate
+                assert calibrate(selector, target, 2000).rates(row[None])[0] == rate
+
+    def test_holds_the_solved_level_or_index(self):
+        n, eps, xi = 2000, 1e-2, 0.1
+        pcr = ReliabilityTarget(eps, PCR, xi)
+        assert calibrate(SelectorSpec("rayleigh"), pcr, n).eps_n == epsn_rayleigh_pcr(eps, xi, n)
+        assert calibrate(SelectorSpec("rayleigh"), self.TARGETS[0], n).eps_n == epsn_rayleigh_ar(eps, n)
+        assert calibrate(SelectorSpec("nonparametric"), pcr, n).l == nonparam_l_pcr(eps, xi, n)
+        assert calibrate(SelectorSpec("plugin-nonparametric"), pcr, n).l == plug_in_nonparam_index(eps, n)
+        assert calibrate(SelectorSpec("plugin-rayleigh"), pcr, n).eps_n == eps
+        cal = calibrate(SelectorSpec("powerlaw-nonasym", beta=0.05), pcr, n)
+        assert cal.eps_n == epsn_powerlaw(pcr, n, 0.05, mode="non-asymptotic")
+        assert cal.l is None
+
+    def test_zero_index_gives_zero_rates(self):
+        cal = calibrate(SelectorSpec("nonparametric"), ReliabilityTarget(1e-3), 100)
+        assert cal.l == 0
+        rates = cal.rates(RNG(34).exponential(size=(3, 100)))
+        assert rates.tolist() == [0.0, 0.0, 0.0]
+
+    def test_rates_validates_samples(self):
+        cal = calibrate(SelectorSpec("rayleigh"), ReliabilityTarget(1e-2), 4)
+        good = np.ones((2, 4))
+        for bad in (np.ones(4), np.ones((2, 3)), np.ones((0, 4)),
+                    np.where(np.eye(2, 4) > 0, -1.0, 1.0),
+                    np.where(np.eye(2, 4) > 0, np.nan, 1.0)):
+            with pytest.raises(ValueError):
+                cal.rates(bad)
+        assert cal.rates(good).shape == (2,)
+        with pytest.raises(ValueError):
+            sample_rows([[1.0, math.inf]])
+
+    def test_powerlaw_batch_raises_like_fit_power_tail(self):
+        target = ReliabilityTarget(1e-2)
+        spec = SelectorSpec("powerlaw-asym", beta=0.3)
+        good = np.linspace(1.0, 2.0, 10)
+        zero = np.array([0.0] + list(range(1, 10)), dtype=float)
+        flat = np.array([1.0, 1.0, 1.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0])
+        cal = calibrate(spec, target, 10)
+        with pytest.raises(ValueError) as exc:
+            cal.rates(np.stack([good, zero]))
+        assert not isinstance(exc.value, InsufficientTailDataError)
+        with pytest.raises(InsufficientTailDataError):
+            cal.rates(np.stack([good, flat]))
+        small = calibrate(SelectorSpec("powerlaw-asym", beta=0.05), target, 10)
+        with pytest.raises(InsufficientTailDataError):
+            small.rates(good[None])
