@@ -17,9 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import scipy.integrate as _integrate
 import scipy.special as _sp
-import scipy.stats as _stats
 
 from . import specfun
 from .channels import ChannelModel, Nakagami, Rayleigh, Rician
@@ -100,6 +98,9 @@ def _numeric_mean_outage(model: ChannelModel, eps_n: float, n: int) -> float:
     c = g / n
     if isinstance(model, Rayleigh):
         return mean_outage_exact_rayleigh(eps_n, n)
+    # imported here, as in specfun: only the quadrature needs them
+    import scipy.integrate as _integrate
+    import scipy.stats as _stats
 
     if isinstance(model, Nakagami):
         # Xbar = lam Z / n with Z ~ Gamma(n m, 1); outage = P(m, c Z)

@@ -31,7 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize as _opt
 import scipy.special as _sp
 
 from . import specfun
@@ -268,6 +267,8 @@ def _nonasym_bound_min(log_ratio: float, l: int, n: int, eps: float,
     hi = float(log_tau[min(j + 1, log_tau.size - 1)])
     if hi - lo < 1e-12:
         return float(vals[j])
+    # imported here, as in specfun: only the non-asymptotic path needs it
+    import scipy.optimize as _opt
     res = _opt.minimize_scalar(objective, bounds=(lo, hi), method="bounded",
                                options={"xatol": 1e-10})
     return min(float(vals[j]), float(res.fun))
@@ -343,6 +344,7 @@ def epsn_powerlaw(target: ReliabilityTarget, n: int, beta: float,
         raise NoSolutionError(
             f"finite-sample bound exceeds xi={xi} over the whole range; "
             f"smallest achievable bound {bound(lo):.6e}")
+    import scipy.optimize as _opt
     root = _opt.brentq(lambda u: bound(u) - xi, lo, hi, xtol=1e-12, rtol=8.9e-16)
     return (l / n) * math.exp(float(root))
 
@@ -403,8 +405,15 @@ class Calibration:
                 return np.zeros(rows.shape[0])
             return _order_stat_rates(rows, self.l)
         if self.selector.family in _POWERLAW_FAMILIES:
-            _, alpha, kappa, _ = fit_power_tails(rows, self.selector.beta)
-            return _log2_1p(np.exp(log_tail_quantile(alpha, kappa, self.eps_n)))
+            # alpha_hat overflows to inf on tightly clustered tiny tails;
+            # those rows take the equal quantile z_l + kappa log(n eps_n / l)
+            with np.errstate(over="ignore"):
+                l, alpha, kappa, z_l = fit_power_tails(rows, self.selector.beta)
+            finite = np.isfinite(alpha)
+            q = np.where(finite,
+                         log_tail_quantile(np.where(finite, alpha, 1.0), kappa, self.eps_n),
+                         z_l + kappa * math.log(self.n * self.eps_n / l))
+            return _log2_1p(np.exp(q))
         return _rayleigh_rates(rows, self.eps_n)
 
 

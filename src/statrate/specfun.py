@@ -20,9 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize as _opt
 import scipy.special as _sp
-import scipy.stats as _stats
 
 __all__ = [
     "AccuracySpec",
@@ -107,6 +105,9 @@ def inv_reg_lower_gamma(a: float, p: float, acc: AccuracySpec | None = None) -> 
         hi *= 2.0
     else:
         raise RuntimeError("inv_reg_lower_gamma: bracket growth failed")
+    # scipy.optimize and scipy.stats are imported where used: each costs
+    # about 0.5 s at start-up, which commands that never call them skip
+    import scipy.optimize as _opt
     return float(
         _opt.brentq(lambda x: _sp.gammainc(a, x) - p, 0.0, hi,
                     xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
@@ -140,6 +141,7 @@ def _nc_chi2(x: float, half_df: int, nc: float, upper: bool) -> float:
         gamma_tail = _sp.gammaincc if upper else _sp.gammainc
         return float(gamma_tail(half_df, x / 2.0))
     if upper:
+        import scipy.stats as _stats
         return float(_stats.ncx2.sf(x, 2.0 * half_df, nc))
     return float(_sp.chndtr(x, 2.0 * half_df, nc))
 

@@ -4,6 +4,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from statrate.cli import _parse_kv_file
+from statrate.errors import ConfigError
 
 GOLDEN_SWEEP_HEADER = (
     "axis_name,axis_value,rate_mean,rate_stddev,"
@@ -117,6 +122,55 @@ class TestRate:
         res = run_cli("rate", "--selector", "rayleigh", "--constraint", "ar",
                       "--eps", "1e-3", "--beta", "0.1", "--sample", mean_one_file)
         assert res.returncode == 2
+
+    def test_powerlaw_clustered_tiny_tail(self, tmp_path):
+        # the fitted alpha_hat overflows on this tail; the rate must not
+        p = tmp_path / "tiny.txt"
+        p.write_text("".join(f"{1e-300 * (1.0 + 1e-12 * i)!r}\n" for i in range(1000)))
+        res = run_cli("rate", "--selector", "powerlaw-asym", "--constraint", "ar",
+                      "--eps", "1e-3", "--beta", "0.05", "--sample", str(p))
+        assert res.returncode == 0
+        assert "Warning" not in res.stderr
+        assert float(res.stdout) == pytest.approx(1.4427e-300, rel=1e-4)
+
+
+HEAVY_SCIPY = ("scipy.optimize", "scipy.stats", "scipy.integrate")
+
+
+def scipy_loaded_by(*argv):
+    """The HEAVY_SCIPY modules a fresh interpreter holds after
+    importing statrate.cli and, given argv, running main(argv)."""
+    script = (
+        "import sys\n"
+        "import statrate.cli\n"
+        f"argv = {list(argv)!r}\n"
+        "if argv and statrate.cli.main(argv) != 0:\n"
+        "    sys.exit('main failed')\n"
+        f"print(','.join(m for m in {HEAVY_SCIPY!r} if m in sys.modules))\n")
+    # a fresh process: this one has imported scipy.stats already
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    last = res.stdout.splitlines()[-1]
+    return set(last.split(",")) - {""}
+
+
+class TestColdStart:
+    def test_import_loads_no_heavy_scipy(self):
+        assert scipy_loaded_by() == set()
+
+    def test_rayleigh_ar_rate_loads_no_heavy_scipy(self, file_500):
+        assert scipy_loaded_by("rate", "--selector", "rayleigh", "--constraint", "ar",
+                               "--eps", "1e-3", "--sample", file_500) == set()
+
+    def test_nonparametric_pcr_rate_loads_no_heavy_scipy(self, file_500):
+        assert scipy_loaded_by("rate", "--selector", "nonparametric", "--constraint", "pcr",
+                               "--eps", "1e-2", "--xi", "0.1", "--sample", file_500) == set()
+
+    def test_rayleigh_pcr_epsn_loads_only_optimize(self):
+        loaded = scipy_loaded_by("epsn", "--family", "rayleigh", "--constraint", "pcr",
+                                 "--eps", "1e-4", "--xi", "1e-3", "--n", "100")
+        assert "scipy.optimize" in loaded
+        assert "scipy.stats" not in loaded
 
 
 def write_sweep_config(path, out, extra="", drop=()):
@@ -348,3 +402,43 @@ class TestMismatch:
             "n = 100\n"
             f"output = {tmp_path / 'x.csv'}\n")
         assert run_cli("mismatch", str(cfg)).returncode == 2
+
+
+# config text: no line breaks, no control characters
+_CFG_CHARS = st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"),
+                           blacklist_characters="#=")
+_cfg_tokens = st.text(_CFG_CHARS, min_size=1).map(str.strip).filter(bool)
+_cfg_values = st.lists(st.sampled_from(["=", ""]) | _cfg_tokens, min_size=1).map(
+    "".join).map(str.strip).filter(bool)
+_noise_lines = st.lists(st.sampled_from(["", "   ", "# note", "  # k = v"]))
+
+
+class TestParseKvFileProperties:
+    @settings(deadline=None)
+    @given(entries=st.dictionaries(_cfg_tokens, _cfg_values, max_size=8),
+           noise=_noise_lines, data=st.data())
+    def test_round_trip(self, tmp_path_factory, entries, noise, data):
+        lines = [f"{k} = {v}" for k, v in entries.items()]
+        for extra in noise:
+            lines.insert(data.draw(st.integers(0, len(lines))), extra)
+        p = tmp_path_factory.getbasetemp() / "kv.txt"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert _parse_kv_file(str(p)) == entries
+
+    @settings(deadline=None)
+    @given(entries=st.dictionaries(_cfg_tokens, _cfg_values, min_size=1, max_size=8),
+           bad_line=_cfg_tokens, data=st.data())
+    def test_duplicate_key_or_missing_equals_rejected(self, tmp_path_factory, entries,
+                                                      bad_line, data):
+        lines = [f"{k} = {v}" for k, v in entries.items()]
+        key = data.draw(st.sampled_from(sorted(entries)))
+        at = data.draw(st.integers(0, len(lines)))
+        bad = data.draw(st.sampled_from([f"{key} = again", bad_line]))
+        if bad != bad_line:
+            # a repeat is reported where it occurs, after the first use
+            at = max(at, lines.index(f"{key} = {entries[key]}") + 1)
+        lines.insert(at, bad)
+        p = tmp_path_factory.getbasetemp() / "kv_bad.txt"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f":{at + 1}:"):
+            _parse_kv_file(str(p))

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statrate.channels import Rayleigh
 from statrate.errors import InsufficientTailDataError, SampleParseError
@@ -308,3 +310,61 @@ class TestLoadSampleFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_sample_file(tmp_path / "absent.txt")
+
+
+_values = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+_comment_text = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")))
+_blank_or_comment = st.one_of(
+    st.sampled_from(["", "  ", "\t"]),
+    _comment_text.map(lambda t: "#" + t),
+)
+
+
+def _not_a_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return bool(text.strip())
+    return False
+
+
+_bad_entries = st.one_of(
+    st.floats(min_value=5e-324, allow_infinity=False).map(lambda v: repr(-v)),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"),
+                          blacklist_characters="#")).filter(_not_a_number),
+)
+
+
+def _sample_lines(draw, values):
+    """Each value as a repr line, some with a trailing comment, with blank
+    and comment lines drawn in between."""
+    lines = []
+    for v in values:
+        lines += draw(st.lists(_blank_or_comment, max_size=2))
+        tail = draw(st.sampled_from(["", "  ", " # gain", "#"]))
+        lines.append(f" {v!r}{tail}")
+    return lines
+
+
+class TestLoadSampleFileProperties:
+    @settings(deadline=None)
+    @given(values=st.lists(_values, min_size=1, max_size=30), data=st.data())
+    def test_round_trip(self, tmp_path_factory, values, data):
+        p = tmp_path_factory.getbasetemp() / "round_trip.txt"
+        p.write_text("\n".join(_sample_lines(data.draw, values)) + "\n", encoding="utf-8")
+        got = load_sample_file(p).values
+        assert [float(v) for v in got] == values
+
+    @settings(deadline=None)
+    @given(values=st.lists(_values, max_size=10), bad=_bad_entries,
+           after=st.lists(_values, max_size=3), data=st.data())
+    def test_bad_entry_reports_its_line(self, tmp_path_factory, values, bad, after, data):
+        lines = _sample_lines(data.draw, values)
+        lines.append(bad)
+        line_no = len(lines)
+        lines += _sample_lines(data.draw, after)
+        p = tmp_path_factory.getbasetemp() / "bad_entry.txt"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SampleParseError) as exc:
+            load_sample_file(p)
+        assert exc.value.line_no == line_no

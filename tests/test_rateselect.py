@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -513,3 +514,17 @@ class TestCalibrate:
         small = calibrate(SelectorSpec("powerlaw-asym", beta=0.05), target, 10)
         with pytest.raises(InsufficientTailDataError):
             small.rates(good[None])
+
+    def test_powerlaw_clustered_tiny_tail_keeps_positive_rate(self):
+        # alpha_hat = (l/n) exp(-z_l/kappa) overflows on this tail
+        x = 1e-300 * (1.0 + 1e-12 * np.arange(1000))
+        n, eps, beta = x.size, 1e-3, 0.05
+        l = math.ceil(beta * n)
+        z = np.log(np.sort(x)[:l])
+        q = z[-1] + (z[-1] - z.mean()) * math.log(n * eps / l)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = select_rate(SelectorSpec("powerlaw-asym", beta=beta),
+                              ReliabilityTarget(eps), TrainingSample(x))
+        assert got == pytest.approx(math.log1p(math.exp(q)) / math.log(2.0), rel=1e-12)
+        assert got == pytest.approx(1.4427e-300, rel=1e-4)
