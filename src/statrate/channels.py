@@ -132,8 +132,11 @@ class Rayleigh(ChannelModel):
     def sample(self, rng, count):
         # inverse-CDF of a uniform keeps the draw reproducible across
         # numpy versions (no rejection steps)
-        u = rng.random(self._check_count(count))
-        return -self.lam * np.log1p(-u)
+        y = rng.random(self._check_count(count))
+        np.negative(y, out=y)
+        np.log1p(y, out=y)
+        y *= -self.lam
+        return y
 
     def moments(self):
         return self.lam, self.lam * self.lam
@@ -180,9 +183,12 @@ class Rician(ChannelModel):
         count = self._check_count(count)
         sigma = math.sqrt(self.lam / 2.0)
         los = math.sqrt(self.k * self.lam)
-        g1 = rng.normal(0.0, sigma, count)
+        # (los + G1)^2 + G2^2
+        y = rng.normal(los, sigma, count)
         g2 = rng.normal(0.0, sigma, count)
-        return (los + g1) ** 2 + g2**2
+        np.square(y, out=y)
+        y += np.square(g2, out=g2)
+        return y
 
     def moments(self):
         mean = self.lam * (1.0 + self.k)

@@ -14,9 +14,11 @@ Reported quantities per configuration:
 
 Trials are drawn in blocks of block_rows(n) = max(1, 2**16 // n)
 training samples. Block b holds trials b*rows .. (b+1)*rows - 1 and is
-drawn from its own counter-based Philox stream keyed by
-(seed, axis index, b) (Salmon et al., "Parallel random numbers: as easy
-as 1, 2, 3", SC'11); unused rows of the last block are dropped. The
+drawn from its own PCG64DXSM stream (O'Neill, "PCG: a family of simple
+fast space-efficient statistically good algorithms for random number
+generation", 2014) seeded by SeedSequence(seed, spawn_key=(axis index,
+b)), which hashes the key apart from the seed, so distinct keys give
+distinct streams. Unused rows of the last block are dropped. The
 block size depends on n alone, never on trials or workers, so trial t
 reads the same values for any trial count and can be reproduced alone
 from trial_block(..., t // rows)[t % rows], and sweep results are
@@ -56,7 +58,7 @@ SWEEP_AXES = ("n", "k", "m", "epsilon", "xi", "beta")
 _LN2 = math.log(2.0)
 _Z95 = abs(specfun.std_normal_quantile(0.025))
 
-# values drawn from one Philox stream; a block is about 0.5 MB of float64
+# values drawn from one block's stream; a block is about 0.5 MB of float64
 _BLOCK_VALUES = 2**16
 
 
@@ -120,8 +122,8 @@ def trial_block(model: ChannelModel, n: int, seed: int, axis_index: int,
 
     Row r is the sample of trial block * block_rows(n) + r.
     """
-    key = np.array([seed, (axis_index << 32) | block], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = np.random.Generator(np.random.PCG64DXSM(
+        np.random.SeedSequence(seed, spawn_key=(axis_index, block))))
     rows = block_rows(n)
     return model.sample(rng, rows * n).reshape(rows, n)
 

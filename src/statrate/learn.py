@@ -137,19 +137,26 @@ class TrainingSample:
 
 @dataclass(frozen=True)
 class TailFit:
-    """Fitted lower-tail power law in the log-power domain."""
+    """Fitted lower-tail power law in the log-power domain.
+
+    n is the fitted sample's size; an alpha_hat that overflowed to inf
+    needs it for its quantiles.
+    """
 
     alpha_hat: float
     kappa_hat: float
     l: int
     beta: float
     z_l: float
+    n: int | None = None
 
     def __post_init__(self):
         if not self.kappa_hat >= 0.0:
             raise ValueError(f"kappa_hat must be >= 0, got {self.kappa_hat}")
         if not self.alpha_hat > 0.0:
             raise ValueError(f"alpha_hat must be > 0, got {self.alpha_hat}")
+        if math.isinf(self.alpha_hat) and self.n is None:
+            raise ValueError("alpha_hat = inf needs the sample size n")
 
 
 def rayleigh_mle(sample: TrainingSample) -> float:
@@ -168,7 +175,9 @@ def fit_power_tails(rows: np.ndarray, beta: float):
     """fit_power_tail on every row of a (B, n) sample array.
 
     Returns (l, alpha_hat, kappa_hat, z_l), the last three of shape
-    (B,). Raises as fit_power_tail does if any row fails.
+    (B,). alpha_hat is inf, without a warning, where it overflows
+    (tightly clustered tiny tails). Raises as fit_power_tail does if
+    any row fails.
     """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must be in (0, 1), got {beta}")
@@ -188,7 +197,8 @@ def fit_power_tails(rows: np.ndarray, beta: float):
     if (kappa <= 0.0).any():
         raise InsufficientTailDataError(
             "degenerate tail: the l smallest values are all identical")
-    alpha = (l / n) * np.exp(-z_l / kappa)
+    with np.errstate(over="ignore"):
+        alpha = (l / n) * np.exp(-z_l / kappa)
     if not (alpha > 0.0).all():
         raise ValueError("alpha_hat must be > 0: the fitted tail underflows")
     return l, alpha, kappa, z_l
@@ -198,7 +208,7 @@ def fit_power_tail(sample: TrainingSample, beta: float) -> TailFit:
     """Fit the log-domain tail law to the l = ceil(beta*n) smallest values."""
     l, alpha, kappa, z_l = fit_power_tails(sample.values[None], beta)
     return TailFit(alpha_hat=float(alpha[0]), kappa_hat=float(kappa[0]), l=l,
-                   beta=float(beta), z_l=float(z_l[0]))
+                   beta=float(beta), z_l=float(z_l[0]), n=sample.n)
 
 
 def tail_quantile(fit: TailFit, eps_n: float) -> float:
@@ -210,12 +220,23 @@ def tail_quantile(fit: TailFit, eps_n: float) -> float:
     eps_n = float(eps_n)
     if not (0.0 < eps_n < 1.0):
         raise ValueError(f"quantile level must be in (0, 1), got {eps_n}")
-    return float(log_tail_quantile(fit.alpha_hat, fit.kappa_hat, eps_n))
+    return float(log_tail_quantile(fit.alpha_hat, fit.kappa_hat, fit.z_l,
+                                   fit.l, fit.n, eps_n))
 
 
-def log_tail_quantile(alpha_hat, kappa_hat, eps_n: float):
-    """tail_quantile for scalars or arrays of fitted (alpha_hat, kappa_hat)."""
-    return kappa_hat * np.log(eps_n / alpha_hat)
+def log_tail_quantile(alpha_hat, kappa_hat, z_l, l: int, n: int | None,
+                      eps_n: float):
+    """tail_quantile for scalars or arrays of fitted (alpha_hat, kappa_hat, z_l).
+
+    Where alpha_hat overflowed to inf, takes the equal form
+    z_l + kappa_hat * log(n * eps_n / l), which needs no alpha_hat.
+    """
+    finite = np.isfinite(alpha_hat)
+    if finite.all():
+        return kappa_hat * np.log(eps_n / alpha_hat)
+    return np.where(finite,
+                    kappa_hat * np.log(eps_n / np.where(finite, alpha_hat, 1.0)),
+                    z_l + kappa_hat * math.log(n * eps_n / l))
 
 
 def load_sample_file(path) -> TrainingSample:

@@ -405,15 +405,9 @@ class Calibration:
                 return np.zeros(rows.shape[0])
             return _order_stat_rates(rows, self.l)
         if self.selector.family in _POWERLAW_FAMILIES:
-            # alpha_hat overflows to inf on tightly clustered tiny tails;
-            # those rows take the equal quantile z_l + kappa log(n eps_n / l)
-            with np.errstate(over="ignore"):
-                l, alpha, kappa, z_l = fit_power_tails(rows, self.selector.beta)
-            finite = np.isfinite(alpha)
-            q = np.where(finite,
-                         log_tail_quantile(np.where(finite, alpha, 1.0), kappa, self.eps_n),
-                         z_l + kappa * math.log(self.n * self.eps_n / l))
-            return _log2_1p(np.exp(q))
+            l, alpha, kappa, z_l = fit_power_tails(rows, self.selector.beta)
+            return _log2_1p(np.exp(
+                log_tail_quantile(alpha, kappa, z_l, l, self.n, self.eps_n)))
         return _rayleigh_rates(rows, self.eps_n)
 
 

@@ -189,6 +189,27 @@ class TestSampler:
             stat = max(np.max(grid - f), np.max(f - (grid - 1.0 / n)))
             assert stat < crit, f"{model}: KS {stat:.4f} >= {crit:.4f}"
 
+    def test_in_place_transforms_match_plain_expressions(self):
+        # the samplers transform their draws in place; each must equal the
+        # plain expression on an identically seeded generator, bit for bit
+        def gen():
+            return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(505)))
+
+        count = 10**5
+        for lam in (0.1, 1.0, 2.0, 1e-300):
+            u = gen().random(count)
+            want = -lam * np.log1p(-u)
+            got = Rayleigh(lam).sample(gen(), count)
+            assert got.tobytes() == want.tobytes()
+        for lam, k in ((1.0, 0.0), (1.0, 3.0), (2.0, 7.0), (0.3, 0.5)):
+            rng = gen()
+            sigma, los = math.sqrt(lam / 2.0), math.sqrt(k * lam)
+            g1 = rng.normal(0.0, sigma, count)
+            g2 = rng.normal(0.0, sigma, count)
+            want = (los + g1) ** 2 + g2**2
+            got = Rician(lam, k).sample(gen(), count)
+            assert got.tobytes() == want.tobytes()
+
     def test_count_and_nonnegative(self):
         for model in ALL_MODELS:
             x = model.sample(RNG(404), 17)

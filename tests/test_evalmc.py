@@ -209,6 +209,31 @@ class TestBlockEngine:
                 assert rate == rates[t]
                 assert model.cdf(np.expm1(rate * math.log(2.0))) == outages[t]
 
+    def test_block_is_spawn_keyed_pcg64dxsm_stream(self):
+        for model, n in ((Rayleigh(1.0), 100), (Rician(1.0, 2.0), 5000),
+                         (Nakagami(1.0, 2.0), 3000)):
+            for seed, axis_index, block in ((60, 0, 0), (60, 3, 7), (2**40 + 1, 1, 2)):
+                rng = np.random.Generator(np.random.PCG64DXSM(
+                    np.random.SeedSequence(seed, spawn_key=(axis_index, block))))
+                rows = block_rows(n)
+                want = model.sample(rng, rows * n).reshape(rows, n)
+                got = trial_block(model, n, seed, axis_index, block)
+                assert got.tobytes() == want.tobytes()
+
+    def test_distinct_keys_give_distinct_blocks(self):
+        # a flat SeedSequence((seed, axis_index, block)) would run the words
+        # together and give (2**32 + 5, 7, 0) and (5, 1, 7) the same stream
+        s = 2**63 - 1
+        pairs = (((s, 2**32 - 1, 2**32 - 1), (s, 2**32 - 1, 2**32 - 2)),
+                 ((s, 2**32 - 1, 2**32 - 1), (0, 2**32 - 1, 2**32 - 1)),
+                 ((s, 1, 0), (s, 0, 1)),
+                 ((2**32 + 5, 7, 0), (5, 1, 7)))
+        model, n = Rayleigh(1.0), 1000
+        for a, b in pairs:
+            x, y = trial_block(model, n, *a), trial_block(model, n, *b)
+            assert x.shape == y.shape == (block_rows(n), n)
+            assert not np.array_equal(x, y)
+
     def test_first_trials_unchanged_when_trials_grow(self):
         for n, few, many in ((10, 100, 7000), (5000, 20, 50)):
             base = _cfg(n=n, trials=few, seed=61)

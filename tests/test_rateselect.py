@@ -9,7 +9,7 @@ import scipy.stats
 from statrate import rateselect as rs
 from statrate.channels import Rayleigh
 from statrate.errors import InsufficientTailDataError
-from statrate.learn import TailFit, TrainingSample, fit_power_tail, sample_rows
+from statrate.learn import TailFit, TrainingSample, fit_power_tail, sample_rows, tail_quantile
 from statrate.mismatch import mean_outage_mismatch, meta_prob_mismatch
 from statrate.rateselect import (
     AR,
@@ -528,3 +528,30 @@ class TestCalibrate:
                               ReliabilityTarget(eps), TrainingSample(x))
         assert got == pytest.approx(math.log1p(math.exp(q)) / math.log(2.0), rel=1e-12)
         assert got == pytest.approx(1.4427e-300, rel=1e-4)
+
+    def test_powerlaw_single_fit_path_matches_batch_on_clustered_tiny_tail(self):
+        # fit_power_tail / tail_quantile / rate_powerlaw take the same
+        # z_l-based quantile as Calibration.rates where alpha_hat overflows
+        x = 1e-300 * (1.0 + 1e-12 * np.arange(1000))
+        beta = 0.05
+        cases = ((SelectorSpec("powerlaw-asym", beta=beta), ReliabilityTarget(1e-3)),
+                 (SelectorSpec("powerlaw-nonasym", beta=beta),
+                  ReliabilityTarget(1e-3, kind=PCR, xi=0.1)))
+        for spec, target in cases:
+            cal = calibrate(spec, target, x.size)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fit = fit_power_tail(TrainingSample(x), beta)
+                q = tail_quantile(fit, cal.eps_n)
+                got = rate_powerlaw(fit, cal.eps_n)
+                want = cal.rates(x[None])[0]
+            assert fit.alpha_hat == math.inf and fit.n == x.size
+            assert q == pytest.approx(math.log(1e-300), rel=1e-9)
+            assert got == want
+            assert got == pytest.approx(1.4427e-300, rel=1e-4)
+
+    def test_overflowed_tail_fit_needs_n(self):
+        with pytest.raises(ValueError):
+            TailFit(alpha_hat=math.inf, kappa_hat=1.0, l=5, beta=0.1, z_l=0.0)
+        fit = TailFit(alpha_hat=math.inf, kappa_hat=1.0, l=5, beta=0.1, z_l=0.0, n=50)
+        assert tail_quantile(fit, 1e-3) == pytest.approx(math.log(50 * 1e-3 / 5), rel=1e-15)
