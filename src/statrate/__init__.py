@@ -25,11 +25,8 @@ from .evalmc import EvalConfig, EvalReport, Estimate, evaluate, sweep
 from .learn import (
     TailFit,
     TrainingSample,
-    empirical_cdf,
     fit_power_tail,
     load_sample_file,
-    rayleigh_mle,
-    tail_quantile,
 )
 from .mismatch import (
     ChernoffSolution,
@@ -51,9 +48,6 @@ from .rateselect import (
     nonparam_l_ar,
     nonparam_l_pcr,
     plug_in_nonparam_index,
-    rate_nonparam,
-    rate_powerlaw,
-    rate_rayleigh,
     select_rate,
 )
 
@@ -67,10 +61,7 @@ __all__ = [
     "PowerLawTail",
     "TrainingSample",
     "TailFit",
-    "rayleigh_mle",
-    "empirical_cdf",
     "fit_power_tail",
-    "tail_quantile",
     "load_sample_file",
     "ReliabilityTarget",
     "SelectorSpec",
@@ -80,9 +71,6 @@ __all__ = [
     "nonparam_l_ar",
     "nonparam_l_pcr",
     "plug_in_nonparam_index",
-    "rate_rayleigh",
-    "rate_nonparam",
-    "rate_powerlaw",
     "select_rate",
     "make_rate_fn",
     "Calibration",

@@ -24,6 +24,7 @@ import numpy as np
 import scipy.special as _sp
 
 from . import specfun
+from .errors import check_positive_int, check_unit_interval
 
 __all__ = ["ChannelModel", "Rayleigh", "Rician", "Nakagami", "PowerLawTail"]
 
@@ -52,6 +53,10 @@ class ChannelModel:
 
     lam: float
 
+    def __post_init__(self):
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
+
     def _check_y(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
         if (y < 0.0).any():
@@ -63,18 +68,6 @@ class ChannelModel:
         if not (0.0 <= p < 1.0):
             raise ValueError(f"probability must be in [0, 1), got {p}")
         return p
-
-    def _check_eps(self, eps: float) -> float:
-        eps = float(eps)
-        if not (0.0 < eps < 1.0):
-            raise ValueError(f"eps must be in (0, 1), got {eps}")
-        return eps
-
-    @staticmethod
-    def _check_count(count: int) -> int:
-        if count != int(count) or int(count) < 1:
-            raise ValueError(f"count must be a positive integer, got {count}")
-        return int(count)
 
     def cdf(self, y):
         """P[Y <= y], elementwise for an array y; a float for a scalar y."""
@@ -102,7 +95,7 @@ class ChannelModel:
 
     def epsilon_outage_capacity(self, eps: float) -> float:
         """log2(1 + F^{-1}(eps)): the largest rate with outage <= eps."""
-        eps = self._check_eps(eps)
+        eps = check_unit_interval(eps, "eps")
         return math.log2(1.0 + self.quantile(eps))
 
     def _check_t(self, t: float) -> float:
@@ -117,10 +110,6 @@ class ChannelModel:
 class Rayleigh(ChannelModel):
     lam: float
 
-    def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
-
     def cdf(self, y):
         y = self._check_y(y)
         return _as_scalar(-np.expm1(-y / self.lam))
@@ -132,7 +121,7 @@ class Rayleigh(ChannelModel):
     def sample(self, rng, count):
         # inverse-CDF of a uniform keeps the draw reproducible across
         # numpy versions (no rejection steps)
-        y = rng.random(self._check_count(count))
+        y = rng.random(check_positive_int(count, "count"))
         np.negative(y, out=y)
         np.log1p(y, out=y)
         y *= -self.lam
@@ -149,7 +138,7 @@ class Rayleigh(ChannelModel):
         return PowerLawTail(alpha=1.0 / self.lam, kappa=1.0)
 
     def epsilon_outage_capacity(self, eps):
-        eps = self._check_eps(eps)
+        eps = check_unit_interval(eps, "eps")
         return math.log2(1.0 - self.lam * math.log1p(-eps))
 
 
@@ -159,10 +148,9 @@ class Rician(ChannelModel):
     k: float
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
-        if self.k < 0.0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
+        super().__post_init__()
+        if not 0.0 <= self.k < math.inf:
+            raise ValueError(f"k must be finite and >= 0, got {self.k}")
 
     def cdf(self, y):
         # F(y) = 1 - Q1(sqrt(2k), sqrt(2y/lam)), the noncentral
@@ -180,7 +168,7 @@ class Rician(ChannelModel):
         return 0.5 * self.lam * float(_sp.chndtrix(p, 2.0, 2.0 * self.k))
 
     def sample(self, rng, count):
-        count = self._check_count(count)
+        count = check_positive_int(count, "count")
         sigma = math.sqrt(self.lam / 2.0)
         los = math.sqrt(self.k * self.lam)
         # (los + G1)^2 + G2^2
@@ -210,10 +198,9 @@ class Nakagami(ChannelModel):
     m: float
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
-        if not self.m >= 0.5:
-            raise ValueError(f"m must be >= 0.5, got {self.m}")
+        super().__post_init__()
+        if not 0.5 <= self.m < math.inf:
+            raise ValueError(f"m must be finite and >= 0.5, got {self.m}")
 
     def cdf(self, y):
         y = self._check_y(y)
@@ -224,7 +211,7 @@ class Nakagami(ChannelModel):
         return self.lam * specfun.inv_reg_lower_gamma(self.m, p)
 
     def sample(self, rng, count):
-        return rng.gamma(self.m, self.lam, self._check_count(count))
+        return rng.gamma(self.m, self.lam, check_positive_int(count, "count"))
 
     def moments(self):
         return self.m * self.lam, self.m * self.lam * self.lam

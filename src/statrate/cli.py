@@ -162,16 +162,6 @@ def _build_model(name: str, lam: float, k, m):
     return Nakagami(lam, m)
 
 
-def _build_target(constraint: str, eps: float, xi) -> ReliabilityTarget:
-    if constraint == PCR:
-        if xi is None:
-            raise ConfigError("a pcr constraint requires key 'xi'")
-        return ReliabilityTarget(eps, PCR, xi)
-    if xi is not None:
-        raise ConfigError("key 'xi' is only valid with a pcr constraint")
-    return ReliabilityTarget(eps, AR)
-
-
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -195,7 +185,7 @@ def cmd_epsn(args) -> int:
     if beta is None and args.family != "rayleigh":
         # the asymptotic AR level is beta-free; any admissible placeholder works
         beta = 0.5
-    target = _build_target(args.constraint, args.eps, args.xi)
+    target = ReliabilityTarget(args.eps, args.constraint, args.xi)
     print(_fmt(calibrate(SelectorSpec(args.family, beta=beta), target, args.n).eps_n))
     return 0
 
@@ -212,7 +202,7 @@ def cmd_rate(args) -> int:
         args.parser.error("--beta is only valid for power-law selectors")
 
     sample = load_sample_file(args.sample)
-    target = _build_target(args.constraint, args.eps, args.xi)
+    target = ReliabilityTarget(args.eps, args.constraint, args.xi)
     selector = SelectorSpec(args.selector, beta=args.beta)
     rate = select_rate(selector, target, sample)
     if rate == 0.0:
@@ -248,17 +238,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError("axis 'xi' requires constraint = pcr")
     if axis == "beta" and not family.startswith("powerlaw"):
         raise ConfigError("axis 'beta' requires a power-law selector")
-    is_powerlaw = family.startswith("powerlaw")
-    if is_powerlaw and beta is None and axis != "beta":
-        raise ConfigError(f"selector {family} requires key 'beta'")
-    if not is_powerlaw and beta is not None:
-        raise ConfigError("key 'beta' is only valid for power-law selectors")
     if axis == "beta" and beta is None:
         beta = axis_values[0]  # placeholder; overwritten at every axis point
 
     try:
         model = _build_model(model_name, lam, k, m)
-        target = _build_target(constraint, eps, xi)
+        target = ReliabilityTarget(eps, constraint, xi)
         selector = SelectorSpec(family, beta=beta)
         base = EvalConfig(model, selector, target, n, trials, seed)
     except ConfigError:

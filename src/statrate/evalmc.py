@@ -37,6 +37,7 @@ import numpy as np
 
 from . import specfun
 from .channels import ChannelModel, Nakagami, Rayleigh, Rician
+from .errors import check_positive_int
 from .rateselect import PCR, Calibration, ReliabilityTarget, SelectorSpec, calibrate
 
 __all__ = [
@@ -89,8 +90,7 @@ class EvalConfig:
             raise TypeError("selector must be a SelectorSpec")
         if not isinstance(self.target, ReliabilityTarget):
             raise TypeError("target must be a ReliabilityTarget")
-        if self.n != int(self.n) or int(self.n) < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        check_positive_int(self.n, "n")
         if self.trials != int(self.trials) or not (1 <= int(self.trials) < 2**32):
             raise ValueError(f"trials must be in [1, 2^32), got {self.trials}")
         if self.seed != int(self.seed) or not (0 <= int(self.seed) < 2**63):
@@ -206,10 +206,7 @@ def evaluate(config: EvalConfig, axis_index: int = 0,
 
 def _apply_axis(base: EvalConfig, axis: str, value) -> EvalConfig:
     if axis == "n":
-        iv = int(value)
-        if iv != value:
-            raise ValueError(f"axis 'n' requires integer values, got {value}")
-        return replace(base, n=iv)
+        return replace(base, n=check_positive_int(value, "n"))
     if axis == "epsilon":
         return replace(base, target=replace(base.target, epsilon=float(value)))
     if axis == "xi":
@@ -247,11 +244,10 @@ def sweep(base: EvalConfig, axis: str, values,
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one axis value")
-    if workers != int(workers) or int(workers) < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers}")
+    workers = check_positive_int(workers, "workers")
     tasks = [(_apply_axis(base, axis, v), i) for i, v in enumerate(values)]
     # no process beyond one per point and one per CPU
-    procs = min(int(workers), len(tasks), os.cpu_count() or 1)
+    procs = min(workers, len(tasks), os.cpu_count() or 1)
 
     results: list[tuple[float, EvalReport]] = []
     if procs == 1:

@@ -1,17 +1,16 @@
-"""Estimators that turn channel training samples into rate inputs.
+"""Training samples and the power-law tail fit.
 
-A TrainingSample wraps n i.i.d. received-power measurements. From it we
-derive either the Rayleigh scale MLE (the sample mean), the empirical
-CDF, or a power-law tail fit of the smallest ceil(beta*n) observations
-in the log domain:
+A TrainingSample wraps n i.i.d. received-power measurements;
+sample_rows checks a (B, n) array of them. The power-law selectors fit
+the smallest l = ceil(beta*n) observations in the log domain:
 
     Z = log Y,  F_Z(z) ~ alpha * exp(z/kappa)   (z -> -inf)
 
     kappa_hat = (1/l) sum_{i<=l} (Z_(l) - Z_(i))
     alpha_hat = (l/n) exp(-Z_(l)/kappa_hat)
 
-tail_quantile extrapolates the fitted tail to a target quantile level,
-typically far below 1/n.
+rateselect.Calibration.rates extrapolates the fitted tail to a
+quantile level, typically far below 1/n.
 """
 
 from __future__ import annotations
@@ -22,17 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientTailDataError, SampleParseError
+from .errors import InsufficientTailDataError, SampleParseError, check_unit_interval
 
 __all__ = [
     "TrainingSample",
     "TailFit",
     "sample_rows",
-    "rayleigh_mle",
-    "empirical_cdf",
     "fit_power_tail",
     "fit_power_tails",
-    "tail_quantile",
     "load_sample_file",
 ]
 
@@ -70,12 +66,7 @@ def sample_rows(values) -> np.ndarray:
 
 
 class TrainingSample:
-    """Immutable batch of non-negative received-power measurements.
-
-    Order statistics are served from a lazily built sorted copy;
-    construction itself is O(n) so selectors that only need the mean
-    never pay for sorting.
-    """
+    """Immutable batch of non-negative received-power measurements."""
 
     def __init__(self, values):
         arr = np.ascontiguousarray(values, dtype=np.float64)
@@ -84,7 +75,6 @@ class TrainingSample:
         _check_values(arr)
         self._values = arr
         self._values.setflags(write=False)
-        self._sorted: np.ndarray | None = None
 
     @property
     def values(self) -> np.ndarray:
@@ -94,16 +84,8 @@ class TrainingSample:
     def n(self) -> int:
         return int(self._values.size)
 
-    @property
-    def sorted_values(self) -> np.ndarray:
-        if self._sorted is None:
-            s = np.sort(self._values)
-            s.setflags(write=False)
-            self._sorted = s
-        return self._sorted
-
-    def mean(self) -> float:
-        return float(self._values.mean())
+    # order_stat and smallest serve no selector (Calibration.rates reads
+    # the rows itself), but the benchmark's traced mode wraps them by name
 
     def order_stat(self, l: int) -> float:
         """l-th smallest value, 1-indexed.
@@ -118,8 +100,6 @@ class TrainingSample:
             return math.inf
         if not (1 <= l <= n):
             raise IndexError(f"order statistic index {l} outside [0, {n + 1}]")
-        if self._sorted is not None:
-            return float(self._sorted[l - 1])
         # partial selection: O(n), no full sort
         return float(np.partition(self._values, l - 1)[l - 1])
 
@@ -128,8 +108,6 @@ class TrainingSample:
         n = self.n
         if not (1 <= l <= n):
             raise IndexError(f"tail size {l} outside [1, {n}]")
-        if self._sorted is not None:
-            return self._sorted[:l].copy()
         head = np.partition(self._values, l - 1)[:l]
         head.sort()
         return head
@@ -139,8 +117,8 @@ class TrainingSample:
 class TailFit:
     """Fitted lower-tail power law in the log-power domain.
 
-    n is the fitted sample's size; an alpha_hat that overflowed to inf
-    needs it for its quantiles.
+    alpha_hat is inf where it overflows; z_l + kappa_hat log(n q / l),
+    the fitted log-quantile at level q, needs no alpha_hat.
     """
 
     alpha_hat: float
@@ -148,27 +126,12 @@ class TailFit:
     l: int
     beta: float
     z_l: float
-    n: int | None = None
 
     def __post_init__(self):
         if not self.kappa_hat >= 0.0:
             raise ValueError(f"kappa_hat must be >= 0, got {self.kappa_hat}")
         if not self.alpha_hat > 0.0:
             raise ValueError(f"alpha_hat must be > 0, got {self.alpha_hat}")
-        if math.isinf(self.alpha_hat) and self.n is None:
-            raise ValueError("alpha_hat = inf needs the sample size n")
-
-
-def rayleigh_mle(sample: TrainingSample) -> float:
-    """Maximum-likelihood Rayleigh scale: the sample mean."""
-    return sample.mean()
-
-
-def empirical_cdf(sample: TrainingSample, y: float) -> float:
-    """Right-continuous empirical CDF: (# values <= y) / n."""
-    y = float(y)
-    idx = int(np.searchsorted(sample.sorted_values, y, side="right"))
-    return idx / sample.n
 
 
 def fit_power_tails(rows: np.ndarray, beta: float):
@@ -179,8 +142,7 @@ def fit_power_tails(rows: np.ndarray, beta: float):
     (tightly clustered tiny tails). Raises as fit_power_tail does if
     any row fails.
     """
-    if not (0.0 < beta < 1.0):
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
+    beta = check_unit_interval(beta, "beta")
     n = rows.shape[1]
     l = _ceil_with_float_guard(beta * n)
     if l < 2:
@@ -205,38 +167,14 @@ def fit_power_tails(rows: np.ndarray, beta: float):
 
 
 def fit_power_tail(sample: TrainingSample, beta: float) -> TailFit:
-    """Fit the log-domain tail law to the l = ceil(beta*n) smallest values."""
+    """Fit the log-domain tail law to the l = ceil(beta*n) smallest values.
+
+    The rate path fits with fit_power_tails; this one-sample form is kept
+    because the benchmark's traced mode wraps it by name.
+    """
     l, alpha, kappa, z_l = fit_power_tails(sample.values[None], beta)
     return TailFit(alpha_hat=float(alpha[0]), kappa_hat=float(kappa[0]), l=l,
-                   beta=float(beta), z_l=float(z_l[0]), n=sample.n)
-
-
-def tail_quantile(fit: TailFit, eps_n: float) -> float:
-    """Fitted log-power quantile at level eps_n.
-
-    Equals kappa_hat * log(eps_n / alpha_hat), algebraically identical
-    to Z_(l) + (1/l) log(n*eps_n/l) * sum(Z_(l) - Z_(i)).
-    """
-    eps_n = float(eps_n)
-    if not (0.0 < eps_n < 1.0):
-        raise ValueError(f"quantile level must be in (0, 1), got {eps_n}")
-    return float(log_tail_quantile(fit.alpha_hat, fit.kappa_hat, fit.z_l,
-                                   fit.l, fit.n, eps_n))
-
-
-def log_tail_quantile(alpha_hat, kappa_hat, z_l, l: int, n: int | None,
-                      eps_n: float):
-    """tail_quantile for scalars or arrays of fitted (alpha_hat, kappa_hat, z_l).
-
-    Where alpha_hat overflowed to inf, takes the equal form
-    z_l + kappa_hat * log(n * eps_n / l), which needs no alpha_hat.
-    """
-    finite = np.isfinite(alpha_hat)
-    if finite.all():
-        return kappa_hat * np.log(eps_n / alpha_hat)
-    return np.where(finite,
-                    kappa_hat * np.log(eps_n / np.where(finite, alpha_hat, 1.0)),
-                    z_l + kappa_hat * math.log(n * eps_n / l))
+                   beta=float(beta), z_l=float(z_l[0]))
 
 
 def load_sample_file(path) -> TrainingSample:

@@ -21,7 +21,7 @@ import scipy.special as _sp
 
 from . import specfun
 from .channels import ChannelModel, Nakagami, Rayleigh, Rician
-from .errors import NoValidTiltError
+from .errors import NoValidTiltError, check_positive_int, check_unit_interval
 
 __all__ = [
     "ChernoffSolution",
@@ -36,19 +36,6 @@ MEAN_OUTAGE_METHODS = ("numeric", "power_law", "weak_n")
 META_PROB_METHODS = ("numeric", "chernoff")
 
 _QUAD_SPAN_SD = 15.0
-
-
-def _check_level(eps_n: float, name: str = "eps_n") -> float:
-    eps_n = float(eps_n)
-    if not (0.0 < eps_n < 1.0):
-        raise ValueError(f"{name} must be in (0, 1), got {eps_n}")
-    return eps_n
-
-
-def _check_n(n: int) -> int:
-    if n != int(n) or int(n) < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    return int(n)
 
 
 def _check_model(model: ChannelModel) -> None:
@@ -73,8 +60,8 @@ def mean_outage_exact_rayleigh(eps_n: float, n: int) -> float:
     Xbar/lam averages n unit exponentials, so the expectation is the
     scaled-gamma MGF value 1 - (1 + g/n)^(-n). Independent of lam.
     """
-    eps_n = _check_level(eps_n)
-    n = _check_n(n)
+    eps_n = check_unit_interval(eps_n, "eps_n")
+    n = check_positive_int(n, "n")
     g = -math.log1p(-eps_n)
     return -math.expm1(-n * math.log1p(g / n))
 
@@ -86,9 +73,9 @@ def meta_prob_exact_rayleigh(eps_n: float, eps: float, n: int) -> float:
     exceeds n log(1-eps)/log(1-eps_n); the result is the regularized
     upper gamma tail of that threshold. Independent of lam.
     """
-    eps_n = _check_level(eps_n)
-    eps = _check_level(eps, "eps")
-    n = _check_n(n)
+    eps_n = check_unit_interval(eps_n, "eps_n")
+    eps = check_unit_interval(eps, "eps")
+    n = check_positive_int(n, "n")
     thr = n * math.log1p(-eps) / math.log1p(-eps_n)
     return specfun.reg_upper_gamma(float(n), thr)
 
@@ -169,8 +156,8 @@ def mean_outage_mismatch(true_model: ChannelModel, eps_n: float, n: int,
     approximation).
     """
     _check_model(true_model)
-    eps_n = _check_level(eps_n)
-    n = _check_n(n)
+    eps_n = check_unit_interval(eps_n, "eps_n")
+    n = check_positive_int(n, "n")
     if method == "numeric":
         return _numeric_mean_outage(true_model, eps_n, n)
     if method == "power_law":
@@ -218,9 +205,9 @@ def chernoff_tilt(true_model: ChannelModel, eps_n: float, eps: float,
     mean and the bound degenerates to 1.
     """
     _check_model(true_model)
-    eps_n = _check_level(eps_n)
-    eps = _check_level(eps, "eps")
-    n = _check_n(n)
+    eps_n = check_unit_interval(eps_n, "eps_n")
+    eps = check_unit_interval(eps, "eps")
+    n = check_positive_int(n, "n")
     pl = true_model.power_law()
     g = -math.log1p(-eps_n)
     lam = true_model.lam
@@ -263,9 +250,9 @@ def meta_prob_mismatch(true_model: ChannelModel, eps_n: float, eps: float,
     upper bound from chernoff_tilt.
     """
     _check_model(true_model)
-    eps_n = _check_level(eps_n)
-    eps = _check_level(eps, "eps")
-    n = _check_n(n)
+    eps_n = check_unit_interval(eps_n, "eps_n")
+    eps = check_unit_interval(eps, "eps")
+    n = check_positive_int(n, "n")
     if method == "numeric":
         return _numeric_meta_prob(true_model, eps_n, eps, n)
     if method == "chernoff":

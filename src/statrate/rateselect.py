@@ -10,9 +10,8 @@ channel use, through a backed-off quantile level eps_n (parametric and
 power-law families) or an order-statistic index l (non-parametric
 family). Calibration depends only on (eps, xi, n, beta), never on the
 sample itself: calibrate() solves it once into a Calibration, whose
-rates() maps a (B, n) array of samples to B rates. Every other entry
-point (select_rate, make_rate_fn, the rate_* helpers) is that array
-path on a batch of one.
+rates() maps a (B, n) array of samples to B rates. select_rate and
+make_rate_fn are that array path on a batch of one.
 
 Families:
 
@@ -34,16 +33,18 @@ import numpy as np
 import scipy.special as _sp
 
 from . import specfun
-from .errors import InsufficientTailDataError, NoSolutionError
+from .errors import (
+    InsufficientTailDataError,
+    NoSolutionError,
+    check_positive_int,
+    check_unit_interval,
+)
 from .learn import (
-    TailFit,
     TrainingSample,
     _ceil_with_float_guard,
     _floor_with_float_guard,
     fit_power_tails,
-    log_tail_quantile,
     sample_rows,
-    tail_quantile,
 )
 
 __all__ = [
@@ -60,9 +61,6 @@ __all__ = [
     "nonparam_l_ar",
     "nonparam_l_pcr",
     "plug_in_nonparam_index",
-    "rate_rayleigh",
-    "rate_nonparam",
-    "rate_powerlaw",
     "make_rate_fn",
     "select_rate",
 ]
@@ -100,15 +98,13 @@ class ReliabilityTarget:
     xi: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        check_unit_interval(self.epsilon, "epsilon")
         if self.kind not in (AR, PCR):
             raise ValueError(f"kind must be '{AR}' or '{PCR}', got {self.kind!r}")
         if self.kind == PCR:
             if self.xi is None:
                 raise ValueError("PCR target requires a confidence level xi")
-            if not (0.0 < self.xi < 1.0):
-                raise ValueError(f"xi must be in (0, 1), got {self.xi}")
+            check_unit_interval(self.xi, "xi")
         elif self.xi is not None:
             raise ValueError("xi is only meaningful for a PCR target")
 
@@ -127,30 +123,9 @@ class SelectorSpec:
         if self.family in _POWERLAW_FAMILIES:
             if self.beta is None:
                 raise ValueError(f"{self.family} requires a tail fraction beta")
-            if not (0.0 < self.beta < 1.0):
-                raise ValueError(f"beta must be in (0, 1), got {self.beta}")
+            check_unit_interval(self.beta, "beta")
         elif self.beta is not None:
             raise ValueError(f"beta is only meaningful for power-law selectors")
-
-
-def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    return eps
-
-
-def _check_xi(xi: float) -> float:
-    xi = float(xi)
-    if not (0.0 < xi < 1.0):
-        raise ValueError(f"xi must be in (0, 1), got {xi}")
-    return xi
-
-
-def _check_n(n: int) -> int:
-    if n != int(n) or int(n) < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    return int(n)
 
 
 def epsn_rayleigh_ar(eps: float, n: int) -> float:
@@ -159,14 +134,13 @@ def epsn_rayleigh_ar(eps: float, n: int) -> float:
     eps_n = 1 - exp(-n((1-eps)^(-1/n) - 1)); independent of the scale
     lam, and the resulting mean outage equals eps exactly.
     """
-    eps = _check_eps(eps)
-    n = _check_n(n)
+    eps = check_unit_interval(eps, "eps")
+    n = check_positive_int(n, "n")
     growth = math.expm1(-math.log1p(-eps) / n)  # (1-eps)^(-1/n) - 1
     return -math.expm1(-n * growth)
 
 
-def epsn_rayleigh_pcr(eps: float, xi: float, n: int,
-                      acc: specfun.AccuracySpec | None = None) -> float:
+def epsn_rayleigh_pcr(eps: float, xi: float, n: int) -> float:
     """Backed-off quantile level making the Rayleigh-MLE rate meet PCR.
 
     The meta-probability of the Rayleigh-MLE rate is the Erlang-n tail
@@ -176,10 +150,10 @@ def epsn_rayleigh_pcr(eps: float, xi: float, n: int,
     T = P^-1(n, 1-xi), eps_n = 1 - (1-eps)^(n/T). Like the AR level,
     the result does not depend on lam.
     """
-    eps = _check_eps(eps)
-    xi = _check_xi(xi)
-    n = _check_n(n)
-    t_star = specfun.inv_reg_lower_gamma(float(n), 1.0 - xi, acc)
+    eps = check_unit_interval(eps, "eps")
+    xi = check_unit_interval(xi, "xi")
+    n = check_positive_int(n, "n")
+    t_star = specfun.inv_reg_lower_gamma(float(n), 1.0 - xi)
     if t_star <= 0.0:
         raise NoSolutionError(f"degenerate Erlang quantile for n={n}, xi={xi}")
     return -math.expm1(n * math.log1p(-eps) / t_star)
@@ -192,8 +166,8 @@ def nonparam_l_ar(eps: float, n: int) -> int:
     of the continuous channel law. Returns 0 when no index is feasible
     (the zero-rate regime n < 1/eps - 1).
     """
-    eps = _check_eps(eps)
-    n = _check_n(n)
+    eps = check_unit_interval(eps, "eps")
+    n = check_positive_int(n, "n")
     return min(_floor_with_float_guard(eps * (n + 1)), n)
 
 
@@ -205,9 +179,9 @@ def nonparam_l_pcr(eps: float, xi: float, n: int) -> int:
     left side increases with l and the largest feasible l is found by
     integer bisection. Returns 0 when even l = 1 is infeasible.
     """
-    eps = _check_eps(eps)
-    xi = _check_xi(xi)
-    n = _check_n(n)
+    eps = check_unit_interval(eps, "eps")
+    xi = check_unit_interval(xi, "xi")
+    n = check_positive_int(n, "n")
 
     def feasible(l: int) -> bool:
         return 1.0 - specfun.reg_inc_beta(float(l), float(n + 1 - l), eps) <= xi
@@ -224,8 +198,8 @@ def nonparam_l_pcr(eps: float, xi: float, n: int) -> int:
 
 def plug_in_nonparam_index(eps: float, n: int) -> int:
     """Uncalibrated empirical-quantile index floor(n*eps + 1), capped at n."""
-    eps = _check_eps(eps)
-    n = _check_n(n)
+    eps = check_unit_interval(eps, "eps")
+    n = check_positive_int(n, "n")
     return min(_floor_with_float_guard(n * eps + 1.0), n)
 
 
@@ -291,9 +265,8 @@ def epsn_powerlaw(target: ReliabilityTarget, n: int, beta: float,
     """
     if not isinstance(target, ReliabilityTarget):
         raise TypeError("target must be a ReliabilityTarget")
-    n = _check_n(n)
-    if not (0.0 < beta < 1.0):
-        raise ValueError(f"beta must be in (0, 1), got {beta}")
+    n = check_positive_int(n, "n")
+    beta = check_unit_interval(beta, "beta")
     if mode not in ("asymptotic", "non-asymptotic"):
         raise ValueError(f"mode must be 'asymptotic' or 'non-asymptotic', got {mode!r}")
     eps = target.epsilon
@@ -362,24 +335,6 @@ def _order_stat_rates(rows: np.ndarray, l: int) -> np.ndarray:
     return _log2_1p(np.partition(rows, l - 1, axis=1)[:, l - 1])
 
 
-def rate_rayleigh(sample: TrainingSample, eps_n: float) -> float:
-    """Rayleigh-MLE rate log2(1 - log(1-eps_n) * mean(sample))."""
-    eps_n = _check_eps(eps_n)
-    return float(_rayleigh_rates(sample.values[None], eps_n)[0])
-
-
-def rate_nonparam(sample: TrainingSample, l: int) -> float:
-    """Order-statistic rate log2(1 + x_(l)) for 1 <= l <= n."""
-    if not (1 <= l <= sample.n):
-        raise IndexError(f"order-statistic index {l} outside [1, {sample.n}]")
-    return float(_order_stat_rates(sample.values[None], l)[0])
-
-
-def rate_powerlaw(fit: TailFit, eps_n: float) -> float:
-    """Tail-extrapolated rate log2(1 + exp(fitted log-quantile))."""
-    return float(_log2_1p(np.exp(tail_quantile(fit, eps_n))))
-
-
 @dataclass(frozen=True)
 class Calibration:
     """A selector solved for a target and a sample size n.
@@ -406,8 +361,13 @@ class Calibration:
             return _order_stat_rates(rows, self.l)
         if self.selector.family in _POWERLAW_FAMILIES:
             l, alpha, kappa, z_l = fit_power_tails(rows, self.selector.beta)
-            return _log2_1p(np.exp(
-                log_tail_quantile(alpha, kappa, z_l, l, self.n, self.eps_n)))
+            # fitted log-quantile kappa log(eps_n / alpha); where alpha
+            # overflowed to inf, the equal z_l + kappa log(n eps_n / l)
+            finite = np.isfinite(alpha)
+            log_q = np.where(finite,
+                             kappa * np.log(self.eps_n / np.where(finite, alpha, 1.0)),
+                             z_l + kappa * math.log(self.n * self.eps_n / l))
+            return _log2_1p(np.exp(log_q))
         return _rayleigh_rates(rows, self.eps_n)
 
 
@@ -421,7 +381,7 @@ def calibrate(selector: SelectorSpec, target: ReliabilityTarget,
         raise TypeError("selector must be a SelectorSpec")
     if not isinstance(target, ReliabilityTarget):
         raise TypeError("target must be a ReliabilityTarget")
-    n = _check_n(n)
+    n = check_positive_int(n, "n")
     fam = selector.family
     eps, pcr = target.epsilon, target.kind == PCR
 
@@ -446,7 +406,9 @@ def make_rate_fn(selector: SelectorSpec, target: ReliabilityTarget, n: int):
     """Pre-calibrate a selector for sample size n.
 
     Returns a function TrainingSample -> rate that applies
-    calibrate(selector, target, n) to a batch of one.
+    calibrate(selector, target, n) to a batch of one. select_rate could
+    call calibrate itself; this step is kept because the benchmark's
+    traced mode wraps it and the function it returns by name.
     """
     cal = calibrate(selector, target, n)
     return lambda s: float(cal.rates(s.values[None])[0])

@@ -37,6 +37,17 @@ class TestValidation:
             Nakagami(1.0, 0.49)
         Nakagami(1.0, 0.5)
 
+    def test_parameters_must_be_finite(self):
+        for bad in (math.inf, math.nan):
+            for make in (lambda v: Rayleigh(v), lambda v: Rician(v, 1.0),
+                         lambda v: Nakagami(v, 1.0)):
+                with pytest.raises(ValueError, match="lam"):
+                    make(bad)
+            with pytest.raises(ValueError, match="k"):
+                Rician(1.0, bad)
+            with pytest.raises(ValueError, match="m"):
+                Nakagami(1.0, bad)
+
     def test_power_law_tail_positive(self):
         with pytest.raises(ValueError):
             PowerLawTail(0.0, 1.0)

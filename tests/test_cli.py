@@ -282,6 +282,15 @@ class TestSweep:
     def test_missing_config_file(self, tmp_path):
         assert run_cli("sweep", str(tmp_path / "absent.txt")).returncode == 4
 
+    def test_non_finite_n_axis_value_is_usage_error(self, tmp_path):
+        out = tmp_path / "o.csv"
+        cfg = write_sweep_config(tmp_path / "c.txt", out, drop=("axis_values",),
+                                 extra="axis_values = 100, inf\n")
+        res = run_cli("sweep", cfg)
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
     def test_axis_k_on_nakagami_model_rejected(self, tmp_path):
         out = tmp_path / "o.csv"
         cfg = write_sweep_config(
@@ -391,6 +400,21 @@ class TestMismatch:
             res = run_cli("mismatch", str(cfg))
             assert res.returncode == 2
             assert "power-law" in res.stderr
+
+    def test_non_finite_model_parameter_is_usage_error(self, tmp_path):
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "param = k\n"
+            "param_values = 1, nan\n"
+            "selectors = rayleigh-ar\n"
+            "eps = 1e-3\n"
+            "n = 100\n"
+            f"output = {out}\n")
+        res = run_cli("mismatch", str(cfg))
+        assert res.returncode == 2
+        assert "k must be finite" in res.stderr
+        assert not out.exists()
 
     def test_unknown_selector(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

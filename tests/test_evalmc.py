@@ -53,8 +53,9 @@ class TestEvalConfigValidation:
                        target=1e-2, n=10, trials=10, seed=0)
 
     def test_bounds(self):
-        with pytest.raises(ValueError):
-            _cfg(n=0)
+        for bad in (0, 2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                _cfg(n=bad)
         with pytest.raises(ValueError):
             _cfg(trials=0)
         with pytest.raises(ValueError):
@@ -341,6 +342,9 @@ class TestSweep:
             sweep(base, "xi", [0.1])  # AR target has no xi
         with pytest.raises(ValueError):
             sweep(base, "n", [10], workers=0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                sweep(base, "n", [100, bad])
 
     def test_axes_are_documented(self):
         assert SWEEP_AXES == ("n", "k", "m", "epsilon", "xi", "beta")

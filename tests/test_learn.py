@@ -8,17 +8,28 @@ from hypothesis import strategies as st
 
 from statrate.channels import Rayleigh
 from statrate.errors import InsufficientTailDataError, SampleParseError
-from statrate.learn import (
-    TailFit,
-    TrainingSample,
-    empirical_cdf,
-    fit_power_tail,
-    load_sample_file,
-    rayleigh_mle,
-    tail_quantile,
-)
+from statrate.learn import TailFit, TrainingSample, fit_power_tail, load_sample_file
+from statrate.rateselect import Calibration, ReliabilityTarget, SelectorSpec, calibrate
 
 RNG = lambda s: np.random.Generator(np.random.Philox(key=np.array([s, 0], dtype=np.uint64)))
+LN2 = math.log(2.0)
+
+
+def _rayleigh_scale(values):
+    """The scale estimate of the Rayleigh selectors, read back from the rate.
+
+    At eps_n = 1 - 1/e the rate is log2(1 + estimate).
+    """
+    x = np.asarray(values, dtype=float)
+    cal = Calibration(SelectorSpec("plugin-rayleigh"), x.size, eps_n=-math.expm1(-1.0))
+    return math.expm1(cal.rates(x[None])[0] * LN2)
+
+
+def _log_quantile(values, beta, eps_n):
+    """The fitted log-quantile at eps_n that Calibration.rates uses."""
+    x = np.asarray(values, dtype=float)
+    cal = Calibration(SelectorSpec("powerlaw-asym", beta=beta), x.size, eps_n=eps_n)
+    return math.log(math.expm1(cal.rates(x[None])[0] * LN2))
 
 
 class TestTrainingSample:
@@ -44,16 +55,14 @@ class TestTrainingSample:
         s = TrainingSample([3.0, 1.0, 2.0])
         with pytest.raises(ValueError):
             s.values[0] = 7.0
-        with pytest.raises(ValueError):
-            s.sorted_values[0] = 7.0
 
     def test_sorted_is_a_permutation(self):
         rng = RNG(11)
         vals = rng.exponential(size=57)
         s = TrainingSample(vals)
         assert s.n == 57
-        np.testing.assert_allclose(s.sorted_values, np.sort(vals))
-        np.testing.assert_allclose(s.values, vals)
+        np.testing.assert_array_equal(s.smallest(57), np.sort(vals))
+        np.testing.assert_array_equal(s.values, vals)
 
     def test_order_stat_boundaries(self):
         s = TrainingSample([5.0, 1.0, 3.0])
@@ -86,39 +95,15 @@ class TestTrainingSample:
 
 class TestRayleighMle:
     def test_singleton(self):
-        assert rayleigh_mle(TrainingSample([2.0])) == 2.0
+        assert _rayleigh_scale([2.0]) == pytest.approx(2.0, rel=1e-14)
 
     def test_arithmetic_mean(self):
-        assert rayleigh_mle(TrainingSample([1.0, 2.0, 3.0])) == pytest.approx(2.0, rel=1e-15)
+        assert _rayleigh_scale([1.0, 2.0, 3.0]) == pytest.approx(2.0, rel=1e-14)
 
     def test_large_sample_clt(self):
         # SE of the mean of 1e6 exponential(5) draws is 5/1e3
-        sample = TrainingSample(Rayleigh(5.0).sample(RNG(101), 10**6))
-        assert abs(rayleigh_mle(sample) - 5.0) < 3.0 * (5.0 / 10**3)
-
-
-class TestEmpiricalCdf:
-    def test_counting_example(self):
-        s = TrainingSample([1.0, 2.0, 4.0])
-        assert empirical_cdf(s, 2.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
-
-    def test_below_min_and_above_max(self):
-        s = TrainingSample([1.0, 2.0, 4.0])
-        assert empirical_cdf(s, 0.999) == 0.0
-        assert empirical_cdf(s, 4.0) == 1.0
-        assert empirical_cdf(s, 100.0) == 1.0
-
-    def test_bracket_property(self):
-        # F-hat(y) = (i-1)/n exactly when x_(i-1) <= y < x_(i)
-        rng = RNG(13)
-        vals = rng.exponential(size=25)
-        s = TrainingSample(vals)
-        srt = np.sort(vals)
-        for i in range(1, 26):
-            lo = 0.0 if i == 1 else srt[i - 2]
-            y = 0.5 * (lo + srt[i - 1])
-            assert empirical_cdf(s, y) == (i - 1) / 25
-            assert empirical_cdf(s, srt[i - 1]) == i / 25
+        x = Rayleigh(5.0).sample(RNG(101), 10**6)
+        assert abs(_rayleigh_scale(x) - 5.0) < 3.0 * (5.0 / 10**3)
 
 
 class TestFitPowerTail:
@@ -196,31 +181,41 @@ class TestTailFitType:
 
 class TestTailQuantile:
     def test_unit_fit_value(self):
-        fit = TailFit(alpha_hat=1.0, kappa_hat=1.0, l=5, beta=0.1, z_l=0.0)
-        assert tail_quantile(fit, 1e-3) == pytest.approx(math.log(1e-3), rel=1e-13)
-        assert tail_quantile(fit, 1e-3) == pytest.approx(-6.907755, abs=5e-7)
+        # the l = 3 smallest log-values are log(0.3) - (2, 1, 0): at
+        # beta = 0.3 the fit has alpha_hat = kappa_hat = 1
+        x = [0.3 * math.exp(-2.0), 0.3 * math.exp(-1.0), 0.3] + list(range(1, 8))
+        fit = fit_power_tail(TrainingSample(x), 0.3)
+        assert fit.alpha_hat == pytest.approx(1.0, rel=1e-14)
+        assert fit.kappa_hat == pytest.approx(1.0, rel=1e-14)
+        assert _log_quantile(x, 0.3, 1e-3) == pytest.approx(math.log(1e-3), rel=1e-13)
+        assert _log_quantile(x, 0.3, 1e-3) == pytest.approx(-6.907755, abs=5e-7)
 
     def test_returns_z_l_at_level_l_over_n(self):
         rng = RNG(15)
         for n, beta in [(100, 0.1), (500, 0.05), (1000, 0.013)]:
-            fit = fit_power_tail(TrainingSample(rng.exponential(size=n)), beta)
-            got = tail_quantile(fit, fit.l / n)
+            x = rng.exponential(size=n)
+            fit = fit_power_tail(TrainingSample(x), beta)
+            got = _log_quantile(x, beta, fit.l / n)
             assert got == pytest.approx(fit.z_l, rel=1e-12, abs=1e-12)
 
     def test_both_algebraic_forms_agree(self):
         rng = RNG(16)
         for n, beta in [(100, 0.1), (400, 0.03), (2000, 0.01)]:
-            fit = fit_power_tail(TrainingSample(rng.exponential(size=n)), beta)
+            x = rng.exponential(size=n)
+            fit = fit_power_tail(TrainingSample(x), beta)
             for eps_n in (1e-6, 1e-4, 1e-2, 0.3):
-                direct = tail_quantile(fit, eps_n)
+                direct = fit.kappa_hat * math.log(eps_n / fit.alpha_hat)
+                # Z_(l) + (1/l) log(n eps_n / l) sum(Z_(l) - Z_(i))
                 order_form = fit.z_l + fit.kappa_hat * math.log(n * eps_n / fit.l)
                 assert abs(direct - order_form) <= 1e-12 * max(1.0, abs(direct))
+                got = _log_quantile(x, beta, eps_n)
+                assert abs(got - order_form) <= 1e-12 * max(1.0, abs(got))
 
     def test_domain(self):
-        fit = TailFit(alpha_hat=1.0, kappa_hat=1.0, l=5, beta=0.1, z_l=0.0)
+        # a power-law level outside (0, 1) is refused before any fit
         for bad in (0.0, 1.0, -0.5):
-            with pytest.raises(ValueError):
-                tail_quantile(fit, bad)
+            with pytest.raises(ValueError, match="epsilon"):
+                calibrate(SelectorSpec("powerlaw-asym", beta=0.1), ReliabilityTarget(bad), 50)
 
 
 class TestErlangStatistic:
@@ -242,23 +237,6 @@ class TestErlangStatistic:
         assert ks.pvalue > 0.01
         corr = np.corrcoef(pivots, sums)[0, 1]
         assert abs(corr) <= 4.0 / math.sqrt(trials)
-
-
-class TestTailQuantileVariance:
-    def test_asymptotic_variance(self):
-        # sample variance of the fitted quantile matches kappa^2*Vbar/n
-        # with Vbar = (1 - beta + log^2(eps/beta)) / beta
-        n, beta, eps, reps = 10**5, 0.01, 1e-4, 10**4
-        vbar = (1.0 - beta + math.log(eps / beta) ** 2) / beta
-        expected = vbar / n
-        model = Rayleigh(1.0)
-        rng = RNG(104)
-        q = np.empty(reps)
-        for r in range(reps):
-            fit = fit_power_tail(TrainingSample(model.sample(rng, n)), beta)
-            q[r] = tail_quantile(fit, eps)
-        ratio = float(np.var(q, ddof=1)) / expected
-        assert 0.85 < ratio < 1.15
 
 
 class TestLoadSampleFile:

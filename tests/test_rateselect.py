@@ -9,12 +9,13 @@ import scipy.stats
 from statrate import rateselect as rs
 from statrate.channels import Rayleigh
 from statrate.errors import InsufficientTailDataError
-from statrate.learn import TailFit, TrainingSample, fit_power_tail, sample_rows, tail_quantile
+from statrate.learn import TrainingSample, fit_power_tail, sample_rows
 from statrate.mismatch import mean_outage_mismatch, meta_prob_mismatch
 from statrate.rateselect import (
     AR,
     FAMILIES,
     PCR,
+    Calibration,
     ReliabilityTarget,
     SelectorSpec,
     calibrate,
@@ -25,13 +26,17 @@ from statrate.rateselect import (
     nonparam_l_ar,
     nonparam_l_pcr,
     plug_in_nonparam_index,
-    rate_nonparam,
-    rate_powerlaw,
-    rate_rayleigh,
     select_rate,
 )
 
 RNG = lambda s: np.random.Generator(np.random.Philox(key=np.array([s, 0], dtype=np.uint64)))
+
+
+def _rate(family, sample, beta=None, **level):
+    """The rate of one sample under a Calibration holding eps_n or l."""
+    x = np.asarray(sample)
+    cal = Calibration(SelectorSpec(family, beta=beta), x.size, **level)
+    return cal.rates(x[None])[0]
 
 
 class TestReliabilityTarget:
@@ -314,8 +319,7 @@ class TestEpsnPowerlawNonAsymptotic:
 
 class TestRateFunctions:
     def test_rayleigh_frozen(self):
-        s = TrainingSample([1.0])
-        got = rate_rayleigh(s, 1e-3)
+        got = _rate("rayleigh", [1.0], eps_n=1e-3)
         assert got == pytest.approx(0.0014426952813983453, rel=1e-12)
         assert got == pytest.approx(0.0014427, abs=5e-8)
 
@@ -324,57 +328,61 @@ class TestRateFunctions:
         for n in (1, 10, 100):
             s = TrainingSample(Rayleigh(2.0).sample(rng, n))
             for eps_n in (1e-4, 1e-2):
-                assert rate_rayleigh(s, eps_n) == pytest.approx(
-                    Rayleigh(s.mean()).epsilon_outage_capacity(eps_n), rel=1e-14)
+                assert _rate("rayleigh", s.values, eps_n=eps_n) == pytest.approx(
+                    Rayleigh(s.values.mean()).epsilon_outage_capacity(eps_n), rel=1e-14)
 
     def test_rayleigh_scaling_response(self):
         rng = RNG(22)
         vals = Rayleigh(1.0).sample(rng, 64)
         for eps_n in (1e-3, 0.2):
-            got = rate_rayleigh(TrainingSample(2.0 * vals), eps_n)
-            mean2 = 2.0 * TrainingSample(vals).mean()
+            got = _rate("rayleigh", 2.0 * vals, eps_n=eps_n)
+            mean2 = 2.0 * vals.mean()
             expect = math.log1p(-mean2 * math.log1p(-eps_n)) / math.log(2.0)
             assert got == pytest.approx(expect, rel=1e-15)
 
     def test_rayleigh_vanishes_with_eps_n(self):
-        s = TrainingSample([1.0, 2.0])
-        assert rate_rayleigh(s, 1e-300) < 1e-290
+        assert _rate("rayleigh", [1.0, 2.0], eps_n=1e-300) < 1e-290
 
     def test_rayleigh_domain(self):
-        s = TrainingSample([1.0])
+        # eps_n is checked where it is solved, before any Calibration
         for bad in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                rate_rayleigh(s, bad)
+            with pytest.raises(ValueError, match="eps"):
+                epsn_rayleigh_ar(bad, 10)
+            with pytest.raises(ValueError, match="eps"):
+                epsn_rayleigh_pcr(bad, 0.1, 10)
 
     def test_nonparam_examples(self):
-        assert rate_nonparam(TrainingSample([3.0]), 1) == pytest.approx(2.0, rel=1e-15)
-        assert rate_nonparam(TrainingSample([1.0, 3.0, 7.0]), 2) == pytest.approx(
-            2.0, rel=1e-15)
+        assert _rate("nonparametric", [3.0], l=1) == pytest.approx(2.0, rel=1e-15)
+        assert _rate("nonparametric", [1.0, 3.0, 7.0], l=2) == pytest.approx(2.0, rel=1e-15)
 
     def test_nonparam_monotone_in_l(self):
-        s = TrainingSample(RNG(23).exponential(size=30))
-        rates = [rate_nonparam(s, l) for l in range(1, 31)]
+        x = RNG(23).exponential(size=30)
+        rates = [_rate("nonparametric", x, l=l) for l in range(1, 31)]
         assert all(a <= b for a, b in zip(rates, rates[1:]))
 
     def test_nonparam_index_errors(self):
-        s = TrainingSample([1.0, 2.0])
-        with pytest.raises(IndexError):
-            rate_nonparam(s, 0)
-        with pytest.raises(IndexError):
-            rate_nonparam(s, 3)
+        # calibrated indices never leave [0, n]; l = 0 is the zero rate
+        for n in (1, 2, 10):
+            for eps in (1e-3, 0.5, 0.999):
+                for l in (nonparam_l_ar(eps, n), nonparam_l_pcr(eps, 0.1, n),
+                          plug_in_nonparam_index(eps, n)):
+                    assert 0 <= l <= n
+        assert _rate("nonparametric", [1.0, 2.0], l=0) == 0.0
 
     def test_powerlaw_frozen(self):
-        fit = TailFit(alpha_hat=1.0, kappa_hat=1.0, l=5, beta=0.1, z_l=0.0)
-        got = rate_powerlaw(fit, 1e-3)
+        # the l = 3 smallest log-values are log(0.3) - (2, 1, 0), so the
+        # beta = 0.3 fit has kappa_hat = 1 and alpha_hat = 1
+        x = [0.3 * math.exp(-2.0), 0.3 * math.exp(-1.0), 0.3] + list(range(1, 8))
+        got = _rate("powerlaw-asym", x, beta=0.3, eps_n=1e-3)
         assert got == pytest.approx(math.log2(1.001), rel=1e-13)
         assert got == pytest.approx(0.0014420, abs=5e-8)
 
     def test_powerlaw_monotone_in_eps_n(self):
-        fit = fit_power_tail(TrainingSample(RNG(24).exponential(size=400)), 0.05)
+        x = RNG(24).exponential(size=400)
         grid = [1e-6, 1e-4, 1e-2, 0.3, 0.9]
-        rates = [rate_powerlaw(fit, e) for e in grid]
+        rates = [_rate("powerlaw-asym", x, beta=0.05, eps_n=e) for e in grid]
         assert all(a <= b for a, b in zip(rates, rates[1:]))
-        assert rate_powerlaw(fit, 1e-12) < rates[0]
+        assert _rate("powerlaw-asym", x, beta=0.05, eps_n=1e-12) < rates[0]
 
 
 class TestSelectRate:
@@ -390,7 +398,7 @@ class TestSelectRate:
         got = select_rate(SelectorSpec("rayleigh"),
                           ReliabilityTarget(1e-3, PCR, 1e-2), s)
         eps_n = epsn_rayleigh_pcr(1e-3, 1e-2, 100)
-        assert got == rate_rayleigh(s, eps_n)
+        assert got == _rate("rayleigh", s.values, eps_n=eps_n)
 
     def test_nonparam_zero_rate(self):
         s = TrainingSample(RNG(25).exponential(size=500))
@@ -400,29 +408,32 @@ class TestSelectRate:
     def test_nonparam_ar_dispatch(self):
         s = TrainingSample(RNG(26).exponential(size=1000))
         got = select_rate(SelectorSpec("nonparametric"), ReliabilityTarget(1e-2), s)
-        assert got == rate_nonparam(s, 10)
+        assert got == _rate("nonparametric", s.values, l=10)
 
     def test_nonparam_pcr_dispatch(self):
         s = TrainingSample(RNG(27).exponential(size=1000))
         got = select_rate(SelectorSpec("nonparametric"),
                           ReliabilityTarget(1e-2, PCR, 0.1), s)
-        assert got == rate_nonparam(s, 6)
+        assert got == _rate("nonparametric", s.values, l=6)
 
     def test_plugin_rayleigh_is_outage_capacity_at_mle(self):
         s = TrainingSample(RNG(28).exponential(size=50))
         got = select_rate(SelectorSpec("plugin-rayleigh"), ReliabilityTarget(1e-3), s)
         assert got == pytest.approx(
-            Rayleigh(s.mean()).epsilon_outage_capacity(1e-3), rel=1e-14)
+            Rayleigh(s.values.mean()).epsilon_outage_capacity(1e-3), rel=1e-14)
 
     def test_plugin_nonparam_dispatch(self):
         s = TrainingSample(RNG(29).exponential(size=1000))
         got = select_rate(SelectorSpec("plugin-nonparametric"), ReliabilityTarget(1e-3), s)
-        assert got == rate_nonparam(s, 2)
+        assert got == _rate("plugin-nonparametric", s.values, l=2)
 
     def test_powerlaw_asym_ar_dispatch(self):
         s = TrainingSample(RNG(30).exponential(size=2000))
         got = select_rate(SelectorSpec("powerlaw-asym", beta=0.05), ReliabilityTarget(1e-3), s)
-        assert got == rate_powerlaw(fit_power_tail(s, 0.05), 1e-3)
+        assert got == _rate("powerlaw-asym", s.values, beta=0.05, eps_n=1e-3)
+        fit = fit_power_tail(s, 0.05)
+        assert got == pytest.approx(math.log1p(math.exp(
+            fit.kappa_hat * math.log(1e-3 / fit.alpha_hat))) / math.log(2.0), rel=1e-13)
 
     def test_all_families_produce_finite_rates(self):
         s = TrainingSample(RNG(31).exponential(size=10**4))
@@ -437,7 +448,7 @@ class TestSelectRate:
         rng = RNG(32)
         for _ in range(3):
             s = TrainingSample(Rayleigh(1.0).sample(rng, 100))
-            assert fn(s) == rate_rayleigh(s, epsn_rayleigh_ar(1e-3, 100))
+            assert fn(s) == _rate("rayleigh", s.values, eps_n=epsn_rayleigh_ar(1e-3, 100))
 
     def test_make_rate_fn_type_errors(self):
         with pytest.raises(TypeError):
@@ -530,8 +541,8 @@ class TestCalibrate:
         assert got == pytest.approx(1.4427e-300, rel=1e-4)
 
     def test_powerlaw_single_fit_path_matches_batch_on_clustered_tiny_tail(self):
-        # fit_power_tail / tail_quantile / rate_powerlaw take the same
-        # z_l-based quantile as Calibration.rates where alpha_hat overflows
+        # fit_power_tail gives alpha_hat = inf, without a warning, and its
+        # z_l-based log-quantile is the one Calibration.rates takes
         x = 1e-300 * (1.0 + 1e-12 * np.arange(1000))
         beta = 0.05
         cases = ((SelectorSpec("powerlaw-asym", beta=beta), ReliabilityTarget(1e-3)),
@@ -542,16 +553,9 @@ class TestCalibrate:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 fit = fit_power_tail(TrainingSample(x), beta)
-                q = tail_quantile(fit, cal.eps_n)
-                got = rate_powerlaw(fit, cal.eps_n)
-                want = cal.rates(x[None])[0]
-            assert fit.alpha_hat == math.inf and fit.n == x.size
+                got = cal.rates(x[None])[0]
+            q = fit.z_l + fit.kappa_hat * math.log(x.size * cal.eps_n / fit.l)
+            assert fit.alpha_hat == math.inf
             assert q == pytest.approx(math.log(1e-300), rel=1e-9)
-            assert got == want
+            assert got == pytest.approx(math.log1p(math.exp(q)) / math.log(2.0), rel=1e-14)
             assert got == pytest.approx(1.4427e-300, rel=1e-4)
-
-    def test_overflowed_tail_fit_needs_n(self):
-        with pytest.raises(ValueError):
-            TailFit(alpha_hat=math.inf, kappa_hat=1.0, l=5, beta=0.1, z_l=0.0)
-        fit = TailFit(alpha_hat=math.inf, kappa_hat=1.0, l=5, beta=0.1, z_l=0.0, n=50)
-        assert tail_quantile(fit, 1e-3) == pytest.approx(math.log(50 * 1e-3 / 5), rel=1e-15)

@@ -16,8 +16,6 @@ import scipy.special as sp
 import scipy.stats
 
 from statrate.specfun import (
-    AccuracySpec,
-    DEFAULT_ACCURACY,
     inv_reg_lower_gamma,
     log_gamma,
     marcum_q1,
@@ -352,14 +350,3 @@ class TestStdNormalQuantile:
         with pytest.raises(ValueError):
             std_normal_quantile(1.0)
 
-
-class TestAccuracySpec:
-    def test_defaults(self):
-        assert DEFAULT_ACCURACY.rel_tol == 1e-10
-        assert DEFAULT_ACCURACY.max_iter >= 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AccuracySpec(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            AccuracySpec(max_iter=0)
