@@ -234,10 +234,6 @@ def cmd_sweep(args) -> int:
     output = _take(entries, "output", str)
     _reject_unknown(entries)
 
-    if axis == "xi" and constraint != PCR:
-        raise ConfigError("axis 'xi' requires constraint = pcr")
-    if axis == "beta" and not family.startswith("powerlaw"):
-        raise ConfigError("axis 'beta' requires a power-law selector")
     if axis == "beta" and beta is None:
         beta = axis_values[0]  # placeholder; overwritten at every axis point
 

@@ -15,14 +15,15 @@ def check_unit_interval(value, name: str) -> float:
     return value
 
 
-def check_positive_int(value, name: str) -> int:
-    """value as an int, which must be a whole number >= 1 (not inf or nan)."""
+def check_positive_int(value, name: str, lo: int = 1) -> int:
+    """value as an int, a whole number >= lo: 1, or 0 for non-negative (not inf or nan)."""
     try:
         whole = int(value)
     except (OverflowError, ValueError):
-        whole = 0
-    if whole < 1 or whole != value:
-        raise ValueError(f"{name} must be a positive integer, got {value}")
+        whole = lo - 1
+    if whole < lo or whole != value:
+        kind = "positive" if lo == 1 else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value}")
     return whole
 
 

@@ -91,9 +91,9 @@ class EvalConfig:
         if not isinstance(self.target, ReliabilityTarget):
             raise TypeError("target must be a ReliabilityTarget")
         check_positive_int(self.n, "n")
-        if self.trials != int(self.trials) or not (1 <= int(self.trials) < 2**32):
+        if check_positive_int(self.trials, "trials") >= 2**32:
             raise ValueError(f"trials must be in [1, 2^32), got {self.trials}")
-        if self.seed != int(self.seed) or not (0 <= int(self.seed) < 2**63):
+        if check_positive_int(self.seed, "seed", lo=0) >= 2**63:
             raise ValueError(f"seed must be in [0, 2^63), got {self.seed}")
 
 
@@ -156,7 +156,8 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0,
     """
     if not isinstance(config, EvalConfig):
         raise TypeError("config must be an EvalConfig")
-    if not (0 <= int(axis_index) < 2**32):
+    axis_index = check_positive_int(axis_index, "axis_index", lo=0)
+    if axis_index >= 2**32:
         raise ValueError(f"axis_index must be in [0, 2^32), got {axis_index}")
     n, trials = int(config.n), int(config.trials)
     if calibration is None:
@@ -165,8 +166,7 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0,
     rows = block_rows(n)
     rates = np.empty(trials)
     for lo in range(0, trials, rows):
-        block = trial_block(config.true_model, n, config.seed, int(axis_index),
-                            lo // rows)
+        block = trial_block(config.true_model, n, config.seed, axis_index, lo // rows)
         hi = min(lo + rows, trials)
         rates[lo:hi] = calibration.rates(block[:hi - lo])
     # conditional outage is an exact CDF value, not a simulated rate

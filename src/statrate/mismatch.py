@@ -4,15 +4,16 @@ The selector assumes Rayleigh fading and picks the rate
 log2(1 - log(1-eps_n) Xbar) from the sample mean Xbar of n training
 gains. When the gains actually follow a Rician or Nakagami law the
 realized mean outage and meta-probability differ from their design
-values; this module evaluates both, exactly under Rayleigh, and under
-mismatch either by numerical integration over the sampling
-distribution of Xbar or through closed-form approximations (power-law
-/ weak-n expansions for the mean outage, an exponential tilt bound for
-the meta-probability).
+values; this module evaluates both: exactly, by scipy.special closed
+forms under Rayleigh and Nakagami truth and by quadrature over the
+sampling distribution of Xbar for the Rician mean outage, or through
+closed-form approximations (power-law / weak-n expansions for the mean
+outage, an exponential tilt bound for the meta-probability).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -45,14 +46,6 @@ def _check_model(model: ChannelModel) -> None:
             f"got {type(model).__name__}")
 
 
-def _warn_quad_error(value: float, abserr: float, what: str) -> None:
-    if abserr > max(1e-10, 1e-6 * abs(value)):
-        warnings.warn(
-            f"quadrature error estimate {abserr:.2e} for {what} "
-            f"(value {value:.6e}) exceeds the target accuracy",
-            RuntimeWarning, stacklevel=3)
-
-
 def mean_outage_exact_rayleigh(eps_n: float, n: int) -> float:
     """Exact mean outage of the Rayleigh-MLE rate under Rayleigh fading.
 
@@ -82,31 +75,20 @@ def meta_prob_exact_rayleigh(eps_n: float, eps: float, n: int) -> float:
 
 def _numeric_mean_outage(model: ChannelModel, eps_n: float, n: int) -> float:
     g = -math.log1p(-eps_n)
-    c = g / n
     if isinstance(model, Rayleigh):
         return mean_outage_exact_rayleigh(eps_n, n)
-    # imported here, as in specfun: only the quadrature needs them
+    if isinstance(model, Nakagami):
+        # P[G <= (g/n) Z] with G ~ Gamma(m), Z ~ Gamma(n m) independent:
+        # G/(G+Z) ~ Beta(m, n m), so the outage is its CDF at g/(n+g)
+        return float(_sp.betainc(model.m, n * model.m, g / (n + g)))
+
+    # Rician: 2 sum(X_i)/lam = W ~ noncentral chi^2(2n, 2nk);
+    # outage = 1 - Q1(sqrt(2k), sqrt(c W)). Only this quadrature needs
+    # scipy.integrate and scipy.stats, imported here as in specfun.
     import scipy.integrate as _integrate
     import scipy.stats as _stats
 
-    if isinstance(model, Nakagami):
-        # Xbar = lam Z / n with Z ~ Gamma(n m, 1); outage = P(m, c Z)
-        shape = n * model.m
-        sd = math.sqrt(shape)
-        lo = max(0.0, shape - _QUAD_SPAN_SD * sd)
-        hi = shape + _QUAD_SPAN_SD * sd
-        dist = _stats.gamma(a=shape)
-
-        def integrand(z):
-            return _sp.gammainc(model.m, c * z) * dist.pdf(z)
-
-        value, abserr = _integrate.quad(integrand, lo, hi,
-                                        epsabs=1e-14, epsrel=1e-10, limit=300)
-        _warn_quad_error(value, abserr, "mean outage (Nakagami)")
-        return min(max(value, 0.0), 1.0)
-
-    # Rician: 2 sum(X_i)/lam = W ~ noncentral chi^2(2n, 2nk);
-    # outage = 1 - Q1(sqrt(2k), sqrt(c W))
+    c = g / n
     a = math.sqrt(2.0 * model.k)
     df = 2 * n
     nc = 2.0 * n * model.k
@@ -119,9 +101,20 @@ def _numeric_mean_outage(model: ChannelModel, eps_n: float, n: int) -> float:
     def integrand(w):
         return specfun.marcum_q1_complement(a, math.sqrt(c * w)) * dist.pdf(w)
 
-    value, abserr = _integrate.quad(integrand, lo, hi,
-                                    epsabs=1e-14, epsrel=1e-10, limit=300)
-    _warn_quad_error(value, abserr, "mean outage (Rician)")
+    quad = functools.partial(_integrate.quad, integrand,
+                             epsabs=1e-14, epsrel=1e-10, limit=300)
+    value, abserr = quad(lo, hi)
+    # the outage is <= 1, so the mass above hi bounds what the window leaves
+    # out: add spans, each twice the last, until it is below 1e-16 of the value
+    span = _QUAD_SPAN_SD * sd
+    while specfun.nc_chi2_sf(hi, n, nc) > 1e-16 * value:
+        extra, err = quad(hi, hi + span)
+        value, abserr, hi, span = value + extra, abserr + err, hi + span, 2.0 * span
+    if abserr > max(1e-10, 1e-6 * value):
+        warnings.warn(
+            f"quadrature error estimate {abserr:.2e} for mean outage (Rician) "
+            f"(value {value:.6e}) exceeds the target accuracy",
+            RuntimeWarning, stacklevel=2)
     return min(max(value, 0.0), 1.0)
 
 
@@ -147,8 +140,9 @@ def mean_outage_mismatch(true_model: ChannelModel, eps_n: float, n: int,
                          method: str = "numeric") -> float:
     """Mean outage of the Rayleigh-MLE rate when the gains follow true_model.
 
-    method "numeric" integrates the outage against the exact sampling
-    distribution of the training mean (closed form under Rayleigh).
+    method "numeric" averages the outage over the exact sampling
+    distribution of the training mean: in closed form under Rayleigh
+    and Nakagami, by quadrature under Rician.
     "power_law" applies a second-order delta-method expansion around
     the power-law tail of the true CDF; "weak_n" is its n -> infinity
     limit with -log(1-x) ~ x, which evaluates the tail at the supplied

@@ -146,7 +146,7 @@ def epsn_rayleigh_pcr(eps: float, xi: float, n: int) -> float:
     The meta-probability of the Rayleigh-MLE rate is the Erlang-n tail
     1 - P(n, n log(1-eps)/log(1-eps_n)), strictly increasing in eps_n,
     so the unique root of (meta = xi) is obtained by sending the
-    threshold through the bracketed incomplete-gamma quantile:
+    threshold through the Newton-polished incomplete-gamma quantile:
     T = P^-1(n, 1-xi), eps_n = 1 - (1-eps)^(n/T). Like the AR level,
     the result does not depend on lam.
     """

@@ -166,11 +166,21 @@ class TestColdStart:
         assert scipy_loaded_by("rate", "--selector", "nonparametric", "--constraint", "pcr",
                                "--eps", "1e-2", "--xi", "0.1", "--sample", file_500) == set()
 
-    def test_rayleigh_pcr_epsn_loads_only_optimize(self):
-        loaded = scipy_loaded_by("epsn", "--family", "rayleigh", "--constraint", "pcr",
-                                 "--eps", "1e-4", "--xi", "1e-3", "--n", "100")
-        assert "scipy.optimize" in loaded
-        assert "scipy.stats" not in loaded
+    def test_rayleigh_pcr_epsn_loads_no_heavy_scipy(self):
+        assert scipy_loaded_by("epsn", "--family", "rayleigh", "--constraint", "pcr",
+                               "--eps", "1e-4", "--xi", "1e-3", "--n", "100") == set()
+
+    def test_nakagami_mismatch_loads_no_heavy_scipy(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "param = m\n"
+            "param_values = 0.5, 2\n"
+            "selectors = rayleigh-ar, rayleigh-pcr\n"
+            "eps = 1e-4\n"
+            "xi = 1e-2\n"
+            "n = 1000\n"
+            f"output = {tmp_path / 'out.csv'}\n")
+        assert scipy_loaded_by("mismatch", str(cfg)) == set()
 
 
 def write_sweep_config(path, out, extra="", drop=()):
@@ -277,7 +287,19 @@ class TestSweep:
         text = cfg and (tmp_path / "c.txt").read_text()
         text = text.replace("axis = n", "axis = xi")
         (tmp_path / "c.txt").write_text(text)
-        assert run_cli("sweep", str(tmp_path / "c.txt")).returncode == 2
+        res = run_cli("sweep", str(tmp_path / "c.txt"))
+        assert res.returncode == 2
+        assert "axis 'xi' requires a PCR target" in res.stderr
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_axis_beta_requires_powerlaw_selector(self, tmp_path):
+        out = tmp_path / "o.csv"
+        cfg = write_sweep_config(tmp_path / "c.txt", out, drop=("axis", "axis_values"),
+                                 extra="axis = beta\naxis_values = 0.05, 0.1\n")
+        res = run_cli("sweep", cfg)
+        assert res.returncode == 2
+        assert "beta is only meaningful for power-law selectors" in res.stderr
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("sweep", str(tmp_path / "absent.txt")).returncode == 4
@@ -415,6 +437,23 @@ class TestMismatch:
         assert res.returncode == 2
         assert "k must be finite" in res.stderr
         assert not out.exists()
+
+    def test_nakagami_tiny_eps(self, tmp_path):
+        # the Nakagami quantile at eps = 1e-30 used to end in a traceback
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "param = m\n"
+            "param_values = 2.0\n"
+            "selectors = rayleigh-ar\n"
+            "eps = 1e-30\n"
+            "n = 100\n"
+            f"output = {out}\n")
+        res = run_cli("mismatch", str(cfg))
+        assert res.returncode == 0, res.stderr
+        row, = csv.DictReader(out.open())
+        assert float(row["meta_prob_numeric"]) == 0.0
+        assert 0.0 < float(row["mean_outage_numeric"]) < 1e-30
 
     def test_unknown_selector(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

@@ -56,12 +56,15 @@ class TestEvalConfigValidation:
         for bad in (0, 2.5, math.inf, math.nan):
             with pytest.raises(ValueError, match="n must be a positive integer"):
                 _cfg(n=bad)
-        with pytest.raises(ValueError):
-            _cfg(trials=0)
-        with pytest.raises(ValueError):
-            _cfg(seed=-1)
-        with pytest.raises(ValueError):
-            _cfg(seed=2**63)
+        for bad in (0, 2**32, math.inf, math.nan):
+            with pytest.raises(ValueError, match="trials must be"):
+                _cfg(trials=bad)
+        for bad in (-1, 2**63, math.inf, math.nan):
+            with pytest.raises(ValueError, match="seed must be"):
+                _cfg(seed=bad)
+        for bad in (-1, 2**32, math.inf, math.nan):
+            with pytest.raises(ValueError, match="axis_index must be"):
+                trial_outcomes(_cfg(trials=5), axis_index=bad)
 
 
 class TestDegenerateSelector:

@@ -1,7 +1,11 @@
 import math
 import tracemalloc
 
+import mpmath
+import numpy as np
 import pytest
+import scipy.special as sp
+import scipy.stats
 
 from statrate.channels import Nakagami, Rayleigh, Rician
 from statrate.mismatch import (
@@ -12,6 +16,27 @@ from statrate.mismatch import (
     meta_prob_mismatch,
 )
 from statrate.rateselect import epsn_rayleigh_ar, epsn_rayleigh_pcr
+
+
+def mp_nakagami_mean_outage(m, eps_n, n):
+    """I_x(m, n m) at x = g/(n+g), g = -log(1-eps_n), at 40 digits."""
+    with mpmath.workdps(40):
+        g = -mpmath.log1p(-mpmath.mpf(eps_n))
+        return mpmath.betainc(m, n * m, 0, g / (n + g), regularized=True)
+
+
+def rician_mixture_mean_outage(k, eps_n, n):
+    """Rician mean outage as the double-Poisson Beta mixture
+    sum_j sum_i Pois(j; k) Pois(i; n k) I_x(1+j, n+i), x = g/(n+g):
+    the gain and the training sum are Poisson mixtures of gammas."""
+    g = -math.log1p(-eps_n)
+
+    def support(mu):
+        return np.arange(max(0, int(mu - 40 * math.sqrt(mu) - 60)),
+                         int(mu + 40 * math.sqrt(mu) + 60))
+    j, i = support(k), support(n * k)
+    weights = np.outer(scipy.stats.poisson.pmf(j, k), scipy.stats.poisson.pmf(i, n * k))
+    return float(np.sum(weights * sp.betainc(1.0 + j[:, None], n + i[None, :], g / (n + g))))
 
 
 class TestMeanOutageExactRayleigh:
@@ -72,9 +97,32 @@ class TestMeanOutageMismatch:
             assert got == pytest.approx(mean_outage_exact_rayleigh(1e-3, 100), abs=1e-15)
 
     def test_nakagami_m1_matches_rayleigh(self):
-        for eps_n, n in [(1e-4, 10), (1e-3, 100), (1e-2, 1000)]:
+        for eps_n, n in [(1e-4, 10), (1e-3, 100), (1e-2, 1000), (0.1, 1)]:
             got = mean_outage_mismatch(Nakagami(1.0, 1.0), eps_n, n)
-            assert got == pytest.approx(mean_outage_exact_rayleigh(eps_n, n), abs=1e-8)
+            assert got == pytest.approx(mean_outage_exact_rayleigh(eps_n, n), rel=1e-14)
+
+    def test_nakagami_mpmath_oracle(self):
+        for n in (1, 2, 10, 10**4):
+            for m in (0.5, 1.0, 10.0):
+                for eps_n in (0.1, 1e-3, epsn_rayleigh_ar(1e-4, n)):
+                    want = mp_nakagami_mean_outage(m, eps_n, n)
+                    got = mean_outage_mismatch(Nakagami(2.0, m), eps_n, n)
+                    assert abs(got - want) <= 1e-12 * want, (n, m, eps_n)
+
+    def test_rician_beta_mixture_oracle(self):
+        # small n: the quadrature window must reach far into the right tail
+        for n in (1, 2, 10):
+            for k in (0.5, 1.0, 10.0):
+                for eps_n in (0.1, 1e-3, epsn_rayleigh_ar(1e-4, n)):
+                    want = rician_mixture_mean_outage(k, eps_n, n)
+                    got = mean_outage_mismatch(Rician(2.0, k), eps_n, n)
+                    assert got == pytest.approx(want, rel=1e-12), (n, k, eps_n)
+        # large n: within the epsrel = 1e-10 the quadrature asks for
+        for k in (0.5, 1.0, 10.0):
+            eps_n = epsn_rayleigh_ar(1e-4, 10**4)
+            want = rician_mixture_mean_outage(k, eps_n, 10**4)
+            assert mean_outage_mismatch(Rician(1.0, k), eps_n, 10**4) == pytest.approx(
+                want, rel=1e-10)
 
     def test_rician_k0_matches_rayleigh(self):
         for eps_n, n in [(1e-3, 10), (1e-2, 100)]:
@@ -155,6 +203,23 @@ class TestMetaProbMismatch:
     def test_nakagami_m1_matches_rayleigh(self):
         got = meta_prob_mismatch(Nakagami(1.0, 1.0), 5e-4, 1e-3, 100)
         assert got == pytest.approx(meta_prob_exact_rayleigh(5e-4, 1e-3, 100), abs=1e-9)
+
+    def test_nakagami_tiny_eps(self):
+        # the Nakagami quantile at eps = 1e-30 used to raise a RuntimeError
+        eps, n = 1e-30, 100
+        # x^2/2 ~ P(2, x) = eps puts the quantile near 1.4e-15; eps_n = 7e-16
+        # moves the threshold n x/g to the middle of Gamma(2 n)
+        with mpmath.workdps(40):
+            x = mpmath.findroot(
+                lambda t: mpmath.gammainc(2, 0, t, regularized=True) - mpmath.mpf(eps),
+                mpmath.sqrt(2 * mpmath.mpf(eps)))
+            thr = x * n / -mpmath.log1p(-mpmath.mpf(7e-16))
+            want = float(mpmath.gammainc(2 * n, thr, mpmath.inf, regularized=True))
+        assert 0.1 < want < 0.9
+        got = meta_prob_mismatch(Nakagami(3.0, 2.0), 7e-16, eps, n)
+        assert got == pytest.approx(want, rel=1e-10)
+        # at the AR design level the threshold is ~ 1e17: the tail is 0
+        assert meta_prob_mismatch(Nakagami(1.0, 2.0), epsn_rayleigh_ar(eps, n), eps, n) == 0.0
 
     def test_rician_k0_matches_rayleigh(self):
         got = meta_prob_mismatch(Rician(1.0, 0.0), 5e-4, 1e-3, 100)

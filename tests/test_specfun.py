@@ -105,6 +105,24 @@ class TestRegGamma:
             reg_lower_gamma(1.0, -0.1)
 
 
+def mp_inv_reg_lower_gamma(a, p):
+    """The x with P(a, x) = p for the exact double p: Newton's method at
+    40 digits, on Q(a, x) = 1 - p above p = 1/2 so 1 - p stays exact."""
+    with mpmath.workdps(40):
+        a, p = mpmath.mpf(a), mpmath.mpf(p)
+        x = mpmath.mpf(float(sp.gammaincinv(float(a), float(p))))
+        for _ in range(100):
+            if p > 0.5:
+                residual = (1 - p) - mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+            else:
+                residual = mpmath.gammainc(a, 0, x, regularized=True) - p
+            step = residual / mpmath.exp((a - 1) * mpmath.log(x) - x - mpmath.loggamma(a))
+            x -= step
+            if abs(step) < x * mpmath.mpf(10) ** -35:
+                return x
+    raise AssertionError("oracle did not converge")
+
+
 class TestInvRegLowerGamma:
     def test_exponential_closed_form(self):
         # a=1: inverse is -log(1-p)
@@ -127,6 +145,26 @@ class TestInvRegLowerGamma:
         # independent inverse implementation
         for a, p in [(0.7, 0.2), (3.0, 0.97), (1e4, 0.5), (1e6, 0.999)]:
             assert inv_reg_lower_gamma(a, p) == pytest.approx(float(sp.gammaincinv(a, p)), rel=1e-10)
+
+    def test_mpmath_oracle(self):
+        rng = np.random.default_rng(2024)
+        cases = [(1e5, 1.0 - 1e-9), (1e5, 0.5), (0.5, 1e-30), (1.0, 1.0 - 1e-12)]
+        for _ in range(120):
+            a = float(10 ** rng.uniform(math.log10(0.5), 5.0))
+            p = float(rng.choice([rng.uniform(0.0, 1.0), 10 ** rng.uniform(-30.0, -1.0),
+                                  1.0 - 10 ** rng.uniform(-12.0, -1.0)]))
+            cases.append((a, p))
+        for a, p in cases:
+            want = mp_inv_reg_lower_gamma(a, p)
+            got = inv_reg_lower_gamma(a, p)
+            assert abs(got - want) <= 1e-13 * want, (a, p, got, want)
+
+    def test_tiny_p(self):
+        # the root sits far below the bracket's upper end, ~ a + 10 sqrt(a);
+        # Brent's method used to run out of its 100 iterations here
+        for a, p in [(2.0, 1e-30), (1.5, 1e-48), (3.0, 1e-36), (1.5, 1e-300)]:
+            want = mp_inv_reg_lower_gamma(a, p)
+            assert abs(inv_reg_lower_gamma(a, p) - want) <= 1e-13 * want
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
