@@ -23,6 +23,18 @@ block size depends on n alone, never on trials or workers, so trial t
 reads the same values for any trial count and can be reproduced alone
 from trial_block(..., t // rows)[t % rows], and sweep results are
 bitwise identical for any worker count.
+
+Tail path. The nonparametric and power-law selectors read only the
+l = Calibration.tail_size smallest values of each sample. Rayleigh
+draws are y = -lam log1p(-u) of uniforms u, a non-decreasing map, so
+the l smallest powers are the images of the l smallest uniforms. When
+trial_outcomes gets a Calibration (not any other object with a rates
+method) of such a selector and the truth is Rayleigh, each block draws
+its uniforms from the same stream into one reused buffer, partitions
+them in place, checks and maps the l smallest, and passes them to
+Calibration.tail_rates. The rates and outages are byte-identical to
+those of the full blocks, and trial_block still reproduces any trial.
+Mean-based selectors and Rician or Nakagami truth take the full blocks.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ import numpy as np
 from . import specfun
 from .channels import ChannelModel, Nakagami, Rayleigh, Rician
 from .errors import check_positive_int
+from .learn import sample_rows
 from .rateselect import PCR, Calibration, ReliabilityTarget, SelectorSpec, calibrate
 
 __all__ = [
@@ -116,16 +129,19 @@ def block_rows(n: int) -> int:
     return max(1, _BLOCK_VALUES // int(n))
 
 
+def _block_rng(seed: int, axis_index: int, block: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64DXSM(
+        np.random.SeedSequence(seed, spawn_key=(axis_index, block))))
+
+
 def trial_block(model: ChannelModel, n: int, seed: int, axis_index: int,
                 block: int) -> np.ndarray:
     """The (block_rows(n), n) training samples of one block.
 
     Row r is the sample of trial block * block_rows(n) + r.
     """
-    rng = np.random.Generator(np.random.PCG64DXSM(
-        np.random.SeedSequence(seed, spawn_key=(axis_index, block))))
     rows = block_rows(n)
-    return model.sample(rng, rows * n).reshape(rows, n)
+    return model.sample(_block_rng(seed, axis_index, block), rows * n).reshape(rows, n)
 
 
 def _normal_ci(values: np.ndarray, lo_clip: float, hi_clip: float) -> Estimate:
@@ -153,6 +169,10 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0,
     F(2^R - 1) under the true model. calibration overrides the one
     calibrate() derives from the config; anything with a rates(samples)
     method serves.
+
+    A Calibration whose tail_size is not None takes the tail path of
+    the module docstring on Rayleigh truth (same bytes; with tail_size 0
+    nothing is drawn). Anything else gets full trial_block blocks.
     """
     if not isinstance(config, EvalConfig):
         raise TypeError("config must be an EvalConfig")
@@ -160,17 +180,36 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0,
     if axis_index >= 2**32:
         raise ValueError(f"axis_index must be in [0, 2^32), got {axis_index}")
     n, trials = int(config.n), int(config.trials)
+    model = config.true_model
     if calibration is None:
         calibration = calibrate(config.selector, config.target, n)
+    tail = None
+    if isinstance(calibration, Calibration) and isinstance(model, Rayleigh):
+        tail = calibration.tail_size
+        if tail is not None and calibration.n != n:
+            raise ValueError(f"calibrated for n={calibration.n}, got samples of size {n}")
 
     rows = block_rows(n)
     rates = np.empty(trials)
-    for lo in range(0, trials, rows):
-        block = trial_block(config.true_model, n, config.seed, axis_index, lo // rows)
-        hi = min(lo + rows, trials)
-        rates[lo:hi] = calibration.rates(block[:hi - lo])
+    if tail == 0:
+        rates = calibration.tail_rates(np.empty((trials, 0)))
+    elif tail is not None:
+        # the uniform-to-power map is non-decreasing, so the tail_size
+        # smallest powers are the images of the tail_size smallest uniforms
+        uniforms = np.empty((rows, n))
+        for lo in range(0, trials, rows):
+            u = uniforms[:min(rows, trials - lo)]
+            _block_rng(config.seed, axis_index, lo // rows).random(out=u)
+            u.partition(tail - 1, axis=1)
+            powers = sample_rows(model.from_uniforms(u[:, :tail].copy()))
+            rates[lo:lo + len(u)] = calibration.tail_rates(powers)
+    else:
+        for lo in range(0, trials, rows):
+            block = trial_block(model, n, config.seed, axis_index, lo // rows)
+            hi = min(lo + rows, trials)
+            rates[lo:hi] = calibration.rates(block[:hi - lo])
     # conditional outage is an exact CDF value, not a simulated rate
-    outages = config.true_model.cdf(np.expm1(rates * _LN2))
+    outages = model.cdf(np.expm1(rates * _LN2))
     return rates, outages
 
 

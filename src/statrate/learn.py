@@ -2,7 +2,8 @@
 
 A TrainingSample wraps n i.i.d. received-power measurements;
 sample_rows checks a (B, n) array of them. The power-law selectors fit
-the smallest l = ceil(beta*n) observations in the log domain:
+the smallest l = ceil(beta*n) observations (smallest_rows selects and
+sorts them, fit_ascending_tails fits them) in the log domain:
 
     Z = log Y,  F_Z(z) ~ alpha * exp(z/kappa)   (z -> -inf)
 
@@ -29,6 +30,8 @@ __all__ = [
     "sample_rows",
     "fit_power_tail",
     "fit_power_tails",
+    "fit_ascending_tails",
+    "smallest_rows",
     "load_sample_file",
 ]
 
@@ -134,23 +137,25 @@ class TailFit:
             raise ValueError(f"alpha_hat must be > 0, got {self.alpha_hat}")
 
 
-def fit_power_tails(rows: np.ndarray, beta: float):
-    """fit_power_tail on every row of a (B, n) sample array.
-
-    Returns (l, alpha_hat, kappa_hat, z_l), the last three of shape
-    (B,). alpha_hat is inf, without a warning, where it overflows
-    (tightly clustered tiny tails). Raises as fit_power_tail does if
-    any row fails.
-    """
-    beta = check_unit_interval(beta, "beta")
-    n = rows.shape[1]
-    l = _ceil_with_float_guard(beta * n)
-    if l < 2:
-        raise InsufficientTailDataError(
-            f"tail fit needs ceil(beta*n) >= 2 values, got l={l} (n={n}, beta={beta})")
+def smallest_rows(rows: np.ndarray, l: int) -> np.ndarray:
+    """The l smallest values of each row of a (B, n) array, ascending."""
     tail = np.partition(rows, l - 1, axis=1)[:, :l]
     # ascending, so each row mean sums in the same order for any B
     tail.sort(axis=1)
+    return tail
+
+
+def fit_ascending_tails(tail: np.ndarray, n: int):
+    """Fit the log-domain tail law to each row's l smallest of n values.
+
+    tail is (B, l), each row ascending. Returns (alpha_hat, kappa_hat,
+    z_l), each of shape (B,). alpha_hat is inf, without a warning, where
+    it overflows (tightly clustered tiny tails).
+    """
+    l = tail.shape[1]
+    if l < 2:
+        raise InsufficientTailDataError(
+            f"tail fit needs ceil(beta*n) >= 2 values, got l={l} (n={n})")
     if (tail[:, 0] <= 0.0).any():
         raise ValueError("tail fit requires strictly positive sample values")
     z = np.log(tail)
@@ -163,14 +168,27 @@ def fit_power_tails(rows: np.ndarray, beta: float):
         alpha = (l / n) * np.exp(-z_l / kappa)
     if not (alpha > 0.0).all():
         raise ValueError("alpha_hat must be > 0: the fitted tail underflows")
-    return l, alpha, kappa, z_l
+    return alpha, kappa, z_l
+
+
+def fit_power_tails(rows: np.ndarray, beta: float):
+    """fit_power_tail on every row of a (B, n) sample array.
+
+    Returns (l, alpha_hat, kappa_hat, z_l), the last three as
+    fit_ascending_tails gives them. Raises as fit_power_tail does if any
+    row fails.
+    """
+    beta = check_unit_interval(beta, "beta")
+    n = rows.shape[1]
+    l = _ceil_with_float_guard(beta * n)
+    return (l, *fit_ascending_tails(smallest_rows(rows, l), n))
 
 
 def fit_power_tail(sample: TrainingSample, beta: float) -> TailFit:
     """Fit the log-domain tail law to the l = ceil(beta*n) smallest values.
 
-    The rate path fits with fit_power_tails; this one-sample form is kept
-    because the benchmark's traced mode wraps it by name.
+    The rate path fits with fit_ascending_tails; this one-sample form is
+    kept because the benchmark's traced mode wraps it by name.
     """
     l, alpha, kappa, z_l = fit_power_tails(sample.values[None], beta)
     return TailFit(alpha_hat=float(alpha[0]), kappa_hat=float(kappa[0]), l=l,

@@ -10,8 +10,10 @@ channel use, through a backed-off quantile level eps_n (parametric and
 power-law families) or an order-statistic index l (non-parametric
 family). Calibration depends only on (eps, xi, n, beta), never on the
 sample itself: calibrate() solves it once into a Calibration, whose
-rates() maps a (B, n) array of samples to B rates. select_rate and
-make_rate_fn are that array path on a batch of one.
+rates() maps a (B, n) array of samples to B rates. The order-statistic
+and power-law families read only each sample's tail_size smallest
+values, and tail_rates() maps those alone to the same rates.
+select_rate and make_rate_fn are the array path on a batch of one.
 
 Families:
 
@@ -43,7 +45,7 @@ from .learn import (
     TrainingSample,
     _ceil_with_float_guard,
     _floor_with_float_guard,
-    fit_power_tails,
+    fit_ascending_tails,
     sample_rows,
 )
 
@@ -146,14 +148,15 @@ def epsn_rayleigh_pcr(eps: float, xi: float, n: int) -> float:
     The meta-probability of the Rayleigh-MLE rate is the Erlang-n tail
     1 - P(n, n log(1-eps)/log(1-eps_n)), strictly increasing in eps_n,
     so the unique root of (meta = xi) is obtained by sending the
-    threshold through the Newton-polished incomplete-gamma quantile:
-    T = P^-1(n, 1-xi), eps_n = 1 - (1-eps)^(n/T). Like the AR level,
-    the result does not depend on lam.
+    threshold through the Newton-polished upper incomplete-gamma
+    quantile: T = Q^-1(n, xi), eps_n = 1 - (1-eps)^(n/T). xi goes in as
+    given; forming 1 - xi first would round away digits of small xi.
+    Like the AR level, the result does not depend on lam.
     """
     eps = check_unit_interval(eps, "eps")
     xi = check_unit_interval(xi, "xi")
     n = check_positive_int(n, "n")
-    t_star = specfun.inv_reg_lower_gamma(float(n), 1.0 - xi)
+    t_star = specfun.inv_reg_upper_gamma(float(n), xi)
     if t_star <= 0.0:
         raise NoSolutionError(f"degenerate Erlang quantile for n={n}, xi={xi}")
     return -math.expm1(n * math.log1p(-eps) / t_star)
@@ -326,15 +329,6 @@ def _log2_1p(y):
     return np.log1p(y) / _LN2
 
 
-def _rayleigh_rates(rows: np.ndarray, eps_n: float) -> np.ndarray:
-    return _log2_1p(-math.log1p(-eps_n) * rows.mean(axis=1))
-
-
-def _order_stat_rates(rows: np.ndarray, l: int) -> np.ndarray:
-    # log2(1 + x_(l)); partial selection, no full sort
-    return _log2_1p(np.partition(rows, l - 1, axis=1)[:, l - 1])
-
-
 @dataclass(frozen=True)
 class Calibration:
     """A selector solved for a target and a sample size n.
@@ -342,6 +336,13 @@ class Calibration:
     eps_n is the quantile level of the rayleigh, plugin-rayleigh and
     power-law families; l is the order-statistic index of the
     nonparametric families, where l = 0 is the zero-rate regime.
+
+    tail_size is how many of the smallest sample values the rate reads:
+    l for the nonparametric families, ceil(beta*n) for power-law, None
+    for the mean-based families, which read every value. tail_rates
+    holds the rate formulas of the tail families; it takes the (B, l)
+    array of each row's l smallest values, the l-th smallest in the
+    last column and the others in any order, and checks none of them.
     """
 
     selector: SelectorSpec
@@ -349,26 +350,44 @@ class Calibration:
     eps_n: float | None = None
     l: int | None = None
 
+    @property
+    def tail_size(self) -> int | None:
+        if self.l is not None:
+            return self.l
+        if self.selector.family in _POWERLAW_FAMILIES:
+            return _ceil_with_float_guard(self.selector.beta * self.n)
+        return None
+
     def rates(self, samples) -> np.ndarray:
         """Rates for a (B, n) array of training samples, one per row."""
         rows = sample_rows(samples)
         if rows.shape[1] != self.n:
             raise ValueError(
                 f"calibrated for n={self.n}, got samples of size {rows.shape[1]}")
+        l = self.tail_size
+        if l is None:
+            return _log2_1p(-math.log1p(-self.eps_n) * rows.mean(axis=1))
+        return self.tail_rates(np.partition(rows, l - 1, axis=1)[:, :l] if l
+                               else rows[:, :0])
+
+    def tail_rates(self, tail: np.ndarray) -> np.ndarray:
+        """Rates from each row's tail_size smallest values; see the class."""
+        l = self.tail_size
+        if l is None:
+            raise ValueError(f"{self.selector.family} reads every sample value, not a tail")
+        if tail.ndim != 2 or tail.shape[1] != l:
+            raise ValueError(f"expected a (B, {l}) tail array, got shape {tail.shape}")
         if self.l is not None:
-            if self.l == 0:
-                return np.zeros(rows.shape[0])
-            return _order_stat_rates(rows, self.l)
-        if self.selector.family in _POWERLAW_FAMILIES:
-            l, alpha, kappa, z_l = fit_power_tails(rows, self.selector.beta)
-            # fitted log-quantile kappa log(eps_n / alpha); where alpha
-            # overflowed to inf, the equal z_l + kappa log(n eps_n / l)
-            finite = np.isfinite(alpha)
-            log_q = np.where(finite,
-                             kappa * np.log(self.eps_n / np.where(finite, alpha, 1.0)),
-                             z_l + kappa * math.log(self.n * self.eps_n / l))
-            return _log2_1p(np.exp(log_q))
-        return _rayleigh_rates(rows, self.eps_n)
+            # log2(1 + x_(l))
+            return _log2_1p(tail[:, -1]) if l else np.zeros(tail.shape[0])
+        alpha, kappa, z_l = fit_ascending_tails(np.sort(tail, axis=1), self.n)
+        # fitted log-quantile kappa log(eps_n / alpha); where alpha
+        # overflowed to inf, the equal z_l + kappa log(n eps_n / l)
+        finite = np.isfinite(alpha)
+        log_q = np.where(finite,
+                         kappa * np.log(self.eps_n / np.where(finite, alpha, 1.0)),
+                         z_l + kappa * math.log(self.n * self.eps_n / l))
+        return _log2_1p(np.exp(log_q))
 
 
 def calibrate(selector: SelectorSpec, target: ReliabilityTarget,

@@ -22,6 +22,7 @@ from statrate.rateselect import (
     PCR,
     ReliabilityTarget,
     SelectorSpec,
+    calibrate,
     epsn_rayleigh_ar,
     epsn_rayleigh_pcr,
     make_rate_fn,
@@ -259,6 +260,118 @@ class TestBlockEngine:
             finally:
                 tracemalloc.stop()
             assert peak - 8 * n < 10 * 2**20
+
+
+def _full_block_outcomes(cfg, axis_index, calibration):
+    # the reference: full trial_block draws through Calibration.rates
+    rows, trials = block_rows(cfg.n), cfg.trials
+    rates = np.concatenate([
+        calibration.rates(trial_block(cfg.true_model, cfg.n, cfg.seed, axis_index,
+                                      lo // rows)[:min(rows, trials - lo)])
+        for lo in range(0, trials, rows)])
+    return rates, cfg.true_model.cdf(np.expm1(rates * math.log(2.0)))
+
+
+class TestTailPath:
+    TAIL_FAMILIES = (("nonparametric", None), ("plugin-nonparametric", None),
+                     ("powerlaw-asym", 0.05), ("powerlaw-nonasym", 0.05))
+
+    def test_bitwise_equal_to_full_blocks(self, monkeypatch):
+        drawn = []
+        real_block = evalmc.trial_block
+        # rows > 1 with a partial last block; rows = 1; a single partial block
+        for n, trials in ((500, 300), (70000, 3), (2000, 7)):
+            for family, beta in self.TAIL_FAMILIES:
+                cfg = _cfg(model=Rayleigh(1.3), family=family, beta=beta, eps=0.05,
+                           kind=PCR, xi=0.1, n=n, trials=trials, seed=64)
+                cal = calibrate(cfg.selector, cfg.target, n)
+                assert cal.tail_size >= 3
+                want = _full_block_outcomes(cfg, 5, cal)
+                monkeypatch.setattr(evalmc, "trial_block",
+                                    lambda *a: drawn.append(a) or real_block(*a))
+                got = trial_outcomes(cfg, axis_index=5)
+                monkeypatch.setattr(evalmc, "trial_block", real_block)
+                assert drawn == []
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes()
+
+    def test_zero_tail_size_draws_nothing(self, monkeypatch):
+        # nonparametric AR with n < 1/eps - 1: l = 0, every rate is zero
+        cfg = _cfg(model=Rayleigh(1.3), family="nonparametric", eps=1e-2, n=50,
+                   trials=40, seed=65)
+        cal = calibrate(cfg.selector, cfg.target, 50)
+        assert cal.tail_size == 0
+        want = _full_block_outcomes(cfg, 0, cal)
+
+        def no_draw(*args):
+            raise AssertionError("drew a block for l = 0")
+
+        monkeypatch.setattr(evalmc, "_block_rng", no_draw)
+        monkeypatch.setattr(evalmc, "trial_block", no_draw)
+        got = trial_outcomes(cfg)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        assert not got[0].any()
+
+    def test_other_calibrations_and_truths_get_full_blocks(self, monkeypatch):
+        n, trials = 500, 200
+        rows = block_rows(n)
+
+        class DuckTyped:
+            def __init__(self, cal):
+                self.cal, self.shapes = cal, []
+
+            def rates(self, samples):
+                self.shapes.append(samples.shape)
+                return self.cal.rates(samples)
+
+        real_block = evalmc.trial_block
+        for model, family, beta in ((Rayleigh(1.3), "nonparametric", None),
+                                    (Rayleigh(1.3), "powerlaw-asym", 0.05),
+                                    (Rayleigh(1.3), "rayleigh", None),
+                                    (Rician(1.3, 2.0), "nonparametric", None),
+                                    (Nakagami(1.3, 2.0), "powerlaw-asym", 0.05)):
+            cfg = _cfg(model=model, family=family, beta=beta, eps=0.05, kind=PCR,
+                       xi=0.1, n=n, trials=trials, seed=66)
+            cal = calibrate(cfg.selector, cfg.target, n)
+            duck = DuckTyped(cal)
+            got = trial_outcomes(cfg, calibration=duck)
+            assert duck.shapes == [(rows, n), (trials - rows, n)]
+            blocks = []
+            monkeypatch.setattr(evalmc, "trial_block",
+                                lambda *a: blocks.append(a[-1]) or real_block(*a))
+            want = trial_outcomes(cfg, calibration=cal)
+            monkeypatch.setattr(evalmc, "trial_block", real_block)
+            # a Calibration takes full blocks only off the tail path
+            tail_path = isinstance(model, Rayleigh) and family != "rayleigh"
+            assert blocks == ([] if tail_path else [0, 1])
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+    def test_calibration_size_must_match(self):
+        cfg = _cfg(family="nonparametric", eps=0.05, n=500, trials=5)
+        other = calibrate(cfg.selector, cfg.target, 400)
+        with pytest.raises(ValueError, match="calibrated for n=400"):
+            trial_outcomes(cfg, calibration=other)
+
+    def test_rates_leave_the_callers_array_unmodified(self):
+        rng = np.random.default_rng(67)
+        samples = rng.exponential(size=(16, 4000))
+        before = samples.tobytes()
+        target = ReliabilityTarget(0.05, PCR, 0.1)
+        for family, beta in self.TAIL_FAMILIES + (("rayleigh", None),
+                                                  ("plugin-rayleigh", None)):
+            cal = calibrate(SelectorSpec(family, beta=beta), target, 4000)
+            cal.rates(samples)
+            assert samples.tobytes() == before
+            if cal.tail_size:
+                tail = np.partition(samples, cal.tail_size - 1, axis=1)[:, :cal.tail_size]
+                # only the last column's place is fixed; the others may come in any order
+                head = tail[:, :-1]
+                head[:] = rng.permuted(head, axis=1)
+                tail_before = tail.tobytes()
+                assert cal.tail_rates(tail).tobytes() == cal.rates(samples).tobytes()
+                assert tail.tobytes() == tail_before
 
 
 class TestSweep:

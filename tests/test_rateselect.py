@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -169,6 +170,26 @@ class TestEpsnRayleighPcr:
         for v in p_meta:
             assert v == pytest.approx(p_meta[0], abs=1e-9)
             assert v == pytest.approx(1e-2, abs=1e-8)
+
+    def test_mpmath_oracle_with_exact_xi(self):
+        # T = Q^-1(n, xi) solved at 40 digits for the double xi itself;
+        # going through 1 - xi would lose up to 1.1e-16 / xi relative
+        eps = 1e-4
+        for n in (1, 10, 10**3, 10**5):
+            for xi in (1e-2, 1e-4, 1e-6, 1e-9):
+                with mpmath.workdps(40):
+                    a, q = mpmath.mpf(n), mpmath.mpf(xi)
+                    t = mpmath.mpf(float(scipy.special.gammainccinv(n, xi)))
+                    for _ in range(100):
+                        residual = q - mpmath.gammainc(a, t, mpmath.inf, regularized=True)
+                        step = residual / mpmath.exp(
+                            (a - 1) * mpmath.log(t) - t - mpmath.loggamma(a))
+                        t -= step
+                        if abs(step) < t * mpmath.mpf(10) ** -35:
+                            break
+                    want = -mpmath.expm1(a * mpmath.log1p(-mpmath.mpf(eps)) / t)
+                    got = epsn_rayleigh_pcr(eps, xi, n)
+                    assert abs((got - want) / want) <= 1e-13, (n, xi, got, want)
 
     def test_domain(self):
         with pytest.raises(ValueError):

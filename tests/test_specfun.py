@@ -17,6 +17,7 @@ import scipy.stats
 
 from statrate.specfun import (
     inv_reg_lower_gamma,
+    inv_reg_upper_gamma,
     log_gamma,
     marcum_q1,
     marcum_q1_complement,
@@ -173,6 +174,56 @@ class TestInvRegLowerGamma:
             inv_reg_lower_gamma(1.0, -0.01)
         with pytest.raises(ValueError):
             inv_reg_lower_gamma(-2.0, 0.5)
+
+
+def mp_inv_reg_upper_gamma(a, q):
+    """The x with Q(a, x) = q for the exact double q: Newton's method at
+    40 digits, on P(a, x) = 1 - q above q = 1/2 so 1 - q stays exact."""
+    with mpmath.workdps(40):
+        a, q = mpmath.mpf(a), mpmath.mpf(q)
+        x = mpmath.mpf(float(sp.gammainccinv(float(a), float(q))))
+        for _ in range(100):
+            if q > 0.5:
+                residual = mpmath.gammainc(a, 0, x, regularized=True) - (1 - q)
+            else:
+                residual = q - mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+            step = residual / mpmath.exp((a - 1) * mpmath.log(x) - x - mpmath.loggamma(a))
+            x -= step
+            if abs(step) < x * mpmath.mpf(10) ** -35:
+                return x
+    raise AssertionError("oracle did not converge")
+
+
+class TestInvRegUpperGamma:
+    def test_exponential_closed_form(self):
+        # a=1: Q(1, x) = exp(-x), so the inverse is -log(q)
+        for q in [1.0, 0.7, 0.5, 1e-3, 1e-9, 1e-300]:
+            assert inv_reg_upper_gamma(1.0, q) == pytest.approx(-math.log(q), rel=1e-14, abs=1e-300)
+
+    def test_mpmath_oracle(self):
+        rng = np.random.default_rng(2026)
+        cases = [(1e5, 1e-30), (0.5, 1e-30), (0.5, 1.0 - 1e-12), (1e5, 1.0 - 1e-9), (1.0, 0.5)]
+        for _ in range(120):
+            a = float(10 ** rng.uniform(math.log10(0.5), 5.0))
+            q = float(rng.choice([rng.uniform(0.0, 1.0), 10 ** rng.uniform(-30.0, -1.0),
+                                  1.0 - 10 ** rng.uniform(-12.0, -1.0)]))
+            cases.append((a, q))
+        for a, q in cases:
+            want = mp_inv_reg_upper_gamma(a, q)
+            got = inv_reg_upper_gamma(a, q)
+            assert abs(got - want) <= 1e-13 * want, (a, q, got, want)
+
+    def test_small_q_keeps_digits_the_lower_inverse_loses(self):
+        # 1 - 1e-9 rounds away digits of 1e-9; q goes in exactly
+        a, q = 10.0, 1e-9
+        want = mp_inv_reg_upper_gamma(a, q)
+        assert abs(inv_reg_upper_gamma(a, q) - want) <= 1e-14 * want
+        assert abs(inv_reg_lower_gamma(a, 1.0 - q) - want) > 1e-12 * want
+
+    def test_domain_errors(self):
+        for a, q in [(1.0, 0.0), (1.0, 1.5), (1.0, -0.01), (-2.0, 0.5), (0.0, 0.5)]:
+            with pytest.raises(ValueError):
+                inv_reg_upper_gamma(a, q)
 
 
 class TestRegIncBeta:
