@@ -85,9 +85,13 @@ class ChannelModel:
         """(mean, variance) of Y."""
         raise NotImplementedError
 
+    def log_mgf(self, t: float) -> float:
+        """log E[exp(t Y)] for t < 1/lam; t is not checked here, mgf checks it."""
+        raise NotImplementedError
+
     def mgf(self, t: float) -> float:
         """E[exp(t Y)]; defined for t < 1/lam."""
-        raise NotImplementedError
+        return math.exp(self.log_mgf(self._check_t(t)))
 
     def power_law(self) -> PowerLawTail:
         """Lower-tail power-law coefficients (alpha, kappa)."""
@@ -139,9 +143,8 @@ class Rayleigh(ChannelModel):
     def moments(self):
         return self.lam, self.lam * self.lam
 
-    def mgf(self, t):
-        t = self._check_t(t)
-        return 1.0 / (1.0 - t * self.lam)
+    def log_mgf(self, t):
+        return -math.log1p(-t * self.lam)
 
     def power_law(self):
         return PowerLawTail(alpha=1.0 / self.lam, kappa=1.0)
@@ -192,10 +195,9 @@ class Rician(ChannelModel):
         var = self.lam * self.lam * (1.0 + 2.0 * self.k)
         return mean, var
 
-    def mgf(self, t):
-        t = self._check_t(t)
+    def log_mgf(self, t):
         w = 1.0 - self.lam * t
-        return math.exp(self.k * self.lam * t / w) / w
+        return self.k * self.lam * t / w - math.log(w)
 
     def power_law(self):
         return PowerLawTail(alpha=math.exp(-self.k) / self.lam, kappa=1.0)
@@ -225,9 +227,8 @@ class Nakagami(ChannelModel):
     def moments(self):
         return self.m * self.lam, self.m * self.lam * self.lam
 
-    def mgf(self, t):
-        t = self._check_t(t)
-        return (1.0 - t * self.lam) ** (-self.m)
+    def log_mgf(self, t):
+        return -self.m * math.log1p(-t * self.lam)
 
     def power_law(self):
         # gamma(m, x)/Gamma(m) ~ x^m / Gamma(m+1) as x -> 0

@@ -329,7 +329,7 @@ def cmd_mismatch(args) -> int:
                 mp_ch = meta_prob_mismatch(model, eps_n, eps, n, method="chernoff")
             else:
                 cfg = EvalConfig(model, selector, target, n, trials, seed)
-                rep = evaluate(cfg, axis_index=row_index, calibration=cal)
+                rep = evaluate(cfg, axis_index=row_index)
                 mo_num, mo_app = rep.mean_outage.value, nan
                 mp_num, mp_ch = rep.meta_prob.value, nan
             rows.append([param, _fmt(value), sel, _fmt(mo_num), _fmt(mo_app),

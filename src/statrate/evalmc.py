@@ -24,17 +24,15 @@ reads the same values for any trial count and can be reproduced alone
 from trial_block(..., t // rows)[t % rows], and sweep results are
 bitwise identical for any worker count.
 
-Tail path. The nonparametric and power-law selectors read only the
-l = Calibration.tail_size smallest values of each sample. Rayleigh
-draws are y = -lam log1p(-u) of uniforms u, a non-decreasing map, so
-the l smallest powers are the images of the l smallest uniforms. When
-trial_outcomes gets a Calibration (not any other object with a rates
-method) of such a selector and the truth is Rayleigh, each block draws
-its uniforms from the same stream into one reused buffer, partitions
-them in place, checks and maps the l smallest, and passes them to
-Calibration.tail_rates. The rates and outages are byte-identical to
-those of the full blocks, and trial_block still reproduces any trial.
-Mean-based selectors and Rician or Nakagami truth take the full blocks.
+Draws on Rayleigh truth. Rayleigh powers are y = -lam log1p(-u) of
+uniforms u, a non-decreasing map, so the l smallest powers are the
+images of the l smallest uniforms. On Rayleigh truth trial_outcomes
+draws each block's uniforms from its stream into one reused buffer;
+for a selector that reads a tail (Calibration.tail_size) it partitions
+them in place and maps only the l smallest, for a mean-based selector
+it maps them all. Other truths take trial_block. Either way the rates
+and outages are those of trial_block's samples, byte for byte, so
+trial_block still reproduces any trial.
 """
 
 from __future__ import annotations
@@ -50,8 +48,7 @@ import numpy as np
 from . import specfun
 from .channels import ChannelModel, Nakagami, Rayleigh, Rician
 from .errors import check_positive_int
-from .learn import sample_rows
-from .rateselect import PCR, Calibration, ReliabilityTarget, SelectorSpec, calibrate
+from .rateselect import PCR, ReliabilityTarget, SelectorSpec, calibrate
 
 __all__ = [
     "SWEEP_AXES",
@@ -161,18 +158,15 @@ def _wilson_ci(successes: int, t: int) -> Estimate:
     return Estimate(p, max(center - half, 0.0), min(center + half, 1.0))
 
 
-def trial_outcomes(config: EvalConfig, axis_index: int = 0,
-                   calibration: Calibration | None = None):
+def trial_outcomes(config: EvalConfig, axis_index: int = 0):
     """Per-trial (rates, outages) arrays of length config.trials.
 
     The outage of a trial is its exact conditional outage probability
-    F(2^R - 1) under the true model. calibration overrides the one
-    calibrate() derives from the config; anything with a rates(samples)
-    method serves.
-
-    A Calibration whose tail_size is not None takes the tail path of
-    the module docstring on Rayleigh truth (same bytes; with tail_size 0
-    nothing is drawn). Anything else gets full trial_block blocks.
+    F(2^R - 1) under the true model. Blocks are drawn as the module
+    docstring says; with tail_size 0 every rate is zero and nothing is
+    drawn. Model draws go to Calibration.tail_rates unchecked, so a
+    non-finite rate (a scale lam so large that a drawn power overflows)
+    raises ValueError.
     """
     if not isinstance(config, EvalConfig):
         raise TypeError("config must be an EvalConfig")
@@ -181,46 +175,45 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0,
         raise ValueError(f"axis_index must be in [0, 2^32), got {axis_index}")
     n, trials = int(config.n), int(config.trials)
     model = config.true_model
-    if calibration is None:
-        calibration = calibrate(config.selector, config.target, n)
-    tail = None
-    if isinstance(calibration, Calibration) and isinstance(model, Rayleigh):
-        tail = calibration.tail_size
-        if tail is not None and calibration.n != n:
-            raise ValueError(f"calibrated for n={calibration.n}, got samples of size {n}")
-
-    rows = block_rows(n)
-    rates = np.empty(trials)
+    calibration = calibrate(config.selector, config.target, n)
+    tail = calibration.tail_size
     if tail == 0:
         rates = calibration.tail_rates(np.empty((trials, 0)))
-    elif tail is not None:
-        # the uniform-to-power map is non-decreasing, so the tail_size
-        # smallest powers are the images of the tail_size smallest uniforms
-        uniforms = np.empty((rows, n))
-        for lo in range(0, trials, rows):
-            u = uniforms[:min(rows, trials - lo)]
-            _block_rng(config.seed, axis_index, lo // rows).random(out=u)
-            u.partition(tail - 1, axis=1)
-            powers = sample_rows(model.from_uniforms(u[:, :tail].copy()))
-            rates[lo:lo + len(u)] = calibration.tail_rates(powers)
     else:
+        rows = block_rows(n)
+        uniform = isinstance(model, Rayleigh)
+        buffer = np.empty((rows, n)) if uniform else None
+        rates = np.empty(trials)
         for lo in range(0, trials, rows):
-            block = trial_block(model, n, config.seed, axis_index, lo // rows)
             hi = min(lo + rows, trials)
-            rates[lo:hi] = calibration.rates(block[:hi - lo])
+            if uniform:
+                # a partial block draws only its rows: the same stream prefix
+                block = buffer[:hi - lo]
+                _block_rng(config.seed, axis_index, lo // rows).random(out=block)
+            else:
+                # Rician draws two normal streams of rows*n values each, so
+                # a partial block is cut from a whole one
+                block = trial_block(model, n, config.seed, axis_index, lo // rows)[:hi - lo]
+            if tail is not None:
+                block.partition(tail - 1, axis=1)
+                block = block[:, :tail]
+            if uniform:
+                # mapped in contiguous memory, as trial_block maps, for the same bytes
+                block = model.from_uniforms(np.ascontiguousarray(block))
+            rates[lo:hi] = calibration.tail_rates(block)
+    if not np.isfinite(rates).all():
+        raise ValueError(f"non-finite rate: the drawn powers overflow at lam={model.lam}")
     # conditional outage is an exact CDF value, not a simulated rate
     outages = model.cdf(np.expm1(rates * _LN2))
     return rates, outages
 
 
-def evaluate(config: EvalConfig, axis_index: int = 0,
-             calibration: Calibration | None = None) -> EvalReport:
+def evaluate(config: EvalConfig, axis_index: int = 0) -> EvalReport:
     """Run the Monte Carlo trials of one configuration and aggregate them.
 
-    axis_index separates the streams of distinct sweep points;
-    calibration is passed on to trial_outcomes.
+    axis_index separates the streams of distinct sweep points.
     """
-    rates, outages = trial_outcomes(config, axis_index, calibration)
+    rates, outages = trial_outcomes(config, axis_index)
     model = config.true_model
     eps = config.target.epsilon
     trials = rates.size

@@ -2,8 +2,8 @@
 
 A TrainingSample wraps n i.i.d. received-power measurements;
 sample_rows checks a (B, n) array of them. The power-law selectors fit
-the smallest l = ceil(beta*n) observations (smallest_rows selects and
-sorts them, fit_ascending_tails fits them) in the log domain:
+the smallest l = ceil(beta*n) observations, ascending, with
+fit_ascending_tails in the log domain:
 
     Z = log Y,  F_Z(z) ~ alpha * exp(z/kappa)   (z -> -inf)
 
@@ -29,9 +29,7 @@ __all__ = [
     "TailFit",
     "sample_rows",
     "fit_power_tail",
-    "fit_power_tails",
     "fit_ascending_tails",
-    "smallest_rows",
     "load_sample_file",
 ]
 
@@ -87,8 +85,8 @@ class TrainingSample:
     def n(self) -> int:
         return int(self._values.size)
 
-    # order_stat and smallest serve no selector (Calibration.rates reads
-    # the rows itself), but the benchmark's traced mode wraps them by name
+    # order_stat serves no selector (Calibration.rates reads the rows
+    # itself), but the benchmark's traced mode wraps it by name
 
     def order_stat(self, l: int) -> float:
         """l-th smallest value, 1-indexed.
@@ -137,14 +135,6 @@ class TailFit:
             raise ValueError(f"alpha_hat must be > 0, got {self.alpha_hat}")
 
 
-def smallest_rows(rows: np.ndarray, l: int) -> np.ndarray:
-    """The l smallest values of each row of a (B, n) array, ascending."""
-    tail = np.partition(rows, l - 1, axis=1)[:, :l]
-    # ascending, so each row mean sums in the same order for any B
-    tail.sort(axis=1)
-    return tail
-
-
 def fit_ascending_tails(tail: np.ndarray, n: int):
     """Fit the log-domain tail law to each row's l smallest of n values.
 
@@ -171,28 +161,17 @@ def fit_ascending_tails(tail: np.ndarray, n: int):
     return alpha, kappa, z_l
 
 
-def fit_power_tails(rows: np.ndarray, beta: float):
-    """fit_power_tail on every row of a (B, n) sample array.
-
-    Returns (l, alpha_hat, kappa_hat, z_l), the last three as
-    fit_ascending_tails gives them. Raises as fit_power_tail does if any
-    row fails.
-    """
-    beta = check_unit_interval(beta, "beta")
-    n = rows.shape[1]
-    l = _ceil_with_float_guard(beta * n)
-    return (l, *fit_ascending_tails(smallest_rows(rows, l), n))
-
-
 def fit_power_tail(sample: TrainingSample, beta: float) -> TailFit:
     """Fit the log-domain tail law to the l = ceil(beta*n) smallest values.
 
     The rate path fits with fit_ascending_tails; this one-sample form is
     kept because the benchmark's traced mode wraps it by name.
     """
-    l, alpha, kappa, z_l = fit_power_tails(sample.values[None], beta)
+    beta = check_unit_interval(beta, "beta")
+    l = _ceil_with_float_guard(beta * sample.n)
+    alpha, kappa, z_l = fit_ascending_tails(sample.smallest(l)[None], sample.n)
     return TailFit(alpha_hat=float(alpha[0]), kappa_hat=float(kappa[0]), l=l,
-                   beta=float(beta), z_l=float(z_l[0]))
+                   beta=beta, z_l=float(z_l[0]))
 
 
 def load_sample_file(path) -> TrainingSample:

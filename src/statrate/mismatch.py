@@ -179,14 +179,6 @@ class ChernoffSolution:
     bound_value: float
 
 
-def _log_mgf(model: ChannelModel, t: float) -> float:
-    if isinstance(model, Rician):
-        w = 1.0 - model.lam * t
-        return model.k * model.lam * t / w - math.log(w)
-    m = model.m if isinstance(model, Nakagami) else 1.0
-    return -m * math.log1p(-t * model.lam)
-
-
 def chernoff_tilt(true_model: ChannelModel, eps_n: float, eps: float,
                   n: int) -> ChernoffSolution:
     """Exponential tilt bound on the meta-probability under mismatch.
@@ -224,7 +216,7 @@ def chernoff_tilt(true_model: ChannelModel, eps_n: float, eps: float,
             stacklevel=2)
         return ChernoffSolution(t_star=t_star, bound_value=1.0)
 
-    log_bound = n * (_log_mgf(true_model, t_star) - t_star * per_sample_thr)
+    log_bound = n * (true_model.log_mgf(t_star) - t_star * per_sample_thr)
     if log_bound > 0.0:
         warnings.warn(
             "exponential bound exceeds 1 and was clamped", RuntimeWarning,

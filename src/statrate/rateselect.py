@@ -10,9 +10,10 @@ channel use, through a backed-off quantile level eps_n (parametric and
 power-law families) or an order-statistic index l (non-parametric
 family). Calibration depends only on (eps, xi, n, beta), never on the
 sample itself: calibrate() solves it once into a Calibration, whose
-rates() maps a (B, n) array of samples to B rates. The order-statistic
-and power-law families read only each sample's tail_size smallest
-values, and tail_rates() maps those alone to the same rates.
+rates() checks a (B, n) array of samples and maps it to B rates. The
+order-statistic and power-law families read only each sample's
+tail_size smallest values; rates() selects them and passes them to
+tail_rates(), which holds every family's formula and checks nothing.
 select_rate and make_rate_fn are the array path on a batch of one.
 
 Families:
@@ -340,9 +341,10 @@ class Calibration:
     tail_size is how many of the smallest sample values the rate reads:
     l for the nonparametric families, ceil(beta*n) for power-law, None
     for the mean-based families, which read every value. tail_rates
-    holds the rate formulas of the tail families; it takes the (B, l)
-    array of each row's l smallest values, the l-th smallest in the
-    last column and the others in any order, and checks none of them.
+    holds every family's rate formula and checks none of the values it
+    is given: for a tail family the (B, l) array of each row's l
+    smallest values, the l-th smallest in the last column and the others
+    in any order; for a mean-based family the whole (B, n) rows.
     """
 
     selector: SelectorSpec
@@ -365,18 +367,24 @@ class Calibration:
             raise ValueError(
                 f"calibrated for n={self.n}, got samples of size {rows.shape[1]}")
         l = self.tail_size
-        if l is None:
-            return _log2_1p(-math.log1p(-self.eps_n) * rows.mean(axis=1))
-        return self.tail_rates(np.partition(rows, l - 1, axis=1)[:, :l] if l
-                               else rows[:, :0])
+        if l is not None:
+            rows = np.partition(rows, l - 1, axis=1)[:, :l] if l else rows[:, :0]
+        return self.tail_rates(rows)
 
     def tail_rates(self, tail: np.ndarray) -> np.ndarray:
-        """Rates from each row's tail_size smallest values; see the class."""
+        """Rates from the values each row's rate reads; see the class."""
         l = self.tail_size
+        width = self.n if l is None else l
+        if tail.ndim != 2 or tail.shape[1] != width:
+            raise ValueError(f"expected a (B, {width}) array, got shape {tail.shape}")
         if l is None:
-            raise ValueError(f"{self.selector.family} reads every sample value, not a tail")
-        if tail.ndim != 2 or tail.shape[1] != l:
-            raise ValueError(f"expected a (B, {l}) tail array, got shape {tail.shape}")
+            with np.errstate(over="ignore"):
+                mean = tail.mean(axis=1)
+            over = np.isinf(mean)
+            if over.any():
+                # the row sum overflowed: sum the values scaled by 1/n instead
+                mean[over] = (tail[over] / self.n).sum(axis=1)
+            return _log2_1p(-math.log1p(-self.eps_n) * mean)
         if self.l is not None:
             # log2(1 + x_(l))
             return _log2_1p(tail[:, -1]) if l else np.zeros(tail.shape[0])

@@ -69,16 +69,19 @@ class TestEvalConfigValidation:
 
 
 class TestDegenerateSelector:
-    def test_omega_one_pbar_eps(self):
+    def test_omega_one_pbar_eps(self, monkeypatch):
+        # every trial selects the outage capacity: evaluate's aggregation
+        # must give throughput ratio 1 and mean outage eps exactly
         model = Rayleigh(1.0)
         eps = 1e-2
         r_star = model.epsilon_outage_capacity(eps)
 
-        class Oracle:
-            def rates(self, samples):
-                return np.full(len(samples), r_star)
+        def oracle(config, axis_index=0):
+            rates = np.full(config.trials, r_star)
+            return rates, model.cdf(np.expm1(rates * math.log(2.0)))
 
-        report = evaluate(_cfg(eps=eps, trials=100), calibration=Oracle())
+        monkeypatch.setattr(evalmc, "trial_outcomes", oracle)
+        report = evaluate(_cfg(eps=eps, trials=100))
         assert report.throughput_ratio.value == pytest.approx(1.0, abs=1e-12)
         assert report.mean_outage.value == pytest.approx(eps, abs=1e-12)
         assert report.rate_mean == pytest.approx(r_star, rel=1e-14)
@@ -275,17 +278,18 @@ def _full_block_outcomes(cfg, axis_index, calibration):
 class TestTailPath:
     TAIL_FAMILIES = (("nonparametric", None), ("plugin-nonparametric", None),
                      ("powerlaw-asym", 0.05), ("powerlaw-nonasym", 0.05))
+    MEAN_FAMILIES = (("rayleigh", None), ("plugin-rayleigh", None))
 
     def test_bitwise_equal_to_full_blocks(self, monkeypatch):
         drawn = []
         real_block = evalmc.trial_block
         # rows > 1 with a partial last block; rows = 1; a single partial block
         for n, trials in ((500, 300), (70000, 3), (2000, 7)):
-            for family, beta in self.TAIL_FAMILIES:
+            for family, beta in self.TAIL_FAMILIES + self.MEAN_FAMILIES:
                 cfg = _cfg(model=Rayleigh(1.3), family=family, beta=beta, eps=0.05,
                            kind=PCR, xi=0.1, n=n, trials=trials, seed=64)
                 cal = calibrate(cfg.selector, cfg.target, n)
-                assert cal.tail_size >= 3
+                assert cal.tail_size is None or cal.tail_size >= 3
                 want = _full_block_outcomes(cfg, 5, cal)
                 monkeypatch.setattr(evalmc, "trial_block",
                                     lambda *a: drawn.append(a) or real_block(*a))
@@ -297,62 +301,58 @@ class TestTailPath:
 
     def test_zero_tail_size_draws_nothing(self, monkeypatch):
         # nonparametric AR with n < 1/eps - 1: l = 0, every rate is zero
-        cfg = _cfg(model=Rayleigh(1.3), family="nonparametric", eps=1e-2, n=50,
-                   trials=40, seed=65)
-        cal = calibrate(cfg.selector, cfg.target, 50)
-        assert cal.tail_size == 0
-        want = _full_block_outcomes(cfg, 0, cal)
+        for model in (Rayleigh(1.3), Rician(1.3, 2.0)):
+            cfg = _cfg(model=model, family="nonparametric", eps=1e-2, n=50,
+                       trials=40, seed=65)
+            cal = calibrate(cfg.selector, cfg.target, 50)
+            assert cal.tail_size == 0
+            want = _full_block_outcomes(cfg, 0, cal)
 
-        def no_draw(*args):
-            raise AssertionError("drew a block for l = 0")
+            def no_draw(*args):
+                raise AssertionError("drew a block for l = 0")
 
-        monkeypatch.setattr(evalmc, "_block_rng", no_draw)
-        monkeypatch.setattr(evalmc, "trial_block", no_draw)
-        got = trial_outcomes(cfg)
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
-        assert not got[0].any()
-
-    def test_other_calibrations_and_truths_get_full_blocks(self, monkeypatch):
-        n, trials = 500, 200
-        rows = block_rows(n)
-
-        class DuckTyped:
-            def __init__(self, cal):
-                self.cal, self.shapes = cal, []
-
-            def rates(self, samples):
-                self.shapes.append(samples.shape)
-                return self.cal.rates(samples)
-
-        real_block = evalmc.trial_block
-        for model, family, beta in ((Rayleigh(1.3), "nonparametric", None),
-                                    (Rayleigh(1.3), "powerlaw-asym", 0.05),
-                                    (Rayleigh(1.3), "rayleigh", None),
-                                    (Rician(1.3, 2.0), "nonparametric", None),
-                                    (Nakagami(1.3, 2.0), "powerlaw-asym", 0.05)):
-            cfg = _cfg(model=model, family=family, beta=beta, eps=0.05, kind=PCR,
-                       xi=0.1, n=n, trials=trials, seed=66)
-            cal = calibrate(cfg.selector, cfg.target, n)
-            duck = DuckTyped(cal)
-            got = trial_outcomes(cfg, calibration=duck)
-            assert duck.shapes == [(rows, n), (trials - rows, n)]
-            blocks = []
-            monkeypatch.setattr(evalmc, "trial_block",
-                                lambda *a: blocks.append(a[-1]) or real_block(*a))
-            want = trial_outcomes(cfg, calibration=cal)
-            monkeypatch.setattr(evalmc, "trial_block", real_block)
-            # a Calibration takes full blocks only off the tail path
-            tail_path = isinstance(model, Rayleigh) and family != "rayleigh"
-            assert blocks == ([] if tail_path else [0, 1])
+            with monkeypatch.context() as patch:
+                patch.setattr(evalmc, "_block_rng", no_draw)
+                patch.setattr(evalmc, "trial_block", no_draw)
+                got = trial_outcomes(cfg)
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()
+            assert not got[0].any()
 
-    def test_calibration_size_must_match(self):
-        cfg = _cfg(family="nonparametric", eps=0.05, n=500, trials=5)
-        other = calibrate(cfg.selector, cfg.target, 400)
-        with pytest.raises(ValueError, match="calibrated for n=400"):
-            trial_outcomes(cfg, calibration=other)
+    @pytest.mark.parametrize("family,beta", TAIL_FAMILIES + MEAN_FAMILIES)
+    @pytest.mark.parametrize("model", (Rayleigh(1.3), Rician(1.3, 2.0),
+                                       Nakagami(1.3, 2.0)), ids=repr)
+    def test_every_truth_and_family_equals_trial_block(self, monkeypatch, model,
+                                                       family, beta):
+        # three blocks, the last one partial
+        n, trials = 500, 300
+        cfg = _cfg(model=model, family=family, beta=beta, eps=0.05, kind=PCR,
+                   xi=0.1, n=n, trials=trials, seed=66)
+        want = _full_block_outcomes(cfg, 2, calibrate(cfg.selector, cfg.target, n))
+        blocks = []
+        real_block = evalmc.trial_block
+        monkeypatch.setattr(evalmc, "trial_block",
+                            lambda *a: blocks.append(a[-1]) or real_block(*a))
+        got = trial_outcomes(cfg, axis_index=2)
+        # Rayleigh truth draws uniforms itself; other truths take each block once
+        assert blocks == ([] if isinstance(model, Rayleigh) else [0, 1, 2])
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_rate_raises(self):
+        # -lam log1p(-u) overflows to inf for u above 1 - exp(-1.79)
+        for model in (Rayleigh(1e308), Nakagami(1e308, 2.0)):
+            cfg = _cfg(model=model, family="rayleigh", n=100, trials=20)
+            with pytest.raises(ValueError, match=r"non-finite rate.*lam=1e\+308"):
+                trial_outcomes(cfg)
+
+    def test_mean_rate_finite_when_the_row_sum_overflows(self):
+        # n lam nears the float maximum: the sum of a row overflows, its mean does not
+        report = evaluate(_cfg(model=Rayleigh(1e307), n=10**4, trials=100, seed=1))
+        assert math.isfinite(report.rate_mean)
+        assert math.isfinite(report.throughput_ratio.ci_lo)
+        assert math.isfinite(report.throughput_ratio.ci_hi)
 
     def test_rates_leave_the_callers_array_unmodified(self):
         rng = np.random.default_rng(67)

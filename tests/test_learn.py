@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from statrate.channels import Rayleigh
 from statrate.errors import InsufficientTailDataError, SampleParseError
-from statrate.learn import TailFit, TrainingSample, fit_power_tail, load_sample_file
+from statrate.learn import (
+    TailFit,
+    TrainingSample,
+    fit_ascending_tails,
+    fit_power_tail,
+    load_sample_file,
+)
 from statrate.rateselect import Calibration, ReliabilityTarget, SelectorSpec, calibrate
 
 RNG = lambda s: np.random.Generator(np.random.Philox(key=np.array([s, 0], dtype=np.uint64)))
@@ -117,6 +123,17 @@ class TestFitPowerTail:
         assert fit.kappa_hat == pytest.approx(1.0, rel=1e-13)
         assert fit.alpha_hat == pytest.approx(0.3 * math.exp(-2.0), rel=1e-12)
         assert fit.alpha_hat == pytest.approx(0.0406006, abs=5e-8)
+
+    def test_equals_fit_ascending_tails_on_smallest(self):
+        # at seed 18 and l = 499, kappa_hat's last bits depend on the tail's order
+        sample = TrainingSample(RNG(18).exponential(size=997))
+        for beta, l in ((0.003, 3), (0.05, 50), (0.5, 499)):
+            fit = fit_power_tail(sample, beta)
+            tail = sample.smallest(l)
+            assert fit.l == l
+            assert tail.tobytes() == np.sort(sample.values)[:l].tobytes()
+            alpha, kappa, z_l = fit_ascending_tails(tail[None], sample.n)
+            assert (fit.alpha_hat, fit.kappa_hat, fit.z_l) == (alpha[0], kappa[0], z_l[0])
 
     def test_rayleigh_truth_recovery(self):
         # Rayleigh{1} lower tail: alpha = 1, kappa = 1

@@ -519,6 +519,19 @@ class TestCalibrate:
         rates = cal.rates(RNG(34).exponential(size=(3, 100)))
         assert rates.tolist() == [0.0, 0.0, 0.0]
 
+    def test_mean_rate_finite_when_the_row_sum_overflows(self):
+        cal = calibrate(SelectorSpec("rayleigh"), ReliabilityTarget(1e-3), 4)
+        g = -math.log1p(-cal.eps_n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = cal.rates(np.full((1, 4), 1e308))
+        assert big[0] == pytest.approx(math.log2(1.0 + g * 1e308), rel=1e-14)
+        # rows whose mean is finite keep their bytes
+        rows = RNG(35).exponential(size=(3, 4))
+        mixed = cal.rates(np.vstack([rows, np.full((1, 4), 1e308)]))
+        assert mixed[:3].tobytes() == cal.rates(rows).tobytes()
+        assert mixed[3] == big[0]
+
     def test_rates_validates_samples(self):
         cal = calibrate(SelectorSpec("rayleigh"), ReliabilityTarget(1e-2), 4)
         good = np.ones((2, 4))
