@@ -149,10 +149,6 @@ class Rayleigh(ChannelModel):
     def power_law(self):
         return PowerLawTail(alpha=1.0 / self.lam, kappa=1.0)
 
-    def epsilon_outage_capacity(self, eps):
-        eps = check_unit_interval(eps, "eps")
-        return math.log2(1.0 - self.lam * math.log1p(-eps))
-
 
 @dataclass(frozen=True)
 class Rician(ChannelModel):

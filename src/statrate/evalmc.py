@@ -198,8 +198,10 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0):
                 block.partition(tail - 1, axis=1)
                 block = block[:, :tail]
             if uniform:
-                # mapped in contiguous memory, as trial_block maps, for the same bytes
-                block = model.from_uniforms(np.ascontiguousarray(block))
+                # mapped in contiguous memory, as trial_block maps, for the same
+                # bytes; an overflow to inf is reported by the finite-rate check
+                with np.errstate(over="ignore"):
+                    block = model.from_uniforms(np.ascontiguousarray(block))
             rates[lo:hi] = calibration.tail_rates(block)
     if not np.isfinite(rates).all():
         raise ValueError(f"non-finite rate: the drawn powers overflow at lam={model.lam}")

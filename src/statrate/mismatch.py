@@ -5,19 +5,19 @@ log2(1 - log(1-eps_n) Xbar) from the sample mean Xbar of n training
 gains. When the gains actually follow a Rician or Nakagami law the
 realized mean outage and meta-probability differ from their design
 values; this module evaluates both: exactly, by scipy.special closed
-forms under Rayleigh and Nakagami truth and by quadrature over the
-sampling distribution of Xbar for the Rician mean outage, or through
-closed-form approximations (power-law / weak-n expansions for the mean
-outage, an exponential tilt bound for the meta-probability).
+forms (under Rician truth the mean outage is a Poisson(n k) sum of
+noncentral F CDFs), or through closed-form approximations (power-law /
+weak-n expansions for the mean outage, an exponential tilt bound for
+the meta-probability).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
 import scipy.special as _sp
 
 from . import specfun
@@ -35,8 +35,6 @@ __all__ = [
 
 MEAN_OUTAGE_METHODS = ("numeric", "power_law", "weak_n")
 META_PROB_METHODS = ("numeric", "chernoff")
-
-_QUAD_SPAN_SD = 15.0
 
 
 def _check_model(model: ChannelModel) -> None:
@@ -82,40 +80,19 @@ def _numeric_mean_outage(model: ChannelModel, eps_n: float, n: int) -> float:
         # G/(G+Z) ~ Beta(m, n m), so the outage is its CDF at g/(n+g)
         return float(_sp.betainc(model.m, n * model.m, g / (n + g)))
 
-    # Rician: 2 sum(X_i)/lam = W ~ noncentral chi^2(2n, 2nk);
-    # outage = 1 - Q1(sqrt(2k), sqrt(c W)). Only this quadrature needs
-    # scipy.integrate and scipy.stats, imported here as in specfun.
-    import scipy.integrate as _integrate
-    import scipy.stats as _stats
-
-    c = g / n
-    a = math.sqrt(2.0 * model.k)
-    df = 2 * n
-    nc = 2.0 * n * model.k
-    mean = df + nc
-    sd = math.sqrt(2.0 * (df + 2.0 * nc))
-    lo = max(0.0, mean - _QUAD_SPAN_SD * sd)
-    hi = mean + _QUAD_SPAN_SD * sd
-    dist = _stats.ncx2(df=df, nc=nc)
-
-    def integrand(w):
-        return specfun.marcum_q1_complement(a, math.sqrt(c * w)) * dist.pdf(w)
-
-    quad = functools.partial(_integrate.quad, integrand,
-                             epsabs=1e-14, epsrel=1e-10, limit=300)
-    value, abserr = quad(lo, hi)
-    # the outage is <= 1, so the mass above hi bounds what the window leaves
-    # out: add spans, each twice the last, until it is below 1e-16 of the value
-    span = _QUAD_SPAN_SD * sd
-    while specfun.nc_chi2_sf(hi, n, nc) > 1e-16 * value:
-        extra, err = quad(hi, hi + span)
-        value, abserr, hi, span = value + extra, abserr + err, hi + span, 2.0 * span
-    if abserr > max(1e-10, 1e-6 * value):
-        warnings.warn(
-            f"quadrature error estimate {abserr:.2e} for mean outage (Rician) "
-            f"(value {value:.6e}) exceeds the target accuracy",
-            RuntimeWarning, stacklevel=2)
-    return min(max(value, 0.0), 1.0)
+    # Rician: 2 sum(X_i)/lam ~ ncchi^2(2n, 2nk), a Poisson(mu = n k)
+    # mixture of chi^2(2n + 2K). Given K the outage P[ncchi^2(2, 2k) <=
+    # (g/n) chi^2(2n + 2K)] is the noncentral F CDF at (g/n)(n + K):
+    # a CDF, so small values keep their relative accuracy. The weights
+    # are normalised over mu +- (12 sqrt(mu) + 30), which cancels the
+    # common rounding of K log(mu) at large mu.
+    mu = n * model.k
+    half = 12.0 * math.sqrt(mu) + 30.0
+    K = np.arange(max(0.0, math.ceil(mu - half)), math.floor(mu + half) + 1.0)
+    w = np.exp(_sp.xlogy(K, mu) - mu - _sp.gammaln(K + 1.0))
+    w /= w.sum()
+    outage = _sp.ncfdtr(2.0, 2.0 * (n + K), 2.0 * model.k, (g / n) * (n + K))
+    return float(np.dot(w, outage))
 
 
 def _power_law_mean_outage(model: ChannelModel, eps_n: float, n: int) -> float:
@@ -141,8 +118,13 @@ def mean_outage_mismatch(true_model: ChannelModel, eps_n: float, n: int,
     """Mean outage of the Rayleigh-MLE rate when the gains follow true_model.
 
     method "numeric" averages the outage over the exact sampling
-    distribution of the training mean: in closed form under Rayleigh
-    and Nakagami, by quadrature under Rician.
+    distribution of the training mean, in closed form: under Rician
+    truth as a sum of about 24 sqrt(n k) + 60 noncentral F CDFs
+    (scipy.special.ncfdtr), so its cost grows as sqrt(n k). Measured
+    with scipy 1.17.1, the Rician value is within 6e-15 relative of the
+    double-Poisson Beta mixture for n <= 1e4, k <= 10 and eps_n down to
+    1e-12, and within 5e-13 of the same sum with 30-digit Poisson weights
+    at n k = 1e6; the weights' rounding grows with n k beyond that.
     "power_law" applies a second-order delta-method expansion around
     the power-law tail of the true CDF; "weak_n" is its n -> infinity
     limit with -log(1-x) ~ x, which evaluates the tail at the supplied

@@ -1,7 +1,7 @@
 """Special-function kernel with explicit accuracy contracts.
 
 Everything downstream (channel CDFs, calibration solvers, mismatch
-integrals) reduces to the functions in this module: log-gamma,
+meta-probabilities) reduces to the functions in this module: log-gamma,
 regularized incomplete gamma/beta, their inverses, the first-order
 Marcum Q function, and the standard normal quantile.
 

@@ -137,21 +137,27 @@ class TestRate:
 HEAVY_SCIPY = ("scipy.optimize", "scipy.stats", "scipy.integrate")
 
 
-def scipy_loaded_by(*argv):
-    """The HEAVY_SCIPY modules a fresh interpreter holds after
-    importing statrate.cli and, given argv, running main(argv)."""
-    script = (
+def heavy_scipy_loaded(code):
+    """The HEAVY_SCIPY modules a fresh interpreter holds after running code."""
+    script = code + (
         "import sys\n"
-        "import statrate.cli\n"
-        f"argv = {list(argv)!r}\n"
-        "if argv and statrate.cli.main(argv) != 0:\n"
-        "    sys.exit('main failed')\n"
         f"print(','.join(m for m in {HEAVY_SCIPY!r} if m in sys.modules))\n")
     # a fresh process: this one has imported scipy.stats already
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     last = res.stdout.splitlines()[-1]
     return set(last.split(",")) - {""}
+
+
+def scipy_loaded_by(*argv):
+    """The HEAVY_SCIPY modules a fresh interpreter holds after
+    importing statrate.cli and, given argv, running main(argv)."""
+    return heavy_scipy_loaded(
+        "import sys\n"
+        "import statrate.cli\n"
+        f"argv = {list(argv)!r}\n"
+        "if argv and statrate.cli.main(argv) != 0:\n"
+        "    sys.exit('main failed')\n")
 
 
 class TestColdStart:
@@ -181,6 +187,12 @@ class TestColdStart:
             "n = 1000\n"
             f"output = {tmp_path / 'out.csv'}\n")
         assert scipy_loaded_by("mismatch", str(cfg)) == set()
+
+    def test_rician_mean_outage_loads_no_heavy_scipy(self):
+        assert heavy_scipy_loaded(
+            "from statrate.channels import Rician\n"
+            "from statrate.mismatch import mean_outage_mismatch\n"
+            "mean_outage_mismatch(Rician(1.0, 10.0), 1e-4, 10000)\n") == set()
 
 
 def write_sweep_config(path, out, extra="", drop=()):
@@ -321,6 +333,18 @@ class TestSweep:
         res = run_cli("sweep", cfg)
         assert res.returncode == 2
         assert "axis 'k'" in res.stderr
+        assert not out.exists()
+
+    def test_overflowing_scale_is_reported_once(self, tmp_path):
+        # the drawn powers overflow; the finite-rate check says so, numpy does not
+        out = tmp_path / "x.csv"
+        cfg = write_sweep_config(
+            tmp_path / "cfg.txt", out, drop=("lam", "n", "axis_values"),
+            extra="lam = 1e308\nn = 100\naxis_values = 100\n")
+        res = run_cli("sweep", cfg)
+        assert res.returncode == 2
+        assert "non-finite rate" in res.stderr
+        assert "RuntimeWarning" not in res.stderr
         assert not out.exists()
 
 
