@@ -17,7 +17,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
 import scipy.special as _sp
 
 from . import specfun
@@ -80,19 +79,11 @@ def _numeric_mean_outage(model: ChannelModel, eps_n: float, n: int) -> float:
         # G/(G+Z) ~ Beta(m, n m), so the outage is its CDF at g/(n+g)
         return float(_sp.betainc(model.m, n * model.m, g / (n + g)))
 
-    # Rician: 2 sum(X_i)/lam ~ ncchi^2(2n, 2nk), a Poisson(mu = n k)
-    # mixture of chi^2(2n + 2K). Given K the outage P[ncchi^2(2, 2k) <=
-    # (g/n) chi^2(2n + 2K)] is the noncentral F CDF at (g/n)(n + K):
-    # a CDF, so small values keep their relative accuracy. The weights
-    # are normalised over mu +- (12 sqrt(mu) + 30), which cancels the
-    # common rounding of K log(mu) at large mu.
-    mu = n * model.k
-    half = 12.0 * math.sqrt(mu) + 30.0
-    K = np.arange(max(0.0, math.ceil(mu - half)), math.floor(mu + half) + 1.0)
-    w = np.exp(_sp.xlogy(K, mu) - mu - _sp.gammaln(K + 1.0))
-    w /= w.sum()
-    outage = _sp.ncfdtr(2.0, 2.0 * (n + K), 2.0 * model.k, (g / n) * (n + K))
-    return float(np.dot(w, outage))
+    # Rician: 2 sum(X_i)/lam ~ ncchi^2(2n, 2nk), a Poisson(n k) mixture of
+    # chi^2(2n + 2K); given K the outage is the noncentral F CDF at
+    # (g/n)(n + K), so small values keep their relative accuracy
+    return specfun._poisson_mixture(n * model.k, lambda K: _sp.ncfdtr(
+        2.0, 2.0 * (n + K), 2.0 * model.k, (g / n) * (n + K)), math.floor(n * model.k))
 
 
 def _power_law_mean_outage(model: ChannelModel, eps_n: float, n: int) -> float:
@@ -119,12 +110,9 @@ def mean_outage_mismatch(true_model: ChannelModel, eps_n: float, n: int,
 
     method "numeric" averages the outage over the exact sampling
     distribution of the training mean, in closed form: under Rician
-    truth as a sum of about 24 sqrt(n k) + 60 noncentral F CDFs
-    (scipy.special.ncfdtr), so its cost grows as sqrt(n k). Measured
-    with scipy 1.17.1, the Rician value is within 6e-15 relative of the
-    double-Poisson Beta mixture for n <= 1e4, k <= 10 and eps_n down to
-    1e-12, and within 5e-13 of the same sum with 30-digit Poisson weights
-    at n k = 1e6; the weights' rounding grows with n k beyond that.
+    truth as a Poisson(n k) mixture of noncentral F CDFs
+    (scipy.special.ncfdtr), in time growing as sqrt(n k) and bounded
+    memory; specfun._poisson_mixture states its accuracy.
     "power_law" applies a second-order delta-method expansion around
     the power-law tail of the true CDF; "weak_n" is its n -> infinity
     limit with -log(1-x) ~ x, which evaluates the tail at the supplied

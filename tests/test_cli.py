@@ -131,7 +131,7 @@ class TestRate:
                       "--eps", "1e-3", "--beta", "0.05", "--sample", str(p))
         assert res.returncode == 0
         assert "Warning" not in res.stderr
-        assert float(res.stdout) == pytest.approx(1.4427e-300, rel=1e-4)
+        assert float(res.stdout) == pytest.approx(1.4427e-300, rel=1e-4, abs=0)
 
 
 HEAVY_SCIPY = ("scipy.optimize", "scipy.stats", "scipy.integrate")
@@ -187,6 +187,24 @@ class TestColdStart:
             "n = 1000\n"
             f"output = {tmp_path / 'out.csv'}\n")
         assert scipy_loaded_by("mismatch", str(cfg)) == set()
+
+    def test_rician_mismatch_loads_no_heavy_scipy(self, tmp_path):
+        # the numeric meta-probability is the nc_chi2_sf Poisson mixture
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "param = k\n"
+            "param_values = 0.5, 10\n"
+            "selectors = rayleigh-ar, rayleigh-pcr\n"
+            "eps = 1e-4\n"
+            "xi = 1e-2\n"
+            "n = 1000\n"
+            f"output = {tmp_path / 'out.csv'}\n")
+        assert scipy_loaded_by("mismatch", str(cfg)) == set()
+
+    def test_marcum_q1_loads_no_heavy_scipy(self):
+        assert heavy_scipy_loaded(
+            "from statrate.specfun import marcum_q1\n"
+            "marcum_q1(3.0, 4.0)\n") == set()
 
     def test_rician_mean_outage_loads_no_heavy_scipy(self):
         assert heavy_scipy_loaded(
@@ -460,6 +478,22 @@ class TestMismatch:
         res = run_cli("mismatch", str(cfg))
         assert res.returncode == 2
         assert "k must be finite" in res.stderr
+        assert not out.exists()
+
+    def test_poisson_mean_beyond_exact_k_is_usage_error(self, tmp_path):
+        # n k = 1e22: the Rician Poisson sum cannot step in doubles there
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "param = k\n"
+            "param_values = 1e20\n"
+            "selectors = rayleigh-ar\n"
+            "eps = 1e-4\n"
+            "n = 100\n"
+            f"output = {out}\n")
+        res = run_cli("mismatch", str(cfg))
+        assert res.returncode == 2
+        assert "Poisson mean must be below 2^52" in res.stderr
         assert not out.exists()
 
     def test_nakagami_tiny_eps(self, tmp_path):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import runpy
 from pathlib import Path
@@ -41,3 +42,21 @@ def test_traced_names_resolve():
             if not found:
                 missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_src_imports_no_scipy_stats_or_integrate():
+    # their import costs start-up time; scipy.special covers the kernels
+    banned = ("scipy.stats", "scipy.integrate")
+    src = Path(__file__).resolve().parents[1] / "src" / "statrate"
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if any(name == b or name.startswith(b + ".") for b in banned)]
+    assert found == []

@@ -131,6 +131,23 @@ class TestMeanOutageMismatch:
             want = mean_outage_exact_rayleigh(eps_n, n)
             assert abs(got - want) <= 1e-12 * want, (n, eps_n)
 
+    def test_rician_large_n_in_bounded_memory(self):
+        # about 2e6 Poisson terms at n k = 1e10, which must not be held
+        # at once; the value is the one a single-window sum gives
+        tracemalloc.start()
+        try:
+            got = mean_outage_mismatch(Rician(1.0, 10.0), 1e-4, 10**9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == pytest.approx(5.0189959622570326e-08, rel=1e-12, abs=0)
+        assert peak < 1e6
+
+    def test_rician_poisson_mean_beyond_exact_k_is_rejected(self):
+        # n k = 1e22: K + 1 rounds to K there, so the sum cannot step
+        with pytest.raises(ValueError, match="2\\^52"):
+            mean_outage_mismatch(Rician(1.0, 1e20), 1e-4, 100)
+
     def test_weak_n_rician_k0_is_identity(self):
         assert mean_outage_mismatch(Rician(1.0, 0.0), 1e-4, 100,
                                     method="weak_n") == pytest.approx(1e-4, rel=1e-12)
@@ -231,7 +248,7 @@ class TestMetaProbMismatch:
         vals = [meta_prob_mismatch(Rician(lam, 2.0), 5e-4, 1e-3, 50)
                 for lam in (0.1, 1.0, 10.0)]
         for v in vals:
-            assert v == pytest.approx(vals[0], rel=1e-9)
+            assert v == pytest.approx(vals[0], rel=1e-9, abs=0)
 
     def test_rician_underflow_is_zero_in_bounded_memory(self):
         # the true value is below the smallest double; computing that 0

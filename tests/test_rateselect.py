@@ -571,8 +571,8 @@ class TestCalibrate:
             warnings.simplefilter("error")
             got = select_rate(SelectorSpec("powerlaw-asym", beta=beta),
                               ReliabilityTarget(eps), TrainingSample(x))
-        assert got == pytest.approx(math.log1p(math.exp(q)) / math.log(2.0), rel=1e-12)
-        assert got == pytest.approx(1.4427e-300, rel=1e-4)
+        assert got == pytest.approx(math.log1p(math.exp(q)) / math.log(2.0), rel=1e-12, abs=0)
+        assert got == pytest.approx(1.4427e-300, rel=1e-4, abs=0)
 
     def test_powerlaw_single_fit_path_matches_batch_on_clustered_tiny_tail(self):
         # fit_power_tail gives alpha_hat = inf, without a warning, and its
@@ -591,5 +591,5 @@ class TestCalibrate:
             q = fit.z_l + fit.kappa_hat * math.log(x.size * cal.eps_n / fit.l)
             assert fit.alpha_hat == math.inf
             assert q == pytest.approx(math.log(1e-300), rel=1e-9)
-            assert got == pytest.approx(math.log1p(math.exp(q)) / math.log(2.0), rel=1e-14)
-            assert got == pytest.approx(1.4427e-300, rel=1e-4)
+            assert got == pytest.approx(math.log1p(math.exp(q)) / math.log(2.0), rel=1e-14, abs=0)
+            assert got == pytest.approx(1.4427e-300, rel=1e-4, abs=0)

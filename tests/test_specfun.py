@@ -278,7 +278,7 @@ class TestMarcumQ1:
     def test_a_zero_rayleigh_tail(self):
         # Q1(0, b) = exp(-b^2/2) exactly
         for b in [0.1, 1.0, 3.0, 10.0]:
-            assert marcum_q1(0.0, b) == pytest.approx(math.exp(-b * b / 2.0), rel=1e-12)
+            assert marcum_q1(0.0, b) == pytest.approx(math.exp(-b * b / 2.0), rel=1e-12, abs=0)
 
     def test_frozen_value_1_2(self):
         # Four independent oracles agree: quadrature of the Marcum
@@ -300,6 +300,15 @@ class TestMarcumQ1:
         for a, b in [(1.0, 2.0), (0.5, 0.1), (2.0, 2.0), (3.0, 1.0), (5.0, 7.0)]:
             assert marcum_q1(a, b) == pytest.approx(oracle(a, b), rel=1e-8)
 
+    @pytest.mark.parametrize("a", [0.5, 1.0, 3.0, 10.0])
+    def test_mpmath_oracle_contract(self, a):
+        # the documented box: a <= 10, b <= 40, wherever Q1 >= 1e-300,
+        # such as 2.09e-299 at (3, 40)
+        for b in np.linspace(0.0, 40.0, 41):
+            want = TestNcChi2.mp_sf(b * b, 1, a * a)
+            if want >= 1e-300:
+                assert marcum_q1(a, float(b)) == pytest.approx(float(want), rel=1e-12, abs=0), b
+
     def test_scipy_ncx2_cross_check_box(self):
         # contract box a <= 10, b <= 40 wherever representable
         rng = np.random.default_rng(20240813)
@@ -308,7 +317,7 @@ class TestMarcumQ1:
             b = float(rng.uniform(0.0, 40.0))
             ref = float(scipy.stats.ncx2.sf(b * b, 2, a * a)) if a > 0 else math.exp(-b * b / 2)
             if ref > 1e-250:
-                assert marcum_q1(a, b) == pytest.approx(ref, rel=1e-9), (a, b)
+                assert marcum_q1(a, b) == pytest.approx(ref, rel=1e-9, abs=0), (a, b)
 
     def test_complement_consistency(self):
         rng = np.random.default_rng(42)
@@ -328,8 +337,14 @@ class TestMarcumQ1:
             * math.fsum(math.exp(-u) * u**j / math.factorial(j) for j in range(i))
             for i in range(1, 8))
         got = marcum_q1_complement(a, b)
-        assert got == pytest.approx(oracle, rel=1e-9)
+        assert got == pytest.approx(oracle, rel=1e-9, abs=0)
         assert got < 1e-9  # genuinely deep tail
+
+    def test_underflow_is_zero(self):
+        # at b = 1e20 the summand's peak, K ~ 5e19, is past where float K
+        # can step; the weights there underflow, and so does the value
+        for a, b in [(1.0, 1e20), (10.0, 1e3), (1.0, math.inf), (0.0, 40.0)]:
+            assert marcum_q1(a, b) == 0.0
 
     def test_monotone_decreasing_in_b(self):
         bs = np.linspace(0.0, 9.0, 40)
@@ -364,9 +379,20 @@ class TestNcChi2:
             ref_sf = float(scipy.stats.ncx2.sf(x, 2 * half_df, nc))
             ref_cdf = float(scipy.stats.ncx2.cdf(x, 2 * half_df, nc))
             if 1e-280 < ref_sf:
-                assert nc_chi2_sf(x, half_df, nc) == pytest.approx(ref_sf, rel=1e-8)
+                assert nc_chi2_sf(x, half_df, nc) == pytest.approx(ref_sf, rel=1e-8, abs=0)
             if 1e-280 < ref_cdf:
-                assert nc_chi2_cdf(x, half_df, nc) == pytest.approx(ref_cdf, rel=1e-8)
+                assert nc_chi2_cdf(x, half_df, nc) == pytest.approx(ref_cdf, rel=1e-8, abs=0)
+
+    def test_domain_errors(self):
+        for x, half_df, nc in [(-1.0, 1, 1.0), (math.nan, 1, 1.0), (1.0, 1, -1.0),
+                               (1.0, 1, math.inf), (1.0, 1, math.nan), (1.0, 0, 1.0),
+                               (1.0, 1.5, 1.0)]:
+            for f in (nc_chi2_sf, nc_chi2_cdf):
+                with pytest.raises(ValueError):
+                    f(x, half_df, nc)
+        # the Poisson(nc/2) mixture needs exact K: nc/2 below 2^52
+        with pytest.raises(ValueError):
+            nc_chi2_sf(1.0, 1, 2.0 ** 53)
 
     def test_sum_property(self):
         s = nc_chi2_sf(30.0, 10, 12.0) + nc_chi2_cdf(30.0, 10, 12.0)
@@ -377,13 +403,19 @@ class TestNcChi2:
         """P[W > x] at 40 digits: sum_j Pois(j; nc/2) Q(half_df + j, x/2).
 
         The Poisson weights and Erlang tails advance by their exact
-        recurrences over j within 20 sd of nc/2; the mass outside that
-        window is below 1e-80.
+        recurrences over j from 20 sd below nc/2 to 20 sd above
+        max(nc/2, j*), where j* (half_df + j*) = nc x/4 is the peak of
+        weight times Erlang term. The summand rises with j up to about
+        that point (below nc/2 both factors shrink as j falls); in the
+        far upper tail it peaks within a few terms of j* and then decays
+        at least like exp(-d^2 / (2 j*)) at d terms past it. The mass
+        outside the window is below 1e-80 of the sum.
         """
         with mpmath.workdps(40):
             u, v = mpmath.mpf(nc) / 2, mpmath.mpf(x) / 2
+            peak = max(u, (mpmath.sqrt(half_df ** 2 + 4 * u * v) - half_df) / 2)
             j_lo = max(0, int(u - 20 * mpmath.sqrt(u)))
-            j_hi = int(u + 20 * mpmath.sqrt(u)) + 1
+            j_hi = int(peak + 20 * mpmath.sqrt(peak)) + 1
             a = half_df + j_lo
             weight = mpmath.exp(-u + j_lo * mpmath.log(u) - mpmath.loggamma(j_lo + 1))
             tail = mpmath.gammainc(a, v, mpmath.inf, regularized=True)
@@ -396,6 +428,29 @@ class TestNcChi2:
                 erl *= v / a
                 weight *= u / (j + 1)
             return total
+
+    def test_oracle_reaches_far_tail_peak(self):
+        # a window around nc/2 alone misses the summand's peak here and
+        # gives 2.16e-301. Independent oracle: the Bessel series
+        # Q1(a, b) = exp(-(a^2 + b^2)/2) sum_k (a/b)^k I_k(a b), b > a
+        a, b = 3, 40
+        with mpmath.workdps(40):
+            bessel = mpmath.exp(-(a * a + b * b) / 2) * mpmath.nsum(
+                lambda k: (mpmath.mpf(a) / b) ** k * mpmath.besseli(k, a * b), [0, mpmath.inf])
+            series = self.mp_sf(b * b, 1, a * a)
+            assert abs(series - bessel) <= 1e-30 * bessel
+        assert float(series) == pytest.approx(2.09357540356865e-299, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("half_df", [1, 2, 50, 400])
+    @pytest.mark.parametrize("nc", [1.0, 200.0, 2000.0])
+    def test_far_tail_mpmath_oracle(self, half_df, nc):
+        # the upper tail down to 1e-300, where the summand peaks far above nc/2
+        mean = 2.0 * half_df + nc
+        for ratio in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
+            want = self.mp_sf(ratio * mean, half_df, nc)
+            if want >= 1e-300:
+                assert nc_chi2_sf(ratio * mean, half_df, nc) == pytest.approx(
+                    float(want), rel=1e-12, abs=0), ratio
 
     @pytest.mark.parametrize("half_df, k", [(10_000, 1.0), (10_000, 10.0), (100_000, 1.0)])
     def test_large_df_mpmath_oracle(self, half_df, k):
