@@ -160,12 +160,22 @@ class Rician(ChannelModel):
         if not 0.0 <= self.k < math.inf:
             raise ValueError(f"k must be finite and >= 0, got {self.k}")
 
+    def _check_scipy_result(self, values, arg):
+        # scipy's chndtr and chndtrix return nan, not an error, once the
+        # noncentrality 2k passes about 5e10; a nan argument stays nan
+        if np.any(~np.isfinite(values) & ~np.isnan(arg)):
+            raise ValueError(
+                f"the Rician law with k={self.k}, lam={self.lam} is beyond the "
+                "noncentral chi-square range scipy evaluates (non-finite result)")
+        return values
+
     def cdf(self, y):
         # F(y) = 1 - Q1(sqrt(2k), sqrt(2y/lam)), the noncentral
         # chi-square CDF, evaluated directly so the deep lower tail
         # keeps relative accuracy
         y = self._check_y(y)
-        return _as_scalar(_sp.chndtr(2.0 * y / self.lam, 2.0, 2.0 * self.k))
+        return _as_scalar(self._check_scipy_result(
+            _sp.chndtr(2.0 * y / self.lam, 2.0, 2.0 * self.k), y))
 
     def quantile(self, p):
         p = self._check_p(p)
@@ -173,7 +183,8 @@ class Rician(ChannelModel):
             return 0.0
         if self.k == 0.0:
             return -self.lam * math.log1p(-p)
-        return 0.5 * self.lam * float(_sp.chndtrix(p, 2.0, 2.0 * self.k))
+        return 0.5 * self.lam * float(self._check_scipy_result(
+            _sp.chndtrix(p, 2.0, 2.0 * self.k), p))
 
     def sample(self, rng, count):
         count = check_positive_int(count, "count")

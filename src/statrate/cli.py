@@ -323,9 +323,12 @@ def cmd_mismatch(args) -> int:
             selector, target, cal = designs[sel]
             if sel.startswith("rayleigh"):
                 eps_n = cal.eps_n
+                # the exact columns first: where k is too large for them, their
+                # errors name k, while the approximations' alpha = exp(-k)/lam
+                # underflows from k of about 745 on
                 mo_num = mean_outage_mismatch(model, eps_n, n, method="numeric")
-                mo_app = mean_outage_mismatch(model, eps, n, method="weak_n")
                 mp_num = meta_prob_mismatch(model, eps_n, eps, n, method="numeric")
+                mo_app = mean_outage_mismatch(model, eps, n, method="weak_n")
                 mp_ch = meta_prob_mismatch(model, eps_n, eps, n, method="chernoff")
             else:
                 cfg = EvalConfig(model, selector, target, n, trials, seed)

@@ -213,45 +213,6 @@ def _vbar(eps: float, beta: float) -> float:
     return (1.0 - beta + log_ratio * log_ratio) / beta
 
 
-def _nonasym_bound_min(log_ratio: float, l: int, n: int, eps: float,
-                       tau_grid: np.ndarray, inc_beta_grid: np.ndarray) -> float:
-    """min over tau in [eps, 1] of the finite-sample meta-probability bound.
-
-    Splitting {Z_(l) + (log(n eps_n / l)/l) S > F_Z^-1(eps)} at
-    Z_(l) = log tau-quantile gives, for each tau,
-
-        P[Z_(l) > t] + P[S < l log(eps/tau) / log(n eps_n / l)]
-        = 1 - I_tau(l, n+1-l) + P(l-1, l log(eps/tau) / log_ratio)
-
-    (the S-term inequality flips because log(n eps_n / l) < 0). Both
-    summands move oppositely in tau, so the minimum is interior; it is
-    located on a dense log-spaced grid and refined by bounded Brent.
-    """
-    log_eps = math.log(eps)
-    log_tau = np.log(tau_grid)
-    with np.errstate(over="ignore"):
-        args = l * (log_eps - log_tau) / log_ratio
-    erlang_cdf = _sp.gammainc(l - 1.0, args)
-    vals = 1.0 - inc_beta_grid + erlang_cdf
-    j = int(np.argmin(vals))
-
-    def objective(lt: float) -> float:
-        tau = math.exp(lt)
-        a = l * (log_eps - lt) / log_ratio
-        return (1.0 - specfun.reg_inc_beta(float(l), float(n + 1 - l), tau)
-                + specfun.reg_lower_gamma(l - 1.0, a))
-
-    lo = float(log_tau[max(j - 1, 0)])
-    hi = float(log_tau[min(j + 1, log_tau.size - 1)])
-    if hi - lo < 1e-12:
-        return float(vals[j])
-    # imported here, as in specfun: only the non-asymptotic path needs it
-    import scipy.optimize as _opt
-    res = _opt.minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                               options={"xatol": 1e-10})
-    return min(float(vals[j]), float(res.fun))
-
-
 def epsn_powerlaw(target: ReliabilityTarget, n: int, beta: float,
                   mode: str = "asymptotic") -> float:
     """Quantile level for the power-law tail selector.
@@ -262,10 +223,21 @@ def epsn_powerlaw(target: ReliabilityTarget, n: int, beta: float,
     Vbar = (1 - beta + log^2(eps/beta)) / beta, giving
     eps_n = eps * exp(-sqrt(Vbar/n) * Qinv(xi)).
 
-    Non-asymptotic mode (PCR only, needs ceil(beta*n) >= 3): eps_n is
-    the level at which the finite-sample union bound on the
-    meta-probability equals xi. The bound is monotone increasing in
-    eps_n on (0, l/n), so the root is bracketed on log(n eps_n / l).
+    Non-asymptotic mode (PCR only, needs l = ceil(beta*n) >= 3): eps_n
+    is the level at which the finite-sample union bound on the
+    meta-probability equals xi. With u = log(n eps_n / l) < 0, splitting
+    {Z_(l) + (u/l) S > F_Z^-1(eps)} at Z_(l) = log tau-quantile bounds it,
+    for each tau in [eps, 1], by
+
+        f(tau, u) = 1 - I_tau(l, n+1-l) + P(l-1, l log(eps/tau) / u),
+
+    increasing in u. So min over tau of f(tau, u) <= xi exactly when
+    u <= u_tau = l log(eps/tau) / P^-1(l-1, xi - (1 - I_tau(l, n+1-l))),
+    defined where that slack is > 0 (at tau = 1 it is xi), and the
+    root is u* = max over tau of u_tau, eps_n = (l/n) e^u*. The maximum
+    is located on a log-spaced tau grid and three zoom rounds, with
+    scipy's gammaincinv; u* is u_tau at the best point, through the
+    Newton-polished inverse. No root finder is involved.
     """
     if not isinstance(target, ReliabilityTarget):
         raise TypeError("target must be a ReliabilityTarget")
@@ -296,34 +268,29 @@ def epsn_powerlaw(target: ReliabilityTarget, n: int, beta: float,
         return epsn_powerlaw(target, n, beta, mode="asymptotic")
     xi = target.xi
 
-    grid_size = 512
-    tau_grid = np.exp(np.linspace(math.log(eps), 0.0, grid_size))
-    tau_grid[-1] = 1.0
-    inc_beta_grid = _sp.betainc(float(l), float(n + 1 - l), tau_grid)
-
-    def bound(log_ratio: float) -> float:
-        return _nonasym_bound_min(log_ratio, l, n, eps, tau_grid, inc_beta_grid)
-
-    hi = -1e-10
-    b_hi = bound(hi)
-    if b_hi <= xi:
+    a, b = float(l), float(n + 1 - l)
+    log_eps = math.log(eps)
+    lo, hi = log_eps, 0.0
+    for _ in range(4):
+        # 513 points, then 513 across the best one's neighbours: the last
+        # spacing is -log(eps) / 512 / 256^3
+        log_tau = np.linspace(lo, hi, 513)
+        slack = xi - _sp.betaincc(a, b, np.exp(log_tau))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = l * (log_eps - log_tau) / _sp.gammaincinv(l - 1.0, slack)
+        j = int(np.argmax(np.where(slack > 0.0, u, -np.inf)))
+        step = log_tau[1] - log_tau[0]
+        lo, hi = max(log_tau[j] - step, log_eps), min(log_tau[j] + step, 0.0)
+    # slack[j] > 0: at tau = 1 it is xi, and u_1 is finite
+    u_star = l * (log_eps - log_tau[j]) / specfun.inv_reg_lower_gamma(l - 1.0, slack[j])
+    if u_star >= -1e-10:
+        # the supremum, approached as u -> 0, is the tau = eps bound 1 - I_eps
         warnings.warn(
-            f"the finite-sample bound stays below xi={xi} for every "
-            f"eps_n < l/n (supremum {b_hi:.3e}); returning the upper end "
+            f"the finite-sample bound stays below xi={xi} for every eps_n < l/n "
+            f"(supremum {_sp.betaincc(a, b, eps):.3e}); returning the upper end "
             "of the admissible range", RuntimeWarning, stacklevel=2)
-        return (l / n) * math.exp(hi)
-    lo = -1.0
-    for _ in range(60):
-        if bound(lo) < xi:
-            break
-        lo *= 2.0
-    else:
-        raise NoSolutionError(
-            f"finite-sample bound exceeds xi={xi} over the whole range; "
-            f"smallest achievable bound {bound(lo):.6e}")
-    import scipy.optimize as _opt
-    root = _opt.brentq(lambda u: bound(u) - xi, lo, hi, xtol=1e-12, rtol=8.9e-16)
-    return (l / n) * math.exp(float(root))
+        return (l / n) * math.exp(-1e-10)
+    return (l / n) * math.exp(u_star)
 
 
 def _log2_1p(y):

@@ -50,6 +50,17 @@ class TestValidation:
             with pytest.raises(ValueError, match="m"):
                 Nakagami(1.0, bad)
 
+    def test_rician_beyond_scipy_range_raises(self):
+        # scipy's chndtr and chndtrix return nan at noncentrality 2e12
+        model = Rician(1.0, 1e12)
+        for call in (lambda: model.quantile(1e-4), lambda: model.cdf(1e12),
+                     lambda: model.cdf(np.array([1.0, 1e12]))):
+            with pytest.raises(ValueError, match=r"k=1000000000000\.0, lam=1\.0"):
+                call()
+        ok = Rician(1.0, 1e10)
+        assert math.isfinite(ok.quantile(1e-4)) and math.isfinite(ok.cdf(1e10))
+        assert math.isnan(ok.cdf(math.nan))
+
     def test_power_law_tail_positive(self):
         with pytest.raises(ValueError):
             PowerLawTail(0.0, 1.0)

@@ -176,6 +176,11 @@ class TestColdStart:
         assert scipy_loaded_by("epsn", "--family", "rayleigh", "--constraint", "pcr",
                                "--eps", "1e-4", "--xi", "1e-3", "--n", "100") == set()
 
+    def test_powerlaw_nonasym_epsn_loads_no_heavy_scipy(self):
+        assert scipy_loaded_by("epsn", "--family", "powerlaw-nonasym", "--constraint", "pcr",
+                               "--eps", "1e-2", "--xi", "0.05", "--n", "100000",
+                               "--beta", "0.01") == set()
+
     def test_nakagami_mismatch_loads_no_heavy_scipy(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(
@@ -494,6 +499,23 @@ class TestMismatch:
         res = run_cli("mismatch", str(cfg))
         assert res.returncode == 2
         assert "Poisson mean must be below 2^52" in res.stderr
+        assert not out.exists()
+
+    def test_rician_k_beyond_scipy_range_is_usage_error(self, tmp_path):
+        # scipy's Rician quantile is nan at k = 1e11; the error must name k
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "param = k\n"
+            "param_values = 1e11\n"
+            "selectors = rayleigh-ar\n"
+            "eps = 1e-4\n"
+            "n = 1\n"
+            f"output = {out}\n")
+        res = run_cli("mismatch", str(cfg))
+        assert res.returncode == 2
+        assert "k=100000000000.0, lam=1.0" in res.stderr
+        assert "x=nan" not in res.stderr
         assert not out.exists()
 
     def test_nakagami_tiny_eps(self, tmp_path):

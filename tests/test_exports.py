@@ -44,9 +44,9 @@ def test_traced_names_resolve():
     assert missing == []
 
 
-def test_src_imports_no_scipy_stats_or_integrate():
+def test_src_imports_no_heavy_scipy():
     # their import costs start-up time; scipy.special covers the kernels
-    banned = ("scipy.stats", "scipy.integrate")
+    banned = ("scipy.optimize", "scipy.stats", "scipy.integrate")
     src = Path(__file__).resolve().parents[1] / "src" / "statrate"
     found = []
     for path in sorted(src.rglob("*.py")):

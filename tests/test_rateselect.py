@@ -302,6 +302,66 @@ class TestEpsnPowerlawNonAsymptotic:
         assert self._bound_min(0.98 * eps_n, self.L, self.N, self.EPS) < self.XI
         assert self._bound_min(1.02 * eps_n, self.L, self.N, self.EPS) > self.XI
 
+    @staticmethod
+    def _mp_level(eps, xi, n, beta, iters=32):
+        # eps_n = (l/n) e^u* with u* the maximum over log tau of
+        # u_tau = l log(eps/tau) / P^-1(l-1, xi - (1 - I_tau(l, n+1-l))),
+        # at 40 digits: 1 - I_tau is the binomial sum P[Bin(n, tau) <= l-1],
+        # P^-1 a root of mpmath's gammainc, and the maximum a golden-section
+        # search between the neighbours of the best of 100001 double points
+        l = math.ceil(beta * n)
+        with mpmath.workdps(40):
+            log_eps = mpmath.log(eps)
+
+            def u_tau(lt):
+                tau = mpmath.exp(lt)
+                ratio = tau / (1 - tau)
+                term = lower = (1 - tau) ** n
+                for k in range(1, l):
+                    term *= ratio * (n - k + 1) / k
+                    lower += term
+                slack = xi - lower
+                if slack <= 0:
+                    return -mpmath.inf
+                g = mpmath.findroot(
+                    lambda x: mpmath.gammainc(l - 1, 0, x, regularized=True) - slack,
+                    scipy.special.gammaincinv(l - 1, float(slack)))
+                return l * (log_eps - lt) / g
+
+            lt = np.linspace(math.log(eps), 0.0, 100001)
+            slack = xi - (1.0 - scipy.special.betainc(l, n + 1 - l, np.exp(lt)))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                grid = l * (math.log(eps) - lt) / scipy.special.gammaincinv(l - 1, slack)
+            j = int(np.argmax(np.where(slack > 0, grid, -np.inf)))
+            a = mpmath.mpf(lt[max(j - 1, 0)])
+            b = mpmath.mpf(lt[min(j + 1, lt.size - 1)])
+            r = (mpmath.sqrt(5) - 1) / 2
+            c, d = b - r * (b - a), a + r * (b - a)
+            uc, ud = u_tau(c), u_tau(d)
+            for _ in range(iters):
+                if uc >= ud:
+                    b, d, ud = d, c, uc
+                    c = b - r * (b - a)
+                    uc = u_tau(c)
+                else:
+                    a, c, uc = c, d, ud
+                    d = a + r * (b - a)
+                    ud = u_tau(d)
+            return float(mpmath.mpf(l) / n * mpmath.exp(max(uc, ud)))
+
+    @pytest.mark.parametrize("eps, xi, n, beta", [
+        (1e-2, 0.1, 10**5, 0.01),
+        (1e-2, 0.05, 10**5, 0.01),
+        (1e-2, 0.1, 10**4, 0.01),
+        (1e-2, 0.1, 10**3, 0.01),
+        (1e-3, 1e-2, 10**5, 0.05),
+        # tau = 1 leaves slack xi > 0, so u_1 bounds u* below for any xi
+        (1e-2, 1e-12, 10**5, 0.01),
+    ])
+    def test_mpmath_oracle(self, eps, xi, n, beta):
+        got = epsn_powerlaw(ReliabilityTarget(eps, PCR, xi), n, beta, mode="non-asymptotic")
+        assert got == pytest.approx(self._mp_level(eps, xi, n, beta), rel=4e-15, abs=0)
+
     def test_more_conservative_than_asymptotic(self):
         target = ReliabilityTarget(self.EPS, PCR, self.XI)
         nonasym = epsn_powerlaw(target, self.N, self.BETA, mode="non-asymptotic")
