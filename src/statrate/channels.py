@@ -18,6 +18,7 @@ selectors and the mismatch approximations.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ from . import specfun
 from .errors import check_positive_int, check_unit_interval
 
 __all__ = ["ChannelModel", "Rayleigh", "Rician", "Nakagami", "PowerLawTail"]
+
+_LOG_MAX_DOUBLE = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -85,29 +88,21 @@ class ChannelModel:
         """(mean, variance) of Y."""
         raise NotImplementedError
 
-    def log_mgf(self, t: float) -> float:
-        """log E[exp(t Y)] for t < 1/lam; t is not checked here, mgf checks it."""
-        raise NotImplementedError
-
-    def mgf(self, t: float) -> float:
-        """E[exp(t Y)]; defined for t < 1/lam."""
-        return math.exp(self.log_mgf(self._check_t(t)))
-
     def power_law(self) -> PowerLawTail:
-        """Lower-tail power-law coefficients (alpha, kappa)."""
+        """Lower-tail power-law coefficients (alpha, kappa); a ValueError naming
+        the parameters where alpha is no finite positive normal double."""
         raise NotImplementedError
+
+    def _power_law(self, alpha: float, kappa: float) -> PowerLawTail:
+        if not sys.float_info.min <= alpha < math.inf:
+            raise ValueError(f"the power-law tail of {self!r} has alpha = {alpha}, "
+                             "outside the finite positive normal doubles")
+        return PowerLawTail(alpha=alpha, kappa=kappa)
 
     def epsilon_outage_capacity(self, eps: float) -> float:
         """log2(1 + F^{-1}(eps)): the largest rate with outage <= eps."""
         eps = check_unit_interval(eps, "eps")
         return math.log2(1.0 + self.quantile(eps))
-
-    def _check_t(self, t: float) -> float:
-        t = float(t)
-        if not t < 1.0 / self.lam:
-            raise ValueError(
-                f"mgf defined for t < 1/lam = {1.0 / self.lam}, got t = {t}")
-        return t
 
 
 @dataclass(frozen=True)
@@ -143,11 +138,8 @@ class Rayleigh(ChannelModel):
     def moments(self):
         return self.lam, self.lam * self.lam
 
-    def log_mgf(self, t):
-        return -math.log1p(-t * self.lam)
-
     def power_law(self):
-        return PowerLawTail(alpha=1.0 / self.lam, kappa=1.0)
+        return self._power_law(1.0 / self.lam, 1.0)
 
 
 @dataclass(frozen=True)
@@ -202,12 +194,8 @@ class Rician(ChannelModel):
         var = self.lam * self.lam * (1.0 + 2.0 * self.k)
         return mean, var
 
-    def log_mgf(self, t):
-        w = 1.0 - self.lam * t
-        return self.k * self.lam * t / w - math.log(w)
-
     def power_law(self):
-        return PowerLawTail(alpha=math.exp(-self.k) / self.lam, kappa=1.0)
+        return self._power_law(math.exp(-self.k) / self.lam, 1.0)
 
 
 @dataclass(frozen=True)
@@ -234,10 +222,8 @@ class Nakagami(ChannelModel):
     def moments(self):
         return self.m * self.lam, self.m * self.lam * self.lam
 
-    def log_mgf(self, t):
-        return -self.m * math.log1p(-t * self.lam)
-
     def power_law(self):
-        # gamma(m, x)/Gamma(m) ~ x^m / Gamma(m+1) as x -> 0
-        alpha = math.exp(-self.m * math.log(self.lam) - specfun.log_gamma(self.m + 1.0))
-        return PowerLawTail(alpha=alpha, kappa=1.0 / self.m)
+        # gamma(m, x)/Gamma(m) ~ x^m / Gamma(m+1) as x -> 0; math.exp raises past DBL_MAX
+        log_alpha = -self.m * math.log(self.lam) - specfun.log_gamma(self.m + 1.0)
+        alpha = math.exp(log_alpha) if log_alpha <= _LOG_MAX_DOUBLE else math.inf
+        return self._power_law(alpha, 1.0 / self.m)

@@ -323,9 +323,9 @@ def cmd_mismatch(args) -> int:
             selector, target, cal = designs[sel]
             if sel.startswith("rayleigh"):
                 eps_n = cal.eps_n
-                # the exact columns first: where k is too large for them, their
-                # errors name k, while the approximations' alpha = exp(-k)/lam
-                # underflows from k of about 745 on
+                # the exact columns first: where k is too large for them, theirs
+                # is the error reported, not the approximations' (alpha =
+                # exp(-k)/lam is subnormal from k of about 708 on)
                 mo_num = mean_outage_mismatch(model, eps_n, n, method="numeric")
                 mp_num = meta_prob_mismatch(model, eps_n, eps, n, method="numeric")
                 mo_app = mean_outage_mismatch(model, eps, n, method="weak_n")

@@ -8,10 +8,10 @@ fit_ascending_tails in the log domain:
     Z = log Y,  F_Z(z) ~ alpha * exp(z/kappa)   (z -> -inf)
 
     kappa_hat = (1/l) sum_{i<=l} (Z_(l) - Z_(i))
-    alpha_hat = (l/n) exp(-Z_(l)/kappa_hat)
 
-rateselect.Calibration.rates extrapolates the fitted tail to a
-quantile level, typically far below 1/n.
+Anchored at F_Z(Z_(l)) = l/n, the fitted log-quantile at level q is
+Z_(l) + kappa_hat log(n q / l); rateselect.Calibration.rates takes it
+at a level typically far below 1/n.
 """
 
 from __future__ import annotations
@@ -118,11 +118,9 @@ class TrainingSample:
 class TailFit:
     """Fitted lower-tail power law in the log-power domain.
 
-    alpha_hat is inf where it overflows; z_l + kappa_hat log(n q / l),
-    the fitted log-quantile at level q, needs no alpha_hat.
+    z_l + kappa_hat log(n q / l) is the fitted log-quantile at level q.
     """
 
-    alpha_hat: float
     kappa_hat: float
     l: int
     beta: float
@@ -131,16 +129,13 @@ class TailFit:
     def __post_init__(self):
         if not self.kappa_hat >= 0.0:
             raise ValueError(f"kappa_hat must be >= 0, got {self.kappa_hat}")
-        if not self.alpha_hat > 0.0:
-            raise ValueError(f"alpha_hat must be > 0, got {self.alpha_hat}")
 
 
 def fit_ascending_tails(tail: np.ndarray, n: int):
     """Fit the log-domain tail law to each row's l smallest of n values.
 
-    tail is (B, l), each row ascending. Returns (alpha_hat, kappa_hat,
-    z_l), each of shape (B,). alpha_hat is inf, without a warning, where
-    it overflows (tightly clustered tiny tails).
+    tail is (B, l), each row ascending. Returns (kappa_hat, z_l), each
+    of shape (B,); n only enters the error message.
     """
     l = tail.shape[1]
     if l < 2:
@@ -154,11 +149,7 @@ def fit_ascending_tails(tail: np.ndarray, n: int):
     if (kappa <= 0.0).any():
         raise InsufficientTailDataError(
             "degenerate tail: the l smallest values are all identical")
-    with np.errstate(over="ignore"):
-        alpha = (l / n) * np.exp(-z_l / kappa)
-    if not (alpha > 0.0).all():
-        raise ValueError("alpha_hat must be > 0: the fitted tail underflows")
-    return alpha, kappa, z_l
+    return kappa, z_l
 
 
 def fit_power_tail(sample: TrainingSample, beta: float) -> TailFit:
@@ -169,9 +160,8 @@ def fit_power_tail(sample: TrainingSample, beta: float) -> TailFit:
     """
     beta = check_unit_interval(beta, "beta")
     l = _ceil_with_float_guard(beta * sample.n)
-    alpha, kappa, z_l = fit_ascending_tails(sample.smallest(l)[None], sample.n)
-    return TailFit(alpha_hat=float(alpha[0]), kappa_hat=float(kappa[0]), l=l,
-                   beta=beta, z_l=float(z_l[0]))
+    kappa, z_l = fit_ascending_tails(sample.smallest(l)[None], sample.n)
+    return TailFit(kappa_hat=float(kappa[0]), l=l, beta=beta, z_l=float(z_l[0]))
 
 
 def load_sample_file(path) -> TrainingSample:

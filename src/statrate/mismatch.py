@@ -153,11 +153,14 @@ def chernoff_tilt(true_model: ChannelModel, eps_n: float, eps: float,
                   n: int) -> ChernoffSolution:
     """Exponential tilt bound on the meta-probability under mismatch.
 
-    Bounds P[sum X_i > n (eps/alpha)^kappa / g], g = -log(1-eps_n),
-    with the true quantile replaced by its power-law form so the
-    stationarity condition M'(t)/M(t) = (eps/alpha)^kappa / g has a
-    closed-form root (linear for gamma-type models, quadratic for
-    Rician). A non-positive root means the threshold sits below the
+    Bounds P[sum X_i > n thr], thr = (eps/alpha)^kappa / g and
+    g = -log(1-eps_n), with the true quantile replaced by its power-law
+    form. Every model is a noncentral gamma law (k, m) of scale lam:
+    Rician (k, 1), Nakagami (0, m), Rayleigh (0, 1). With w = 1 - lam t
+    its log-MGF is k(1-w)/w - m log w, so the stationarity condition
+    M'(t)/M(t) = thr reads r w^2 - m w - k = 0, r = thr/lam, and w is
+    its positive root. The bound is exp(n (k(1-w)/w - m log w - (1-w) r)).
+    A root w >= 1 (t* <= 0) means the threshold sits at or below the
     mean and the bound degenerates to 1.
     """
     _check_model(true_model)
@@ -165,28 +168,26 @@ def chernoff_tilt(true_model: ChannelModel, eps_n: float, eps: float,
     eps = check_unit_interval(eps, "eps")
     n = check_positive_int(n, "n")
     pl = true_model.power_law()
-    g = -math.log1p(-eps_n)
-    lam = true_model.lam
-    per_sample_thr = (eps / pl.alpha) ** pl.kappa / g  # M'(t*)/M(t*) target
+    k = getattr(true_model, "k", 0.0)
+    m = getattr(true_model, "m", 1.0)
+    thr = (eps / pl.alpha) ** pl.kappa / -math.log1p(-eps_n)
+    r = thr / true_model.lam
+    if not 0.0 < r < math.inf:
+        raise NoValidTiltError(f"degenerate tilt equation (ratio {r})")
+    # (m + sqrt(m^2 + 4 r k)) / (2 r) over sqrt(r), so that r k cannot overflow
+    s = math.sqrt(r)
+    q = 0.5 * m / s
+    w = (q + math.sqrt(q * q + k)) / s
+    t_star = (1.0 - w) / true_model.lam
 
-    if isinstance(true_model, Rician):
-        ratio = per_sample_thr / lam
-        if ratio <= 0.0 or not math.isfinite(ratio):
-            raise NoValidTiltError(f"degenerate tilt equation (ratio {ratio})")
-        w = (1.0 + math.sqrt(1.0 + 4.0 * ratio * true_model.k)) / (2.0 * ratio)
-        t_star = (1.0 - w) / lam
-    else:
-        m = true_model.m if isinstance(true_model, Nakagami) else 1.0
-        t_star = (1.0 - m * lam / per_sample_thr) / lam
-
-    if t_star <= 0.0:
+    if w >= 1.0:
         warnings.warn(
             "optimal tilt is non-positive (threshold at or below the mean); "
             "the exponential bound degenerates to 1", RuntimeWarning,
             stacklevel=2)
         return ChernoffSolution(t_star=t_star, bound_value=1.0)
 
-    log_bound = n * (true_model.log_mgf(t_star) - t_star * per_sample_thr)
+    log_bound = n * (k * (1.0 - w) / w - m * math.log(w) - (1.0 - w) * r)
     if log_bound > 0.0:
         warnings.warn(
             "exponential bound exceeds 1 and was clamped", RuntimeWarning,

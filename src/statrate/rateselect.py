@@ -355,13 +355,10 @@ class Calibration:
         if self.l is not None:
             # log2(1 + x_(l))
             return _log2_1p(tail[:, -1]) if l else np.zeros(tail.shape[0])
-        alpha, kappa, z_l = fit_ascending_tails(np.sort(tail, axis=1), self.n)
-        # fitted log-quantile kappa log(eps_n / alpha); where alpha
-        # overflowed to inf, the equal z_l + kappa log(n eps_n / l)
-        finite = np.isfinite(alpha)
-        log_q = np.where(finite,
-                         kappa * np.log(self.eps_n / np.where(finite, alpha, 1.0)),
-                         z_l + kappa * math.log(self.n * self.eps_n / l))
+        kappa, z_l = fit_ascending_tails(np.sort(tail, axis=1), self.n)
+        # fitted log-quantile; eps_n = 0 (an underflowed level) gives rate 0
+        with np.errstate(divide="ignore"):
+            log_q = z_l + kappa * np.log(self.n * self.eps_n / l)
         return _log2_1p(np.exp(log_q))
 
 

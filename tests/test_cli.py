@@ -2,12 +2,13 @@ import csv
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statrate.cli import _parse_kv_file
+from statrate.cli import _parse_kv_file, main
 from statrate.errors import ConfigError
 
 GOLDEN_SWEEP_HEADER = (
@@ -132,6 +133,31 @@ class TestRate:
         assert res.returncode == 0
         assert "Warning" not in res.stderr
         assert float(res.stdout) == pytest.approx(1.4427e-300, rel=1e-4, abs=0)
+
+    def test_powerlaw_clustered_huge_tail(self, tmp_path):
+        # (l/n) exp(-z_l/kappa) underflows on this tail; the rate reads z_l
+        x = [1e300 * (1.0 + 1e-12 * i) for i in range(1000)]
+        p = tmp_path / "huge.txt"
+        p.write_text("".join(f"{v!r}\n" for v in x))
+        res = run_cli("rate", "--selector", "powerlaw-asym", "--constraint", "ar",
+                      "--eps", "1e-3", "--beta", "0.05", "--sample", str(p))
+        assert res.returncode == 0, res.stderr
+        assert "Warning" not in res.stderr
+        z = [math.log(v) for v in x[:50]]
+        q = z[-1] + (z[-1] - math.fsum(z) / 50) * math.log(1000 * 1e-3 / 50)
+        assert float(res.stdout) == pytest.approx(q / math.log(2.0), rel=1e-12)
+        assert res.stdout.strip() == "9.96578428466e+02"
+
+    def test_underflowed_powerlaw_level_is_zero_rate(self, tmp_path):
+        # l = 3 of n = 300 at xi = 1e-12: eps_n = (l/n) e^u* underflows to 0
+        p = tmp_path / "s300.txt"
+        p.write_text("".join(f"{0.5 + 0.001 * i}\n" for i in range(300)))
+        res = run_cli("rate", "--selector", "powerlaw-nonasym", "--constraint", "pcr",
+                      "--eps", "1e-2", "--xi", "1e-12", "--beta", "0.01", "--sample", str(p))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "0"
+        assert "zero-rate" in res.stderr
+        assert "Warning" not in res.stderr
 
 
 HEAVY_SCIPY = ("scipy.optimize", "scipy.stats", "scipy.integrate")
@@ -518,6 +544,48 @@ class TestMismatch:
         assert "x=nan" not in res.stderr
         assert not out.exists()
 
+    def test_model_power_law_beyond_double_range_is_usage_error(self, tmp_path):
+        # the weak-n and Chernoff columns need the model's alpha; where it is
+        # no finite positive normal double the error names the parameters
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "cfg.txt"
+        cases = (("m", "5", "1e-300", "m=5.0", "alpha = inf"),
+                 ("m", "200", "1.0", "m=200.0", "alpha = 0.0"),
+                 ("k", "1e3", "1.0", "k=1000.0", "alpha = 0.0"))
+        for param, value, lam, name, alpha in cases:
+            cfg.write_text(
+                f"param = {param}\n"
+                f"param_values = {value}\n"
+                f"lam = {lam}\n"
+                "selectors = rayleigh-ar, rayleigh-pcr\n"
+                "eps = 1e-3\n"
+                "xi = 1e-2\n"
+                "n = 100\n"
+                f"output = {out}\n")
+            res = run_cli("mismatch", str(cfg))
+            assert res.returncode == 2, res.stderr
+            assert name in res.stderr and f"lam={float(lam)}" in res.stderr
+            assert alpha in res.stderr
+            assert "Traceback" not in res.stderr
+            assert not out.exists()
+
+    def test_rician_k100_chernoff_column(self, tmp_path):
+        # the tilt once rounded 1 - lam t* to 0 here (ZeroDivisionError)
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "param = k\n"
+            "param_values = 100\n"
+            "selectors = rayleigh-ar, rayleigh-pcr\n"
+            "eps = 1e-3\n"
+            "xi = 1e-2\n"
+            "n = 100\n"
+            f"output = {out}\n")
+        res = run_cli("mismatch", str(cfg))
+        assert res.returncode == 0, res.stderr
+        rows = list(csv.DictReader(out.open()))
+        assert [float(r["meta_prob_chernoff"]) for r in rows] == [0.0, 0.0]
+
     def test_nakagami_tiny_eps(self, tmp_path):
         # the Nakagami quantile at eps = 1e-30 used to end in a traceback
         out = tmp_path / "x.csv"
@@ -545,6 +613,38 @@ class TestMismatch:
             "n = 100\n"
             f"output = {tmp_path / 'x.csv'}\n")
         assert run_cli("mismatch", str(cfg)).returncode == 2
+
+
+_lams = st.sampled_from([1e-300, 1.0, 1e300]) | st.floats(-300.0, 300.0).map(
+    lambda e: 10.0 ** e)
+
+
+class TestMismatchExitContract:
+    # eps stays below 1/e: above it the weak-n column (eps m lam)^m can
+    # overflow for a large Nakagami m although alpha is a normal double
+    @settings(deadline=None, max_examples=60)
+    @given(param=st.sampled_from(["k", "m"]), data=st.data(), lam=_lams,
+           eps=st.floats(1e-8, 0.3), xi=st.floats(1e-8, 0.5),
+           n=st.sampled_from([1, 10, 1000, 10**4]))
+    def test_exit_code_in_contract(self, tmp_path_factory, param, data, lam, eps, xi, n):
+        value = data.draw(st.floats(0.0, 1e4) if param == "k" else st.floats(0.5, 1e3))
+        base = tmp_path_factory.getbasetemp()
+        cfg = base / "mismatch_contract.cfg"
+        cfg.write_text(
+            f"param = {param}\n"
+            f"param_values = {value!r}\n"
+            f"lam = {lam!r}\n"
+            "selectors = rayleigh-ar, rayleigh-pcr\n"
+            f"eps = {eps!r}\n"
+            f"xi = {xi!r}\n"
+            f"n = {n}\n"
+            f"output = {base / 'mismatch_contract.csv'}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["mismatch", str(cfg)])
+        assert code in (0, 2, 3)
+        # the tilt's own degenerate-bound warnings only, none from numpy
+        assert [str(w.message) for w in caught if "encountered" in str(w.message)] == []
 
 
 # config text: no line breaks, no control characters

@@ -60,3 +60,15 @@ def test_src_imports_no_heavy_scipy():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if any(name == b or name.startswith(b + ".") for b in banned)]
     assert found == []
+
+
+def test_readme_python_example_runs(capsys):
+    # the README's library example, as printed there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    rate, meta_prob, omega = map(float, capsys.readouterr().out.split())
+    assert rate > 0.0
+    # the PCR design meets xi = 1e-2 exactly; 10^4 trials give an SE of 1e-3
+    assert abs(meta_prob - 1e-2) <= 4e-3
+    assert 0.0 < omega < 1.0

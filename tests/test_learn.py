@@ -31,6 +31,11 @@ def _rayleigh_scale(values):
     return math.expm1(cal.rates(x[None])[0] * LN2)
 
 
+def _alpha_hat(fit, n):
+    """The fitted tail constant (l/n) exp(-z_l/kappa_hat), from the fit's other fields."""
+    return (fit.l / n) * math.exp(-fit.z_l / fit.kappa_hat)
+
+
 def _log_quantile(values, beta, eps_n):
     """The fitted log-quantile at eps_n that Calibration.rates uses."""
     x = np.asarray(values, dtype=float)
@@ -121,8 +126,8 @@ class TestFitPowerTail:
         assert fit.beta == 0.3
         assert fit.z_l == pytest.approx(2.0, abs=1e-14)
         assert fit.kappa_hat == pytest.approx(1.0, rel=1e-13)
-        assert fit.alpha_hat == pytest.approx(0.3 * math.exp(-2.0), rel=1e-12)
-        assert fit.alpha_hat == pytest.approx(0.0406006, abs=5e-8)
+        assert _alpha_hat(fit, 10) == pytest.approx(0.3 * math.exp(-2.0), rel=1e-12)
+        assert _alpha_hat(fit, 10) == pytest.approx(0.0406006, abs=5e-8)
 
     def test_equals_fit_ascending_tails_on_smallest(self):
         # at seed 18 and l = 499, kappa_hat's last bits depend on the tail's order
@@ -132,8 +137,8 @@ class TestFitPowerTail:
             tail = sample.smallest(l)
             assert fit.l == l
             assert tail.tobytes() == np.sort(sample.values)[:l].tobytes()
-            alpha, kappa, z_l = fit_ascending_tails(tail[None], sample.n)
-            assert (fit.alpha_hat, fit.kappa_hat, fit.z_l) == (alpha[0], kappa[0], z_l[0])
+            kappa, z_l = fit_ascending_tails(tail[None], sample.n)
+            assert (fit.kappa_hat, fit.z_l) == (kappa[0], z_l[0])
 
     def test_rayleigh_truth_recovery(self):
         # Rayleigh{1} lower tail: alpha = 1, kappa = 1
@@ -141,7 +146,7 @@ class TestFitPowerTail:
         fit = fit_power_tail(sample, 0.01)
         assert fit.l == 10**4
         assert abs(fit.kappa_hat - 1.0) < 0.05
-        assert abs(fit.alpha_hat - 1.0) < 0.1
+        assert abs(_alpha_hat(fit, 10**6) - 1.0) < 0.1
 
     def test_scaling_property(self):
         rng = RNG(14)
@@ -150,8 +155,8 @@ class TestFitPowerTail:
         for c in (0.5, 3.7):
             scaled = fit_power_tail(TrainingSample(c * vals), 0.1)
             assert scaled.kappa_hat == pytest.approx(base.kappa_hat, rel=1e-10)
-            assert scaled.alpha_hat == pytest.approx(
-                base.alpha_hat * c ** (-1.0 / base.kappa_hat), rel=1e-9)
+            assert _alpha_hat(scaled, 500) == pytest.approx(
+                _alpha_hat(base, 500) * c ** (-1.0 / base.kappa_hat), rel=1e-9)
 
     def test_ceil_float_guard(self):
         # 0.07 * 100 = 7.000000000000001 in binary; l must still be 7
@@ -185,15 +190,11 @@ class TestFitPowerTail:
 
 class TestTailFitType:
     def test_zero_kappa_allowed(self):
-        TailFit(alpha_hat=1.0, kappa_hat=0.0, l=5, beta=0.1, z_l=0.0)
+        TailFit(kappa_hat=0.0, l=5, beta=0.1, z_l=0.0)
 
     def test_negative_kappa_rejected(self):
         with pytest.raises(ValueError):
-            TailFit(alpha_hat=1.0, kappa_hat=-1e-9, l=5, beta=0.1, z_l=0.0)
-
-    def test_nonpositive_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            TailFit(alpha_hat=0.0, kappa_hat=1.0, l=5, beta=0.1, z_l=0.0)
+            TailFit(kappa_hat=-1e-9, l=5, beta=0.1, z_l=0.0)
 
 
 class TestTailQuantile:
@@ -202,7 +203,7 @@ class TestTailQuantile:
         # beta = 0.3 the fit has alpha_hat = kappa_hat = 1
         x = [0.3 * math.exp(-2.0), 0.3 * math.exp(-1.0), 0.3] + list(range(1, 8))
         fit = fit_power_tail(TrainingSample(x), 0.3)
-        assert fit.alpha_hat == pytest.approx(1.0, rel=1e-14)
+        assert _alpha_hat(fit, 10) == pytest.approx(1.0, rel=1e-14)
         assert fit.kappa_hat == pytest.approx(1.0, rel=1e-14)
         assert _log_quantile(x, 0.3, 1e-3) == pytest.approx(math.log(1e-3), rel=1e-13)
         assert _log_quantile(x, 0.3, 1e-3) == pytest.approx(-6.907755, abs=5e-7)
@@ -221,7 +222,7 @@ class TestTailQuantile:
             x = rng.exponential(size=n)
             fit = fit_power_tail(TrainingSample(x), beta)
             for eps_n in (1e-6, 1e-4, 1e-2, 0.3):
-                direct = fit.kappa_hat * math.log(eps_n / fit.alpha_hat)
+                direct = fit.kappa_hat * math.log(eps_n / _alpha_hat(fit, n))
                 # Z_(l) + (1/l) log(n eps_n / l) sum(Z_(l) - Z_(i))
                 order_form = fit.z_l + fit.kappa_hat * math.log(n * eps_n / fit.l)
                 assert abs(direct - order_form) <= 1e-12 * max(1.0, abs(direct))

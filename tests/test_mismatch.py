@@ -26,6 +26,31 @@ def mp_nakagami_mean_outage(m, eps_n, n):
         return mpmath.betainc(m, n * m, 0, g / (n + g), regularized=True)
 
 
+def mp_chernoff_bound(model, eps_n, eps, n):
+    """The tilt bound exp(n (log M(t*) - t* thr)) to at least 50 digits.
+
+    Every model is a noncentral gamma law (k, m) of scale lam, with MGF
+    M(t) = (1 - lam t)^-m exp(k lam t / (1 - lam t)); t* solves
+    M'(t)/M(t) = thr = (eps/alpha)^kappa / g, g = -log(1-eps_n), and the
+    bound is 1 where t* <= 0.
+    """
+    k = mpmath.mpf(getattr(model, "k", 0))
+    m = mpmath.mpf(getattr(model, "m", 1))
+    lam = mpmath.mpf(model.lam)
+    # 130 working digits: 1 - lam t* cancels up to about 70 of them (k = 300)
+    with mpmath.workdps(130):
+        # alpha = e^-k / Gamma(m+1) / lam^m and kappa = 1/m for all three laws
+        alpha = mpmath.exp(-k) / mpmath.gamma(m + 1) / lam ** m
+        thr = (eps / alpha) ** (1 / m) / -mpmath.log1p(-mpmath.mpf(eps_n))
+        # k lam/(1 - lam t)^2 + m lam/(1 - lam t) = thr: a quadratic in 1 - lam t
+        r = thr / lam
+        t = (1 - (m + mpmath.sqrt(m * m + 4 * r * k)) / (2 * r)) / lam
+        if t <= 0:
+            return mpmath.mpf(1)
+        log_mgf = k * lam * t / (1 - lam * t) - m * mpmath.log(1 - lam * t)
+        return mpmath.exp(n * (log_mgf - t * thr))
+
+
 def rician_mixture_mean_outage(k, eps_n, n):
     """Rician mean outage as the double-Poisson Beta mixture
     sum_j sum_i Pois(j; k) Pois(i; n k) I_x(1+j, n+i), x = g/(n+g):
@@ -316,6 +341,32 @@ class TestChernoffTilt:
             sol = chernoff_tilt(Nakagami(1.0, 1.0), eps_n, 1e-3, n)
         assert sol.t_star <= 0.0
         assert sol.bound_value == 1.0
+
+    def test_mpmath_oracle(self):
+        # at k >= 80 the Rician tilt once rounded 1 - lam t* to 0
+        checked = 0
+        for lam in (0.5, 1.0, 3.0):
+            models = ([Rayleigh(lam)]
+                      + [Rician(lam, k) for k in (0.5, 1.0, 2.5, 10.0, 100.0, 300.0)]
+                      + [Nakagami(lam, m) for m in (0.5, 1.5, 3.0, 10.0)])
+            for model in models:
+                for n in (10, 10**4):
+                    for eps in (1e-2, 1e-3, 1e-5):
+                        levels = [epsn_rayleigh_ar(eps, n)] + [
+                            epsn_rayleigh_pcr(eps, xi, n) for xi in (1e-2, 1e-6)]
+                        for eps_n in levels:
+                            want = mp_chernoff_bound(model, eps_n, eps, n)
+                            with warnings.catch_warnings():
+                                warnings.simplefilter("ignore", RuntimeWarning)
+                                got = chernoff_tilt(model, eps_n, eps, n).bound_value
+                            if want >= 1e-300:
+                                assert got == pytest.approx(float(want), rel=1e-12, abs=0), (
+                                    model, n, eps, eps_n)
+                                checked += want < 1.0
+                            else:
+                                # at underflow: compared absolutely
+                                assert got < 1e-300, (model, n, eps, eps_n)
+        assert checked >= 100
 
     def test_model_validation(self):
         with pytest.raises(TypeError):

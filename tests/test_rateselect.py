@@ -513,8 +513,9 @@ class TestSelectRate:
         got = select_rate(SelectorSpec("powerlaw-asym", beta=0.05), ReliabilityTarget(1e-3), s)
         assert got == _rate("powerlaw-asym", s.values, beta=0.05, eps_n=1e-3)
         fit = fit_power_tail(s, 0.05)
+        alpha_hat = (fit.l / s.n) * math.exp(-fit.z_l / fit.kappa_hat)
         assert got == pytest.approx(math.log1p(math.exp(
-            fit.kappa_hat * math.log(1e-3 / fit.alpha_hat))) / math.log(2.0), rel=1e-13)
+            fit.kappa_hat * math.log(1e-3 / alpha_hat))) / math.log(2.0), rel=1e-13)
 
     def test_all_families_produce_finite_rates(self):
         s = TrainingSample(RNG(31).exponential(size=10**4))
@@ -635,8 +636,8 @@ class TestCalibrate:
         assert got == pytest.approx(1.4427e-300, rel=1e-4, abs=0)
 
     def test_powerlaw_single_fit_path_matches_batch_on_clustered_tiny_tail(self):
-        # fit_power_tail gives alpha_hat = inf, without a warning, and its
-        # z_l-based log-quantile is the one Calibration.rates takes
+        # alpha_hat = (l/n) exp(-z_l/kappa_hat) overflows to inf on this
+        # tail; the z_l-based log-quantile is the one Calibration.rates takes
         x = 1e-300 * (1.0 + 1e-12 * np.arange(1000))
         beta = 0.05
         cases = ((SelectorSpec("powerlaw-asym", beta=beta), ReliabilityTarget(1e-3)),
@@ -649,7 +650,9 @@ class TestCalibrate:
                 fit = fit_power_tail(TrainingSample(x), beta)
                 got = cal.rates(x[None])[0]
             q = fit.z_l + fit.kappa_hat * math.log(x.size * cal.eps_n / fit.l)
-            assert fit.alpha_hat == math.inf
+            with np.errstate(over="ignore"):
+                alpha_hat = (fit.l / x.size) * np.exp(-fit.z_l / fit.kappa_hat)
+            assert alpha_hat == math.inf
             assert q == pytest.approx(math.log(1e-300), rel=1e-9)
             assert got == pytest.approx(math.log1p(math.exp(q)) / math.log(2.0), rel=1e-14, abs=0)
             assert got == pytest.approx(1.4427e-300, rel=1e-4, abs=0)
