@@ -28,10 +28,16 @@ Draws on Rayleigh truth. Rayleigh powers are y = -lam log1p(-u) of
 uniforms u, a non-decreasing map, so the l smallest powers are the
 images of the l smallest uniforms. On Rayleigh truth trial_outcomes
 draws each block's uniforms from its stream into one reused buffer;
-for a selector that reads a tail (Calibration.tail_size) it partitions
-them in place and maps only the l smallest, for a mean-based selector
-it maps them all. Other truths take trial_block. Either way the rates
-and outages are those of trial_block's samples, byte for byte, so
+a mean-based selector gets them all mapped. For a selector that reads
+a tail of l = Calibration.tail_size values, the l smallest of a row
+lie below t = betainccinv(l, n + 1 - l, 1e-9), the point the l-th
+smallest of n uniforms passes with probability 1e-9. Where t keeps at
+most 1/50 of a row, only the values below t are partitioned; a block
+with a row short of l of them is partitioned whole, as is every block
+where t is larger. Other truths take trial_block, partitioned whole.
+The tails of whole blocks fill a buffer of at most _BLOCK_VALUES
+values, which is mapped and rated at once. Either way the rates and
+outages are those of trial_block's samples, byte for byte, so
 trial_block still reproduces any trial.
 """
 
@@ -44,6 +50,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.special as _sp
 
 from . import specfun
 from .channels import ChannelModel, Nakagami, Rayleigh, Rician
@@ -71,6 +78,12 @@ _Z95 = abs(specfun.std_normal_quantile(0.025))
 
 # values drawn from one block's stream; a block is about 0.5 MB of float64
 _BLOCK_VALUES = 2**16
+# a row of a block holds fewer than l uniforms below the pre-filter
+# threshold with this probability; such a block is partitioned whole
+_PREFILTER_MISS = 1e-9
+# filtering pays while the threshold keeps at most this share of a row
+# (measured: up to about 1/35 in one-row blocks, 1/50 in blocks of many rows)
+_PREFILTER_MAX_SHARE = 1 / 50
 
 
 @dataclass(frozen=True)
@@ -158,6 +171,66 @@ def _wilson_ci(successes: int, t: int) -> Estimate:
     return Estimate(p, max(center - half, 0.0), min(center + half, 1.0))
 
 
+def _blocks(config: EvalConfig, axis_index: int):
+    """(lo, hi, block) for the blocks of config's trials, in order.
+
+    On Rayleigh truth a block is its uniforms, drawn into one reused
+    buffer; other truths give trial_block's powers.
+    """
+    n, trials = config.n, config.trials
+    rows = block_rows(n)
+    uniform = isinstance(config.true_model, Rayleigh)
+    buffer = np.empty((rows, n)) if uniform else None
+    for lo in range(0, trials, rows):
+        hi = min(lo + rows, trials)
+        if uniform:
+            # a partial block draws only its rows: the same stream prefix
+            block = buffer[:hi - lo]
+            _block_rng(config.seed, axis_index, lo // rows).random(out=block)
+        else:
+            # Rician draws two normal streams of rows*n values each, so
+            # a partial block is cut from a whole one
+            block = trial_block(config.true_model, n, config.seed, axis_index,
+                                lo // rows)[:hi - lo]
+        yield lo, hi, block
+
+
+def _prefilter_threshold(n: int, l: int) -> float | None:
+    """The uniform below which a row's l smallest of n values lie but for
+    probability _PREFILTER_MISS, or None where filtering does not pay."""
+    t = float(_sp.betainccinv(l, n + 1 - l, _PREFILTER_MISS))
+    return t if t <= _PREFILTER_MAX_SHARE else None
+
+
+def _smallest(block: np.ndarray, l: int, t: float | None) -> np.ndarray:
+    """Each row's l smallest values, the l-th smallest in the last column.
+
+    With a threshold t only the values below t are partitioned, in rows
+    padded with inf; a block where some row has fewer than l of them,
+    or no t, is partitioned whole, in place.
+    """
+    rows, n = block.shape
+    if t is not None and rows == 1:
+        # one row needs no padding and no row index
+        kept = block[block < t]
+        if kept.size >= l:
+            kept.partition(l - 1)
+            return kept[None, :l]
+    elif t is not None:
+        found = np.flatnonzero(block < t)
+        row = found // n
+        counts = np.bincount(row, minlength=rows)
+        if counts.min() >= l:
+            kept = np.full((rows, counts.max()), np.inf)
+            # the column of each value within its row's run of found indices
+            kept[row, np.arange(found.size) - (np.cumsum(counts) - counts)[row]] = \
+                block.reshape(-1)[found]
+            kept.partition(l - 1, axis=1)
+            return kept[:, :l]
+    block.partition(l - 1, axis=1)
+    return block[:, :l]
+
+
 def trial_outcomes(config: EvalConfig, axis_index: int = 0):
     """Per-trial (rates, outages) arrays of length config.trials.
 
@@ -175,34 +248,34 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0):
         raise ValueError(f"axis_index must be in [0, 2^32), got {axis_index}")
     n, trials = int(config.n), int(config.trials)
     model = config.true_model
+    uniform = isinstance(model, Rayleigh)
     calibration = calibrate(config.selector, config.target, n)
     tail = calibration.tail_size
+    rates = np.empty(trials)
     if tail == 0:
-        rates = calibration.tail_rates(np.empty((trials, 0)))
-    else:
-        rows = block_rows(n)
-        uniform = isinstance(model, Rayleigh)
-        buffer = np.empty((rows, n)) if uniform else None
-        rates = np.empty(trials)
-        for lo in range(0, trials, rows):
-            hi = min(lo + rows, trials)
+        rates[:] = calibration.tail_rates(np.empty((trials, 0)))
+    elif tail is None:
+        for lo, hi, block in _blocks(config, axis_index):
             if uniform:
-                # a partial block draws only its rows: the same stream prefix
-                block = buffer[:hi - lo]
-                _block_rng(config.seed, axis_index, lo // rows).random(out=block)
-            else:
-                # Rician draws two normal streams of rows*n values each, so
-                # a partial block is cut from a whole one
-                block = trial_block(model, n, config.seed, axis_index, lo // rows)[:hi - lo]
-            if tail is not None:
-                block.partition(tail - 1, axis=1)
-                block = block[:, :tail]
-            if uniform:
-                # mapped in contiguous memory, as trial_block maps, for the same
-                # bytes; an overflow to inf is reported by the finite-rate check
+                # an overflow to inf is reported by the finite-rate check
                 with np.errstate(over="ignore"):
-                    block = model.from_uniforms(np.ascontiguousarray(block))
+                    block = model.from_uniforms(block)
             rates[lo:hi] = calibration.tail_rates(block)
+    else:
+        t = _prefilter_threshold(n, tail) if uniform else None
+        # the tails of whole blocks are kept in one buffer and rated together
+        rows = block_rows(n)
+        batch = max(1, _BLOCK_VALUES // (rows * tail)) * rows
+        kept = np.empty((min(batch, trials), tail))
+        for lo, hi, block in _blocks(config, axis_index):
+            start = lo - lo % batch
+            kept[lo - start:hi - start] = _smallest(block, tail, t)
+            if hi - start == batch or hi == trials:
+                tails = kept[:hi - start]
+                if uniform:
+                    with np.errstate(over="ignore"):
+                        tails = model.from_uniforms(tails)
+                rates[start:hi] = calibration.tail_rates(tails)
     if not np.isfinite(rates).all():
         raise ValueError(f"non-finite rate: the drawn powers overflow at lam={model.lam}")
     # conditional outage is an exact CDF value, not a simulated rate

@@ -17,6 +17,7 @@ at a level typically far below 1/n.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -170,10 +171,26 @@ def load_sample_file(path) -> TrainingSample:
     Everything from a `#` to the end of its line is a comment; blank
     lines are ignored. Any unparsable or negative entry raises
     SampleParseError carrying the 1-based line number.
+
+    A seekable file is parsed by numpy's C reader, whose values are
+    float()'s, byte for byte. Where that fails, finds more than one
+    value on a line, or gives no value or one that is non-finite or
+    negative, the file is read again line by line to name the line.
     """
     path = Path(path)
     values = []
     with path.open("r", encoding="utf-8") as fh:
+        if fh.seekable():
+            try:
+                with warnings.catch_warnings():
+                    # an empty file is reported by the line loop
+                    warnings.simplefilter("ignore", UserWarning)
+                    parsed = np.loadtxt(fh, comments="#", ndmin=2)
+                if parsed.shape[1] == 1:
+                    return TrainingSample(parsed[:, 0])
+            except ValueError:
+                pass
+            fh.seek(0)
         for line_no, line in enumerate(fh, start=1):
             text = line.partition("#")[0].strip()
             if not text:

@@ -88,20 +88,26 @@ def _numeric_mean_outage(model: ChannelModel, eps_n: float, n: int) -> float:
 
 def _power_law_mean_outage(model: ChannelModel, eps_n: float, n: int) -> float:
     # second-order delta method on E[alpha (g Xbar)^(1/kappa)]
-    pl = model.power_law()
+    kappa = model.power_law().kappa
     mean, var = model.moments()
-    g = -math.log1p(-eps_n)
-    inv_k = 1.0 / pl.kappa
-    lead = pl.alpha * (g * mean) ** inv_k
-    correction = 1.0 + (1.0 - pl.kappa) / (2.0 * n * pl.kappa * pl.kappa) * var / (mean * mean)
+    lead = _weak_n_mean_outage(model, -math.log1p(-eps_n))
+    correction = 1.0 + (1.0 - kappa) / (2.0 * n * kappa * kappa) * var / (mean * mean)
     return lead * correction
 
 
 def _weak_n_mean_outage(model: ChannelModel, level: float) -> float:
-    # n -> infinity limit with -log(1-x) ~ x: alpha (level E[X])^(1/kappa)
+    # n -> infinity limit with -log(1-x) ~ x: alpha (level E[X])^(1/kappa).
+    # The power alone can pass the largest double where the product is
+    # finite, so it is taken as the square of its root: alpha is at least
+    # the smallest normal double, so where that root overflows the
+    # product is past the largest double too.
     pl = model.power_law()
     mean, _ = model.moments()
-    return pl.alpha * (level * mean) ** (1.0 / pl.kappa)
+    try:
+        root = (level * mean) ** (0.5 / pl.kappa)
+    except OverflowError:
+        return math.inf
+    return pl.alpha * root * root
 
 
 def mean_outage_mismatch(true_model: ChannelModel, eps_n: float, n: int,

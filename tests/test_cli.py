@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -603,6 +604,32 @@ class TestMismatch:
         assert float(row["meta_prob_numeric"]) == 0.0
         assert 0.0 < float(row["mean_outage_numeric"]) < 1e-30
 
+    def test_weak_n_column_where_its_power_overflows(self, tmp_path):
+        # (eps m lam)^m passes the largest double at m = 170, eps = 0.7369,
+        # while alpha (eps m lam)^m = (eps m)^m / Gamma(m + 1) is about 6e49;
+        # at m = 1000, lam = 0.0054, eps = 0.99 the product itself is past it
+        with mpmath.workdps(40):
+            finite = float((mpmath.mpf(0.7369) * 170) ** 170 / mpmath.factorial(170))
+        for lam, m, eps, xi, want in ((1.0, 170, 0.7369, 1.2e-7, finite),
+                                      (0.0054, 1000, 0.99, 0.1, math.inf)):
+            out = tmp_path / "x.csv"
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(
+                "param = m\n"
+                f"param_values = {m}\n"
+                f"lam = {lam}\n"
+                "selectors = rayleigh-ar, rayleigh-pcr\n"
+                f"eps = {eps}\n"
+                f"xi = {xi}\n"
+                "n = 1000\n"
+                f"output = {out}\n")
+            res = run_cli("mismatch", str(cfg))
+            assert res.returncode == 0, res.stderr
+            rows = list(csv.DictReader(out.open()))
+            assert len(rows) == 2
+            # the column prints 12 digits; the value is within 2e-14 of the oracle
+            assert [row["mean_outage_approx"] for row in rows] == [f"{want:.11e}"] * 2
+
     def test_unknown_selector(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(
@@ -620,11 +647,9 @@ _lams = st.sampled_from([1e-300, 1.0, 1e300]) | st.floats(-300.0, 300.0).map(
 
 
 class TestMismatchExitContract:
-    # eps stays below 1/e: above it the weak-n column (eps m lam)^m can
-    # overflow for a large Nakagami m although alpha is a normal double
     @settings(deadline=None, max_examples=60)
     @given(param=st.sampled_from(["k", "m"]), data=st.data(), lam=_lams,
-           eps=st.floats(1e-8, 0.3), xi=st.floats(1e-8, 0.5),
+           eps=st.floats(1e-8, 0.99), xi=st.floats(1e-8, 0.5),
            n=st.sampled_from([1, 10, 1000, 10**4]))
     def test_exit_code_in_contract(self, tmp_path_factory, param, data, lam, eps, xi, n):
         value = data.draw(st.floats(0.0, 1e4) if param == "k" else st.floats(0.5, 1e3))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betaincc
 
 from statrate.channels import Nakagami, Rayleigh, Rician
 from statrate import evalmc
@@ -20,6 +21,7 @@ from statrate.learn import TrainingSample
 from statrate.mismatch import mean_outage_exact_rayleigh, meta_prob_exact_rayleigh
 from statrate.rateselect import (
     PCR,
+    Calibration,
     ReliabilityTarget,
     SelectorSpec,
     calibrate,
@@ -372,6 +374,101 @@ class TestTailPath:
                 tail_before = tail.tobytes()
                 assert cal.tail_rates(tail).tobytes() == cal.rates(samples).tobytes()
                 assert tail.tobytes() == tail_before
+
+    @staticmethod
+    def _spy_smallest(monkeypatch):
+        # per block: (was a threshold given, did the block stay as drawn with
+        # the tail taken from another array), i.e. no full row was partitioned
+        calls = []
+        real = evalmc._smallest
+
+        def spy(block, l, t):
+            drawn = block.tobytes()
+            tail = real(block, l, t)
+            calls.append((t is not None,
+                          block.tobytes() == drawn and not np.shares_memory(tail, block)))
+            return tail
+
+        monkeypatch.setattr(evalmc, "_smallest", spy)
+        return calls
+
+    def _outcomes_equal_full_blocks(self, cfg, axis_index=3):
+        # the calibration trial_outcomes uses, which a test may patch
+        want = _full_block_outcomes(cfg, axis_index,
+                                    evalmc.calibrate(cfg.selector, cfg.target, cfg.n))
+        got = trial_outcomes(cfg, axis_index=axis_index)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("family,beta,n,trials,tail", [
+        ("powerlaw-asym", 0.01, 10**5, 3, 1000),
+        ("nonparametric", None, 10**5, 3, 960),
+        # six rows a block, the last block partial (6, 6, 6, 2 rows)
+        ("nonparametric", None, 10**4, 20, 87),
+        ("powerlaw-nonasym", 0.01, 10**4, 20, 100),
+    ])
+    def test_filtered_regime_partitions_no_full_row(self, monkeypatch, family, beta,
+                                                    n, trials, tail):
+        cfg = _cfg(family=family, beta=beta, eps=1e-2, kind=PCR, xi=0.1, n=n,
+                   trials=trials, seed=68)
+        assert calibrate(cfg.selector, cfg.target, n).tail_size == tail
+        assert evalmc._prefilter_threshold(n, tail) is not None
+        calls = self._spy_smallest(monkeypatch)
+        self._outcomes_equal_full_blocks(cfg)
+        assert calls == [(True, True)] * -(-trials // block_rows(n))
+
+    def test_skipped_regime_partitions_whole_blocks(self, monkeypatch):
+        # l = 500 of n = 1e4: the threshold keeps about 6% of a row
+        cfg = _cfg(family="powerlaw-asym", beta=0.05, eps=1e-2, kind=PCR, xi=0.1,
+                   n=10**4, trials=20, seed=69)
+        assert evalmc._prefilter_threshold(10**4, 500) is None
+        calls = self._spy_smallest(monkeypatch)
+        self._outcomes_equal_full_blocks(cfg)
+        assert calls == [(False, False)] * 4
+
+    def test_tail_of_every_value(self, monkeypatch):
+        # l = n: the l-th smallest is each row's maximum
+        n = 50
+        cal = Calibration(SelectorSpec("nonparametric"), n, l=n)
+        monkeypatch.setattr(evalmc, "calibrate", lambda *args: cal)
+        self._outcomes_equal_full_blocks(
+            _cfg(family="nonparametric", n=n, trials=2000, seed=70))
+
+    # at miss probability 1/2 the threshold is the median of the l-th smallest;
+    # at 1/10 a block of six rows has no short row with probability 0.9^6
+    @pytest.mark.parametrize("n,trials,miss", [(10**5, 12, 0.5), (10**4, 60, 0.1)])
+    def test_blocks_short_of_candidates_fall_back(self, monkeypatch, n, trials, miss):
+        monkeypatch.setattr(evalmc, "_PREFILTER_MISS", miss)
+        cfg = _cfg(family="nonparametric", eps=1e-2, kind=PCR, xi=0.1, n=n,
+                   trials=trials, seed=71)
+        calls = self._spy_smallest(monkeypatch)
+        self._outcomes_equal_full_blocks(cfg)
+        assert {filtered for _, filtered in calls} == {True, False}
+        assert all(given for given, _ in calls)
+
+    def test_threshold_misses_with_the_stated_probability(self):
+        for n, l in ((10**5, 1000), (10**4, 87), (2000, 2)):
+            t = evalmc._prefilter_threshold(n, l)
+            assert t <= evalmc._PREFILTER_MAX_SHARE
+            # P[U_(l) > t] for the l-th smallest of n uniforms, U_(l) ~ Beta(l, n + 1 - l)
+            assert betaincc(l, n + 1 - l, t) == pytest.approx(evalmc._PREFILTER_MISS,
+                                                              rel=1e-6)
+        assert evalmc._prefilter_threshold(10**4, 500) is None
+        assert evalmc._prefilter_threshold(50, 50) is None
+
+    def test_tails_of_many_blocks_are_rated_together(self, monkeypatch):
+        # a block keeps 6 rows of 87 values: a buffer of 2^16 values holds 125 blocks
+        cfg = _cfg(family="nonparametric", eps=1e-2, kind=PCR, xi=0.1, n=10**4,
+                   trials=1600, seed=72)
+        batches = []
+        real = Calibration.tail_rates
+        monkeypatch.setattr(Calibration, "tail_rates",
+                            lambda self, tail: batches.append(tail.shape) or real(self, tail))
+        rates, _ = trial_outcomes(cfg)
+        monkeypatch.setattr(Calibration, "tail_rates", real)
+        assert batches == [(750, 87), (750, 87), (100, 87)]
+        want, _ = _full_block_outcomes(cfg, 0, calibrate(cfg.selector, cfg.target, 10**4))
+        assert rates.tobytes() == want.tobytes()
 
 
 class TestSweep:

@@ -303,6 +303,37 @@ class TestLoadSampleFile:
             load_sample_file(p)
         assert exc.value.line_no is None
 
+    def test_values_are_floats_of_each_line_byte_for_byte(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(73)
+        texts = [repr(v) for v in
+                 (rng.exponential(size=2000) * 10.0 ** rng.integers(-320, 300, 2000)).tolist()]
+        texts += ["0", "-0", "-0.0", "5.", "+.5", " 2e-3 ", "1e-400", "4.9e-324", "1" * 30,
+                  "0.1000000000000000055511151231257827", "1.7976931348623157e308"]
+        p = tmp_path / "s.txt"
+        p.write_text("# mixed forms\n" + "\n".join(texts) + "\n")
+        want = np.array([float(t) for t in texts])
+        assert load_sample_file(p).values.tobytes() == want.tobytes()
+        # the line loop alone gives the same bytes
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: np.zeros((0, 2)))
+        assert load_sample_file(p).values.tobytes() == want.tobytes()
+
+    def test_forms_only_float_reads(self, tmp_path):
+        # numpy's reader refuses underscores; float() takes them
+        p = tmp_path / "s.txt"
+        p.write_text("1_000\n2.5\n1_0.0_1\n")
+        assert load_sample_file(p).values.tolist() == [1000.0, 2.5, 10.01]
+
+    @pytest.mark.parametrize("text,line_no", [
+        ("1.0\n0x10\n", 2), ("0x1p3\n2.0\n", 1), ("1.0\n2.0\nnan\n", 3),
+        ("1.0\nNaN # comment\n", 2), ("1 2\n", 1), ("1 2\n3 4\n", 1), ("1.0\n2 3\n4\n", 2),
+        ("0.5\n1e400\n", 2)])
+    def test_hex_nan_and_two_values_on_a_line_name_the_line(self, tmp_path, text, line_no):
+        p = tmp_path / "s.txt"
+        p.write_text(text)
+        with pytest.raises(SampleParseError) as exc:
+            load_sample_file(p)
+        assert exc.value.line_no == line_no
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_sample_file(tmp_path / "absent.txt")

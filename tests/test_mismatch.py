@@ -190,6 +190,24 @@ class TestMeanOutageMismatch:
             math.sqrt(0.5) / math.gamma(1.5) * math.sqrt(1e-4), rel=1e-12)
         assert got == pytest.approx(7.979e-3, abs=5e-7)
 
+    @pytest.mark.parametrize("m,lam,level", [(170.0, 1.0, 0.7369), (150.0, 0.5, 0.9),
+                                             (0.5, 1e150, 1e-4), (3.0, 1e-100, 1e-6)])
+    def test_weak_n_and_power_law_where_the_power_overflows(self, m, lam, level):
+        # (level m lam)^m can pass the largest double where the product,
+        # (level m)^m / Gamma(m + 1) for Nakagami, is finite
+        model = Nakagami(lam, m)
+        with mpmath.workdps(40):
+            want = float((mpmath.mpf(level) * m) ** m / mpmath.gamma(m + 1))
+        assert mean_outage_mismatch(model, level, 100, method="weak_n") == pytest.approx(
+            want, rel=1e-13, abs=0)
+        g = -math.log1p(-level)
+        with mpmath.workdps(40):
+            lead = float((mpmath.mpf(g) * m) ** m / mpmath.gamma(m + 1))
+        # 1 + (1 - kappa) / (2 n kappa^2) var / mean^2, kappa = 1/m and var / mean^2 = 1/m
+        correction = 1.0 + (1.0 - 1.0 / m) * m / (2.0 * 100)
+        assert mean_outage_mismatch(model, level, 100, method="power_law") == pytest.approx(
+            lead * correction, rel=1e-13, abs=0)
+
     def test_weak_n_scale_free(self):
         for lam in (0.1, 1.0, 10.0):
             got = mean_outage_mismatch(Rician(lam, 3.0), 1e-4, 100, method="weak_n")
