@@ -22,7 +22,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as _sp
 
 from . import specfun
 from .errors import check_positive_int, check_unit_interval
@@ -167,7 +166,7 @@ class Rician(ChannelModel):
         # keeps relative accuracy
         y = self._check_y(y)
         return _as_scalar(self._check_scipy_result(
-            _sp.chndtr(2.0 * y / self.lam, 2.0, 2.0 * self.k), y))
+            specfun.special().chndtr(2.0 * y / self.lam, 2.0, 2.0 * self.k), y))
 
     def quantile(self, p):
         p = self._check_p(p)
@@ -176,7 +175,7 @@ class Rician(ChannelModel):
         if self.k == 0.0:
             return -self.lam * math.log1p(-p)
         return 0.5 * self.lam * float(self._check_scipy_result(
-            _sp.chndtrix(p, 2.0, 2.0 * self.k), p))
+            specfun.special().chndtrix(p, 2.0, 2.0 * self.k), p))
 
     def sample(self, rng, count):
         count = check_positive_int(count, "count")
@@ -210,7 +209,7 @@ class Nakagami(ChannelModel):
 
     def cdf(self, y):
         y = self._check_y(y)
-        return _as_scalar(_sp.gammainc(self.m, y / self.lam))
+        return _as_scalar(specfun.special().gammainc(self.m, y / self.lam))
 
     def quantile(self, p):
         p = self._check_p(p)

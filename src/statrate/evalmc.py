@@ -46,11 +46,9 @@ from __future__ import annotations
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.special as _sp
 
 from . import specfun
 from .channels import ChannelModel, Nakagami, Rayleigh, Rician
@@ -74,7 +72,7 @@ logger = logging.getLogger(__name__)
 SWEEP_AXES = ("n", "k", "m", "epsilon", "xi", "beta")
 
 _LN2 = math.log(2.0)
-_Z95 = abs(specfun.std_normal_quantile(0.025))
+_Z95 = 1.9599639845400545  # -ndtri(0.025), the 97.5% normal quantile
 
 # values drawn from one block's stream; a block is about 0.5 MB of float64
 _BLOCK_VALUES = 2**16
@@ -198,7 +196,7 @@ def _blocks(config: EvalConfig, axis_index: int):
 def _prefilter_threshold(n: int, l: int) -> float | None:
     """The uniform below which a row's l smallest of n values lie but for
     probability _PREFILTER_MISS, or None where filtering does not pay."""
-    t = float(_sp.betainccinv(l, n + 1 - l, _PREFILTER_MISS))
+    t = float(specfun.special().betainccinv(l, n + 1 - l, _PREFILTER_MISS))
     return t if t <= _PREFILTER_MAX_SHARE else None
 
 
@@ -363,6 +361,11 @@ def sweep(base: EvalConfig, axis: str, values,
             logger.info("sweep %s=%s done (%d/%d)", axis, value,
                         len(results), len(tasks))
         return results
+    # forked workers inherit scipy.special instead of each importing it;
+    # the pool module is imported only here, so other commands start without it
+    specfun.special()
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=procs) as pool:
         for i, report in enumerate(pool.map(_sweep_point, tasks)):
             results.append((values[i], report))

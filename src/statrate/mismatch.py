@@ -17,8 +17,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import scipy.special as _sp
-
 from . import specfun
 from .channels import ChannelModel, Nakagami, Rayleigh, Rician
 from .errors import NoValidTiltError, check_positive_int, check_unit_interval
@@ -77,22 +75,28 @@ def _numeric_mean_outage(model: ChannelModel, eps_n: float, n: int) -> float:
     if isinstance(model, Nakagami):
         # P[G <= (g/n) Z] with G ~ Gamma(m), Z ~ Gamma(n m) independent:
         # G/(G+Z) ~ Beta(m, n m), so the outage is its CDF at g/(n+g)
-        return float(_sp.betainc(model.m, n * model.m, g / (n + g)))
+        return float(specfun.special().betainc(model.m, n * model.m, g / (n + g)))
 
     # Rician: 2 sum(X_i)/lam ~ ncchi^2(2n, 2nk), a Poisson(n k) mixture of
     # chi^2(2n + 2K); given K the outage is the noncentral F CDF at
     # (g/n)(n + K), so small values keep their relative accuracy
-    return specfun._poisson_mixture(n * model.k, lambda K: _sp.ncfdtr(
+    ncfdtr = specfun.special().ncfdtr
+    return specfun._poisson_mixture(n * model.k, lambda K: ncfdtr(
         2.0, 2.0 * (n + K), 2.0 * model.k, (g / n) * (n + K)), math.floor(n * model.k))
 
 
 def _power_law_mean_outage(model: ChannelModel, eps_n: float, n: int) -> float:
-    # second-order delta method on E[alpha (g Xbar)^(1/kappa)]
+    # second-order delta method on E[alpha (g Xbar)^(1/kappa)]; the gain's
+    # var/mean^2 is formed without lam, whose square can overflow
     kappa = model.power_law().kappa
-    mean, var = model.moments()
+    if isinstance(model, Nakagami):
+        rel_var = 1.0 / model.m
+    elif isinstance(model, Rician):
+        rel_var = (1.0 + 2.0 * model.k) / (1.0 + model.k) ** 2
+    else:
+        rel_var = 1.0
     lead = _weak_n_mean_outage(model, -math.log1p(-eps_n))
-    correction = 1.0 + (1.0 - kappa) / (2.0 * n * kappa * kappa) * var / (mean * mean)
-    return lead * correction
+    return lead * (1.0 + (1.0 - kappa) / (2.0 * n * kappa * kappa) * rel_var)
 
 
 def _weak_n_mean_outage(model: ChannelModel, level: float) -> float:

@@ -33,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as _sp
 
 from . import specfun
 from .errors import (
@@ -268,6 +267,7 @@ def epsn_powerlaw(target: ReliabilityTarget, n: int, beta: float,
         return epsn_powerlaw(target, n, beta, mode="asymptotic")
     xi = target.xi
 
+    sp = specfun.special()
     a, b = float(l), float(n + 1 - l)
     log_eps = math.log(eps)
     lo, hi = log_eps, 0.0
@@ -275,9 +275,9 @@ def epsn_powerlaw(target: ReliabilityTarget, n: int, beta: float,
         # 513 points, then 513 across the best one's neighbours: the last
         # spacing is -log(eps) / 512 / 256^3
         log_tau = np.linspace(lo, hi, 513)
-        slack = xi - _sp.betaincc(a, b, np.exp(log_tau))
+        slack = xi - sp.betaincc(a, b, np.exp(log_tau))
         with np.errstate(divide="ignore", invalid="ignore"):
-            u = l * (log_eps - log_tau) / _sp.gammaincinv(l - 1.0, slack)
+            u = l * (log_eps - log_tau) / sp.gammaincinv(l - 1.0, slack)
         j = int(np.argmax(np.where(slack > 0.0, u, -np.inf)))
         step = log_tau[1] - log_tau[0]
         lo, hi = max(log_tau[j] - step, log_eps), min(log_tau[j] + step, 0.0)
@@ -287,7 +287,7 @@ def epsn_powerlaw(target: ReliabilityTarget, n: int, beta: float,
         # the supremum, approached as u -> 0, is the tau = eps bound 1 - I_eps
         warnings.warn(
             f"the finite-sample bound stays below xi={xi} for every eps_n < l/n "
-            f"(supremum {_sp.betaincc(a, b, eps):.3e}); returning the upper end "
+            f"(supremum {sp.betaincc(a, b, eps):.3e}); returning the upper end "
             "of the admissible range", RuntimeWarning, stacklevel=2)
         return (l / n) * math.exp(-1e-10)
     return (l / n) * math.exp(u_star)

@@ -10,6 +10,12 @@ stated tolerances on the supported domains; scipy.stats is not used.
 The noncentral chi-square upper tail (and Marcum Q) is a Poisson mixture
 of scipy.special.gammaincc, accurate down to 1e-300; the lower tail is
 scipy.special.chndtr, free of 1 - Q cancellation in the deep lower tail.
+
+This is the only statrate module that imports scipy.special, and it
+does so on the first call of special(), not at import: the import costs
+about 0.25 s, and the AR calibrations, the Rayleigh models and the CLI's
+argument handling need none of it. The other modules reach scipy.special
+through special().
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.special as _sp
 
 from .errors import check_positive_int
 
@@ -38,6 +43,19 @@ __all__ = [
 _CHUNK = 1024  # Poisson-mixture terms added at once
 
 
+def special():
+    """The scipy.special module, imported on the first call.
+
+    The import system's module lock makes a thread that calls this while
+    another is importing wait for the finished module, so concurrent
+    first calls are safe (importlib.util.LazyLoader is not: it can hand
+    a second thread a half-loaded module).
+    """
+    from scipy import special as sp
+
+    return sp
+
+
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0. Relative error <= 1e-12 on [0.5, 1e6]."""
     if not x > 0.0:
@@ -51,7 +69,7 @@ def reg_lower_gamma(a: float, x: float) -> float:
         raise ValueError(f"reg_lower_gamma requires a > 0, got {a}")
     if x < 0.0:
         raise ValueError(f"reg_lower_gamma requires x >= 0, got {x}")
-    return float(_sp.gammainc(a, x))
+    return float(special().gammainc(a, x))
 
 
 def reg_upper_gamma(a: float, x: float) -> float:
@@ -60,7 +78,7 @@ def reg_upper_gamma(a: float, x: float) -> float:
         raise ValueError(f"reg_upper_gamma requires a > 0, got {a}")
     if x < 0.0:
         raise ValueError(f"reg_upper_gamma requires x >= 0, got {x}")
-    return float(_sp.gammaincc(a, x))
+    return float(special().gammaincc(a, x))
 
 
 def _polish_gamma_inverse(a: float, x: float, p: float, q: float) -> float:
@@ -73,11 +91,12 @@ def _polish_gamma_inverse(a: float, x: float, p: float, q: float) -> float:
     the density is zero or not finite. The iterate with the smallest
     residual is returned.
     """
+    sp = special()
     best_x, best_residual = x, math.inf
     for _ in range(8):
         if not 0.0 < x < math.inf:
             break
-        residual = _sp.gammainc(a, x) - p if p <= q else q - _sp.gammaincc(a, x)
+        residual = sp.gammainc(a, x) - p if p <= q else q - sp.gammaincc(a, x)
         density = math.exp((a - 1.0) * math.log(x) - x - math.lgamma(a))
         if not (abs(residual) < best_residual and 0.0 < density < math.inf):
             break
@@ -100,7 +119,7 @@ def inv_reg_lower_gamma(a: float, p: float) -> float:
         raise ValueError(f"inv_reg_lower_gamma requires p in [0, 1), got {p}")
     if p == 0.0:
         return 0.0
-    return _polish_gamma_inverse(a, float(_sp.gammaincinv(a, p)), p, 1.0 - p)
+    return _polish_gamma_inverse(a, float(special().gammaincinv(a, p)), p, 1.0 - p)
 
 
 def inv_reg_upper_gamma(a: float, q: float) -> float:
@@ -118,7 +137,7 @@ def inv_reg_upper_gamma(a: float, q: float) -> float:
         raise ValueError(f"inv_reg_upper_gamma requires q in (0, 1], got {q}")
     if q == 1.0:
         return 0.0
-    return _polish_gamma_inverse(a, float(_sp.gammainccinv(a, q)), 1.0 - q, q)
+    return _polish_gamma_inverse(a, float(special().gammainccinv(a, q)), 1.0 - q, q)
 
 
 def reg_inc_beta(a: float, b: float, x: float) -> float:
@@ -130,7 +149,7 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
         raise ValueError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"reg_inc_beta requires x in [0, 1], got {x}")
-    return float(_sp.betainc(a, b, x))
+    return float(special().betainc(a, b, x))
 
 
 def _poisson_mixture(mu: float, term, start: int) -> float:
@@ -149,11 +168,12 @@ def _poisson_mixture(mu: float, term, start: int) -> float:
     if not mu < 2.0 ** 52:
         raise ValueError(f"Poisson mean must be below 2^52, where K is exact, got {mu}")
     start = min(start, 2 ** 52)  # K stays exact; so far past mu every term is 0
+    sp = special()
     total = weights = 0.0
     for lo, step, edge in ((start, _CHUNK, -1), (start - _CHUNK, -_CHUNK, 0)):
         while lo + _CHUNK > 0:
             K = np.arange(max(lo, 0), lo + _CHUNK, dtype=float)
-            w = np.exp(_sp.xlogy(K, mu) - mu - _sp.gammaln(K + 1.0))
+            w = np.exp(sp.xlogy(K, mu) - mu - sp.gammaln(K + 1.0))
             t = w * term(K)
             total += t.sum()
             weights += w.sum()
@@ -190,7 +210,7 @@ def marcum_q1_complement(a: float, b: float) -> float:
     """
     if a < 0.0 or b < 0.0:
         raise ValueError(f"marcum_q1_complement requires a, b >= 0, got a={a}, b={b}")
-    return float(_sp.chndtr(b * b, 2.0, a * a))
+    return float(special().chndtr(b * b, 2.0, a * a))
 
 
 def nc_chi2_sf(x: float, half_df: int, nc: float) -> float:
@@ -205,7 +225,8 @@ def nc_chi2_sf(x: float, half_df: int, nc: float) -> float:
     mu, v = 0.5 * nc, 0.5 * x
     # the summand's peak; at x = inf the formula gives nan, and max() keeps mu
     peak = max(mu, 2.0 * mu * v / (half_df + math.sqrt(half_df * half_df + 4.0 * mu * v)))
-    return _poisson_mixture(mu, lambda K: _sp.gammaincc(half_df + K, v), math.floor(peak))
+    gammaincc = special().gammaincc
+    return _poisson_mixture(mu, lambda K: gammaincc(half_df + K, v), math.floor(peak))
 
 
 def nc_chi2_cdf(x: float, half_df: int, nc: float) -> float:
@@ -213,7 +234,7 @@ def nc_chi2_cdf(x: float, half_df: int, nc: float) -> float:
     scipy.special.chndtr; same oracle accuracy as nc_chi2_sf near the mean.
     """
     half_df = _check_nc_chi2(x, half_df, nc)
-    return float(_sp.chndtr(x, 2.0 * half_df, nc))
+    return float(special().chndtr(x, 2.0 * half_df, nc))
 
 
 def std_normal_quantile(p: float) -> float:
@@ -224,4 +245,4 @@ def std_normal_quantile(p: float) -> float:
     """
     if not (0.0 < p < 1.0):
         raise ValueError(f"std_normal_quantile requires p in (0, 1), got {p}")
-    return float(-_sp.ndtri(p)) + 0.0
+    return float(-special().ndtri(p)) + 0.0

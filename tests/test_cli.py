@@ -162,13 +162,18 @@ class TestRate:
 
 
 HEAVY_SCIPY = ("scipy.optimize", "scipy.stats", "scipy.integrate")
+# loaded on first use: by a command that evaluates a special function, and
+# by a sweep that starts a process pool
+SPECIAL = "scipy.special"
+POOL = "concurrent.futures.process"
 
 
-def heavy_scipy_loaded(code):
-    """The HEAVY_SCIPY modules a fresh interpreter holds after running code."""
+def scipy_loaded(code):
+    """The HEAVY_SCIPY modules, SPECIAL and POOL a fresh interpreter holds
+    after running code."""
     script = code + (
         "import sys\n"
-        f"print(','.join(m for m in {HEAVY_SCIPY!r} if m in sys.modules))\n")
+        f"print(','.join(m for m in {HEAVY_SCIPY + (SPECIAL, POOL)!r} if m in sys.modules))\n")
     # a fresh process: this one has imported scipy.stats already
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
@@ -176,15 +181,31 @@ def heavy_scipy_loaded(code):
     return set(last.split(",")) - {""}
 
 
-def scipy_loaded_by(*argv):
-    """The HEAVY_SCIPY modules a fresh interpreter holds after
-    importing statrate.cli and, given argv, running main(argv)."""
-    return heavy_scipy_loaded(
+def main_script(argv, status=0):
+    """Code that imports statrate.cli and, given argv, runs main(argv),
+    exiting non-zero unless main returns or exits with status."""
+    return (
         "import sys\n"
         "import statrate.cli\n"
         f"argv = {list(argv)!r}\n"
-        "if argv and statrate.cli.main(argv) != 0:\n"
-        "    sys.exit('main failed')\n")
+        "try:\n"
+        "    got = statrate.cli.main(argv) if argv else 0\n"
+        "except SystemExit as exc:\n"
+        "    got = exc.code\n"
+        f"if got != {status!r}:\n"
+        "    sys.exit(f'main gave {got}')\n")
+
+
+def scipy_loaded_by(*argv, status=0):
+    """The HEAVY_SCIPY modules, SPECIAL and POOL a fresh interpreter holds
+    after importing statrate.cli and, given argv, running main(argv)."""
+    return scipy_loaded(main_script(argv, status))
+
+
+# AR calibrations are closed forms: eps_n or l without a special function
+AR_RATE_SELECTORS = [["rayleigh"], ["nonparametric"], ["plugin-rayleigh"],
+                     ["plugin-nonparametric"], ["powerlaw-asym", "--beta", "0.1"]]
+AR_EPSN_FAMILIES = ["rayleigh", "powerlaw-asym"]
 
 
 class TestColdStart:
@@ -195,18 +216,72 @@ class TestColdStart:
         assert scipy_loaded_by("rate", "--selector", "rayleigh", "--constraint", "ar",
                                "--eps", "1e-3", "--sample", file_500) == set()
 
+    @pytest.mark.parametrize("selector", AR_RATE_SELECTORS, ids=lambda s: s[0])
+    def test_ar_rate_loads_no_scipy_special(self, file_500, selector):
+        assert scipy_loaded_by("rate", "--selector", *selector, "--constraint", "ar",
+                               "--eps", "1e-2", "--sample", file_500) == set()
+
+    @pytest.mark.parametrize("family", AR_EPSN_FAMILIES)
+    def test_ar_epsn_loads_no_scipy_special(self, family):
+        assert scipy_loaded_by("epsn", "--family", family, "--constraint", "ar",
+                               "--eps", "1e-3", "--n", "1000") == set()
+
+    def test_rayleigh_ar_sweep_loads_no_scipy_special(self, tmp_path):
+        cfg = write_sweep_config(tmp_path / "cfg.txt", tmp_path / "out.csv")
+        assert scipy_loaded_by("sweep", cfg) == set()
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["rate", "--help"],
+        # an argparse usage error, then a level the target rejects
+        ["epsn", "--family", "rayleigh", "--constraint", "ar", "--eps", "1e-3",
+         "--n", "10", "--xi", "0.1"],
+        ["epsn", "--family", "rayleigh", "--constraint", "pcr", "--eps", "1e-3",
+         "--n", "10", "--xi", "2"]], ids=["help", "rate-help", "usage", "invalid"])
+    def test_help_and_usage_errors_load_no_scipy_special(self, argv):
+        status = 0 if "--help" in argv else 2
+        assert scipy_loaded_by(*argv, status=status) == set()
+
+    def test_config_error_loads_no_scipy_special(self, tmp_path):
+        # rejected while the pcr designs are built, before any calibration
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("param = k\nparam_values = 1\nselectors = rayleigh-pcr\n"
+                       f"eps = 1e-4\nxi = 2\nn = 100\noutput = {tmp_path / 'o.csv'}\n")
+        assert scipy_loaded_by("mismatch", str(cfg), status=2) == set()
+
+    def test_pool_is_built_after_scipy_special_is_loaded(self, tmp_path):
+        # forked workers inherit the parent's scipy.special; a Rayleigh AR
+        # sweep loads it only for this. cpu_count is pinned so the pool is built.
+        cfg = write_sweep_config(tmp_path / "cfg.txt", tmp_path / "out.csv",
+                                 extra="workers = 2\n")
+        out = scipy_loaded(
+            "import concurrent.futures\n"
+            "import os\n"
+            "seen = []\n"
+            "class Spy(concurrent.futures.ProcessPoolExecutor):\n"
+            "    def __init__(self, *args, **kwargs):\n"
+            "        seen.append('scipy.special' in sys.modules)\n"
+            "        super().__init__(*args, **kwargs)\n"
+            "concurrent.futures.ProcessPoolExecutor = Spy\n"
+            "os.cpu_count = lambda: 2\n"
+            + main_script(["sweep", cfg])
+            + "assert seen == [True], seen\n")
+        assert out == {SPECIAL, POOL}
+        with open(tmp_path / "out.csv") as fh:
+            assert len(fh.read().splitlines()) == 3
+
     def test_nonparametric_pcr_rate_loads_no_heavy_scipy(self, file_500):
         assert scipy_loaded_by("rate", "--selector", "nonparametric", "--constraint", "pcr",
-                               "--eps", "1e-2", "--xi", "0.1", "--sample", file_500) == set()
+                               "--eps", "1e-2", "--xi", "0.1", "--sample", file_500) == {SPECIAL}
 
     def test_rayleigh_pcr_epsn_loads_no_heavy_scipy(self):
+        # the Erlang quantile needs scipy.special, and nothing heavier
         assert scipy_loaded_by("epsn", "--family", "rayleigh", "--constraint", "pcr",
-                               "--eps", "1e-4", "--xi", "1e-3", "--n", "100") == set()
+                               "--eps", "1e-4", "--xi", "1e-3", "--n", "100") == {SPECIAL}
 
     def test_powerlaw_nonasym_epsn_loads_no_heavy_scipy(self):
         assert scipy_loaded_by("epsn", "--family", "powerlaw-nonasym", "--constraint", "pcr",
                                "--eps", "1e-2", "--xi", "0.05", "--n", "100000",
-                               "--beta", "0.01") == set()
+                               "--beta", "0.01") == {SPECIAL}
 
     def test_nakagami_mismatch_loads_no_heavy_scipy(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -218,7 +293,7 @@ class TestColdStart:
             "xi = 1e-2\n"
             "n = 1000\n"
             f"output = {tmp_path / 'out.csv'}\n")
-        assert scipy_loaded_by("mismatch", str(cfg)) == set()
+        assert scipy_loaded_by("mismatch", str(cfg)) == {SPECIAL}
 
     def test_rician_mismatch_loads_no_heavy_scipy(self, tmp_path):
         # the numeric meta-probability is the nc_chi2_sf Poisson mixture
@@ -231,18 +306,18 @@ class TestColdStart:
             "xi = 1e-2\n"
             "n = 1000\n"
             f"output = {tmp_path / 'out.csv'}\n")
-        assert scipy_loaded_by("mismatch", str(cfg)) == set()
+        assert scipy_loaded_by("mismatch", str(cfg)) == {SPECIAL}
 
     def test_marcum_q1_loads_no_heavy_scipy(self):
-        assert heavy_scipy_loaded(
+        assert scipy_loaded(
             "from statrate.specfun import marcum_q1\n"
-            "marcum_q1(3.0, 4.0)\n") == set()
+            "marcum_q1(3.0, 4.0)\n") == {SPECIAL}
 
     def test_rician_mean_outage_loads_no_heavy_scipy(self):
-        assert heavy_scipy_loaded(
+        assert scipy_loaded(
             "from statrate.channels import Rician\n"
             "from statrate.mismatch import mean_outage_mismatch\n"
-            "mean_outage_mismatch(Rician(1.0, 10.0), 1e-4, 10000)\n") == set()
+            "mean_outage_mismatch(Rician(1.0, 10.0), 1e-4, 10000)\n") == {SPECIAL}
 
 
 def write_sweep_config(path, out, extra="", drop=()):

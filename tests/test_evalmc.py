@@ -1,8 +1,9 @@
+import concurrent.futures
 import math
 
 import numpy as np
 import pytest
-from scipy.special import betaincc
+from scipy.special import betaincc, ndtri
 
 from statrate.channels import Nakagami, Rayleigh, Rician
 from statrate import evalmc
@@ -171,6 +172,10 @@ class TestReportShape:
         assert report.mean_outage.value == 0.0
         assert report.meta_prob.value == pytest.approx(0.0, abs=1e-12)
         assert report.throughput_ratio.value == 0.0
+
+    def test_z95_is_the_normal_quantile(self):
+        # a literal, so importing evalmc evaluates no special function
+        assert evalmc._Z95 == -ndtri(0.025)
 
     def test_single_trial_has_degenerate_ci(self):
         report = evaluate(_cfg(trials=1))
@@ -523,7 +528,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(evalmc, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         base = _cfg(trials=5, seed=63)
         serial = sweep(base, "n", [10, 20])
         monkeypatch.setattr(evalmc.os, "cpu_count", lambda: 2)

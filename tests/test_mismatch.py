@@ -208,6 +208,23 @@ class TestMeanOutageMismatch:
         assert mean_outage_mismatch(model, level, 100, method="power_law") == pytest.approx(
             lead * correction, rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("model,mean_per_lam,rel_var", [
+        (Nakagami(1e300, 0.5), (1, 2), (2, 1)), (Nakagami(1e200, 1.5), (3, 2), (2, 3)),
+        (Rician(1e300, 2.0), (3, 1), (5, 9)), (Rayleigh(1e300), (1, 1), (1, 1))])
+    def test_power_law_where_the_variance_overflows(self, model, mean_per_lam, rel_var):
+        # var = m lam^2 (lam^2 (1 + 2k) for Rician) is inf from lam of about
+        # 1.3e154 on, yet var / mean^2 is lam-free: 1/m, (1 + 2k)/(1 + k)^2
+        eps_n, n = 1e-4, 100
+        pl = model.power_law()
+        with mpmath.workdps(40):
+            mean = mpmath.mpf(model.lam) * mean_per_lam[0] / mean_per_lam[1]
+            kappa = mpmath.mpf(pl.kappa)
+            lead = pl.alpha * (-mpmath.log1p(-mpmath.mpf(eps_n)) * mean) ** (1 / kappa)
+            correction = 1 + (1 - kappa) / (2 * n * kappa ** 2) * rel_var[0] / rel_var[1]
+            want = float(lead * correction)
+        assert mean_outage_mismatch(model, eps_n, n, method="power_law") == pytest.approx(
+            want, rel=1e-13, abs=0)
+
     def test_weak_n_scale_free(self):
         for lam in (0.1, 1.0, 10.0):
             got = mean_outage_mismatch(Rician(lam, 3.0), 1e-4, 100, method="weak_n")

@@ -7,6 +7,8 @@ closed form), and the derivation is recorded next to the constant.
 """
 
 import math
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -494,3 +496,37 @@ class TestStdNormalQuantile:
         with pytest.raises(ValueError):
             std_normal_quantile(1.0)
 
+
+def test_concurrent_first_use_of_scipy_special():
+    # 8 threads in a fresh interpreter are the first to need scipy.special,
+    # all at once; each must get the finished module and the serial value
+    script = """
+import sys
+import threading
+from statrate.channels import Nakagami
+from statrate.rateselect import epsn_rayleigh_pcr, nonparam_l_pcr
+
+calls = [lambda: epsn_rayleigh_pcr(1e-3, 1e-2, 100),
+         lambda: Nakagami(1.0, 2.0).cdf(0.3),
+         lambda: nonparam_l_pcr(1e-2, 0.1, 1000)]
+assert "scipy.special" not in sys.modules
+sys.setswitchinterval(1e-6)  # switch threads often while the import runs
+start = threading.Barrier(8)
+results = [None] * 8
+
+def run(i):
+    start.wait()
+    results[i] = calls[i % 3]()
+
+threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=120)
+assert not any(t.is_alive() for t in threads)
+serial = [calls[i % 3]() for i in range(8)]
+assert [repr(r) for r in results] == [repr(r) for r in serial], (results, serial)
+"""
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=300)
+    assert res.returncode == 0, res.stderr
