@@ -170,40 +170,20 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
 
 
 def cmd_epsn(args) -> int:
-    if args.constraint == PCR and args.xi is None:
-        args.parser.error("--xi is required with --constraint pcr")
-    if args.constraint == AR and args.xi is not None:
-        args.parser.error("--xi is only valid with --constraint pcr")
-    if args.family == "powerlaw-nonasym" and args.beta is None:
-        args.parser.error("--beta is required with --family powerlaw-nonasym")
-    if args.family == "powerlaw-asym" and args.constraint == PCR and args.beta is None:
-        args.parser.error("--beta is required for the asymptotic pcr level")
-    if args.beta is not None and args.family == "rayleigh":
-        args.parser.error("--beta is only valid for power-law families")
-
+    target = ReliabilityTarget(args.eps, args.constraint, args.xi)
     beta = args.beta
-    if beta is None and args.family != "rayleigh":
+    if beta is None and args.family == "powerlaw-asym" and target.kind == AR:
         # the asymptotic AR level is beta-free; any admissible placeholder works
         beta = 0.5
-    target = ReliabilityTarget(args.eps, args.constraint, args.xi)
     print(_fmt(calibrate(SelectorSpec(args.family, beta=beta), target, args.n).eps_n))
     return 0
 
 
 def cmd_rate(args) -> int:
-    if args.constraint == PCR and args.xi is None:
-        args.parser.error("--xi is required with --constraint pcr")
-    if args.constraint == AR and args.xi is not None:
-        args.parser.error("--xi is only valid with --constraint pcr")
-    is_powerlaw = args.selector.startswith("powerlaw")
-    if is_powerlaw and args.beta is None:
-        args.parser.error(f"--beta is required with --selector {args.selector}")
-    if not is_powerlaw and args.beta is not None:
-        args.parser.error("--beta is only valid for power-law selectors")
-
-    sample = load_sample_file(args.sample)
+    # flag errors exit 2 before the sample file is read
     target = ReliabilityTarget(args.eps, args.constraint, args.xi)
     selector = SelectorSpec(args.selector, beta=args.beta)
+    sample = load_sample_file(args.sample)
     rate = select_rate(selector, target, sample)
     if rate == 0.0:
         print("0")
@@ -237,15 +217,10 @@ def cmd_sweep(args) -> int:
     if axis == "beta" and beta is None:
         beta = axis_values[0]  # placeholder; overwritten at every axis point
 
-    try:
-        model = _build_model(model_name, lam, k, m)
-        target = ReliabilityTarget(eps, constraint, xi)
-        selector = SelectorSpec(family, beta=beta)
-        base = EvalConfig(model, selector, target, n, trials, seed)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    model = _build_model(model_name, lam, k, m)
+    target = ReliabilityTarget(eps, constraint, xi)
+    selector = SelectorSpec(family, beta=beta)
+    base = EvalConfig(model, selector, target, n, trials, seed)
 
     results = sweep(base, axis, axis_values, workers=workers)
     rows = []
@@ -301,19 +276,14 @@ def cmd_mismatch(args) -> int:
     if seed is None:
         seed = 0
 
-    try:
-        designs = {}
-        for sel in selectors:
-            family, _, kind = sel.rpartition("-")
-            selector = SelectorSpec(family, beta=None if family == "rayleigh" else beta)
-            target = ReliabilityTarget(eps, kind, xi if kind == PCR else None)
-            designs[sel] = (selector, target, calibrate(selector, target, n))
-        models = [Rician(lam, v) if param == "k" else Nakagami(lam, v)
-                  for v in param_values]
-    except (NoSolutionError, InsufficientTailDataError):
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    designs = {}
+    for sel in selectors:
+        family, _, kind = sel.rpartition("-")
+        selector = SelectorSpec(family, beta=None if family == "rayleigh" else beta)
+        target = ReliabilityTarget(eps, kind, xi if kind == PCR else None)
+        designs[sel] = (selector, target, calibrate(selector, target, n))
+    models = [Rician(lam, v) if param == "k" else Nakagami(lam, v)
+              for v in param_values]
 
     rows = []
     row_index = 0
@@ -361,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="training sample size")
     p_epsn.add_argument("--beta", type=float,
                         help="tail fraction for power-law families")
-    p_epsn.set_defaults(func=cmd_epsn, parser=p_epsn)
+    p_epsn.set_defaults(func=cmd_epsn)
 
     p_rate = sub.add_parser(
         "rate", help="select a rate from a sample file")
@@ -372,17 +342,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--beta", type=float)
     p_rate.add_argument("--sample", required=True,
                         help="text file with one gain measurement per line")
-    p_rate.set_defaults(func=cmd_rate, parser=p_rate)
+    p_rate.set_defaults(func=cmd_rate)
 
     p_sweep = sub.add_parser(
         "sweep", help="run a Monte Carlo sweep from a config file")
     p_sweep.add_argument("config", help="flat key = value config file")
-    p_sweep.set_defaults(func=cmd_sweep, parser=p_sweep)
+    p_sweep.set_defaults(func=cmd_sweep)
 
     p_mism = sub.add_parser(
         "mismatch", help="tabulate outage statistics under model mismatch")
     p_mism.add_argument("config", help="flat key = value config file")
-    p_mism.set_defaults(func=cmd_mismatch, parser=p_mism)
+    p_mism.set_defaults(func=cmd_mismatch)
     return parser
 
 

@@ -143,7 +143,10 @@ def fit_ascending_tails(tail: np.ndarray, n: int):
         raise InsufficientTailDataError(
             f"tail fit needs ceil(beta*n) >= 2 values, got l={l} (n={n})")
     if (tail[:, 0] <= 0.0).any():
-        raise ValueError("tail fit requires strictly positive sample values")
+        zeros = np.count_nonzero(tail <= 0.0, axis=1).max()
+        raise InsufficientTailDataError(
+            f"tail fit needs positive values: {zeros} of the l={l} smallest "
+            f"of n={n} values are 0")
     z = np.log(tail)
     z_l = z[:, -1]
     kappa = z_l - z.mean(axis=1)

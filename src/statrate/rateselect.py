@@ -303,7 +303,8 @@ class Calibration:
 
     eps_n is the quantile level of the rayleigh, plugin-rayleigh and
     power-law families; l is the order-statistic index of the
-    nonparametric families, where l = 0 is the zero-rate regime.
+    nonparametric families, where l = 0 is the zero-rate regime. A level
+    eps_n >= 1 has no rate: tail_rates raises NoSolutionError naming target.
 
     tail_size is how many of the smallest sample values the rate reads:
     l for the nonparametric families, ceil(beta*n) for power-law, None
@@ -318,6 +319,7 @@ class Calibration:
     n: int
     eps_n: float | None = None
     l: int | None = None
+    target: ReliabilityTarget | None = None
 
     @property
     def tail_size(self) -> int | None:
@@ -340,6 +342,12 @@ class Calibration:
 
     def tail_rates(self, tail: np.ndarray) -> np.ndarray:
         """Rates from the values each row's rate reads; see the class."""
+        if self.eps_n is not None and self.eps_n >= 1.0:
+            t = self.target
+            given = "" if t is None else f"eps={t.epsilon}, " + (
+                "" if t.xi is None else f"xi={t.xi}, ")
+            raise NoSolutionError(f"quantile level eps_n={self.eps_n} is not below 1, "
+                                  f"so no rate meets the target ({given}n={self.n})")
         l = self.tail_size
         width = self.n if l is None else l
         if tail.ndim != 2 or tail.shape[1] != width:
@@ -376,21 +384,19 @@ def calibrate(selector: SelectorSpec, target: ReliabilityTarget,
     fam = selector.family
     eps, pcr = target.epsilon, target.kind == PCR
 
+    eps_n = l = None
     if fam == FAMILY_RAYLEIGH:
         eps_n = epsn_rayleigh_pcr(eps, target.xi, n) if pcr else epsn_rayleigh_ar(eps, n)
-        return Calibration(selector, n, eps_n=eps_n)
-    if fam == FAMILY_NONPARAMETRIC:
+    elif fam == FAMILY_NONPARAMETRIC:
         l = nonparam_l_pcr(eps, target.xi, n) if pcr else nonparam_l_ar(eps, n)
-        return Calibration(selector, n, l=l)
-    if fam in _POWERLAW_FAMILIES:
+    elif fam in _POWERLAW_FAMILIES:
         mode = "asymptotic" if fam == FAMILY_POWERLAW_ASYM else "non-asymptotic"
-        return Calibration(selector, n,
-                           eps_n=epsn_powerlaw(target, n, selector.beta, mode=mode))
-    if fam == FAMILY_PLUGIN_RAYLEIGH:
-        return Calibration(selector, n, eps_n=eps)
-    if fam == FAMILY_PLUGIN_NONPARAMETRIC:
-        return Calibration(selector, n, l=plug_in_nonparam_index(eps, n))
-    raise AssertionError(f"unhandled family {fam!r}")
+        eps_n = epsn_powerlaw(target, n, selector.beta, mode=mode)
+    elif fam == FAMILY_PLUGIN_RAYLEIGH:
+        eps_n = eps
+    else:  # plugin-nonparametric, the last family SelectorSpec admits
+        l = plug_in_nonparam_index(eps, n)
+    return Calibration(selector, n, eps_n=eps_n, l=l, target=target)
 
 
 def make_rate_fn(selector: SelectorSpec, target: ReliabilityTarget, n: int):

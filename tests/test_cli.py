@@ -1,15 +1,20 @@
 import csv
+import itertools
 import math
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statrate.cli import _parse_kv_file, main
+from statrate import cli
+from statrate.cli import MISMATCH_HEADER, SWEEP_HEADER, _parse_kv_file, main
 from statrate.errors import ConfigError
 
 GOLDEN_SWEEP_HEADER = (
@@ -69,7 +74,7 @@ class TestEpsn:
         res = run_cli("epsn", "--family", "rayleigh", "--constraint", "pcr",
                       "--eps", "1e-3", "--n", "10")
         assert res.returncode == 2
-        assert "usage" in res.stderr
+        assert "invalid arguments: PCR target requires a confidence level xi" in res.stderr
 
     def test_ar_with_xi_is_usage_error(self):
         res = run_cli("epsn", "--family", "rayleigh", "--constraint", "ar",
@@ -159,6 +164,100 @@ class TestRate:
         assert res.stdout.strip() == "0"
         assert "zero-rate" in res.stderr
         assert "Warning" not in res.stderr
+
+    def test_level_rounding_to_one_has_no_rate(self, tmp_path):
+        # eps_n = 1 - 7.7e-20 rounds to 1.0: no quantile level, so exit 3
+        p = tmp_path / "s100.txt"
+        p.write_text("".join(f"{0.5 + 0.001 * i}\n" for i in range(100)))
+        res = run_cli("rate", "--selector", "rayleigh", "--constraint", "ar",
+                      "--eps", "0.9999999999999999", "--sample", str(p))
+        assert res.returncode == 3, res.stderr
+        assert res.stdout == ""
+        assert "eps_n=1.0" in res.stderr and "eps=0.9999999999999999" in res.stderr
+        assert "n=100" in res.stderr
+
+    def test_asymptotic_pcr_level_above_one_has_no_rate(self, tmp_path):
+        # for xi > 0.5 the asymptotic back-off raises the level: 1.03 here
+        res = run_cli("epsn", "--family", "powerlaw-asym", "--constraint", "pcr",
+                      "--eps", "0.9", "--xi", "0.9", "--n", "10", "--beta", "0.9")
+        assert res.returncode == 0
+        assert res.stdout.strip() == "1.03017313520e+00"
+        p = tmp_path / "s10.txt"
+        p.write_text("".join(f"{0.5 + 0.1 * i}\n" for i in range(10)))
+        res = run_cli("rate", "--selector", "powerlaw-asym", "--constraint", "pcr",
+                      "--eps", "0.9", "--xi", "0.9", "--beta", "0.9", "--sample", str(p))
+        assert res.returncode == 3, res.stdout
+        assert res.stdout == ""
+        assert "eps_n=1.03017313520" in res.stderr and "xi=0.9" in res.stderr
+
+    def test_zero_in_powerlaw_tail_is_insufficient_tail_data(self, tmp_path):
+        p = tmp_path / "zeros.txt"
+        p.write_text("0\n" * 20 + "".join(f"{0.5 + 0.001 * i}\n" for i in range(980)))
+        res = run_cli("rate", "--selector", "powerlaw-asym", "--constraint", "ar",
+                      "--eps", "1e-2", "--beta", "0.05", "--sample", str(p))
+        assert res.returncode == 3, res.stderr
+        assert "20 of the l=50 smallest of n=1000 values are 0" in res.stderr
+
+
+# exit code and stdout of every flag combination, as the CLI gave them while
+# it checked the flags itself. Per family or selector, one entry for each
+# (constraint, --xi given, --beta given) in the order of
+# itertools.product(("ar", "pcr"), (False, True), (False, True)): the stdout
+# line of an exit 0, the flag ("xi" or "beta") a flag error names (exit 2),
+# or 2 for an exit 2 that is no flag error
+_X, _B = "xi", "beta"
+EPSN_TABLE = {
+    "rayleigh": ["1.00005000124e-02", _B, _X, _X, _X, _X, "8.85384608599e-03", _B],
+    "powerlaw-asym": ["1.00000000000e-02", "1.00000000000e-02", _X, _X, _X, _X, _B,
+                      "3.40147212566e-03"],
+    "powerlaw-nonasym": [_B, 2, _X, _X, _X, _X, _B, "3.80053097701e-05"],
+}
+RATE_TABLE = {
+    "rayleigh": ["1.08268096033e-02", _B, _X, _X, _X, _X, "1.02379394832e-02", _B],
+    "nonparametric": ["5.88804567016e-01", _B, _X, _X, _X, _X, "5.85923976959e-01", _B],
+    "powerlaw-asym": [_B, "5.89515506509e-01", _X, _X, _X, _X, _B, "5.84105803687e-01"],
+    "powerlaw-nonasym": [_B, 2, _X, _X, _X, _X, _B, "5.76052399524e-01"],
+    "plugin-rayleigh": ["1.08267011979e-02", _B, _X, _X, _X, _X, "1.08267011979e-02", _B],
+    "plugin-nonparametric": ["5.89763486985e-01", _B, _X, _X, _X, _X,
+                             "5.89763486985e-01", _B],
+}
+_FLAGS = list(itertools.product(("ar", "pcr"), (False, True), (False, True)))
+
+
+def _flag_cases(table):
+    return [(name, *flags, want) for name, wants in table.items()
+            for flags, want in zip(_FLAGS, wants)]
+
+
+class TestFlagCombinations:
+    """Flag errors are the library's: main returns 2, argparse never exits."""
+
+    def check(self, capsys, argv, xi, beta, want):
+        argv += (["--xi", "0.1"] if xi else []) + (["--beta", "0.05"] if beta else [])
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            pytest.fail(f"argparse exited with {exc.code}; the library checks flags")
+        out, err = capsys.readouterr()
+        if want in (_X, _B, 2):
+            assert (code, out) == (2, "")
+            if want != 2:
+                assert err.startswith("invalid arguments:") and want in err
+                assert "usage:" not in err
+        else:
+            assert (code, out) == (0, want + "\n")
+
+    @pytest.mark.parametrize("family,constraint,xi,beta,want", _flag_cases(EPSN_TABLE))
+    def test_epsn(self, capsys, family, constraint, xi, beta, want):
+        self.check(capsys, ["epsn", "--family", family, "--constraint", constraint,
+                            "--eps", "1e-2", "--n", "100"], xi, beta, want)
+
+    @pytest.mark.parametrize("selector,constraint,xi,beta,want", _flag_cases(RATE_TABLE))
+    def test_rate(self, capsys, tmp_path, file_500, selector, constraint, xi, beta, want):
+        # a flag error is reported before the sample file is opened
+        sample = str(tmp_path / "absent.txt") if want in (_X, _B) else file_500
+        self.check(capsys, ["rate", "--selector", selector, "--constraint", constraint,
+                            "--eps", "1e-2", "--sample", sample], xi, beta, want)
 
 
 HEAVY_SCIPY = ("scipy.optimize", "scipy.stats", "scipy.integrate")
@@ -426,7 +525,7 @@ class TestSweep:
         (tmp_path / "c.txt").write_text(text)
         res = run_cli("sweep", str(tmp_path / "c.txt"))
         assert res.returncode == 2
-        assert "axis 'xi' requires a PCR target" in res.stderr
+        assert "xi is only meaningful for a PCR target" in res.stderr
         assert not (tmp_path / "o.csv").exists()
 
     def test_axis_beta_requires_powerlaw_selector(self, tmp_path):
@@ -470,6 +569,27 @@ class TestSweep:
         assert res.returncode == 2
         assert "non-finite rate" in res.stderr
         assert "RuntimeWarning" not in res.stderr
+        assert not out.exists()
+
+    def test_level_rounding_to_one_has_no_rate(self, tmp_path):
+        out = tmp_path / "x.csv"
+        cfg = write_sweep_config(tmp_path / "cfg.txt", out, drop=("eps", "n", "axis_values"),
+                                 extra="eps = 0.999999\nn = 1\naxis_values = 1\n")
+        res = run_cli("sweep", cfg)
+        assert res.returncode == 3, res.stderr
+        assert "eps_n=1.0" in res.stderr and "eps=0.999999" in res.stderr
+        assert not out.exists()
+
+    def test_draws_underflowing_to_zero_are_insufficient_tail_data(self, tmp_path):
+        # lam = 1e-320 is a valid scale, but its smallest draws are 0
+        out = tmp_path / "x.csv"
+        cfg = write_sweep_config(
+            tmp_path / "cfg.txt", out, drop=("lam", "selector", "n", "axis_values"),
+            extra="lam = 1e-320\nselector = powerlaw-asym\nbeta = 0.05\n"
+                  "n = 10000\naxis_values = 10000\n")
+        res = run_cli("sweep", cfg)
+        assert res.returncode == 3, res.stderr
+        assert re.search(r"\d+ of the l=500 smallest of n=10000 values are 0", res.stderr)
         assert not out.exists()
 
 
@@ -705,6 +825,25 @@ class TestMismatch:
             # the column prints 12 digits; the value is within 2e-14 of the oracle
             assert [row["mean_outage_approx"] for row in rows] == [f"{want:.11e}"] * 2
 
+    def test_powerlaw_level_above_one_has_no_rate(self, tmp_path):
+        # the asymptotic PCR level is 1.03 at xi = 0.9, beta = 0.9, n = 10
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "param = k\n"
+            "param_values = 1\n"
+            "selectors = powerlaw-asym-pcr\n"
+            "eps = 0.9\n"
+            "xi = 0.9\n"
+            "beta = 0.9\n"
+            "n = 10\n"
+            "trials = 5\n"
+            f"output = {out}\n")
+        res = run_cli("mismatch", str(cfg))
+        assert res.returncode == 3, res.stderr
+        assert "eps_n=1.03" in res.stderr
+        assert not out.exists()
+
     def test_unknown_selector(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(
@@ -785,3 +924,41 @@ class TestParseKvFileProperties:
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ConfigError, match=f":{at + 1}:"):
             _parse_kv_file(str(p))
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_keys(label):
+    """The backquoted keys of the README's `<label> keys:` list, up to `output`."""
+    text = " ".join(README.read_text().split())
+    listing = text.split(f"{label} keys: ", 1)[1].split("`output`.", 1)[0] + "`output`"
+    return re.findall(r"`(\w+)`", listing)
+
+
+class TestReadmeContract:
+    def test_csv_headers(self):
+        blocks = re.findall(r"^```\w*\n(.*?)^```", README.read_text(), re.S | re.M)
+        headers = {b.split(",", 1)[0]: "".join(b.split()) for b in blocks}
+        assert headers["axis_name"] == ",".join(SWEEP_HEADER) == GOLDEN_SWEEP_HEADER
+        assert headers["param_name"] == ",".join(MISMATCH_HEADER) == GOLDEN_MISMATCH_HEADER
+
+    @pytest.mark.parametrize("command,label,values", [
+        ("sweep", "Sweep", {"model": "rayleigh", "selector": "rayleigh", "constraint": "ar",
+                            "axis": "n", "axis_values": "10"}),
+        ("mismatch", "Mismatch", {"param": "k", "param_values": "1",
+                                  "selectors": "rayleigh-ar"}),
+    ])
+    def test_config_keys(self, monkeypatch, tmp_path, command, label, values):
+        # every key the README lists is read, and one it does not list is rejected
+        keys = readme_keys(label)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("".join(f"{key} = {values.get(key, '1')}\n" for key in keys)
+                       + "unlisted = 1\n")
+        read = []
+        take = cli._take
+        monkeypatch.setattr(cli, "_take", lambda entries, key, *a, **kw: (
+            read.append(key), take(entries, key, *a, **kw))[1])
+        with pytest.raises(ConfigError, match="^unknown keys: unlisted$"):
+            getattr(cli, f"cmd_{command}")(SimpleNamespace(config=str(cfg)))
+        assert sorted(read) == sorted(keys)

@@ -9,7 +9,7 @@ import scipy.stats
 
 from statrate import rateselect as rs
 from statrate.channels import Rayleigh
-from statrate.errors import InsufficientTailDataError
+from statrate.errors import InsufficientTailDataError, NoSolutionError
 from statrate.learn import TrainingSample, fit_power_tail, sample_rows
 from statrate.mismatch import mean_outage_mismatch, meta_prob_mismatch
 from statrate.rateselect import (
@@ -605,6 +605,21 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             sample_rows([[1.0, math.inf]])
 
+    def test_level_of_one_or_more_has_no_rate(self):
+        # calibrate still returns the level; a rate from it is refused
+        cal = calibrate(SelectorSpec("powerlaw-asym", beta=0.9),
+                        ReliabilityTarget(0.9, PCR, 0.9), 10)
+        assert cal.eps_n == pytest.approx(1.0301731352)
+        with pytest.raises(NoSolutionError, match=r"eps_n=1\.03.*\(eps=0\.9, xi=0\.9, n=10\)"):
+            cal.rates(np.linspace(1.0, 2.0, 10)[None])
+        cal = calibrate(SelectorSpec("rayleigh"), ReliabilityTarget(0.999999), 1)
+        assert cal.eps_n == 1.0
+        with pytest.raises(NoSolutionError, match=r"eps_n=1\.0 .*\(eps=0\.999999, n=1\)"):
+            cal.tail_rates(np.ones((3, 1)))
+        # a level just below 1 keeps its rate
+        below = Calibration(SelectorSpec("plugin-rayleigh"), 1, eps_n=math.nextafter(1.0, 0.0))
+        assert np.isfinite(below.tail_rates(np.ones((1, 1)))).all()
+
     def test_powerlaw_batch_raises_like_fit_power_tail(self):
         target = ReliabilityTarget(1e-2)
         spec = SelectorSpec("powerlaw-asym", beta=0.3)
@@ -612,9 +627,9 @@ class TestCalibrate:
         zero = np.array([0.0] + list(range(1, 10)), dtype=float)
         flat = np.array([1.0, 1.0, 1.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0])
         cal = calibrate(spec, target, 10)
-        with pytest.raises(ValueError) as exc:
+        # a zero in the tail is too little tail data, not a usage error
+        with pytest.raises(InsufficientTailDataError, match="1 of the l=3 smallest"):
             cal.rates(np.stack([good, zero]))
-        assert not isinstance(exc.value, InsufficientTailDataError)
         with pytest.raises(InsufficientTailDataError):
             cal.rates(np.stack([good, flat]))
         small = calibrate(SelectorSpec("powerlaw-asym", beta=0.05), target, 10)
