@@ -15,12 +15,23 @@ configured CSV file.
 Config files are flat `key = value` text: one pair per line, '#'
 starts a comment, keys may not repeat, unknown keys are rejected. The
 schemas are documented in the README and enforced here.
+
+Importing this module registers gc.freeze to run at interpreter exit,
+so CPython's final collections skip the objects numpy and scipy.special
+leave behind: a one-shot epsn's exit fell from about 58 ms to 15 ms on
+2 vCPUs. The atexit handlers registered before it (logging.shutdown
+among them), the stdio flush, the pool shutdown and module teardown
+still run; cyclic garbage left at exit is not finalized, which CPython
+does not promise at exit anyway. In-process callers of main keep
+normal collection until their own interpreter exits.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
+import gc
 import logging
 import math
 import sys
@@ -65,6 +76,8 @@ MISMATCH_SELECTORS = (
 )
 
 _EPSN_FAMILIES = ("rayleigh", "powerlaw-asym", "powerlaw-nonasym")
+
+atexit.register(gc.freeze)
 
 
 def _fmt(x) -> str:
@@ -292,7 +305,7 @@ def cmd_mismatch(args) -> int:
         for sel in selectors:
             selector, target, cal = designs[sel]
             if sel.startswith("rayleigh"):
-                eps_n = cal.eps_n
+                eps_n = cal.rate_level()
                 # the exact columns first: where k is too large for them, theirs
                 # is the error reported, not the approximations' (alpha =
                 # exp(-k)/lam is subnormal from k of about 708 on)
@@ -327,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="target outage level in (0, 1)")
     p_epsn.add_argument("--xi", type=float,
                         help="pcr confidence level in (0, 1)")
-    p_epsn.add_argument("--n", required=True, type=int,
+    p_epsn.add_argument("--n", required=True, type=_as_int,
                         help="training sample size")
     p_epsn.add_argument("--beta", type=float,
                         help="tail fraction for power-law families")

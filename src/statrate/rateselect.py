@@ -304,7 +304,8 @@ class Calibration:
     eps_n is the quantile level of the rayleigh, plugin-rayleigh and
     power-law families; l is the order-statistic index of the
     nonparametric families, where l = 0 is the zero-rate regime. A level
-    eps_n >= 1 has no rate: tail_rates raises NoSolutionError naming target.
+    eps_n >= 1 has no rate: rate_level, which tail_rates and the analytic
+    mismatch rows read it through, raises NoSolutionError naming target.
 
     tail_size is how many of the smallest sample values the rate reads:
     l for the nonparametric families, ceil(beta*n) for power-law, None
@@ -340,14 +341,19 @@ class Calibration:
             rows = np.partition(rows, l - 1, axis=1)[:, :l] if l else rows[:, :0]
         return self.tail_rates(rows)
 
-    def tail_rates(self, tail: np.ndarray) -> np.ndarray:
-        """Rates from the values each row's rate reads; see the class."""
+    def rate_level(self) -> float | None:
+        """eps_n, once it is known to be below 1 (NoSolutionError otherwise)."""
         if self.eps_n is not None and self.eps_n >= 1.0:
             t = self.target
             given = "" if t is None else f"eps={t.epsilon}, " + (
                 "" if t.xi is None else f"xi={t.xi}, ")
             raise NoSolutionError(f"quantile level eps_n={self.eps_n} is not below 1, "
                                   f"so no rate meets the target ({given}n={self.n})")
+        return self.eps_n
+
+    def tail_rates(self, tail: np.ndarray) -> np.ndarray:
+        """Rates from the values each row's rate reads; see the class."""
+        eps_n = self.rate_level()
         l = self.tail_size
         width = self.n if l is None else l
         if tail.ndim != 2 or tail.shape[1] != width:
@@ -359,14 +365,14 @@ class Calibration:
             if over.any():
                 # the row sum overflowed: sum the values scaled by 1/n instead
                 mean[over] = (tail[over] / self.n).sum(axis=1)
-            return _log2_1p(-math.log1p(-self.eps_n) * mean)
+            return _log2_1p(-math.log1p(-eps_n) * mean)
         if self.l is not None:
             # log2(1 + x_(l))
             return _log2_1p(tail[:, -1]) if l else np.zeros(tail.shape[0])
         kappa, z_l = fit_ascending_tails(np.sort(tail, axis=1), self.n)
         # fitted log-quantile; eps_n = 0 (an underflowed level) gives rate 0
         with np.errstate(divide="ignore"):
-            log_q = z_l + kappa * np.log(self.n * self.eps_n / l)
+            log_q = z_l + kappa * np.log(self.n * eps_n / l)
         return _log2_1p(np.exp(log_q))
 
 

@@ -1,7 +1,10 @@
 import csv
+import gc
 import itertools
 import math
+import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -85,6 +88,17 @@ class TestEpsn:
         res = run_cli("epsn", "--family", "powerlaw-nonasym", "--constraint", "pcr",
                       "--eps", "1e-2", "--xi", "0.1", "--n", "100000")
         assert res.returncode == 2
+
+    def test_n_takes_the_config_integer_forms(self, capsys):
+        argv = ["epsn", "--family", "rayleigh", "--constraint", "ar", "--eps", "1e-3", "--n"]
+        assert main(argv + ["1e5"]) == 0
+        assert main(argv + ["100000"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["1.00000000500e-03"] * 2
+        for bad in ("1.5", "1e400", "ten"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [bad])
+            assert exc.value.code == 2
+            assert "argument --n" in capsys.readouterr().err
 
     def test_out_of_range_eps(self):
         res = run_cli("epsn", "--family", "rayleigh", "--constraint", "ar",
@@ -419,6 +433,33 @@ class TestColdStart:
             "mean_outage_mismatch(Rician(1.0, 10.0), 1e-4, 10000)\n") == {SPECIAL}
 
 
+README_EPSN = ["epsn", "--family", "rayleigh", "--constraint", "pcr", "--eps", "1e-3",
+               "--xi", "1e-2", "--n", "100"]
+
+
+class TestExit:
+    def test_process_freezes_gc_at_exit(self):
+        # atexit runs handlers last-in first-out: one registered before the
+        # import runs after the freeze, and stdout is still flushed after it
+        script = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0))\n"
+            "import statrate.cli\n"
+            f"rc = statrate.cli.main({README_EPSN!r})\n"
+            "print('frozen in main:', gc.get_freeze_count() > 0, gc.isenabled())\n"
+            "sys.exit(rc)\n")
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == [
+            "8.01859052505e-04", "frozen in main: False True", "frozen at exit: True"]
+
+    def test_in_process_main_leaves_gc_alone(self, capsys):
+        assert main(README_EPSN) == 0
+        assert capsys.readouterr().out == "8.01859052505e-04\n"
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled()
+
+
 def write_sweep_config(path, out, extra="", drop=()):
     lines = {
         "model": "model = rayleigh",
@@ -463,12 +504,15 @@ class TestSweep:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
-        out1, out4 = tmp_path / "w1.csv", tmp_path / "w4.csv"
+        # the pool's shutdown at exit runs, and so does the logging's flush
+        out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
         c1 = write_sweep_config(tmp_path / "c1.txt", out1, extra="workers = 1\n")
-        c4 = write_sweep_config(tmp_path / "c4.txt", out4, extra="workers = 4\n")
-        assert run_cli("sweep", c1).returncode == 0
-        assert run_cli("sweep", c4).returncode == 0
-        assert out1.read_bytes() == out4.read_bytes()
+        c2 = write_sweep_config(tmp_path / "c2.txt", out2, extra="workers = 2\n")
+        res1, res2 = run_cli("sweep", c1), run_cli("sweep", c2)
+        assert res1.returncode == 0 and res2.returncode == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        progress = ["sweep n=10.0 done (1/2)", "sweep n=20.0 done (2/2)"]
+        assert res1.stderr.splitlines() == res2.stderr.splitlines() == progress
 
     def test_seeds_differing_above_2_53_stay_distinct(self, tmp_path):
         # 2^53 + 1 has no double of its own, so a float parse merges it with 2^53
@@ -844,6 +888,26 @@ class TestMismatch:
         assert "eps_n=1.03" in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("selector,xi", [("rayleigh-ar", None), ("rayleigh-pcr", "0.9")])
+    def test_rayleigh_level_rounding_to_one_has_no_rate(self, tmp_path, capsys, selector, xi):
+        # eps_n rounds to 1 at eps = 0.999999, n = 1, as in rate and sweep
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "param = k\n"
+            "param_values = 1\n"
+            f"selectors = {selector}\n"
+            "eps = 0.999999\n"
+            + ("" if xi is None else f"xi = {xi}\n") +
+            "n = 1\n"
+            f"output = {out}\n")
+        assert main(["mismatch", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("no solution: quantile level eps_n=1.0 is not below 1")
+        given = "eps=0.999999, " + ("" if xi is None else f"xi={xi}, ") + "n=1"
+        assert f"({given})" in err
+        assert not out.exists()
+
     def test_unknown_selector(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(
@@ -936,7 +1000,51 @@ def readme_keys(label):
     return re.findall(r"`(\w+)`", listing)
 
 
+def readme_section(heading):
+    """The README's text under `heading`, up to the next heading."""
+    return re.split(r"^#+ ", README.read_text().split(f"\n{heading}\n", 1)[1], flags=re.M)[0]
+
+
 class TestReadmeContract:
+    def test_exit_codes(self, tmp_path, mean_one_file, capsys):
+        listed = re.findall(r"^- `(\d+)` - ", readme_section("### Exit codes"), re.M)
+        epsn = ["epsn", "--family", "rayleigh", "--constraint", "ar", "--n", "10", "--eps"]
+        rate = ["rate", "--selector", "powerlaw-asym", "--constraint", "ar", "--eps", "1e-3",
+                "--beta", "0.01", "--sample"]
+        examples = {
+            0: epsn + ["1e-3"],
+            2: epsn + ["2"],
+            3: rate + [mean_one_file],  # a tail of l = 1 value: too short to fit
+            4: rate + [str(tmp_path / "missing.txt")],
+        }
+        assert sorted(int(code) for code in listed) == sorted(examples)
+        for code, argv in examples.items():
+            assert main(argv) == code, capsys.readouterr().err
+
+    def test_example_command_lines(self, tmp_path):
+        lines = [line for line in readme_section("## Command line").splitlines()
+                 if line.startswith("statrate ")]
+        assert [line.split()[1] for line in lines] == ["epsn", "rate", "sweep", "mismatch"]
+        (tmp_path / "gains.txt").write_text("".join(f"{0.01 * i}\n" for i in range(1, 201)))
+        write_sweep_config(tmp_path / "sweep.cfg", "sweep.csv")
+        (tmp_path / "mismatch.cfg").write_text(
+            "param = k\nparam_values = 0, 1\nselectors = rayleigh-ar\n"
+            "eps = 1e-3\nn = 100\noutput = mismatch.csv\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = []
+        for line in lines:
+            res = subprocess.run([sys.executable, "-m", *shlex.split(line)], cwd=tmp_path,
+                                 env=env, capture_output=True, text=True)
+            assert res.returncode == 0, (line, res.stderr)
+            out.append(res.stdout)
+        # rate: l = floor(eps (n + 1)) = 2, the 2nd smallest gain is 0.02, log2(1.02)
+        assert out[:2] == ["8.01859052505e-04\n", "2.85691521968e-02\n"]
+        assert out[2:] == ["wrote 2 rows to sweep.csv\n", "wrote 2 rows to mismatch.csv\n"]
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 3
+        assert len((tmp_path / "mismatch.csv").read_text().splitlines()) == 3
+
     def test_csv_headers(self):
         blocks = re.findall(r"^```\w*\n(.*?)^```", README.read_text(), re.S | re.M)
         headers = {b.split(",", 1)[0]: "".join(b.split()) for b in blocks}
