@@ -16,11 +16,20 @@ Config files are flat `key = value` text: one pair per line, '#'
 starts a comment, keys may not repeat, unknown keys are rejected. The
 schemas are documented in the README and enforced here.
 
+Importing this module loads only what argument parsing and the exit-code
+mapping need: errors and rateselect, which bring learn, specfun and
+numpy. epsn and rate use no more. Each other command imports its own
+modules: mismatch adds channels and mismatch, and evalmc only for
+power-law rows; sweep adds channels and evalmc, and is the only command
+that configures logging (INFO to stderr, for its progress lines), so an
+in-process caller of main for another command keeps its root logger
+as it was.
+
 Importing this module registers gc.freeze to run at interpreter exit,
 so CPython's final collections skip the objects numpy and scipy.special
 leave behind: a one-shot epsn's exit fell from about 58 ms to 15 ms on
-2 vCPUs. The atexit handlers registered before it (logging.shutdown
-among them), the stdio flush, the pool shutdown and module teardown
+2 vCPUs. The other atexit handlers (logging.shutdown among them, before
+or after it), the stdio flush, the pool shutdown and module teardown
 still run; cyclic garbage left at exit is not finalized, which CPython
 does not promise at exit anyway. In-process callers of main keep
 normal collection until their own interpreter exits.
@@ -30,13 +39,10 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import csv
 import gc
-import logging
 import math
 import sys
 
-from .channels import Nakagami, Rayleigh, Rician
 from .errors import (
     ConfigError,
     InsufficientTailDataError,
@@ -44,9 +50,7 @@ from .errors import (
     NoValidTiltError,
     SampleParseError,
 )
-from .evalmc import SWEEP_AXES, EvalConfig, evaluate, sweep
 from .learn import load_sample_file
-from .mismatch import mean_outage_mismatch, meta_prob_mismatch
 from .rateselect import (
     AR,
     FAMILIES,
@@ -158,6 +162,8 @@ def _reject_unknown(entries: dict[str, str]) -> None:
 
 
 def _build_model(name: str, lam: float, k, m):
+    from .channels import Nakagami, Rayleigh, Rician
+
     if name == "rayleigh":
         if k is not None or m is not None:
             raise ConfigError("keys 'k'/'m' are only valid for rician/nakagami models")
@@ -176,6 +182,8 @@ def _build_model(name: str, lam: float, k, m):
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -208,6 +216,13 @@ def cmd_rate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import logging
+
+    from .evalmc import SWEEP_AXES, EvalConfig, sweep
+
+    # the only command that logs: progress lines, one per sweep point
+    logging.basicConfig(level=logging.INFO, format="%(message)s",
+                        stream=sys.stderr)
     entries = _parse_kv_file(args.config)
     model_name = _take(entries, "model", _choice(("rayleigh", "rician", "nakagami")))
     lam = _take(entries, "lam", float, required=False, default=1.0)
@@ -254,6 +269,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mismatch(args) -> int:
+    from .channels import Nakagami, Rician
+    from .mismatch import mean_outage_mismatch, meta_prob_mismatch
+
     entries = _parse_kv_file(args.config)
     param = _take(entries, "param", _choice(("k", "m")))
     param_values = _take(entries, "param_values", _as_float_list)
@@ -288,6 +306,9 @@ def cmd_mismatch(args) -> int:
         raise ConfigError("keys 'trials' and 'seed' are only valid with power-law selectors")
     if seed is None:
         seed = 0
+    if needs_mc:
+        # only the power-law rows simulate, so only they load evalmc
+        from .evalmc import EvalConfig, evaluate
 
     designs = {}
     for sel in selectors:
@@ -370,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(message)s",
-                        stream=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

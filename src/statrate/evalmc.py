@@ -30,8 +30,9 @@ images of the l smallest uniforms. On Rayleigh truth trial_outcomes
 draws each block's uniforms from its stream into one reused buffer;
 a mean-based selector gets them all mapped. For a selector that reads
 a tail of l = Calibration.tail_size values, the l smallest of a row
-lie below t = betainccinv(l, n + 1 - l, 1e-9), the point the l-th
-smallest of n uniforms passes with probability 1e-9. Where t keeps at
+lie below t = (l + L + sqrt(L^2 + 2 l L)) / n, L = log(1e9), but for
+probability at most 1e-9 (a Chernoff bound on the count of n uniforms
+below t, so t is at least the exact Beta quantile). Where t keeps at
 most 1/50 of a row, only the values below t are partitioned; a block
 with a row short of l of them is partitioned whole, as is every block
 where t is larger. Other truths take trial_block, partitioned whole.
@@ -53,7 +54,7 @@ import numpy as np
 from . import specfun
 from .channels import ChannelModel, Nakagami, Rayleigh, Rician
 from .errors import check_positive_int
-from .rateselect import ReliabilityTarget, SelectorSpec, calibrate
+from .rateselect import PCR, ReliabilityTarget, SelectorSpec, calibrate
 
 __all__ = [
     "SWEEP_AXES",
@@ -194,9 +195,16 @@ def _blocks(config: EvalConfig, axis_index: int):
 
 
 def _prefilter_threshold(n: int, l: int) -> float | None:
-    """The uniform below which a row's l smallest of n values lie but for
-    probability _PREFILTER_MISS, or None where filtering does not pay."""
-    t = float(specfun.special().betainccinv(l, n + 1 - l, _PREFILTER_MISS))
+    """A uniform below which a row's l smallest of n values lie but for
+    probability at most _PREFILTER_MISS, or None where filtering does not pay.
+
+    The count of n uniforms below t is Binomial(n, t) with mean nt, and the
+    multiplicative Chernoff bound P[count < l] <= exp(-(nt - l)^2 / (2nt))
+    equals _PREFILTER_MISS at this t: a closed form, never below the exact
+    quantile betainccinv(l, n + 1 - l, _PREFILTER_MISS).
+    """
+    log_miss = -math.log(_PREFILTER_MISS)
+    t = (l + log_miss + math.sqrt(log_miss * (log_miss + 2.0 * l))) / n
     return t if t <= _PREFILTER_MAX_SHARE else None
 
 
@@ -357,9 +365,12 @@ def sweep(base: EvalConfig, axis: str, values,
             logger.info("sweep %s=%s done (%d/%d)", axis, value,
                         len(results), len(tasks))
         return results
-    # forked workers inherit scipy.special instead of each importing it;
-    # the pool module is imported only here, so other commands start without it
-    specfun.special()
+    # forked workers inherit scipy.special instead of each importing it; on
+    # Rayleigh truth under AR targets no point needs it (closed forms only).
+    # The pool module is imported only here, so other commands start without it
+    if any(cfg.target.kind == PCR or not isinstance(cfg.true_model, Rayleigh)
+           for cfg, _ in tasks):
+        specfun.special()
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=procs) as pool:

@@ -281,17 +281,19 @@ SPECIAL = "scipy.special"
 POOL = "concurrent.futures.process"
 
 
-def scipy_loaded(code):
-    """The HEAVY_SCIPY modules, SPECIAL and POOL a fresh interpreter holds
-    after running code."""
-    script = code + (
-        "import sys\n"
-        f"print(','.join(m for m in {HEAVY_SCIPY + (SPECIAL, POOL)!r} if m in sys.modules))\n")
+def modules_after(code):
+    """The names in sys.modules of a fresh interpreter after running code."""
+    script = code + "import sys\nprint(','.join(sys.modules))\n"
     # a fresh process: this one has imported scipy.stats already
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    last = res.stdout.splitlines()[-1]
-    return set(last.split(",")) - {""}
+    return set(res.stdout.splitlines()[-1].split(","))
+
+
+def scipy_loaded(code):
+    """The HEAVY_SCIPY modules, SPECIAL and POOL a fresh interpreter holds
+    after running code."""
+    return modules_after(code) & {*HEAVY_SCIPY, SPECIAL, POOL}
 
 
 def main_script(argv, status=0):
@@ -309,6 +311,15 @@ def main_script(argv, status=0):
         "    sys.exit(f'main gave {got}')\n")
 
 
+def statrate_loaded_by(*argv):
+    """The statrate submodules a fresh interpreter holds after importing
+    statrate.cli and, given argv, running main(argv), and whether it holds
+    csv or logging."""
+    loaded = modules_after(main_script(argv))
+    return ({m for m in loaded if m.startswith("statrate.")},
+            not {"csv", "logging"}.isdisjoint(loaded))
+
+
 def scipy_loaded_by(*argv, status=0):
     """The HEAVY_SCIPY modules, SPECIAL and POOL a fresh interpreter holds
     after importing statrate.cli and, given argv, running main(argv)."""
@@ -319,6 +330,28 @@ def scipy_loaded_by(*argv, status=0):
 AR_RATE_SELECTORS = [["rayleigh"], ["nonparametric"], ["plugin-rayleigh"],
                      ["plugin-nonparametric"], ["powerlaw-asym", "--beta", "0.1"]]
 AR_EPSN_FAMILIES = ["rayleigh", "powerlaw-asym"]
+
+# what argument parsing and the exit-code mapping need; epsn and rate load no more
+CLI_MODULES = {f"statrate.{m}" for m in ("cli", "errors", "learn", "rateselect", "specfun")}
+
+
+def pool_script(argv, special):
+    """main_script(argv) that fails unless main builds one process pool, with
+    scipy.special loaded by then if special and not if not. cpu_count is
+    pinned so the pool is built."""
+    return (
+        "import concurrent.futures\n"
+        "import os\n"
+        "import sys\n"
+        "seen = []\n"
+        "class Spy(concurrent.futures.ProcessPoolExecutor):\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        seen.append('scipy.special' in sys.modules)\n"
+        "        super().__init__(*args, **kwargs)\n"
+        "concurrent.futures.ProcessPoolExecutor = Spy\n"
+        "os.cpu_count = lambda: 2\n"
+        + main_script(argv)
+        + f"assert seen == [{special!r}], seen\n")
 
 
 class TestColdStart:
@@ -343,6 +376,17 @@ class TestColdStart:
         cfg = write_sweep_config(tmp_path / "cfg.txt", tmp_path / "out.csv")
         assert scipy_loaded_by("sweep", cfg) == set()
 
+    # a tail selector's pre-filter threshold is a closed form too
+    @pytest.mark.parametrize("selector", AR_RATE_SELECTORS[1:], ids=lambda s: s[0])
+    def test_rayleigh_ar_sweep_of_every_family_loads_no_scipy_special(self, tmp_path,
+                                                                     selector):
+        beta = f"beta = {selector[2]}\n" if selector[1:] else ""
+        cfg = write_sweep_config(tmp_path / "cfg.txt", tmp_path / "out.csv",
+                                 drop=("selector", "axis_values"),
+                                 extra=f"selector = {selector[0]}\n{beta}"
+                                       "axis_values = 1000, 100000\n")
+        assert scipy_loaded_by("sweep", cfg) == set()
+
     @pytest.mark.parametrize("argv", [
         ["--help"], ["rate", "--help"],
         # an argparse usage error, then a level the target rejects
@@ -362,25 +406,63 @@ class TestColdStart:
         assert scipy_loaded_by("mismatch", str(cfg), status=2) == set()
 
     def test_pool_is_built_after_scipy_special_is_loaded(self, tmp_path):
-        # forked workers inherit the parent's scipy.special; a Rayleigh AR
-        # sweep loads it only for this. cpu_count is pinned so the pool is built.
+        # forked workers inherit the parent's scipy.special, which every PCR
+        # calibration needs
         cfg = write_sweep_config(tmp_path / "cfg.txt", tmp_path / "out.csv",
-                                 extra="workers = 2\n")
-        out = scipy_loaded(
-            "import concurrent.futures\n"
-            "import os\n"
-            "seen = []\n"
-            "class Spy(concurrent.futures.ProcessPoolExecutor):\n"
-            "    def __init__(self, *args, **kwargs):\n"
-            "        seen.append('scipy.special' in sys.modules)\n"
-            "        super().__init__(*args, **kwargs)\n"
-            "concurrent.futures.ProcessPoolExecutor = Spy\n"
-            "os.cpu_count = lambda: 2\n"
-            + main_script(["sweep", cfg])
-            + "assert seen == [True], seen\n")
-        assert out == {SPECIAL, POOL}
+                                 drop=("constraint",),
+                                 extra="constraint = pcr\nxi = 0.1\nworkers = 2\n")
+        assert scipy_loaded(pool_script(["sweep", cfg], True)) == {SPECIAL, POOL}
         with open(tmp_path / "out.csv") as fh:
             assert len(fh.read().splitlines()) == 3
+
+    def test_pooled_rayleigh_ar_sweep_loads_no_scipy_special(self, tmp_path):
+        # on Rayleigh truth every AR point is closed forms, pooled or not
+        cfg = write_sweep_config(tmp_path / "cfg.txt", tmp_path / "out.csv",
+                                 drop=("selector",),
+                                 extra="selector = nonparametric\nworkers = 2\n")
+        assert scipy_loaded(pool_script(["sweep", cfg], False)) == {POOL}
+        with open(tmp_path / "out.csv") as fh:
+            assert len(fh.read().splitlines()) == 3
+
+    def test_import_statrate_loads_no_submodule(self):
+        loaded = modules_after("import statrate\n")
+        assert "statrate" in loaded
+        assert [m for m in loaded if m.startswith("statrate.") or m == "numpy"] == []
+
+    def test_import_cli_loads_what_parsing_needs(self):
+        assert statrate_loaded_by() == (CLI_MODULES, False)
+
+    @pytest.mark.parametrize("argv", [
+        ["epsn", "--family", "rayleigh", "--constraint", "ar", "--eps", "1e-3", "--n", "100"],
+        ["epsn", "--family", "powerlaw-nonasym", "--constraint", "pcr", "--eps", "1e-2",
+         "--xi", "0.05", "--n", "100000", "--beta", "0.01"],
+        ["rate", "--selector", "nonparametric", "--constraint", "pcr", "--eps", "1e-2",
+         "--xi", "0.1", "--sample"],
+        ["rate", "--selector", "powerlaw-nonasym", "--beta", "0.1", "--constraint", "pcr",
+         "--eps", "1e-2", "--xi", "0.1", "--sample"],
+    ], ids=["epsn-ar", "epsn-pcr", "rate-nonparametric-pcr", "rate-powerlaw-pcr"])
+    def test_epsn_and_rate_load_no_further_statrate_module(self, file_500, argv):
+        if argv[-1] == "--sample":
+            argv = [*argv, file_500]
+        assert statrate_loaded_by(*argv)[0] == CLI_MODULES
+
+    @pytest.mark.parametrize("selector", AR_RATE_SELECTORS, ids=lambda s: s[0])
+    def test_ar_rate_loads_no_further_module(self, file_500, selector):
+        # not csv or logging either; scipy.special would bring logging in
+        assert statrate_loaded_by("rate", "--selector", *selector, "--constraint", "ar",
+                                  "--eps", "1e-2", "--sample", file_500) == (CLI_MODULES, False)
+
+    def test_rayleigh_mismatch_loads_no_evalmc(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("param = k\nparam_values = 0.5, 2\nselectors = rayleigh-ar\n"
+                       f"eps = 1e-3\nn = 100\noutput = {tmp_path / 'out.csv'}\n")
+        loaded, _ = statrate_loaded_by("mismatch", str(cfg))
+        assert loaded == CLI_MODULES | {"statrate.channels", "statrate.mismatch"}
+
+    def test_sweep_loads_no_mismatch(self, tmp_path):
+        cfg = write_sweep_config(tmp_path / "cfg.txt", tmp_path / "out.csv")
+        loaded, _ = statrate_loaded_by("sweep", cfg)
+        assert loaded == CLI_MODULES | {"statrate.channels", "statrate.evalmc"}
 
     def test_nonparametric_pcr_rate_loads_no_heavy_scipy(self, file_500):
         assert scipy_loaded_by("rate", "--selector", "nonparametric", "--constraint", "pcr",

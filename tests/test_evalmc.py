@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import betaincc, ndtri
+from scipy.special import betaincc, betainccinv, ndtri
 
 from statrate.channels import Nakagami, Rayleigh, Rician
 from statrate import evalmc
@@ -439,11 +439,13 @@ class TestTailPath:
         self._outcomes_equal_full_blocks(
             _cfg(family="nonparametric", n=n, trials=2000, seed=70))
 
-    # at miss probability 1/2 the threshold is the median of the l-th smallest;
-    # at 1/10 a block of six rows has no short row with probability 0.9^6
+    # a threshold the l-th smallest passes with probability miss: at 1/2 the
+    # median of the l-th smallest; at 1/10 a block of six rows has no short
+    # row with probability 0.9^6
     @pytest.mark.parametrize("n,trials,miss", [(10**5, 12, 0.5), (10**4, 60, 0.1)])
     def test_blocks_short_of_candidates_fall_back(self, monkeypatch, n, trials, miss):
-        monkeypatch.setattr(evalmc, "_PREFILTER_MISS", miss)
+        monkeypatch.setattr(evalmc, "_prefilter_threshold",
+                            lambda n, l: float(betainccinv(l, n + 1 - l, miss)))
         cfg = _cfg(family="nonparametric", eps=1e-2, kind=PCR, xi=0.1, n=n,
                    trials=trials, seed=71)
         calls = self._spy_smallest(monkeypatch)
@@ -452,14 +454,19 @@ class TestTailPath:
         assert all(given for given, _ in calls)
 
     def test_threshold_misses_with_the_stated_probability(self):
-        for n, l in ((10**5, 1000), (10**4, 87), (2000, 2)):
+        miss = evalmc._PREFILTER_MISS
+        # the mc-tail points (l = 1000 of 1e5; 84 and 87 of 1e4) stay filtered
+        for n, l in ((10**5, 1000), (10**5, 960), (10**4, 84), (10**4, 87),
+                     (10**4, 100), (10**6, 1), (10**9, 5)):
             t = evalmc._prefilter_threshold(n, l)
             assert t <= evalmc._PREFILTER_MAX_SHARE
-            # P[U_(l) > t] for the l-th smallest of n uniforms, U_(l) ~ Beta(l, n + 1 - l)
-            assert betaincc(l, n + 1 - l, t) == pytest.approx(evalmc._PREFILTER_MISS,
-                                                              rel=1e-6)
-        assert evalmc._prefilter_threshold(10**4, 500) is None
-        assert evalmc._prefilter_threshold(50, 50) is None
+            # the Chernoff bound is never below the exact Beta quantile, so
+            # P[U_(l) > t] for the l-th smallest of n uniforms is at most miss
+            assert t >= betainccinv(l, n + 1 - l, miss)
+            assert betaincc(l, n + 1 - l, t) <= miss
+        assert evalmc._prefilter_threshold(10**5, 1000) == pytest.approx(0.01225, abs=5e-6)
+        for n, l in ((10**4, 500), (50, 50), (2000, 2)):
+            assert evalmc._prefilter_threshold(n, l) is None
 
     def test_tails_of_many_blocks_are_rated_together(self, monkeypatch):
         # a block keeps 6 rows of 87 values: a buffer of 2^16 values holds 125 blocks

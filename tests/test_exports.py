@@ -1,6 +1,8 @@
 import ast
 import importlib
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,13 @@ import pytest
 import statrate
 
 MODULES = ("channels", "evalmc", "learn", "mismatch", "rateselect", "specfun")
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+
+
+def run_fresh(code):
+    """Run code in a fresh interpreter, where statrate has loaded nothing yet."""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -23,11 +32,71 @@ def test_package_all_resolves():
     assert len(set(statrate.__all__)) == len(statrate.__all__)
 
 
+def test_star_import_binds_the_defining_objects():
+    # the lazy exports give what the eager imports gave: each name the object
+    # its submodule defines under it
+    run_fresh(
+        "import importlib\n"
+        "import statrate\n"
+        "ns = {}\n"
+        "exec('from statrate import *', ns)\n"
+        "names = [n for n in ns if n != '__builtins__']\n"
+        "assert sorted(names) == sorted(statrate.__all__), names\n"
+        "for name in statrate.__all__:\n"
+        "    obj = ns[name]\n"
+        "    assert obj.__module__.startswith('statrate.'), name\n"
+        "    assert getattr(importlib.import_module(obj.__module__), name) is obj, name\n")
+
+
+def test_dir_lists_every_export_before_first_use():
+    run_fresh("import statrate\n"
+              "missing = set(statrate.__all__) - set(dir(statrate))\n"
+              "assert missing == set(), missing\n")
+
+
+def test_unknown_attribute_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        getattr(statrate, "no_such_name")
+    assert not hasattr(statrate, "no_such_name")
+
+
+def test_traced_modules_are_package_attributes():
+    # the benchmark's tracer reads each module it wraps as statrate.<module>
+    spans = runpy.run_path(str(CHILD), run_name="perfbench_child")["SPANS"]
+    modules = sorted({module for targets in spans.values() for module, _ in targets})
+    assert "cli" in modules
+    run_fresh("import importlib\n"
+              "import statrate\n"
+              f"for m in {modules!r}:\n"
+              "    assert getattr(statrate, m) is importlib.import_module('statrate.' + m), m\n")
+
+
+def test_spawned_workers_write_the_serial_bytes(tmp_path):
+    # under spawn each worker imports statrate afresh, through the lazy package
+    outputs = {}
+    for workers in (1, 2):
+        outputs[workers] = tmp_path / f"out{workers}.csv"
+        (tmp_path / f"cfg{workers}.txt").write_text(
+            "model = rayleigh\nselector = nonparametric\nconstraint = pcr\n"
+            "eps = 1e-2\nxi = 0.1\nn = 1000\ntrials = 40\nseed = 5\n"
+            f"axis = n\naxis_values = 1000, 2000\nworkers = {workers}\n"
+            f"output = {outputs[workers]}\n")
+    run_fresh(
+        "import multiprocessing\n"
+        "import os\n"
+        "import statrate.cli\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "os.cpu_count = lambda: 2  # so the pool is built\n"
+        f"for cfg in {[str(tmp_path / f'cfg{w}.txt') for w in (1, 2)]!r}:\n"
+        "    assert statrate.cli.main(['sweep', cfg]) == 0\n")
+    assert outputs[2].read_bytes() == outputs[1].read_bytes()
+    assert len(outputs[1].read_bytes().splitlines()) == 3
+
+
 def test_traced_names_resolve():
     # the benchmark's --trace mode wraps these names; a deletion must fail here,
     # not only in the benchmark's own self-test
-    child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
-    spans = runpy.run_path(str(child), run_name="perfbench_child")["SPANS"]
+    spans = runpy.run_path(str(CHILD), run_name="perfbench_child")["SPANS"]
     missing = []
     for targets in spans.values():
         for module_name, attr in targets:
