@@ -118,21 +118,12 @@ class Rayleigh(ChannelModel):
 
     def sample(self, rng, count):
         # inverse-CDF of a uniform keeps the draw reproducible across
-        # numpy versions (no rejection steps)
-        return self.from_uniforms(rng.random(check_positive_int(count, "count")))
-
-    def from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        """Map uniforms u in [0, 1) to powers -lam log1p(-u), in place.
-
-        Returns u. sample is rng.random(count) through this map, which
-        is elementwise and non-decreasing: the l smallest powers are the
-        images of the l smallest uniforms. evalmc's tail path rests on
-        both facts.
-        """
-        np.negative(u, out=u)
-        np.log1p(u, out=u)
-        u *= -self.lam
-        return u
+        # numpy versions (no rejection steps): -lam log1p(-u), in place
+        y = rng.random(check_positive_int(count, "count"))
+        np.negative(y, out=y)
+        np.log1p(y, out=y)
+        y *= -self.lam
+        return y
 
     def moments(self):
         return self.lam, self.lam * self.lam

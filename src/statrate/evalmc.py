@@ -1,6 +1,7 @@
 """Monte Carlo evaluation of rate selectors over training-sample draws.
 
-Each trial draws one training sample from the true channel, runs the
+Each trial draws one training sample from the true channel (on
+Rayleigh truth only the statistic the selector reads), runs the
 selector, and records the selected rate together with its conditional
 outage probability q = F(2^R - 1). Conditioning on the sample makes q
 an exact CDF evaluation, so no test-channel transmissions are
@@ -18,28 +19,23 @@ drawn from its own PCG64DXSM stream (O'Neill, "PCG: a family of simple
 fast space-efficient statistically good algorithms for random number
 generation", 2014) seeded by SeedSequence(seed, spawn_key=(axis index,
 b)), which hashes the key apart from the seed, so distinct keys give
-distinct streams. Unused rows of the last block are dropped. The
-block size depends on n alone, never on trials or workers, so trial t
-reads the same values for any trial count and can be reproduced alone
-from trial_block(..., t // rows)[t % rows], and sweep results are
-bitwise identical for any worker count.
+distinct streams. Unused rows of the last block are dropped, and a
+partial block draws only its rows, a prefix of its stream. The block
+size depends on n alone, never on trials or workers, so trial t reads
+the same values for any trial count and sweep results are bitwise
+identical for any worker count.
 
-Draws on Rayleigh truth. Rayleigh powers are y = -lam log1p(-u) of
-uniforms u, a non-decreasing map, so the l smallest powers are the
-images of the l smallest uniforms. On Rayleigh truth trial_outcomes
-draws each block's uniforms from its stream into one reused buffer;
-a mean-based selector gets them all mapped. For a selector that reads
-a tail of l = Calibration.tail_size values, the l smallest of a row
-lie below t = (l + L + sqrt(L^2 + 2 l L)) / n, L = log(1e9), but for
-probability at most 1e-9 (a Chernoff bound on the count of n uniforms
-below t, so t is at least the exact Beta quantile). Where t keeps at
-most 1/50 of a row, only the values below t are partitioned; a block
-with a row short of l of them is partitioned whole, as is every block
-where t is larger. Other truths take trial_block, partitioned whole.
-The tails of whole blocks fill a buffer of at most _BLOCK_VALUES
-values, which is mapped and rated at once. Either way the rates and
-outages are those of trial_block's samples, byte for byte, so
-trial_block still reproduces any trial.
+On Rayleigh truth a block draws only the statistic its selector reads,
+exact in law (Renyi, "On the theory of order statistics", 1953): for a
+mean-based selector one standard_gamma(n) draw S per row, the sum of
+n Exp(1) values, so the mean is lam * (S / n); for a tail selector
+(l = Calibration.tail_size) a (rows, l) array of uniforms u, mapped to
+the l smallest of n Exp(lam) values, lam * cumsum(-log1p(-u_j) / (n - j)),
+j = 0..l-1, ascending along each row. Trial t is replayed from block
+t // rows's stream with the same draw, row t % rows. Other truths take
+trial_block's full samples, and trial t is row t % rows of
+trial_block(..., t // rows). Either way, tails are rated in batches of
+at most _BLOCK_VALUES values, which changes no byte.
 """
 
 from __future__ import annotations
@@ -77,12 +73,6 @@ _Z95 = 1.9599639845400545  # -ndtri(0.025), the 97.5% normal quantile
 
 # values drawn from one block's stream; a block is about 0.5 MB of float64
 _BLOCK_VALUES = 2**16
-# a row of a block holds fewer than l uniforms below the pre-filter
-# threshold with this probability; such a block is partitioned whole
-_PREFILTER_MISS = 1e-9
-# filtering pays while the threshold keeps at most this share of a row
-# (measured: up to about 1/35 in one-row blocks, 1/50 in blocks of many rows)
-_PREFILTER_MAX_SHARE = 1 / 50
 
 
 @dataclass(frozen=True)
@@ -147,7 +137,8 @@ def trial_block(model: ChannelModel, n: int, seed: int, axis_index: int,
                 block: int) -> np.ndarray:
     """The (block_rows(n), n) training samples of one block.
 
-    Row r is the sample of trial block * block_rows(n) + r.
+    Off Rayleigh truth, row r is the sample of trial block * block_rows(n) + r;
+    on Rayleigh truth trial_outcomes draws statistics from the same stream.
     """
     rows = block_rows(n)
     return model.sample(_block_rng(seed, axis_index, block), rows * n).reshape(rows, n)
@@ -170,71 +161,23 @@ def _wilson_ci(successes: int, t: int) -> Estimate:
     return Estimate(p, max(center - half, 0.0), min(center + half, 1.0))
 
 
-def _blocks(config: EvalConfig, axis_index: int):
-    """(lo, hi, block) for the blocks of config's trials, in order.
-
-    On Rayleigh truth a block is its uniforms, drawn into one reused
-    buffer; other truths give trial_block's powers.
-    """
-    n, trials = config.n, config.trials
-    rows = block_rows(n)
-    uniform = isinstance(config.true_model, Rayleigh)
-    buffer = np.empty((rows, n)) if uniform else None
+def _blocks(trials: int, rows: int):
+    """(lo, hi, b) for the blocks of trials, in order; unused rows of
+    the last block are dropped."""
     for lo in range(0, trials, rows):
-        hi = min(lo + rows, trials)
-        if uniform:
-            # a partial block draws only its rows: the same stream prefix
-            block = buffer[:hi - lo]
-            _block_rng(config.seed, axis_index, lo // rows).random(out=block)
-        else:
-            # Rician draws two normal streams of rows*n values each, so
-            # a partial block is cut from a whole one
-            block = trial_block(config.true_model, n, config.seed, axis_index,
-                                lo // rows)[:hi - lo]
-        yield lo, hi, block
+        yield lo, min(lo + rows, trials), lo // rows
 
 
-def _prefilter_threshold(n: int, l: int) -> float | None:
-    """A uniform below which a row's l smallest of n values lie but for
-    probability at most _PREFILTER_MISS, or None where filtering does not pay.
+def _rayleigh_tails(rng: np.random.Generator, out: np.ndarray, n: int) -> None:
+    """Fill out, (rows, l), with each row's l smallest of n Exp(1) values, ascending.
 
-    The count of n uniforms below t is Binomial(n, t) with mean nt, and the
-    multiplicative Chernoff bound P[count < l] <= exp(-(nt - l)^2 / (2nt))
-    equals _PREFILTER_MISS at this t: a closed form, never below the exact
-    quantile betainccinv(l, n + 1 - l, _PREFILTER_MISS).
+    Renyi: they are cumsum(E_j / (n - j)), j = 0..l-1, for i.i.d. Exp(1) E_j.
     """
-    log_miss = -math.log(_PREFILTER_MISS)
-    t = (l + log_miss + math.sqrt(log_miss * (log_miss + 2.0 * l))) / n
-    return t if t <= _PREFILTER_MAX_SHARE else None
-
-
-def _smallest(block: np.ndarray, l: int, t: float | None) -> np.ndarray:
-    """Each row's l smallest values, the l-th smallest in the last column.
-
-    With a threshold t only the values below t are partitioned, in rows
-    padded with inf; a block where some row has fewer than l of them,
-    or no t, is partitioned whole, in place.
-    """
-    rows, n = block.shape
-    if t is not None and rows == 1:
-        # one row needs no padding and no row index
-        kept = block[block < t]
-        if kept.size >= l:
-            kept.partition(l - 1)
-            return kept[None, :l]
-    elif t is not None:
-        found = np.flatnonzero(block < t)
-        row = found // n
-        counts = np.bincount(row, minlength=rows)
-        if counts.min() >= l:
-            kept = np.full((rows, counts.max()), np.inf)
-            # the column of each value within its row's run of found indices
-            kept[row, np.arange(found.size) - (np.cumsum(counts) - counts)[row]] = \
-                block.reshape(-1)[found]
-            kept.partition(l - 1, axis=1)
-            return kept[:, :l]
-    block.partition(l - 1, axis=1)
-    return block[:, :l]
+    rng.random(out=out)
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    out /= np.arange(out.shape[1]) - float(n)  # -E_j / -(n - j)
+    np.cumsum(out, axis=1, out=out)
 
 
 def trial_outcomes(config: EvalConfig, axis_index: int = 0):
@@ -243,9 +186,8 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0):
     The outage of a trial is its exact conditional outage probability
     F(2^R - 1) under the true model. Blocks are drawn as the module
     docstring says; with tail_size 0 every rate is zero and nothing is
-    drawn. Model draws go to Calibration.tail_rates unchecked, so a
-    non-finite rate (a scale lam so large that a drawn power overflows)
-    raises ValueError.
+    drawn. Draws are rated unchecked, so a non-finite rate (a scale lam
+    so large that a drawn power or mean overflows) raises ValueError.
     """
     if not isinstance(config, EvalConfig):
         raise TypeError("config must be an EvalConfig")
@@ -254,33 +196,48 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0):
         raise ValueError(f"axis_index must be in [0, 2^32), got {axis_index}")
     n, trials = int(config.n), int(config.trials)
     model = config.true_model
-    uniform = isinstance(model, Rayleigh)
+    rayleigh = isinstance(model, Rayleigh)
     calibration = calibrate(config.selector, config.target, n)
     tail = calibration.tail_size
+    rows = block_rows(n)
     rates = np.empty(trials)
     if tail == 0:
         rates[:] = calibration.tail_rates(np.empty((trials, 0)))
+    elif tail is None and rayleigh:
+        # the sum of n Exp(lam) values is lam times a Gamma(n) draw
+        means = np.empty(trials)
+        for lo, hi, b in _blocks(trials, rows):
+            _block_rng(config.seed, axis_index, b).standard_gamma(n, out=means[lo:hi])
+        means /= n
+        # an overflow to inf is reported by the finite-rate check
+        with np.errstate(over="ignore"):
+            means *= model.lam
+        rates[:] = calibration.mean_rates(means)
     elif tail is None:
-        for lo, hi, block in _blocks(config, axis_index):
-            if uniform:
-                # an overflow to inf is reported by the finite-rate check
-                with np.errstate(over="ignore"):
-                    block = model.from_uniforms(block)
-            rates[lo:hi] = calibration.tail_rates(block)
+        for lo, hi, b in _blocks(trials, rows):
+            # Rician draws two normal streams of rows*n values each, so
+            # a partial block is cut from a whole one
+            rates[lo:hi] = calibration.tail_rates(
+                trial_block(model, n, config.seed, axis_index, b)[:hi - lo])
     else:
-        t = _prefilter_threshold(n, tail) if uniform else None
-        # the tails of whole blocks are kept in one buffer and rated together
-        rows = block_rows(n)
+        # the tails of many blocks are kept in one buffer and rated together
         batch = max(1, _BLOCK_VALUES // (rows * tail)) * rows
         kept = np.empty((min(batch, trials), tail))
-        for lo, hi, block in _blocks(config, axis_index):
+        for lo, hi, b in _blocks(trials, rows):
             start = lo - lo % batch
-            kept[lo - start:hi - start] = _smallest(block, tail, t)
+            if rayleigh:
+                # a partial block draws only its rows: the same stream prefix
+                _rayleigh_tails(_block_rng(config.seed, axis_index, b),
+                                kept[lo - start:hi - start], n)
+            else:
+                block = trial_block(model, n, config.seed, axis_index, b)[:hi - lo]
+                block.partition(tail - 1, axis=1)
+                kept[lo - start:hi - start] = block[:, :tail]
             if hi - start == batch or hi == trials:
                 tails = kept[:hi - start]
-                if uniform:
+                if rayleigh:
                     with np.errstate(over="ignore"):
-                        tails = model.from_uniforms(tails)
+                        tails *= model.lam
                 rates[start:hi] = calibration.tail_rates(tails)
     if not np.isfinite(rates).all():
         raise ValueError(f"non-finite rate: the drawn powers overflow at lam={model.lam}")

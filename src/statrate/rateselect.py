@@ -313,7 +313,8 @@ class Calibration:
     holds every family's rate formula and checks none of the values it
     is given: for a tail family the (B, l) array of each row's l
     smallest values, the l-th smallest in the last column and the others
-    in any order; for a mean-based family the whole (B, n) rows.
+    in any order; for a mean-based family the whole (B, n) rows, whose
+    means go to mean_rates.
     """
 
     selector: SelectorSpec
@@ -351,6 +352,10 @@ class Calibration:
                                   f"so no rate meets the target ({given}n={self.n})")
         return self.eps_n
 
+    def mean_rates(self, mean: np.ndarray) -> np.ndarray:
+        """Rates of the mean-based families from each sample's mean."""
+        return _log2_1p(-math.log1p(-self.rate_level()) * mean)
+
     def tail_rates(self, tail: np.ndarray) -> np.ndarray:
         """Rates from the values each row's rate reads; see the class."""
         eps_n = self.rate_level()
@@ -365,7 +370,7 @@ class Calibration:
             if over.any():
                 # the row sum overflowed: sum the values scaled by 1/n instead
                 mean[over] = (tail[over] / self.n).sum(axis=1)
-            return _log2_1p(-math.log1p(-eps_n) * mean)
+            return self.mean_rates(mean)
         if self.l is not None:
             # log2(1 + x_(l))
             return _log2_1p(tail[:, -1]) if l else np.zeros(tail.shape[0])

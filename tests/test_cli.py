@@ -686,16 +686,34 @@ class TestSweep:
         assert not out.exists()
 
     def test_overflowing_scale_is_reported_once(self, tmp_path):
-        # the drawn powers overflow; the finite-rate check says so, numpy does not
+        # the finite-rate check reports the overflow, numpy does not. A Nakagami
+        # power of lam = 1e308 passes the float maximum above 1.8 lam; at n = 1
+        # the Rayleigh mean lam * S does for S above 1.06
+        for model in ("nakagami\nm = 2\nlam = 1e308\nn = 100\naxis_values = 100",
+                      "rayleigh\nlam = 1.7e308\nn = 1\naxis_values = 1"):
+            out = tmp_path / "x.csv"
+            cfg = write_sweep_config(
+                tmp_path / "cfg.txt", out,
+                drop=("model", "lam", "n", "trials", "axis_values"),
+                extra=f"trials = 50\nmodel = {model}\n")
+            res = run_cli("sweep", cfg)
+            assert res.returncode == 2
+            assert "non-finite rate" in res.stderr
+            assert "RuntimeWarning" not in res.stderr
+            assert not out.exists()
+
+    def test_huge_scale_mean_stays_finite(self, tmp_path):
+        # lam = 1e308 at n = 100: lam * (S / n) stays below the float maximum
         out = tmp_path / "x.csv"
         cfg = write_sweep_config(
             tmp_path / "cfg.txt", out, drop=("lam", "n", "axis_values"),
             extra="lam = 1e308\nn = 100\naxis_values = 100\n")
         res = run_cli("sweep", cfg)
-        assert res.returncode == 2
-        assert "non-finite rate" in res.stderr
+        assert res.returncode == 0, res.stderr
         assert "RuntimeWarning" not in res.stderr
-        assert not out.exists()
+        (row,) = csv.DictReader(out.open())
+        del row["axis_name"]
+        assert all(math.isfinite(float(v)) for v in row.values())
 
     def test_level_rounding_to_one_has_no_rate(self, tmp_path):
         out = tmp_path / "x.csv"

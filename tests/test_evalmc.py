@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import betaincc, betainccinv, ndtri
+import scipy.stats
+from scipy.special import ndtri
 
 from statrate.channels import Nakagami, Rayleigh, Rician
 from statrate import evalmc
@@ -96,7 +97,7 @@ class TestNonparamIdentities:
     def test_ar_mean_outage_is_l_over_n_plus_1(self):
         n, eps, trials = 10**4, 1e-2, 10**4
         report = evaluate(_cfg(family="nonparametric", eps=eps, n=n,
-                               trials=trials, seed=42))
+                               trials=trials, seed=1040))
         l = nonparam_l_ar(eps, n)
         exact = l / (n + 1)
         assert report.mean_outage.ci_lo <= exact <= report.mean_outage.ci_hi
@@ -210,8 +211,8 @@ class TestBlockEngine:
             2**16, 6553, 65, 6, 1, 1]
 
     def test_trial_reproducible_from_its_block(self):
-        cases = ((Rayleigh(1.0), "rayleigh", None, 100, 700),
-                 (Rician(1.0, 2.0), "nonparametric", None, 5000, 30),
+        # off Rayleigh truth a trial is a row of trial_block
+        cases = ((Rician(1.0, 2.0), "nonparametric", None, 5000, 30),
                  (Nakagami(1.0, 2.0), "powerlaw-asym", 0.05, 3000, 50))
         for model, family, beta, n, trials in cases:
             cfg = _cfg(model=model, family=family, beta=beta, kind=PCR, xi=0.1,
@@ -223,6 +224,21 @@ class TestBlockEngine:
                 rate = select_rate(cfg.selector, cfg.target, TrainingSample(sample))
                 assert rate == rates[t]
                 assert model.cdf(np.expm1(rate * math.log(2.0))) == outages[t]
+
+    @pytest.mark.parametrize("family,beta,n,trials", [
+        # 655 rows a block, the last block partial; one row a block
+        ("rayleigh", None, 100, 700), ("plugin-rayleigh", None, 10**5, 3),
+        ("powerlaw-nonasym", 0.05, 100, 700), ("nonparametric", None, 10**5, 3)])
+    def test_rayleigh_trial_replays_from_its_block_stream(self, family, beta, n,
+                                                          trials):
+        cfg = _cfg(model=Rayleigh(1.3), family=family, beta=beta, eps=0.05,
+                   kind=PCR, xi=0.1, n=n, trials=trials, seed=60)
+        rates, outages = trial_outcomes(cfg, axis_index=3)
+        rows = block_rows(n)
+        for t in sorted({0, rows - 1, rows, trials - 1} & set(range(trials))):
+            rate = _replay_rayleigh(cfg, 3, t)
+            assert rate == rates[t]
+            assert cfg.true_model.cdf(np.expm1(rate * math.log(2.0))) == outages[t]
 
     def test_block_is_spawn_keyed_pcg64dxsm_stream(self):
         for model, n in ((Rayleigh(1.0), 100), (Rician(1.0, 2.0), 5000),
@@ -270,6 +286,17 @@ class TestBlockEngine:
             finally:
                 tracemalloc.stop()
             assert peak - 8 * n < 10 * 2**20
+        # Rayleigh truth draws no sample: a Gamma sum or l = 10 spacings a trial
+        n = 10**7
+        for family, eps in (("rayleigh", 1e-2), ("nonparametric", 1e-6)):
+            cfg = _cfg(family=family, eps=eps, n=n, trials=3, seed=62)
+            tracemalloc.start()
+            try:
+                evaluate(cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 10 * 2**20
 
 
 def _full_block_outcomes(cfg, axis_index, calibration):
@@ -282,29 +309,28 @@ def _full_block_outcomes(cfg, axis_index, calibration):
     return rates, cfg.true_model.cdf(np.expm1(rates * math.log(2.0)))
 
 
+def _replay_rayleigh(cfg, axis_index, t):
+    # trial t on Rayleigh truth from its block's stream alone, as the README's
+    # Determinism section gives it: a Gamma(n) sum for a mean family, the
+    # Renyi spacings of the l smallest values for a tail family
+    n, rows = cfg.n, block_rows(cfg.n)
+    # the calibration trial_outcomes uses, which a test may patch
+    cal = evalmc.calibrate(cfg.selector, cfg.target, n)
+    rng = np.random.Generator(np.random.PCG64DXSM(
+        np.random.SeedSequence(cfg.seed, spawn_key=(axis_index, t // rows))))
+    lam, l = cfg.true_model.lam, cal.tail_size
+    if l is None:
+        total = rng.standard_gamma(n, rows)[t % rows]
+        return cal.mean_rates(np.array([lam * (total / n)]))[0]
+    u = rng.random((rows, l))[t % rows]
+    tail = lam * np.cumsum(-np.log1p(-u) / (n - np.arange(l)))
+    return cal.tail_rates(tail[None])[0]
+
+
 class TestTailPath:
     TAIL_FAMILIES = (("nonparametric", None), ("plugin-nonparametric", None),
                      ("powerlaw-asym", 0.05), ("powerlaw-nonasym", 0.05))
     MEAN_FAMILIES = (("rayleigh", None), ("plugin-rayleigh", None))
-
-    def test_bitwise_equal_to_full_blocks(self, monkeypatch):
-        drawn = []
-        real_block = evalmc.trial_block
-        # rows > 1 with a partial last block; rows = 1; a single partial block
-        for n, trials in ((500, 300), (70000, 3), (2000, 7)):
-            for family, beta in self.TAIL_FAMILIES + self.MEAN_FAMILIES:
-                cfg = _cfg(model=Rayleigh(1.3), family=family, beta=beta, eps=0.05,
-                           kind=PCR, xi=0.1, n=n, trials=trials, seed=64)
-                cal = calibrate(cfg.selector, cfg.target, n)
-                assert cal.tail_size is None or cal.tail_size >= 3
-                want = _full_block_outcomes(cfg, 5, cal)
-                monkeypatch.setattr(evalmc, "trial_block",
-                                    lambda *a: drawn.append(a) or real_block(*a))
-                got = trial_outcomes(cfg, axis_index=5)
-                monkeypatch.setattr(evalmc, "trial_block", real_block)
-                assert drawn == []
-                for g, w in zip(got, want):
-                    assert g.tobytes() == w.tobytes()
 
     def test_zero_tail_size_draws_nothing(self, monkeypatch):
         # nonparametric AR with n < 1/eps - 1: l = 0, every rate is zero
@@ -327,8 +353,8 @@ class TestTailPath:
             assert not got[0].any()
 
     @pytest.mark.parametrize("family,beta", TAIL_FAMILIES + MEAN_FAMILIES)
-    @pytest.mark.parametrize("model", (Rayleigh(1.3), Rician(1.3, 2.0),
-                                       Nakagami(1.3, 2.0)), ids=repr)
+    @pytest.mark.parametrize("model", (Rician(1.3, 2.0), Nakagami(1.3, 2.0)),
+                             ids=repr)
     def test_every_truth_and_family_equals_trial_block(self, monkeypatch, model,
                                                        family, beta):
         # three blocks, the last one partial
@@ -341,25 +367,27 @@ class TestTailPath:
         monkeypatch.setattr(evalmc, "trial_block",
                             lambda *a: blocks.append(a[-1]) or real_block(*a))
         got = trial_outcomes(cfg, axis_index=2)
-        # Rayleigh truth draws uniforms itself; other truths take each block once
-        assert blocks == ([] if isinstance(model, Rayleigh) else [0, 1, 2])
+        assert blocks == [0, 1, 2]
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_rate_raises(self):
-        # -lam log1p(-u) overflows to inf for u above 1 - exp(-1.79)
-        for model in (Rayleigh(1e308), Nakagami(1e308, 2.0)):
-            cfg = _cfg(model=model, family="rayleigh", n=100, trials=20)
-            with pytest.raises(ValueError, match=r"non-finite rate.*lam=1e\+308"):
+        # a Gamma(2) draw times 1e308 passes the float maximum above 1.8; at
+        # n = 1 the mean lam * S passes it for S above 1.06
+        for model, n in ((Nakagami(1e308, 2.0), 100), (Rayleigh(1.7e308), 1)):
+            cfg = _cfg(model=model, family="rayleigh", n=n, trials=20)
+            with pytest.raises(ValueError, match=r"non-finite rate.*lam=1\.?\d*e\+308"):
                 trial_outcomes(cfg)
 
     def test_mean_rate_finite_when_the_row_sum_overflows(self):
-        # n lam nears the float maximum: the sum of a row overflows, its mean does not
-        report = evaluate(_cfg(model=Rayleigh(1e307), n=10**4, trials=100, seed=1))
-        assert math.isfinite(report.rate_mean)
-        assert math.isfinite(report.throughput_ratio.ci_lo)
-        assert math.isfinite(report.throughput_ratio.ci_hi)
+        # n lam passes the float maximum: the sum of the powers would overflow,
+        # and at lam = 1e308 single draws did; their mean lam * (S / n) does not
+        for lam, n in ((1e307, 10**4), (1e308, 100)):
+            report = evaluate(_cfg(model=Rayleigh(lam), n=n, trials=100, seed=1))
+            assert math.isfinite(report.rate_mean)
+            assert math.isfinite(report.throughput_ratio.ci_lo)
+            assert math.isfinite(report.throughput_ratio.ci_hi)
 
     def test_rates_leave_the_callers_array_unmodified(self):
         rng = np.random.default_rng(67)
@@ -380,93 +408,15 @@ class TestTailPath:
                 assert cal.tail_rates(tail).tobytes() == cal.rates(samples).tobytes()
                 assert tail.tobytes() == tail_before
 
-    @staticmethod
-    def _spy_smallest(monkeypatch):
-        # per block: (was a threshold given, did the block stay as drawn with
-        # the tail taken from another array), i.e. no full row was partitioned
-        calls = []
-        real = evalmc._smallest
-
-        def spy(block, l, t):
-            drawn = block.tobytes()
-            tail = real(block, l, t)
-            calls.append((t is not None,
-                          block.tobytes() == drawn and not np.shares_memory(tail, block)))
-            return tail
-
-        monkeypatch.setattr(evalmc, "_smallest", spy)
-        return calls
-
-    def _outcomes_equal_full_blocks(self, cfg, axis_index=3):
-        # the calibration trial_outcomes uses, which a test may patch
-        want = _full_block_outcomes(cfg, axis_index,
-                                    evalmc.calibrate(cfg.selector, cfg.target, cfg.n))
-        got = trial_outcomes(cfg, axis_index=axis_index)
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
-
-    @pytest.mark.parametrize("family,beta,n,trials,tail", [
-        ("powerlaw-asym", 0.01, 10**5, 3, 1000),
-        ("nonparametric", None, 10**5, 3, 960),
-        # six rows a block, the last block partial (6, 6, 6, 2 rows)
-        ("nonparametric", None, 10**4, 20, 87),
-        ("powerlaw-nonasym", 0.01, 10**4, 20, 100),
-    ])
-    def test_filtered_regime_partitions_no_full_row(self, monkeypatch, family, beta,
-                                                    n, trials, tail):
-        cfg = _cfg(family=family, beta=beta, eps=1e-2, kind=PCR, xi=0.1, n=n,
-                   trials=trials, seed=68)
-        assert calibrate(cfg.selector, cfg.target, n).tail_size == tail
-        assert evalmc._prefilter_threshold(n, tail) is not None
-        calls = self._spy_smallest(monkeypatch)
-        self._outcomes_equal_full_blocks(cfg)
-        assert calls == [(True, True)] * -(-trials // block_rows(n))
-
-    def test_skipped_regime_partitions_whole_blocks(self, monkeypatch):
-        # l = 500 of n = 1e4: the threshold keeps about 6% of a row
-        cfg = _cfg(family="powerlaw-asym", beta=0.05, eps=1e-2, kind=PCR, xi=0.1,
-                   n=10**4, trials=20, seed=69)
-        assert evalmc._prefilter_threshold(10**4, 500) is None
-        calls = self._spy_smallest(monkeypatch)
-        self._outcomes_equal_full_blocks(cfg)
-        assert calls == [(False, False)] * 4
-
     def test_tail_of_every_value(self, monkeypatch):
-        # l = n: the l-th smallest is each row's maximum
-        n = 50
+        # l = n: the l-th smallest is each row's maximum, the last spacing E / 1
+        n, trials = 50, 2000
         cal = Calibration(SelectorSpec("nonparametric"), n, l=n)
         monkeypatch.setattr(evalmc, "calibrate", lambda *args: cal)
-        self._outcomes_equal_full_blocks(
-            _cfg(family="nonparametric", n=n, trials=2000, seed=70))
-
-    # a threshold the l-th smallest passes with probability miss: at 1/2 the
-    # median of the l-th smallest; at 1/10 a block of six rows has no short
-    # row with probability 0.9^6
-    @pytest.mark.parametrize("n,trials,miss", [(10**5, 12, 0.5), (10**4, 60, 0.1)])
-    def test_blocks_short_of_candidates_fall_back(self, monkeypatch, n, trials, miss):
-        monkeypatch.setattr(evalmc, "_prefilter_threshold",
-                            lambda n, l: float(betainccinv(l, n + 1 - l, miss)))
-        cfg = _cfg(family="nonparametric", eps=1e-2, kind=PCR, xi=0.1, n=n,
-                   trials=trials, seed=71)
-        calls = self._spy_smallest(monkeypatch)
-        self._outcomes_equal_full_blocks(cfg)
-        assert {filtered for _, filtered in calls} == {True, False}
-        assert all(given for given, _ in calls)
-
-    def test_threshold_misses_with_the_stated_probability(self):
-        miss = evalmc._PREFILTER_MISS
-        # the mc-tail points (l = 1000 of 1e5; 84 and 87 of 1e4) stay filtered
-        for n, l in ((10**5, 1000), (10**5, 960), (10**4, 84), (10**4, 87),
-                     (10**4, 100), (10**6, 1), (10**9, 5)):
-            t = evalmc._prefilter_threshold(n, l)
-            assert t <= evalmc._PREFILTER_MAX_SHARE
-            # the Chernoff bound is never below the exact Beta quantile, so
-            # P[U_(l) > t] for the l-th smallest of n uniforms is at most miss
-            assert t >= betainccinv(l, n + 1 - l, miss)
-            assert betaincc(l, n + 1 - l, t) <= miss
-        assert evalmc._prefilter_threshold(10**5, 1000) == pytest.approx(0.01225, abs=5e-6)
-        for n, l in ((10**4, 500), (50, 50), (2000, 2)):
-            assert evalmc._prefilter_threshold(n, l) is None
+        cfg = _cfg(family="nonparametric", n=n, trials=trials, seed=70)
+        rates, _ = trial_outcomes(cfg, axis_index=3)
+        for t in (0, block_rows(n) - 1, block_rows(n), trials - 1):
+            assert _replay_rayleigh(cfg, 3, t) == rates[t]
 
     def test_tails_of_many_blocks_are_rated_together(self, monkeypatch):
         # a block keeps 6 rows of 87 values: a buffer of 2^16 values holds 125 blocks
@@ -479,8 +429,32 @@ class TestTailPath:
         rates, _ = trial_outcomes(cfg)
         monkeypatch.setattr(Calibration, "tail_rates", real)
         assert batches == [(750, 87), (750, 87), (100, 87)]
-        want, _ = _full_block_outcomes(cfg, 0, calibrate(cfg.selector, cfg.target, 10**4))
-        assert rates.tobytes() == want.tobytes()
+        # rating in batches changes no byte of a trial's rate
+        for t in (0, 749, 750, 1500, 1599):
+            assert _replay_rayleigh(cfg, 0, t) == rates[t]
+
+
+class TestRayleighDraw:
+    FAMILIES = TestTailPath.TAIL_FAMILIES + TestTailPath.MEAN_FAMILIES
+
+    # one partial block; rows > 1 with a partial last block (twice); rows = 1
+    @pytest.mark.parametrize("n,trials", [(10, 4000), (500, 1000), (2000, 1000),
+                                          (70000, 200)])
+    @pytest.mark.parametrize("family,beta", FAMILIES)
+    def test_law_equals_full_samples(self, family, beta, n, trials):
+        # the Gamma sum and the Renyi spacings give the rates of full samples in law
+        eps, xi, beta = (0.2, 0.3, beta and 0.3) if n == 10 else (0.05, 0.1, beta)
+        cfg = _cfg(model=Rayleigh(1.3), family=family, beta=beta, eps=eps, kind=PCR,
+                   xi=xi, n=n, trials=trials, seed=64)
+        cal = calibrate(cfg.selector, cfg.target, n)
+        assert cal.tail_size != 0
+        # the reference draws full samples on another axis, so from other streams
+        want = _full_block_outcomes(cfg, 6, cal)
+        got = trial_outcomes(cfg, axis_index=5)
+        assert scipy.stats.ks_2samp(got[0], want[0]).pvalue > 1e-3
+        for g, w in ((got[1], want[1]), (got[1] > eps, want[1] > eps)):
+            se = math.sqrt((g.var() + w.var()) / trials)
+            assert abs(g.mean() - w.mean()) <= 4.0 * se
 
 
 class TestSweep:

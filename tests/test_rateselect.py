@@ -593,6 +593,15 @@ class TestCalibrate:
         assert mixed[:3].tobytes() == cal.rates(rows).tobytes()
         assert mixed[3] == big[0]
 
+    def test_mean_rates_is_the_rate_of_the_row_means(self):
+        rows = RNG(36).exponential(size=(5, 40))
+        for family in ("rayleigh", "plugin-rayleigh"):
+            cal = calibrate(SelectorSpec(family), ReliabilityTarget(1e-2, PCR, 0.1), 40)
+            assert cal.mean_rates(rows.mean(axis=1)).tobytes() == cal.rates(rows).tobytes()
+        cal = calibrate(SelectorSpec("rayleigh"), ReliabilityTarget(0.999999), 1)
+        with pytest.raises(NoSolutionError, match="eps_n=1.0"):
+            cal.mean_rates(np.ones(1))
+
     def test_rates_validates_samples(self):
         cal = calibrate(SelectorSpec("rayleigh"), ReliabilityTarget(1e-2), 4)
         good = np.ones((2, 4))
