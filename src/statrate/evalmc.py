@@ -168,16 +168,20 @@ def _blocks(trials: int, rows: int):
         yield lo, min(lo + rows, trials), lo // rows
 
 
-def _rayleigh_tails(rng: np.random.Generator, out: np.ndarray, n: int) -> None:
-    """Fill out, (rows, l), with each row's l smallest of n Exp(1) values, ascending.
+def _rayleigh_tails(rng: np.random.Generator, out: np.ndarray, n: int,
+                    lam: float) -> None:
+    """Fill out, (rows, l), with each row's l smallest of n Exp(lam) values, ascending.
 
-    Renyi: they are cumsum(E_j / (n - j)), j = 0..l-1, for i.i.d. Exp(1) E_j.
+    Renyi: they are lam * cumsum(E_j / (n - j)), j = 0..l-1, for i.i.d. Exp(1) E_j.
     """
     rng.random(out=out)
     np.negative(out, out=out)
     np.log1p(out, out=out)
     out /= np.arange(out.shape[1]) - float(n)  # -E_j / -(n - j)
     np.cumsum(out, axis=1, out=out)
+    # an overflow to inf is reported by the finite-rate check
+    with np.errstate(over="ignore"):
+        out *= lam
 
 
 def trial_outcomes(config: EvalConfig, axis_index: int = 0):
@@ -228,17 +232,13 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0):
             if rayleigh:
                 # a partial block draws only its rows: the same stream prefix
                 _rayleigh_tails(_block_rng(config.seed, axis_index, b),
-                                kept[lo - start:hi - start], n)
+                                kept[lo - start:hi - start], n, model.lam)
             else:
                 block = trial_block(model, n, config.seed, axis_index, b)[:hi - lo]
                 block.partition(tail - 1, axis=1)
                 kept[lo - start:hi - start] = block[:, :tail]
             if hi - start == batch or hi == trials:
-                tails = kept[:hi - start]
-                if rayleigh:
-                    with np.errstate(over="ignore"):
-                        tails *= model.lam
-                rates[start:hi] = calibration.tail_rates(tails)
+                rates[start:hi] = calibration.tail_rates(kept[:hi - start])
     if not np.isfinite(rates).all():
         raise ValueError(f"non-finite rate: the drawn powers overflow at lam={model.lam}")
     # conditional outage is an exact CDF value, not a simulated rate
