@@ -13,17 +13,18 @@ Reported quantities per configuration:
     meta-probability   P[q > eps]     (Wilson CI)
     throughput ratio   E[R (1-q)] / (R_eps (1-eps))   (normal CI)
 
-Trials are drawn in blocks of block_rows(n) = max(1, 2**16 // n)
-training samples. Block b holds trials b*rows .. (b+1)*rows - 1 and is
-drawn from its own PCG64DXSM stream (O'Neill, "PCG: a family of simple
-fast space-efficient statistically good algorithms for random number
-generation", 2014) seeded by SeedSequence(seed, spawn_key=(axis index,
-b)), which hashes the key apart from the seed, so distinct keys give
-distinct streams. Unused rows of the last block are dropped, and a
-partial block draws only its rows, a prefix of its stream. The block
-size depends on n alone, never on trials or workers, so trial t reads
-the same values for any trial count and sweep results are bitwise
-identical for any worker count.
+Trials are drawn in blocks of block_rows(width) = max(1, 2**16 // width)
+rows, width being the values a row draws: n for a training sample, on
+Rayleigh truth l or 1 (below). Block b holds trials b*rows ..
+(b+1)*rows - 1 and is drawn from its own PCG64DXSM stream (O'Neill, "PCG:
+a family of simple fast space-efficient statistically good algorithms
+for random number generation", 2014) seeded by SeedSequence(seed,
+spawn_key=(axis index, b)), which hashes the key apart from the seed, so
+distinct keys give distinct streams. Unused rows of the last block are dropped, and a
+partial block draws only its rows, a prefix of its stream. The width
+depends on (selector, target, n) alone, never on trials or workers, so
+trial t reads the same values for any trial count and sweep results are
+bitwise identical for any worker count.
 
 On Rayleigh truth a block draws only the statistic its selector reads,
 exact in law (Renyi, "On the theory of order statistics", 1953): for a
@@ -35,7 +36,7 @@ j = 0..l-1, ascending along each row. Trial t is replayed from block
 t // rows's stream with the same draw, row t % rows. Other truths take
 trial_block's full samples, and trial t is row t % rows of
 trial_block(..., t // rows). Either way, tails are rated in batches of
-at most _BLOCK_VALUES values, which changes no byte.
+at most _BLOCK_VALUES values or one block, which changes no byte.
 """
 
 from __future__ import annotations
@@ -123,9 +124,9 @@ class EvalReport:
     seed: int
 
 
-def block_rows(n: int) -> int:
-    """Trials per block for samples of size n; depends on n alone."""
-    return max(1, _BLOCK_VALUES // int(n))
+def block_rows(width: int) -> int:
+    """Trials per block for rows that draw width values each."""
+    return max(1, _BLOCK_VALUES // int(width))
 
 
 def _block_rng(seed: int, axis_index: int, block: int) -> np.random.Generator:
@@ -137,8 +138,9 @@ def trial_block(model: ChannelModel, n: int, seed: int, axis_index: int,
                 block: int) -> np.ndarray:
     """The (block_rows(n), n) training samples of one block.
 
-    Off Rayleigh truth, row r is the sample of trial block * block_rows(n) + r;
-    on Rayleigh truth trial_outcomes draws statistics from the same stream.
+    Off Rayleigh truth, row r is the sample of trial block * block_rows(n) + r.
+    On Rayleigh truth trial_outcomes lays out blocks by the width of the
+    statistic it draws, so this block is not the one its trials read.
     """
     rows = block_rows(n)
     return model.sample(_block_rng(seed, axis_index, block), rows * n).reshape(rows, n)
@@ -203,7 +205,8 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0):
     rayleigh = isinstance(model, Rayleigh)
     calibration = calibrate(config.selector, config.target, n)
     tail = calibration.tail_size
-    rows = block_rows(n)
+    # a row draws l spacings or one Gamma sum on Rayleigh truth, else n values
+    rows = block_rows((tail or 1) if rayleigh else n)
     rates = np.empty(trials)
     if tail == 0:
         rates[:] = calibration.tail_rates(np.empty((trials, 0)))

@@ -258,27 +258,31 @@ def test_criterion_09_special_function_oracles():
 
 
 def test_criterion_10_sweep_determinism(tmp_path):
+    # the rayleigh mean family in one partial block, and a nonparametric tail
+    # (l = 87 and 84) over blocks of 753 and 780 rows
+    sweeps = {
+        "mean": ("selector = rayleigh\nconstraint = ar\nn = 20\ntrials = 50\n"
+                 "seed = 11\naxis = n\naxis_values = 10, 20\n", (1, 1, 4)),
+        "tail": ("selector = nonparametric\nconstraint = pcr\nxi = 0.1\n"
+                 "n = 10000\ntrials = 1600\nseed = 12\naxis = xi\n"
+                 "axis_values = 0.1, 0.05\n", (1, 1, 2)),
+    }
     with _criterion(10, "sweep CSV is byte-identical across reruns and worker counts", 60.0):
-        outputs = []
-        for tag, workers in (("a", 1), ("b", 1), ("c", 4)):
-            out = tmp_path / f"out_{tag}.csv"
-            cfg = tmp_path / f"cfg_{tag}.txt"
-            cfg.write_text(
-                "model = rayleigh\n"
-                "lam = 1.0\n"
-                "selector = rayleigh\n"
-                "constraint = ar\n"
-                "eps = 1e-2\n"
-                "n = 20\n"
-                "trials = 50\n"
-                "seed = 11\n"
-                "axis = n\n"
-                "axis_values = 10, 20\n"
-                f"workers = {workers}\n"
-                f"output = {out}\n")
-            res = subprocess.run([sys.executable, "-m", "statrate", "sweep", str(cfg)],
-                                 capture_output=True, text=True)
-            assert res.returncode == 0, res.stderr
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-        assert outputs[0] == outputs[2]
+        for name, (body, worker_counts) in sweeps.items():
+            outputs = []
+            for tag, workers in zip("abc", worker_counts):
+                out = tmp_path / f"out_{name}_{tag}.csv"
+                cfg = tmp_path / f"cfg_{name}_{tag}.txt"
+                cfg.write_text(
+                    "model = rayleigh\n"
+                    "lam = 1.0\n"
+                    "eps = 1e-2\n"
+                    + body +
+                    f"workers = {workers}\n"
+                    f"output = {out}\n")
+                res = subprocess.run([sys.executable, "-m", "statrate", "sweep", str(cfg)],
+                                     capture_output=True, text=True)
+                assert res.returncode == 0, res.stderr
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1]
+            assert outputs[0] == outputs[2]

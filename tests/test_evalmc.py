@@ -116,7 +116,7 @@ class TestNonparamIdentities:
 class TestParametricExactness:
     def test_ar_mean_outage_matches_exact(self):
         n, eps, trials = 20, 1e-2, 4000
-        report = evaluate(_cfg(n=n, eps=eps, trials=trials, seed=44))
+        report = evaluate(_cfg(n=n, eps=eps, trials=trials, seed=1140))
         exact = mean_outage_exact_rayleigh(epsn_rayleigh_ar(eps, n), n)
         assert exact == pytest.approx(eps, abs=1e-12)
         assert report.mean_outage.ci_lo <= exact <= report.mean_outage.ci_hi
@@ -206,9 +206,22 @@ class TestDeterminism:
 
 
 class TestBlockEngine:
-    def test_block_size_depends_on_n_alone(self):
-        assert [block_rows(n) for n in (1, 10, 1000, 10**4, 2**16, 10**5)] == [
-            2**16, 6553, 65, 6, 1, 1]
+    def test_block_size_depends_on_the_draw_width(self, monkeypatch):
+        assert [block_rows(w) for w in (1, 10, 87, 1000, 10**4, 2**16, 10**5)] == [
+            2**16, 6553, 753, 65, 6, 1, 1]
+        # a row draws n values of a full sample, on Rayleigh truth l = 87
+        # spacings or one Gamma sum
+        cases = ((Rician(1.0, 2.0), "nonparametric", 13, [0, 1, 2]),
+                 (Rayleigh(1.0), "nonparametric", 1600, [0, 1, 2]),
+                 (Rayleigh(1.0), "rayleigh", 2**16 + 1, [0, 1]))
+        real = evalmc._block_rng
+        for model, family, trials, want in cases:
+            blocks = []
+            monkeypatch.setattr(evalmc, "_block_rng",
+                                lambda seed, a, b: blocks.append(b) or real(seed, a, b))
+            trial_outcomes(_cfg(model=model, family=family, eps=1e-2, kind=PCR, xi=0.1,
+                                n=10**4, trials=trials))
+            assert blocks == want
 
     def test_trial_reproducible_from_its_block(self):
         # off Rayleigh truth a trial is a row of trial_block
@@ -226,15 +239,18 @@ class TestBlockEngine:
                 assert model.cdf(np.expm1(rate * math.log(2.0))) == outages[t]
 
     @pytest.mark.parametrize("family,beta,n,trials", [
-        # 655 rows a block, the last block partial; one row a block
+        # one partial block of 2^16 means, of 13107 rows (l = 5) and of 13
+        # rows (l = 4912); two blocks of means, the second of one trial; three
+        # blocks of 138 rows (l = 472), the last partial
         ("rayleigh", None, 100, 700), ("plugin-rayleigh", None, 10**5, 3),
-        ("powerlaw-nonasym", 0.05, 100, 700), ("nonparametric", None, 10**5, 3)])
+        ("powerlaw-nonasym", 0.05, 100, 700), ("nonparametric", None, 10**5, 3),
+        ("rayleigh", None, 10, 2**16 + 1), ("nonparametric", None, 10**4, 300)])
     def test_rayleigh_trial_replays_from_its_block_stream(self, family, beta, n,
                                                           trials):
         cfg = _cfg(model=Rayleigh(1.3), family=family, beta=beta, eps=0.05,
                    kind=PCR, xi=0.1, n=n, trials=trials, seed=60)
         rates, outages = trial_outcomes(cfg, axis_index=3)
-        rows = block_rows(n)
+        rows = _rayleigh_rows(calibrate(cfg.selector, cfg.target, n))
         for t in sorted({0, rows - 1, rows, trials - 1} & set(range(trials))):
             rate = _replay_rayleigh(cfg, 3, t)
             assert rate == rates[t]
@@ -266,10 +282,13 @@ class TestBlockEngine:
             assert not np.array_equal(x, y)
 
     def test_first_trials_unchanged_when_trials_grow(self):
-        for n, few, many in ((10, 100, 7000), (5000, 20, 50)):
-            base = _cfg(n=n, trials=few, seed=61)
+        # the last case: Rayleigh tails (l = 87) of one block, then of three
+        tail = dict(family="nonparametric", kind=PCR, xi=0.1)
+        for n, few, many, kw in ((10, 100, 7000, {}), (5000, 20, 50, {}),
+                                 (10**4, 700, 1600, tail)):
+            base = _cfg(n=n, trials=few, seed=61, **kw)
             short = trial_outcomes(base, axis_index=1)
-            longer = trial_outcomes(_cfg(n=n, trials=many, seed=61), axis_index=1)
+            longer = trial_outcomes(_cfg(n=n, trials=many, seed=61, **kw), axis_index=1)
             for part, whole in zip(short, longer):
                 assert np.array_equal(part, whole[:few])
 
@@ -286,17 +305,23 @@ class TestBlockEngine:
             finally:
                 tracemalloc.stop()
             assert peak - 8 * n < 10 * 2**20
-        # Rayleigh truth draws no sample: a Gamma sum or l = 10 spacings a trial
+        # Rayleigh truth draws no sample: a Gamma sum or l spacings a trial,
+        # here l = 10 and l = 10^5 > 2^16 (one row a block); at 2e5 trials a
+        # block holds 2^16 means. Beyond the per-trial arrays (means, rates,
+        # outages and evaluate's temporaries, six at most) the peak stays small
         n = 10**7
-        for family, eps in (("rayleigh", 1e-2), ("nonparametric", 1e-6)):
-            cfg = _cfg(family=family, eps=eps, n=n, trials=3, seed=62)
+        for family, beta, eps, trials in (("rayleigh", None, 1e-2, 3),
+                                          ("nonparametric", None, 1e-6, 3),
+                                          ("powerlaw-asym", 0.01, 1e-2, 3),
+                                          ("rayleigh", None, 1e-2, 2 * 10**5)):
+            cfg = _cfg(family=family, beta=beta, eps=eps, n=n, trials=trials, seed=62)
             tracemalloc.start()
             try:
                 evaluate(cfg)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 10 * 2**20
+            assert peak - 6 * 8 * trials < 10 * 2**20
 
 
 def _full_block_outcomes(cfg, axis_index, calibration):
@@ -309,13 +334,20 @@ def _full_block_outcomes(cfg, axis_index, calibration):
     return rates, cfg.true_model.cdf(np.expm1(rates * math.log(2.0)))
 
 
+def _rayleigh_rows(cal):
+    # a Rayleigh-truth row draws l spacings for a tail family, one Gamma sum
+    # for a mean family
+    return block_rows(1 if cal.tail_size is None else cal.tail_size)
+
+
 def _replay_rayleigh(cfg, axis_index, t):
     # trial t on Rayleigh truth from its block's stream alone, as the README's
     # Determinism section gives it: a Gamma(n) sum for a mean family, the
     # Renyi spacings of the l smallest values for a tail family
-    n, rows = cfg.n, block_rows(cfg.n)
+    n = cfg.n
     # the calibration trial_outcomes uses, which a test may patch
     cal = evalmc.calibrate(cfg.selector, cfg.target, n)
+    rows = _rayleigh_rows(cal)
     rng = np.random.Generator(np.random.PCG64DXSM(
         np.random.SeedSequence(cfg.seed, spawn_key=(axis_index, t // rows))))
     lam, l = cfg.true_model.lam, cal.tail_size
@@ -418,19 +450,35 @@ class TestTailPath:
         for t in (0, block_rows(n) - 1, block_rows(n), trials - 1):
             assert _replay_rayleigh(cfg, 3, t) == rates[t]
 
-    def test_tails_of_many_blocks_are_rated_together(self, monkeypatch):
-        # a block keeps 6 rows of 87 values: a buffer of 2^16 values holds 125 blocks
-        cfg = _cfg(family="nonparametric", eps=1e-2, kind=PCR, xi=0.1, n=10**4,
-                   trials=1600, seed=72)
+    @staticmethod
+    def _batches(monkeypatch, cfg):
         batches = []
         real = Calibration.tail_rates
-        monkeypatch.setattr(Calibration, "tail_rates",
-                            lambda self, tail: batches.append(tail.shape) or real(self, tail))
-        rates, _ = trial_outcomes(cfg)
-        monkeypatch.setattr(Calibration, "tail_rates", real)
+        with monkeypatch.context() as patch:
+            patch.setattr(Calibration, "tail_rates",
+                          lambda self, tail: batches.append(tail.shape) or real(self, tail))
+            got = trial_outcomes(cfg)
+        return batches, got
+
+    def test_tails_of_many_blocks_are_rated_together(self, monkeypatch):
+        # a block keeps 6 samples' 87 smallest values: a buffer of 2^16 values
+        # holds 125 blocks
+        cfg = _cfg(model=Nakagami(1.0, 2.0), family="nonparametric", eps=1e-2,
+                   kind=PCR, xi=0.1, n=10**4, trials=1600, seed=72)
+        batches, got = self._batches(monkeypatch, cfg)
         assert batches == [(750, 87), (750, 87), (100, 87)]
         # rating in batches changes no byte of a trial's rate
-        for t in (0, 749, 750, 1500, 1599):
+        want = _full_block_outcomes(cfg, 0, calibrate(cfg.selector, cfg.target, 10**4))
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_rayleigh_tail_batch_is_one_block(self, monkeypatch):
+        # a block draws 753 rows of 87 spacings, which fill the 2^16-value buffer
+        cfg = _cfg(family="nonparametric", eps=1e-2, kind=PCR, xi=0.1, n=10**4,
+                   trials=1600, seed=72)
+        batches, (rates, _) = self._batches(monkeypatch, cfg)
+        assert batches == [(753, 87), (753, 87), (94, 87)]
+        for t in (0, 752, 753, 1506, 1599):
             assert _replay_rayleigh(cfg, 0, t) == rates[t]
 
 
