@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
+from .specfun import _as_scalar
 from .errors import check_positive_int, check_unit_interval
 
 __all__ = ["ChannelModel", "Rayleigh", "Rician", "Nakagami", "PowerLawTail"]
@@ -45,11 +46,6 @@ class PowerLawTail:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
 
 
-def _as_scalar(values: np.ndarray):
-    # a 0-d result goes back to the caller as a plain float
-    return float(values) if values.ndim == 0 else values
-
-
 class ChannelModel:
     """Common interface of the fading models."""
 
@@ -65,18 +61,20 @@ class ChannelModel:
             raise ValueError(f"received power must be >= 0, got {y.min()}")
         return y
 
-    def _check_p(self, p: float) -> float:
-        p = float(p)
-        if not (0.0 <= p < 1.0):
-            raise ValueError(f"probability must be in [0, 1), got {p}")
+    def _check_p(self, p) -> np.ndarray:
+        p = np.asarray(p, dtype=np.float64)
+        lo, hi = (p.min(), p.max()) if p.size else (0.0, 0.0)
+        if not (0.0 <= lo and hi < 1.0):
+            raise ValueError(f"probability must be in [0, 1), got {hi if lo >= 0.0 else lo}")
         return p
 
     def cdf(self, y):
         """P[Y <= y], elementwise for an array y; a float for a scalar y."""
         raise NotImplementedError
 
-    def quantile(self, p: float) -> float:
-        """The y with cdf(y) = p, for p in [0, 1)."""
+    def quantile(self, p):
+        """The y with cdf(y) = p for p in [0, 1), elementwise for an array p;
+        a float for a scalar p."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -113,8 +111,7 @@ class Rayleigh(ChannelModel):
         return _as_scalar(-np.expm1(-y / self.lam))
 
     def quantile(self, p):
-        p = self._check_p(p)
-        return -self.lam * math.log1p(-p)
+        return -self.lam * _as_scalar(np.log1p(-self._check_p(p)))
 
     def sample(self, rng, count):
         # inverse-CDF of a uniform keeps the draw reproducible across
@@ -161,11 +158,7 @@ class Rician(ChannelModel):
 
     def quantile(self, p):
         p = self._check_p(p)
-        if p == 0.0:
-            return 0.0
-        if self.k == 0.0:
-            return -self.lam * math.log1p(-p)
-        return 0.5 * self.lam * float(self._check_scipy_result(
+        return 0.5 * self.lam * _as_scalar(self._check_scipy_result(
             specfun.special().chndtrix(p, 2.0, 2.0 * self.k), p))
 
     def sample(self, rng, count):
@@ -203,8 +196,7 @@ class Nakagami(ChannelModel):
         return _as_scalar(specfun.special().gammainc(self.m, y / self.lam))
 
     def quantile(self, p):
-        p = self._check_p(p)
-        return self.lam * specfun.inv_reg_lower_gamma(self.m, p)
+        return self.lam * specfun.inv_reg_lower_gamma(self.m, self._check_p(p))
 
     def sample(self, rng, count):
         return rng.gamma(self.m, self.lam, check_positive_int(count, "count"))

@@ -1,11 +1,11 @@
 """Monte Carlo evaluation of rate selectors over training-sample draws.
 
-Each trial draws one training sample from the true channel (on
-Rayleigh truth only the statistic the selector reads), runs the
-selector, and records the selected rate together with its conditional
-outage probability q = F(2^R - 1). Conditioning on the sample makes q
-an exact CDF evaluation, so no test-channel transmissions are
-simulated; the only Monte Carlo noise left is the training randomness.
+Each trial draws the one statistic of a training sample that its
+selector reads, exact in law, runs the selector on it, and records the
+selected rate together with its conditional outage probability
+q = F(2^R - 1). Conditioning on the sample makes q an exact CDF
+evaluation, so no test-channel transmissions are simulated; the only
+Monte Carlo noise left is the training randomness.
 
 Reported quantities per configuration:
 
@@ -14,29 +14,34 @@ Reported quantities per configuration:
     throughput ratio   E[R (1-q)] / (R_eps (1-eps))   (normal CI)
 
 Trials are drawn in blocks of block_rows(width) = max(1, 2**16 // width)
-rows, width being the values a row draws: n for a training sample, on
-Rayleigh truth l or 1 (below). Block b holds trials b*rows ..
-(b+1)*rows - 1 and is drawn from its own PCG64DXSM stream (O'Neill, "PCG:
-a family of simple fast space-efficient statistically good algorithms
-for random number generation", 2014) seeded by SeedSequence(seed,
-spawn_key=(axis index, b)), which hashes the key apart from the seed, so
-distinct keys give distinct streams. Unused rows of the last block are dropped, and a
+rows, width being the values a row draws (Calibration.tail_width, or 1
+for a mean). Block b holds trials b*rows .. (b+1)*rows - 1 and is drawn
+from its own PCG64DXSM stream (O'Neill, "PCG: a family of simple fast
+space-efficient statistically good algorithms for random number
+generation", 2014) seeded by SeedSequence(seed, spawn_key=(axis index,
+b)), which hashes the key apart from the seed, so distinct keys give
+distinct streams. Unused rows of the last block are dropped, and a
 partial block draws only its rows, a prefix of its stream. The width
 depends on (selector, target, n) alone, never on trials or workers, so
 trial t reads the same values for any trial count and sweep results are
 bitwise identical for any worker count.
 
-On Rayleigh truth a block draws only the statistic its selector reads,
-exact in law (Renyi, "On the theory of order statistics", 1953): for a
-mean-based selector one standard_gamma(n) draw S per row, the sum of
-n Exp(1) values, so the mean is lam * (S / n); for a tail selector
-(l = Calibration.tail_size) a (rows, l) array of uniforms u, mapped to
-the l smallest of n Exp(lam) values, lam * cumsum(-log1p(-u_j) / (n - j)),
-j = 0..l-1, ascending along each row. Trial t is replayed from block
-t // rows's stream with the same draw, row t % rows. Other truths take
-trial_block's full samples, and trial t is row t % rows of
-trial_block(..., t // rows). Either way, tails are rated in batches of
-at most _BLOCK_VALUES values or one block, which changes no byte.
+The draws, one kind per statistic and the same on every truth:
+
+    mean (rayleigh, plugin-rayleigh)  every truth is a noncentral gamma law
+        (k, m) of scale lam (Rayleigh (0, 1), Rician (k, 1), Nakagami
+        (0, m)), so the sum of n powers is lam/2 times a draw X of
+        noncentral_chisquare(2 n m, 2 n k); the mean is lam * (X/2 / n).
+    order statistic (nonparametric families)  the l-th smallest of n
+        values is F^-1(U), U ~ Beta(l, n + 1 - l) (David and Nagaraja,
+        "Order Statistics", 2003, ch. 2): one beta draw, then quantile.
+    l smallest values (power-law)  Renyi ("On the theory of order
+        statistics", 1953): the l smallest of n uniforms are
+        1 - exp(-cumsum(E_j / (n - j))), j = 0..l-1, from a (rows, l)
+        array of uniforms u with E_j = -log1p(-u_j); then quantile.
+
+Trial t is replayed from block t // rows's stream with the same draw,
+row t % rows. A block's tails are rated together, which changes no byte.
 """
 
 from __future__ import annotations
@@ -59,7 +64,6 @@ __all__ = [
     "EvalConfig",
     "EvalReport",
     "block_rows",
-    "trial_block",
     "trial_outcomes",
     "evaluate",
     "sweep",
@@ -134,18 +138,6 @@ def _block_rng(seed: int, axis_index: int, block: int) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=(axis_index, block))))
 
 
-def trial_block(model: ChannelModel, n: int, seed: int, axis_index: int,
-                block: int) -> np.ndarray:
-    """The (block_rows(n), n) training samples of one block.
-
-    Off Rayleigh truth, row r is the sample of trial block * block_rows(n) + r.
-    On Rayleigh truth trial_outcomes lays out blocks by the width of the
-    statistic it draws, so this block is not the one its trials read.
-    """
-    rows = block_rows(n)
-    return model.sample(_block_rng(seed, axis_index, block), rows * n).reshape(rows, n)
-
-
 def _normal_ci(values: np.ndarray, lo_clip: float, hi_clip: float) -> Estimate:
     t = values.size
     mean = float(values.mean())
@@ -170,30 +162,30 @@ def _blocks(trials: int, rows: int):
         yield lo, min(lo + rows, trials), lo // rows
 
 
-def _rayleigh_tails(rng: np.random.Generator, out: np.ndarray, n: int,
-                    lam: float) -> None:
-    """Fill out, (rows, l), with each row's l smallest of n Exp(lam) values, ascending.
+def _uniform_tails(rng: np.random.Generator, out: np.ndarray, n: int) -> np.ndarray:
+    """Fill out, (rows, l), with each row's l smallest of n uniforms, ascending.
 
-    Renyi: they are lam * cumsum(E_j / (n - j)), j = 0..l-1, for i.i.d. Exp(1) E_j.
+    Renyi: they are 1 - exp(-cumsum(E_j / (n - j))), j = 0..l-1, for i.i.d.
+    Exp(1) E_j, each drawn as -log1p(-u) of a uniform u.
     """
     rng.random(out=out)
     np.negative(out, out=out)
     np.log1p(out, out=out)
-    out /= np.arange(out.shape[1]) - float(n)  # -E_j / -(n - j)
+    out /= float(n) - np.arange(out.shape[1])  # -E_j / (n - j)
     np.cumsum(out, axis=1, out=out)
-    # an overflow to inf is reported by the finite-rate check
-    with np.errstate(over="ignore"):
-        out *= lam
+    np.expm1(out, out=out)
+    return np.negative(out, out=out)
 
 
 def trial_outcomes(config: EvalConfig, axis_index: int = 0):
     """Per-trial (rates, outages) arrays of length config.trials.
 
     The outage of a trial is its exact conditional outage probability
-    F(2^R - 1) under the true model. Blocks are drawn as the module
-    docstring says; with tail_size 0 every rate is zero and nothing is
-    drawn. Draws are rated unchecked, so a non-finite rate (a scale lam
-    so large that a drawn power or mean overflows) raises ValueError.
+    F(2^R - 1) under the true model. Each block draws the statistic its
+    selector reads, as the module docstring says, and rates it; with
+    tail_size 0 every rate is zero and nothing is drawn. Draws are rated
+    unchecked, so a non-finite rate (a scale lam so large that a drawn
+    mean or tail value overflows) raises ValueError.
     """
     if not isinstance(config, EvalConfig):
         raise TypeError("config must be an EvalConfig")
@@ -202,46 +194,29 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0):
         raise ValueError(f"axis_index must be in [0, 2^32), got {axis_index}")
     n, trials = int(config.n), int(config.trials)
     model = config.true_model
-    rayleigh = isinstance(model, Rayleigh)
     calibration = calibrate(config.selector, config.target, n)
-    tail = calibration.tail_size
-    # a row draws l spacings or one Gamma sum on Rayleigh truth, else n values
-    rows = block_rows((tail or 1) if rayleigh else n)
-    rates = np.empty(trials)
-    if tail == 0:
-        rates[:] = calibration.tail_rates(np.empty((trials, 0)))
-    elif tail is None and rayleigh:
-        # the sum of n Exp(lam) values is lam times a Gamma(n) draw
-        means = np.empty(trials)
-        for lo, hi, b in _blocks(trials, rows):
-            _block_rng(config.seed, axis_index, b).standard_gamma(n, out=means[lo:hi])
-        means /= n
+    l, width = calibration.tail_size, calibration.tail_width
+    # every truth is a noncentral gamma law (k, m) of scale lam
+    df, nc = 2.0 * n * getattr(model, "m", 1.0), 2.0 * n * getattr(model, "k", 0.0)
+    rates = np.zeros(trials)  # l = 0, the zero-rate regime, draws nothing
+    for lo, hi, b in _blocks(trials, block_rows(width or 1)) if l != 0 else ():
+        rng = _block_rng(config.seed, axis_index, b)
         # an overflow to inf is reported by the finite-rate check
         with np.errstate(over="ignore"):
-            means *= model.lam
-        rates[:] = calibration.mean_rates(means)
-    elif tail is None:
-        for lo, hi, b in _blocks(trials, rows):
-            # Rician draws two normal streams of rows*n values each, so
-            # a partial block is cut from a whole one
-            rates[lo:hi] = calibration.tail_rates(
-                trial_block(model, n, config.seed, axis_index, b)[:hi - lo])
-    else:
-        # the tails of many blocks are kept in one buffer and rated together
-        batch = max(1, _BLOCK_VALUES // (rows * tail)) * rows
-        kept = np.empty((min(batch, trials), tail))
-        for lo, hi, b in _blocks(trials, rows):
-            start = lo - lo % batch
-            if rayleigh:
-                # a partial block draws only its rows: the same stream prefix
-                _rayleigh_tails(_block_rng(config.seed, axis_index, b),
-                                kept[lo - start:hi - start], n, model.lam)
+            if width is None:
+                # the sum of n powers is lam/2 times a noncentral chi-square draw
+                mean = rng.noncentral_chisquare(df, nc, hi - lo)
+                mean *= 0.5
+                mean /= n
+                mean *= model.lam
+                rates[lo:hi] = calibration.mean_rates(mean)
+            elif calibration.l is not None:
+                # the l-th smallest of n uniforms is Beta(l, n + 1 - l)
+                u = rng.beta(l, n + 1 - l, (hi - lo, 1))
+                rates[lo:hi] = calibration.tail_rates(model.quantile(u))
             else:
-                block = trial_block(model, n, config.seed, axis_index, b)[:hi - lo]
-                block.partition(tail - 1, axis=1)
-                kept[lo - start:hi - start] = block[:, :tail]
-            if hi - start == batch or hi == trials:
-                rates[start:hi] = calibration.tail_rates(kept[:hi - start])
+                u = _uniform_tails(rng, np.empty((hi - lo, l)), n)
+                rates[lo:hi] = calibration.tail_rates(model.quantile(u))
     if not np.isfinite(rates).all():
         raise ValueError(f"non-finite rate: the drawn powers overflow at lam={model.lam}")
     # conditional outage is an exact CDF value, not a simulated rate

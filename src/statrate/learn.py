@@ -149,7 +149,10 @@ def fit_ascending_tails(tail: np.ndarray, n: int):
             f"of n={n} values are 0")
     z = np.log(tail)
     z_l = z[:, -1]
-    kappa = z_l - z.mean(axis=1)
+    # an infinite tail gives inf - inf = nan, which the caller's
+    # finite-rate check reports
+    with np.errstate(invalid="ignore"):
+        kappa = z_l - z.mean(axis=1)
     if (kappa <= 0.0).any():
         raise InsufficientTailDataError(
             "degenerate tail: the l smallest values are all identical")

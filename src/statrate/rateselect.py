@@ -11,9 +11,10 @@ power-law families) or an order-statistic index l (non-parametric
 family). Calibration depends only on (eps, xi, n, beta), never on the
 sample itself: calibrate() solves it once into a Calibration, whose
 rates() checks a (B, n) array of samples and maps it to B rates. The
-order-statistic and power-law families read only each sample's
-tail_size smallest values; rates() selects them and passes them to
-tail_rates(), which holds every family's formula and checks nothing.
+mean-based families read each sample's mean, rated by mean_rates().
+The order-statistic and power-law families read the l-th smallest or
+the l smallest values; rates() selects them and passes them to
+tail_rates(), which holds those families' formulas and checks nothing.
 select_rate and make_rate_fn are the array path on a batch of one.
 
 Families:
@@ -251,7 +252,12 @@ def epsn_powerlaw(target: ReliabilityTarget, n: int, beta: float,
             return eps
         vbar = _vbar(eps, beta)
         shift = math.sqrt(vbar / n) * specfun.std_normal_quantile(target.xi)
-        return eps * math.exp(-shift)
+        try:
+            return eps * math.exp(-shift)
+        except OverflowError:
+            raise NoSolutionError(
+                f"the asymptotic PCR level eps*exp(-shift) overflows, shift={shift:.6g} "
+                f"(eps={eps}, xi={target.xi}, beta={beta}, n={n})") from None
 
     if target.kind != PCR:
         raise ValueError("the non-asymptotic calibration is defined for PCR targets only")
@@ -309,12 +315,11 @@ class Calibration:
 
     tail_size is how many of the smallest sample values the rate reads:
     l for the nonparametric families, ceil(beta*n) for power-law, None
-    for the mean-based families, which read every value. tail_rates
-    holds every family's rate formula and checks none of the values it
-    is given: for a tail family the (B, l) array of each row's l
-    smallest values, the l-th smallest in the last column and the others
-    in any order; for a mean-based family the whole (B, n) rows, whose
-    means go to mean_rates.
+    for the mean-based families, whose rates mean_rates forms from each
+    sample's mean. tail_rates holds the tail families' rate formulas and
+    checks none of the values it is given: a (B, tail_width) array, the
+    l-th smallest value alone for a nonparametric family (tail_width 1,
+    or 0 at l = 0) or the l smallest values in any order for power-law.
     """
 
     selector: SelectorSpec
@@ -331,6 +336,12 @@ class Calibration:
             return _ceil_with_float_guard(self.selector.beta * self.n)
         return None
 
+    @property
+    def tail_width(self) -> int | None:
+        if self.l is not None:
+            return min(self.l, 1)
+        return self.tail_size
+
     def rates(self, samples) -> np.ndarray:
         """Rates for a (B, n) array of training samples, one per row."""
         rows = sample_rows(samples)
@@ -338,9 +349,18 @@ class Calibration:
             raise ValueError(
                 f"calibrated for n={self.n}, got samples of size {rows.shape[1]}")
         l = self.tail_size
-        if l is not None:
-            rows = np.partition(rows, l - 1, axis=1)[:, :l] if l else rows[:, :0]
-        return self.tail_rates(rows)
+        if l is None:
+            with np.errstate(over="ignore"):
+                mean = rows.mean(axis=1)
+            over = np.isinf(mean)
+            if over.any():
+                # the row sum overflowed: sum the values scaled by 1/n instead
+                mean[over] = (rows[over] / self.n).sum(axis=1)
+            return self.mean_rates(mean)
+        if l:
+            rows = np.partition(rows, l - 1, axis=1)
+        # the l-th smallest value alone, or the l smallest
+        return self.tail_rates(rows[:, l - self.tail_width:l])
 
     def rate_level(self) -> float | None:
         """eps_n, once it is known to be below 1 (NoSolutionError otherwise)."""
@@ -357,27 +377,20 @@ class Calibration:
         return _log2_1p(-math.log1p(-self.rate_level()) * mean)
 
     def tail_rates(self, tail: np.ndarray) -> np.ndarray:
-        """Rates from the values each row's rate reads; see the class."""
+        """Rates from the tail values each row's rate reads; see the class."""
         eps_n = self.rate_level()
-        l = self.tail_size
-        width = self.n if l is None else l
+        width = self.tail_width
+        if width is None:
+            raise ValueError(f"{self.selector.family} reads no tail: use mean_rates")
         if tail.ndim != 2 or tail.shape[1] != width:
             raise ValueError(f"expected a (B, {width}) array, got shape {tail.shape}")
-        if l is None:
-            with np.errstate(over="ignore"):
-                mean = tail.mean(axis=1)
-            over = np.isinf(mean)
-            if over.any():
-                # the row sum overflowed: sum the values scaled by 1/n instead
-                mean[over] = (tail[over] / self.n).sum(axis=1)
-            return self.mean_rates(mean)
         if self.l is not None:
             # log2(1 + x_(l))
-            return _log2_1p(tail[:, -1]) if l else np.zeros(tail.shape[0])
+            return _log2_1p(tail[:, 0]) if width else np.zeros(tail.shape[0])
         kappa, z_l = fit_ascending_tails(np.sort(tail, axis=1), self.n)
         # fitted log-quantile; eps_n = 0 (an underflowed level) gives rate 0
         with np.errstate(divide="ignore"):
-            log_q = z_l + kappa * np.log(self.n * eps_n / l)
+            log_q = z_l + kappa * np.log(self.n * eps_n / width)
         return _log2_1p(np.exp(log_q))
 
 

@@ -81,45 +81,55 @@ def reg_upper_gamma(a: float, x: float) -> float:
     return float(special().gammaincc(a, x))
 
 
-def _polish_gamma_inverse(a: float, x: float, p: float, q: float) -> float:
-    """Newton steps from x toward P(a, x) = p, Q(a, x) = q, where p + q = 1.
+def _polish_gamma_inverse(a: float, x, p, q):
+    """Newton steps from x toward P(a, x) = p, Q(a, x) = q, where p + q = 1,
+    elementwise over the broadcast arrays x, p and q.
 
-    The residual is P - p when p <= q and q - Q otherwise, so it keeps
+    The residual is P - p where p <= q and q - Q elsewhere, so it keeps
     the relative accuracy of the smaller, exactly given level. At most 8
     steps, with the density exp((a-1) log x - x - lgamma(a)) as
-    derivative; they stop once the residual no longer shrinks, or x or
-    the density is zero or not finite. The iterate with the smallest
-    residual is returned.
+    derivative; an element stops once its residual no longer shrinks or
+    its density is zero or not finite (at x = 0 or inf, or where it
+    overflows), and keeps the iterate with its smallest residual.
     """
     sp = special()
-    best_x, best_residual = x, math.inf
-    for _ in range(8):
-        if not 0.0 < x < math.inf:
-            break
-        residual = sp.gammainc(a, x) - p if p <= q else q - sp.gammaincc(a, x)
-        density = math.exp((a - 1.0) * math.log(x) - x - math.lgamma(a))
-        if not (abs(residual) < best_residual and 0.0 < density < math.inf):
-            break
-        best_x, best_residual = x, abs(residual)
-        x -= float(residual) / density
-    return best_x
+    x, p, q = np.broadcast_arrays(np.asarray(x, dtype=float), p, q)
+    best, best_residual = x.copy(), np.full(x.shape, math.inf)
+    live = np.ones(x.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(8):
+            residual = np.where(p <= q, sp.gammainc(a, x) - p, q - sp.gammaincc(a, x))
+            density = np.exp((a - 1.0) * np.log(x) - x - math.lgamma(a))
+            live &= ((np.abs(residual) < best_residual)
+                     & (0.0 < density) & (density < math.inf))
+            if not live.any():
+                break
+            np.copyto(best, x, where=live)
+            np.copyto(best_residual, np.abs(residual), where=live)
+            x = x - residual / density
+    return best
 
 
-def inv_reg_lower_gamma(a: float, p: float) -> float:
-    """Inverse of P(a, .): the x >= 0 with reg_lower_gamma(a, x) = p.
+def _as_scalar(values: np.ndarray):
+    # a 0-d result goes back to the caller as a plain float
+    return float(values) if values.ndim == 0 else values
+
+
+def inv_reg_lower_gamma(a: float, p):
+    """Inverse of P(a, .): the x >= 0 with reg_lower_gamma(a, x) = p,
+    elementwise for an array p (a float for a scalar p).
 
     scipy's gammaincinv (off by up to about 2e-9), polished by Newton
     steps on P(a, x) = p (on Q(a, x) = 1 - p above p = 1/2, where 1 - p
     is exact). Relative error <= 1e-13 against mpmath for a in [0.5,
-    1e5], p in [1e-30, 1 - 1e-12].
+    1e5], p in [1e-30, 1 - 1e-12]; beyond a = 1e5 nothing is promised.
     """
     if not a > 0.0:
         raise ValueError(f"inv_reg_lower_gamma requires a > 0, got {a}")
-    if not (0.0 <= p < 1.0):
+    p = np.asarray(p, dtype=float)
+    if not ((0.0 <= p) & (p < 1.0)).all():
         raise ValueError(f"inv_reg_lower_gamma requires p in [0, 1), got {p}")
-    if p == 0.0:
-        return 0.0
-    return _polish_gamma_inverse(a, float(special().gammaincinv(a, p)), p, 1.0 - p)
+    return _as_scalar(_polish_gamma_inverse(a, special().gammaincinv(a, p), p, 1.0 - p))
 
 
 def inv_reg_upper_gamma(a: float, q: float) -> float:
@@ -137,7 +147,7 @@ def inv_reg_upper_gamma(a: float, q: float) -> float:
         raise ValueError(f"inv_reg_upper_gamma requires q in (0, 1], got {q}")
     if q == 1.0:
         return 0.0
-    return _polish_gamma_inverse(a, float(special().gammainccinv(a, q)), 1.0 - q, q)
+    return float(_polish_gamma_inverse(a, special().gammainccinv(a, q), 1.0 - q, q))
 
 
 def reg_inc_beta(a: float, b: float, x: float) -> float:

@@ -111,7 +111,7 @@ def test_criterion_03_nonparametric_distribution_free_identities():
         l_pcr = nonparam_l_pcr(eps, 0.1, n)
         exact_meta = 1.0 - reg_inc_beta(float(l_pcr), float(n + 1 - l_pcr), eps)
         # four runs, four seeds: AR at seed, PCR at seed + 1
-        for model, seed in ((Rayleigh(1.0), 2040), (Nakagami(1.0, 2.0), 2042)):
+        for model, seed in ((Rayleigh(1.0), 2044), (Nakagami(1.0, 2.0), 2046)):
             rep = evaluate(EvalConfig(model, SelectorSpec(FAMILY_NONPARAMETRIC),
                                       ReliabilityTarget(eps), n, trials, seed))
             assert rep.mean_outage.ci_lo <= exact_outage <= rep.mean_outage.ci_hi

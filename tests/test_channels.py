@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -174,6 +175,71 @@ class TestQuantile:
         model = Rician(1.0, 3.0)
         for p in (1e-5, 1e-3, 0.3, 0.99):
             assert model.cdf(model.quantile(p)) == pytest.approx(p, rel=1e-8)
+
+
+def mp_cdf(model, y):
+    """F(y) at 40 digits: 1 - exp(-v) (Rayleigh), P(m, v) (Nakagami), or the
+    Poisson(k) mixture sum_j Pois(j; k) P(1 + j, v) (Rician), v = y / lam,
+    summed until a term past the Poisson mean is below 1e-40 of the sum."""
+    with mpmath.workdps(40):
+        v = mpmath.mpf(y) / model.lam
+        if isinstance(model, Rayleigh):
+            return -mpmath.expm1(-v)
+        if isinstance(model, Nakagami):
+            return mpmath.gammainc(model.m, 0, v, regularized=True)
+        k, total, j = mpmath.mpf(model.k), mpmath.mpf(0), 0
+        weight = mpmath.exp(-k)
+        while True:
+            term = weight * mpmath.gammainc(1 + j, 0, v, regularized=True)
+            total += term
+            if j > k and term < total * mpmath.mpf(10) ** -40:
+                return total
+            j += 1
+            weight *= k / j
+
+
+class TestElementwiseQuantile:
+    # levels from the deep tail to 1 - 1e-12
+    U = np.array([1e-300, 1e-200, 1e-170, 1e-150, 1e-100, 1e-50, 1e-30, 1e-10,
+                  1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-12])
+
+    @pytest.mark.parametrize("model", [
+        Rayleigh(1.3), Nakagami(1.3, 0.5), Nakagami(1.3, 2.0), Nakagami(1.3, 10.0),
+        Rician(1.3, 0.0), Rician(1.3, 1.0), Rician(1.3, 3.0), Rician(1.3, 10.0)], ids=repr)
+    def test_round_trip_against_mpmath(self, model):
+        # F(F^-1(u)) = u within the tolerance below, and each element is the
+        # scalar call's value bit for bit: a scalar is a batch of one
+        u = self.U
+        if isinstance(model, Nakagami):
+            # the specfun inverse's documented range; below it the quantile
+            # of m = 0.5 (about u^2) underflows
+            u = u[u >= 1e-30]
+            tol = 1e-13
+        elif isinstance(model, Rician) and "Boost" in scipy.special.chndtrix.__doc__:
+            # scipy's Boost chndtrix (1.17.1 measured): within 1e-15 for
+            # u >= 1e-150 and 4e-14 below 1e-170, but not between, where
+            # scipy's chndtr loses accuracy (7e-3 relative at u = 1e-162, k = 3)
+            tol = 1e-13
+        elif isinstance(model, Rician):
+            # older scipy inverts chndtr by a search to 1e-8 relative
+            u, tol = u[u >= 1e-30], 1e-8
+        else:
+            tol = 1e-15
+        y = model.quantile(u)
+        assert y.shape == u.shape
+        assert y.tolist() == [model.quantile(float(p)) for p in u]
+        for p, x in zip(u, y):
+            assert abs(float(mp_cdf(model, x)) - p) <= tol * p, p
+
+    def test_shape_and_domain(self):
+        p = np.array([[0.0, 0.25], [0.5, 0.75]])
+        for model in ALL_MODELS:
+            y = model.quantile(p)
+            assert y.shape == (2, 2) and y[0, 0] == 0.0
+            assert (np.diff(y.ravel()) > 0).all()
+            for bad in (np.array([0.1, 1.0]), np.array([-0.1, 0.5]), np.array([math.nan])):
+                with pytest.raises(ValueError, match=r"probability must be in \[0, 1\)"):
+                    model.quantile(bad)
 
 
 class TestSampler:

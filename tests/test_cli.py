@@ -1,6 +1,7 @@
 import csv
 import gc
 import itertools
+import logging
 import math
 import os
 import re
@@ -99,6 +100,16 @@ class TestEpsn:
                 main(argv + [bad])
             assert exc.value.code == 2
             assert "argument --n" in capsys.readouterr().err
+
+    def test_gamma_inverse_at_huge_shape_stops_polishing(self):
+        # the bound reaches the inverse at a = l - 1 of about 5e17, where the
+        # Newton density overflows; that element's polish stops instead of
+        # raising, and the bound stays below xi (its own warning)
+        res = run_cli("epsn", "--family", "powerlaw-nonasym", "--constraint", "pcr",
+                      "--eps", "0.9", "--n", "1e18", "--xi", "0.1", "--beta", "0.5")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "4.99999999950e-01"
+        assert "Traceback" not in res.stderr and "OverflowError" not in res.stderr
 
     def test_out_of_range_eps(self):
         res = run_cli("epsn", "--family", "rayleigh", "--constraint", "ar",
@@ -203,6 +214,23 @@ class TestRate:
         assert res.returncode == 3, res.stdout
         assert res.stdout == ""
         assert "eps_n=1.03017313520" in res.stderr and "xi=0.9" in res.stderr
+
+    def test_overflowing_asymptotic_pcr_level_has_no_rate(self, tmp_path):
+        # for xi > 0.5 the back-off eps * exp(-shift) has -shift in the
+        # thousands here (Vbar is about 4.9e7 at beta = 1e-6): past every double
+        res = run_cli("epsn", "--family", "powerlaw-asym", "--constraint", "pcr",
+                      "--eps", "0.001", "--n", "3", "--xi", "0.99", "--beta", "1e-06")
+        assert res.returncode == 3, res.stderr
+        assert res.stdout == "" and "Traceback" not in res.stderr
+        assert "eps=0.001, xi=0.99, beta=1e-06, n=3" in res.stderr
+        p = tmp_path / "s100.txt"
+        p.write_text("".join(f"{0.5 + 0.01 * i}\n" for i in range(100)))
+        res = run_cli("rate", "--selector", "powerlaw-asym", "--constraint", "pcr",
+                      "--eps", "0.001", "--xi", "0.9999999999999999", "--beta", "1e-06",
+                      "--sample", str(p))
+        assert res.returncode == 3, res.stderr
+        assert res.stdout == "" and "Traceback" not in res.stderr
+        assert "eps=0.001, xi=0.9999999999999999, beta=1e-06, n=100" in res.stderr
 
     def test_zero_in_powerlaw_tail_is_insufficient_tail_data(self, tmp_path):
         p = tmp_path / "zeros.txt"
@@ -376,7 +404,7 @@ class TestColdStart:
         cfg = write_sweep_config(tmp_path / "cfg.txt", tmp_path / "out.csv")
         assert scipy_loaded_by("sweep", cfg) == set()
 
-    # a tail selector's pre-filter threshold is a closed form too
+    # the Rayleigh quantile a tail selector's draws go through is a closed form too
     @pytest.mark.parametrize("selector", AR_RATE_SELECTORS[1:], ids=lambda s: s[0])
     def test_rayleigh_ar_sweep_of_every_family_loads_no_scipy_special(self, tmp_path,
                                                                      selector):
@@ -686,21 +714,52 @@ class TestSweep:
         assert not out.exists()
 
     def test_overflowing_scale_is_reported_once(self, tmp_path):
-        # the finite-rate check reports the overflow, numpy does not. A Nakagami
-        # power of lam = 1e308 passes the float maximum above 1.8 lam; at n = 1
-        # the Rayleigh mean lam * S does for S above 1.06
-        for model in ("nakagami\nm = 2\nlam = 1e308\nn = 100\naxis_values = 100",
-                      "rayleigh\nlam = 1.7e308\nn = 1\naxis_values = 1"):
+        # the finite-rate check reports the overflow, numpy does not. The
+        # Nakagami mean is about m lam = 2e308; at n = 1 the Rayleigh mean
+        # lam * S passes the float maximum for S above 1.06, and at n = 10 the
+        # Rician (k = 0) mean for X/2 / n above 1.06. A power-law tail of inf
+        # values gives an inf - inf in the fit
+        mean = "selector = rayleigh\nconstraint = ar"
+        for model, selector in (
+                ("nakagami\nm = 2\nlam = 1e308\nn = 100\naxis_values = 100", mean),
+                ("rayleigh\nlam = 1.7e308\nn = 1\naxis_values = 1", mean),
+                ("rician\nk = 0\nlam = 1.7e308\nn = 10\naxis_values = 10", mean),
+                ("rayleigh\nlam = 1.7e308\nn = 10\naxis_values = 10",
+                 "selector = powerlaw-nonasym\nbeta = 0.999\nconstraint = pcr\nxi = 0.1")):
             out = tmp_path / "x.csv"
             cfg = write_sweep_config(
                 tmp_path / "cfg.txt", out,
-                drop=("model", "lam", "n", "trials", "axis_values"),
-                extra=f"trials = 50\nmodel = {model}\n")
+                drop=("model", "lam", "n", "trials", "axis_values", "selector",
+                      "constraint"),
+                extra=f"trials = 50\nmodel = {model}\n{selector}\n")
             res = run_cli("sweep", cfg)
             assert res.returncode == 2
             assert "non-finite rate" in res.stderr
             assert "RuntimeWarning" not in res.stderr
             assert not out.exists()
+
+    @pytest.mark.parametrize("selector", [
+        "selector = rayleigh\nconstraint = ar",
+        "selector = nonparametric\nconstraint = pcr\nxi = 0.1",
+        "selector = powerlaw-nonasym\nbeta = 0.05\nconstraint = pcr\nxi = 0.1"],
+        ids=["mean", "order-statistic", "tail"])
+    @pytest.mark.parametrize("model", ["rician\nk = 3", "nakagami\nm = 2"])
+    def test_csv_bytes_identical_across_reruns_and_workers(self, monkeypatch, tmp_path,
+                                                           model, selector):
+        # the tail (l = 50 and 100) spans two and three blocks; in this process
+        # sweep must not configure the root logger
+        monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: None)
+        outputs = []
+        for tag, workers in zip("abc", (1, 1, 2)):
+            out = tmp_path / f"out_{tag}.csv"
+            cfg = write_sweep_config(
+                tmp_path / f"cfg_{tag}.txt", out,
+                drop=("model", "selector", "constraint", "n", "trials", "axis_values"),
+                extra=f"model = {model}\n{selector}\nn = 1000\ntrials = 1500\n"
+                      f"axis_values = 1000, 2000\nworkers = {workers}\n")
+            assert main(["sweep", cfg]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_huge_scale_mean_stays_finite(self, tmp_path):
         # lam = 1e308 at n = 100: lam * (S / n) stays below the float maximum

@@ -16,7 +16,6 @@ from statrate.evalmc import (
     block_rows,
     evaluate,
     sweep,
-    trial_block,
     trial_outcomes,
 )
 from statrate.learn import TrainingSample
@@ -32,7 +31,6 @@ from statrate.rateselect import (
     make_rate_fn,
     nonparam_l_ar,
     nonparam_l_pcr,
-    select_rate,
 )
 
 
@@ -205,67 +203,94 @@ class TestDeterminism:
         assert serial == again
 
 
+MODELS = (Rayleigh(1.3), Rician(1.3, 2.0), Nakagami(1.3, 2.0))
+FAMILIES = (("rayleigh", None), ("plugin-rayleigh", None), ("nonparametric", None),
+            ("plugin-nonparametric", None), ("powerlaw-asym", 0.05),
+            ("powerlaw-nonasym", 0.05))
+
+
+def _replay(cfg, axis_index, t):
+    # trial t's rate from its block's stream alone, as the README's
+    # Determinism section gives it: one draw per statistic kind, on every truth
+    n, model = cfg.n, cfg.true_model
+    # the calibration trial_outcomes uses, which a test may patch
+    cal = evalmc.calibrate(cfg.selector, cfg.target, n)
+    rows = block_rows(cal.tail_width or 1)
+    rng = np.random.Generator(np.random.PCG64DXSM(
+        np.random.SeedSequence(cfg.seed, spawn_key=(axis_index, t // rows))))
+    r = t % rows
+    if cal.tail_width is None:
+        # rayleigh, plugin-rayleigh: the noncentral gamma law (k, m) of scale lam
+        m, k = getattr(model, "m", 1.0), getattr(model, "k", 0.0)
+        x = rng.noncentral_chisquare(2.0 * n * m, 2.0 * n * k, r + 1)[r]
+        return cal.mean_rates(np.array([x * 0.5 / n * model.lam]))[0]
+    l = cal.tail_size
+    if cal.l is not None:
+        # the nonparametric families: the l-th smallest uniform
+        u = rng.beta(l, n + 1 - l, r + 1)[r:]
+    else:
+        # power-law: the l smallest uniforms from Renyi's spacings
+        e = -np.log1p(-rng.random((r + 1, l))[r]) / (n - np.arange(l))
+        u = -np.expm1(-np.cumsum(e))
+    return cal.tail_rates(model.quantile(u[None]))[0]
+
+
+def _full_sample_outcomes(cfg, seed):
+    # the reference: full training samples through Calibration.rates, from
+    # a stream unrelated to the trials' streams
+    rng = np.random.Generator(np.random.PCG64DXSM(seed))
+    cal = calibrate(cfg.selector, cfg.target, cfg.n)
+    rows, n = block_rows(cfg.n), cfg.n
+    rates = np.concatenate([
+        cal.rates(cfg.true_model.sample(rng, rows * n).reshape(rows, n))
+        for _ in range(0, cfg.trials, rows)])[:cfg.trials]
+    return rates, cfg.true_model.cdf(np.expm1(rates * math.log(2.0)))
+
+
 class TestBlockEngine:
     def test_block_size_depends_on_the_draw_width(self, monkeypatch):
         assert [block_rows(w) for w in (1, 10, 87, 1000, 10**4, 2**16, 10**5)] == [
             2**16, 6553, 753, 65, 6, 1, 1]
-        # a row draws n values of a full sample, on Rayleigh truth l = 87
-        # spacings or one Gamma sum
-        cases = ((Rician(1.0, 2.0), "nonparametric", 13, [0, 1, 2]),
-                 (Rayleigh(1.0), "nonparametric", 1600, [0, 1, 2]),
-                 (Rayleigh(1.0), "rayleigh", 2**16 + 1, [0, 1]))
+        # a row draws one mean, one order statistic or the l = 87 smallest values
+        cases = ((Rician(1.0, 2.0), "nonparametric", None, 2**16 + 1, [0, 1]),
+                 (Nakagami(1.0, 2.0), "powerlaw-asym", 0.0087, 1600, [0, 1, 2]),
+                 (Rayleigh(1.0), "rayleigh", None, 2**16 + 1, [0, 1]))
         real = evalmc._block_rng
-        for model, family, trials, want in cases:
+        for model, family, beta, trials, want in cases:
             blocks = []
             monkeypatch.setattr(evalmc, "_block_rng",
                                 lambda seed, a, b: blocks.append(b) or real(seed, a, b))
-            trial_outcomes(_cfg(model=model, family=family, eps=1e-2, kind=PCR, xi=0.1,
-                                n=10**4, trials=trials))
+            cfg = _cfg(model=model, family=family, beta=beta, eps=1e-2, kind=PCR,
+                       xi=0.1, n=10**4, trials=trials)
+            assert calibrate(cfg.selector, cfg.target, cfg.n).tail_size in (None, 87)
+            trial_outcomes(cfg)
             assert blocks == want
 
-    def test_trial_reproducible_from_its_block(self):
-        # off Rayleigh truth a trial is a row of trial_block
-        cases = ((Rician(1.0, 2.0), "nonparametric", None, 5000, 30),
-                 (Nakagami(1.0, 2.0), "powerlaw-asym", 0.05, 3000, 50))
-        for model, family, beta, n, trials in cases:
-            cfg = _cfg(model=model, family=family, beta=beta, kind=PCR, xi=0.1,
-                       n=n, trials=trials, seed=60)
-            rates, outages = trial_outcomes(cfg, axis_index=3)
-            rows = block_rows(n)
-            for t in (0, rows - 1, rows, trials - 1):
-                sample = trial_block(model, n, 60, 3, t // rows)[t % rows]
-                rate = select_rate(cfg.selector, cfg.target, TrainingSample(sample))
-                assert rate == rates[t]
-                assert model.cdf(np.expm1(rate * math.log(2.0))) == outages[t]
-
     @pytest.mark.parametrize("family,beta,n,trials", [
-        # one partial block of 2^16 means, of 13107 rows (l = 5) and of 13
-        # rows (l = 4912); two blocks of means, the second of one trial; three
-        # blocks of 138 rows (l = 472), the last partial
-        ("rayleigh", None, 100, 700), ("plugin-rayleigh", None, 10**5, 3),
-        ("powerlaw-nonasym", 0.05, 100, 700), ("nonparametric", None, 10**5, 3),
-        ("rayleigh", None, 10, 2**16 + 1), ("nonparametric", None, 10**4, 300)])
-    def test_rayleigh_trial_replays_from_its_block_stream(self, family, beta, n,
-                                                          trials):
-        cfg = _cfg(model=Rayleigh(1.3), family=family, beta=beta, eps=0.05,
-                   kind=PCR, xi=0.1, n=n, trials=trials, seed=60)
+        # one partial block of means, of 13107 rows (l = 5) and of order
+        # statistics; two blocks of means and of order statistics, the second
+        # of one trial; three blocks of 131 rows (l = 500), the last partial
+        ("rayleigh", None, 100, 700), ("powerlaw-nonasym", 0.05, 100, 700),
+        ("nonparametric", None, 10**5, 3), ("plugin-rayleigh", None, 10, 2**16 + 1),
+        ("plugin-nonparametric", None, 1000, 2**16 + 1),
+        ("powerlaw-asym", 0.05, 10**4, 300)])
+    @pytest.mark.parametrize("model", MODELS, ids=repr)
+    def test_trial_replays_from_its_block_stream(self, model, family, beta, n, trials):
+        cfg = _cfg(model=model, family=family, beta=beta, eps=0.05, kind=PCR,
+                   xi=0.1, n=n, trials=trials, seed=60)
         rates, outages = trial_outcomes(cfg, axis_index=3)
-        rows = _rayleigh_rows(calibrate(cfg.selector, cfg.target, n))
+        rows = block_rows(calibrate(cfg.selector, cfg.target, n).tail_width or 1)
         for t in sorted({0, rows - 1, rows, trials - 1} & set(range(trials))):
-            rate = _replay_rayleigh(cfg, 3, t)
+            rate = _replay(cfg, 3, t)
             assert rate == rates[t]
-            assert cfg.true_model.cdf(np.expm1(rate * math.log(2.0))) == outages[t]
+            assert model.cdf(np.expm1(rate * math.log(2.0))) == outages[t]
 
     def test_block_is_spawn_keyed_pcg64dxsm_stream(self):
-        for model, n in ((Rayleigh(1.0), 100), (Rician(1.0, 2.0), 5000),
-                         (Nakagami(1.0, 2.0), 3000)):
-            for seed, axis_index, block in ((60, 0, 0), (60, 3, 7), (2**40 + 1, 1, 2)):
-                rng = np.random.Generator(np.random.PCG64DXSM(
-                    np.random.SeedSequence(seed, spawn_key=(axis_index, block))))
-                rows = block_rows(n)
-                want = model.sample(rng, rows * n).reshape(rows, n)
-                got = trial_block(model, n, seed, axis_index, block)
-                assert got.tobytes() == want.tobytes()
+        for seed, axis_index, block in ((60, 0, 0), (60, 3, 7), (2**40 + 1, 1, 2)):
+            rng = np.random.Generator(np.random.PCG64DXSM(
+                np.random.SeedSequence(seed, spawn_key=(axis_index, block))))
+            got = evalmc._block_rng(seed, axis_index, block).random(100)
+            assert got.tobytes() == rng.random(100).tobytes()
 
     def test_distinct_keys_give_distinct_blocks(self):
         # a flat SeedSequence((seed, axis_index, block)) would run the words
@@ -275,138 +300,69 @@ class TestBlockEngine:
                  ((s, 2**32 - 1, 2**32 - 1), (0, 2**32 - 1, 2**32 - 1)),
                  ((s, 1, 0), (s, 0, 1)),
                  ((2**32 + 5, 7, 0), (5, 1, 7)))
-        model, n = Rayleigh(1.0), 1000
         for a, b in pairs:
-            x, y = trial_block(model, n, *a), trial_block(model, n, *b)
-            assert x.shape == y.shape == (block_rows(n), n)
+            x, y = evalmc._block_rng(*a).random(1000), evalmc._block_rng(*b).random(1000)
             assert not np.array_equal(x, y)
 
-    def test_first_trials_unchanged_when_trials_grow(self):
-        # the last case: Rayleigh tails (l = 87) of one block, then of three
-        tail = dict(family="nonparametric", kind=PCR, xi=0.1)
-        for n, few, many, kw in ((10, 100, 7000, {}), (5000, 20, 50, {}),
-                                 (10**4, 700, 1600, tail)):
-            base = _cfg(n=n, trials=few, seed=61, **kw)
-            short = trial_outcomes(base, axis_index=1)
-            longer = trial_outcomes(_cfg(n=n, trials=many, seed=61, **kw), axis_index=1)
+    @pytest.mark.parametrize("model", MODELS, ids=repr)
+    def test_first_trials_unchanged_when_trials_grow(self, model):
+        # means and order statistics (2^16 a block), then tails of l = 87 in
+        # blocks of 753 rows; few trials fit in one block, many do not
+        tail = dict(kind=PCR, xi=0.1)
+        for family, beta, n, few, many in (
+                ("rayleigh", None, 10, 100, 2**16 + 10),
+                ("nonparametric", None, 10**4, 100, 2**16 + 10),
+                ("powerlaw-asym", 0.0087, 10**4, 700, 1600)):
+            kw = dict(model=model, family=family, beta=beta, n=n, seed=61, **tail)
+            short = trial_outcomes(_cfg(trials=few, **kw), axis_index=1)
+            longer = trial_outcomes(_cfg(trials=many, **kw), axis_index=1)
             for part, whole in zip(short, longer):
                 assert np.array_equal(part, whole[:few])
 
     def test_large_n_memory_bounded(self):
         import tracemalloc
-        n = 10**5
-        for family, beta in (("nonparametric", None), ("powerlaw-asym", 0.01)):
-            cfg = _cfg(family=family, beta=beta, kind=PCR, xi=0.1, n=n,
-                       trials=3, seed=62)
-            tracemalloc.start()
-            try:
-                evaluate(cfg)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak - 8 * n < 10 * 2**20
-        # Rayleigh truth draws no sample: a Gamma sum or l spacings a trial,
-        # here l = 10 and l = 10^5 > 2^16 (one row a block); at 2e5 trials a
-        # block holds 2^16 means. Beyond the per-trial arrays (means, rates,
-        # outages and evaluate's temporaries, six at most) the peak stays small
-        n = 10**7
-        for family, beta, eps, trials in (("rayleigh", None, 1e-2, 3),
-                                          ("nonparametric", None, 1e-6, 3),
-                                          ("powerlaw-asym", 0.01, 1e-2, 3),
-                                          ("rayleigh", None, 1e-2, 2 * 10**5)):
-            cfg = _cfg(family=family, beta=beta, eps=eps, n=n, trials=trials, seed=62)
-            tracemalloc.start()
-            try:
-                evaluate(cfg)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak - 6 * 8 * trials < 10 * 2**20
-
-
-def _full_block_outcomes(cfg, axis_index, calibration):
-    # the reference: full trial_block draws through Calibration.rates
-    rows, trials = block_rows(cfg.n), cfg.trials
-    rates = np.concatenate([
-        calibration.rates(trial_block(cfg.true_model, cfg.n, cfg.seed, axis_index,
-                                      lo // rows)[:min(rows, trials - lo)])
-        for lo in range(0, trials, rows)])
-    return rates, cfg.true_model.cdf(np.expm1(rates * math.log(2.0)))
-
-
-def _rayleigh_rows(cal):
-    # a Rayleigh-truth row draws l spacings for a tail family, one Gamma sum
-    # for a mean family
-    return block_rows(1 if cal.tail_size is None else cal.tail_size)
-
-
-def _replay_rayleigh(cfg, axis_index, t):
-    # trial t on Rayleigh truth from its block's stream alone, as the README's
-    # Determinism section gives it: a Gamma(n) sum for a mean family, the
-    # Renyi spacings of the l smallest values for a tail family
-    n = cfg.n
-    # the calibration trial_outcomes uses, which a test may patch
-    cal = evalmc.calibrate(cfg.selector, cfg.target, n)
-    rows = _rayleigh_rows(cal)
-    rng = np.random.Generator(np.random.PCG64DXSM(
-        np.random.SeedSequence(cfg.seed, spawn_key=(axis_index, t // rows))))
-    lam, l = cfg.true_model.lam, cal.tail_size
-    if l is None:
-        total = rng.standard_gamma(n, rows)[t % rows]
-        return cal.mean_rates(np.array([lam * (total / n)]))[0]
-    u = rng.random((rows, l))[t % rows]
-    tail = lam * np.cumsum(-np.log1p(-u) / (n - np.arange(l)))
-    return cal.tail_rates(tail[None])[0]
+        # no truth draws a sample: a mean, an order statistic or l values a
+        # trial, here l = 1000, l = 10^5 > 2^16 (one row a block) and l = 10;
+        # at 2e5 trials a block holds 2^16 means. Beyond the per-trial arrays
+        # (rates, outages and evaluate's temporaries, six at most) the peak
+        # stays small
+        for model in MODELS:
+            for n, family, beta, eps, trials in (
+                    (10**5, "nonparametric", None, 1e-2, 3),
+                    (10**5, "powerlaw-asym", 0.01, 1e-2, 3),
+                    (10**7, "rayleigh", None, 1e-2, 3),
+                    (10**7, "nonparametric", None, 1e-6, 3),
+                    (10**7, "powerlaw-asym", 0.01, 1e-2, 3),
+                    (10**7, "rayleigh", None, 1e-2, 2 * 10**5)):
+                cfg = _cfg(model=model, family=family, beta=beta, eps=eps, kind=PCR,
+                           xi=0.1, n=n, trials=trials, seed=62)
+                tracemalloc.start()
+                try:
+                    evaluate(cfg)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak - 6 * 8 * trials < 10 * 2**20
 
 
 class TestTailPath:
-    TAIL_FAMILIES = (("nonparametric", None), ("plugin-nonparametric", None),
-                     ("powerlaw-asym", 0.05), ("powerlaw-nonasym", 0.05))
-    MEAN_FAMILIES = (("rayleigh", None), ("plugin-rayleigh", None))
-
     def test_zero_tail_size_draws_nothing(self, monkeypatch):
         # nonparametric AR with n < 1/eps - 1: l = 0, every rate is zero
-        for model in (Rayleigh(1.3), Rician(1.3, 2.0)):
+        def no_draw(*args):
+            raise AssertionError("drew a block for l = 0")
+
+        monkeypatch.setattr(evalmc, "_block_rng", no_draw)
+        for model in MODELS:
             cfg = _cfg(model=model, family="nonparametric", eps=1e-2, n=50,
                        trials=40, seed=65)
-            cal = calibrate(cfg.selector, cfg.target, 50)
-            assert cal.tail_size == 0
-            want = _full_block_outcomes(cfg, 0, cal)
-
-            def no_draw(*args):
-                raise AssertionError("drew a block for l = 0")
-
-            with monkeypatch.context() as patch:
-                patch.setattr(evalmc, "_block_rng", no_draw)
-                patch.setattr(evalmc, "trial_block", no_draw)
-                got = trial_outcomes(cfg)
-            for g, w in zip(got, want):
-                assert g.tobytes() == w.tobytes()
-            assert not got[0].any()
-
-    @pytest.mark.parametrize("family,beta", TAIL_FAMILIES + MEAN_FAMILIES)
-    @pytest.mark.parametrize("model", (Rician(1.3, 2.0), Nakagami(1.3, 2.0)),
-                             ids=repr)
-    def test_every_truth_and_family_equals_trial_block(self, monkeypatch, model,
-                                                       family, beta):
-        # three blocks, the last one partial
-        n, trials = 500, 300
-        cfg = _cfg(model=model, family=family, beta=beta, eps=0.05, kind=PCR,
-                   xi=0.1, n=n, trials=trials, seed=66)
-        want = _full_block_outcomes(cfg, 2, calibrate(cfg.selector, cfg.target, n))
-        blocks = []
-        real_block = evalmc.trial_block
-        monkeypatch.setattr(evalmc, "trial_block",
-                            lambda *a: blocks.append(a[-1]) or real_block(*a))
-        got = trial_outcomes(cfg, axis_index=2)
-        assert blocks == [0, 1, 2]
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
+            assert calibrate(cfg.selector, cfg.target, 50).tail_size == 0
+            rates, outages = trial_outcomes(cfg)
+            assert rates.tolist() == outages.tolist() == [0.0] * 40
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_rate_raises(self):
-        # a Gamma(2) draw times 1e308 passes the float maximum above 1.8; at
-        # n = 1 the mean lam * S passes it for S above 1.06
+        # the Nakagami mean lam * (X/2 / n) is about m lam = 2e308; at n = 1
+        # the Rayleigh mean lam * S passes the float maximum for S above 1.06
         for model, n in ((Nakagami(1e308, 2.0), 100), (Rayleigh(1.7e308), 1)):
             cfg = _cfg(model=model, family="rayleigh", n=n, trials=20)
             with pytest.raises(ValueError, match=r"non-finite rate.*lam=1\.?\d*e\+308"):
@@ -426,83 +382,85 @@ class TestTailPath:
         samples = rng.exponential(size=(16, 4000))
         before = samples.tobytes()
         target = ReliabilityTarget(0.05, PCR, 0.1)
-        for family, beta in self.TAIL_FAMILIES + (("rayleigh", None),
-                                                  ("plugin-rayleigh", None)):
+        for family, beta in FAMILIES:
             cal = calibrate(SelectorSpec(family, beta=beta), target, 4000)
             cal.rates(samples)
             assert samples.tobytes() == before
             if cal.tail_size:
-                tail = np.partition(samples, cal.tail_size - 1, axis=1)[:, :cal.tail_size]
-                # only the last column's place is fixed; the others may come in any order
-                head = tail[:, :-1]
-                head[:] = rng.permuted(head, axis=1)
+                l = cal.tail_size
+                tail = np.partition(samples, l - 1, axis=1)[:, l - cal.tail_width:l]
+                # a power-law tail may come in any order
+                tail[:] = rng.permuted(tail, axis=1)
                 tail_before = tail.tobytes()
                 assert cal.tail_rates(tail).tobytes() == cal.rates(samples).tobytes()
                 assert tail.tobytes() == tail_before
 
-    def test_tail_of_every_value(self, monkeypatch):
-        # l = n: the l-th smallest is each row's maximum, the last spacing E / 1
-        n, trials = 50, 2000
+    @pytest.mark.parametrize("model", MODELS, ids=repr)
+    def test_tail_of_every_value(self, monkeypatch, model):
+        # l = n: the l-th smallest is each row's maximum, a Beta(n, 1) uniform
+        n, trials = 50, 2**16 + 2
         cal = Calibration(SelectorSpec("nonparametric"), n, l=n)
         monkeypatch.setattr(evalmc, "calibrate", lambda *args: cal)
-        cfg = _cfg(family="nonparametric", n=n, trials=trials, seed=70)
+        cfg = _cfg(model=model, family="nonparametric", n=n, trials=trials, seed=70)
         rates, _ = trial_outcomes(cfg, axis_index=3)
-        for t in (0, block_rows(n) - 1, block_rows(n), trials - 1):
-            assert _replay_rayleigh(cfg, 3, t) == rates[t]
+        for t in (0, 2**16 - 1, 2**16, trials - 1):
+            assert _replay(cfg, 3, t) == rates[t]
 
-    @staticmethod
-    def _batches(monkeypatch, cfg):
+    @pytest.mark.parametrize("model", MODELS, ids=repr)
+    def test_each_block_is_rated_as_one_batch(self, monkeypatch, model):
+        # a block of 753 rows of l = 87 tail values, or of 2^16 order statistics
         batches = []
         real = Calibration.tail_rates
-        with monkeypatch.context() as patch:
-            patch.setattr(Calibration, "tail_rates",
-                          lambda self, tail: batches.append(tail.shape) or real(self, tail))
-            got = trial_outcomes(cfg)
-        return batches, got
-
-    def test_tails_of_many_blocks_are_rated_together(self, monkeypatch):
-        # a block keeps 6 samples' 87 smallest values: a buffer of 2^16 values
-        # holds 125 blocks
-        cfg = _cfg(model=Nakagami(1.0, 2.0), family="nonparametric", eps=1e-2,
-                   kind=PCR, xi=0.1, n=10**4, trials=1600, seed=72)
-        batches, got = self._batches(monkeypatch, cfg)
-        assert batches == [(750, 87), (750, 87), (100, 87)]
-        # rating in batches changes no byte of a trial's rate
-        want = _full_block_outcomes(cfg, 0, calibrate(cfg.selector, cfg.target, 10**4))
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
-
-    def test_rayleigh_tail_batch_is_one_block(self, monkeypatch):
-        # a block draws 753 rows of 87 spacings, which fill the 2^16-value buffer
-        cfg = _cfg(family="nonparametric", eps=1e-2, kind=PCR, xi=0.1, n=10**4,
-                   trials=1600, seed=72)
-        batches, (rates, _) = self._batches(monkeypatch, cfg)
-        assert batches == [(753, 87), (753, 87), (94, 87)]
-        for t in (0, 752, 753, 1506, 1599):
-            assert _replay_rayleigh(cfg, 0, t) == rates[t]
+        monkeypatch.setattr(Calibration, "tail_rates",
+                            lambda self, tail: batches.append(tail.shape) or real(self, tail))
+        for family, beta, want in (("powerlaw-asym", 0.0087, [(753, 87), (753, 87), (94, 87)]),
+                                   ("nonparametric", None, [(1600, 1)])):
+            batches.clear()
+            cfg = _cfg(model=model, family=family, beta=beta, eps=1e-2, kind=PCR,
+                       xi=0.1, n=10**4, trials=1600, seed=72)
+            rates, _ = trial_outcomes(cfg)
+            assert batches == want
+            for t in (0, 752, 753, 1506, 1599):
+                assert _replay(cfg, 0, t) == rates[t]
 
 
-class TestRayleighDraw:
-    FAMILIES = TestTailPath.TAIL_FAMILIES + TestTailPath.MEAN_FAMILIES
-
-    # one partial block; rows > 1 with a partial last block (twice); rows = 1
-    @pytest.mark.parametrize("n,trials", [(10, 4000), (500, 1000), (2000, 1000),
-                                          (70000, 200)])
+class TestDraws:
+    # one partial block; rows > 1 with a partial last block
+    @pytest.mark.parametrize("n,trials", [(10, 4000), (2000, 1000)])
     @pytest.mark.parametrize("family,beta", FAMILIES)
-    def test_law_equals_full_samples(self, family, beta, n, trials):
-        # the Gamma sum and the Renyi spacings give the rates of full samples in law
+    @pytest.mark.parametrize("model", MODELS, ids=repr)
+    def test_law_equals_full_samples(self, model, family, beta, n, trials):
+        # the mean, order-statistic and Renyi tail draws give the rates of
+        # full samples in law, on every truth
         eps, xi, beta = (0.2, 0.3, beta and 0.3) if n == 10 else (0.05, 0.1, beta)
-        cfg = _cfg(model=Rayleigh(1.3), family=family, beta=beta, eps=eps, kind=PCR,
+        cfg = _cfg(model=model, family=family, beta=beta, eps=eps, kind=PCR,
                    xi=xi, n=n, trials=trials, seed=64)
-        cal = calibrate(cfg.selector, cfg.target, n)
-        assert cal.tail_size != 0
-        # the reference draws full samples on another axis, so from other streams
-        want = _full_block_outcomes(cfg, 6, cal)
+        assert calibrate(cfg.selector, cfg.target, n).tail_size != 0
+        want = _full_sample_outcomes(cfg, 66)
         got = trial_outcomes(cfg, axis_index=5)
         assert scipy.stats.ks_2samp(got[0], want[0]).pvalue > 1e-3
         for g, w in ((got[1], want[1]), (got[1] > eps, want[1] > eps)):
             se = math.sqrt((g.var() + w.var()) / trials)
             assert abs(g.mean() - w.mean()) <= 4.0 * se
+
+    @pytest.mark.parametrize("family", ("rayleigh", "plugin-rayleigh"))
+    def test_rayleigh_means_keep_the_standard_gamma_bytes(self, family):
+        # on Rayleigh truth X/2 is the standard_gamma(n) sum S that earlier
+        # releases drew, bit for bit, so the mean lam * (S / n) keeps its bytes
+        for n, trials in ((1, 50), (10, 2**16 + 5), (100, 700), (10**4, 300),
+                          (10**7, 3)):
+            cfg = _cfg(model=Rayleigh(1.3), family=family, kind=PCR, xi=0.1, n=n,
+                       trials=trials, seed=68)
+            means = np.empty(trials)
+            for lo in range(0, trials, 2**16):
+                hi = min(lo + 2**16, trials)
+                evalmc._block_rng(68, 4, lo // 2**16).standard_gamma(n, out=means[lo:hi])
+            means /= n
+            means *= 1.3
+            rates = calibrate(cfg.selector, cfg.target, n).mean_rates(means)
+            got = trial_outcomes(cfg, axis_index=4)
+            assert got[0].tobytes() == rates.tobytes()
+            assert got[1].tobytes() == cfg.true_model.cdf(np.expm1(rates * math.log(2.0))).tobytes()
 
 
 class TestSweep:

@@ -602,6 +602,26 @@ class TestCalibrate:
         with pytest.raises(NoSolutionError, match="eps_n=1.0"):
             cal.mean_rates(np.ones(1))
 
+    def test_tail_rates_takes_the_tail_width(self):
+        # the l-th smallest alone for a nonparametric family, the l smallest
+        # for power-law; a mean-based family has no tail
+        target = ReliabilityTarget(0.05, PCR, 0.1)
+        samples = RNG(37).exponential(size=(4, 200))
+        for family, beta, width in (("nonparametric", None, 1),
+                                    ("plugin-nonparametric", None, 1),
+                                    ("powerlaw-asym", 0.05, 10)):
+            cal = calibrate(SelectorSpec(family, beta=beta), target, 200)
+            assert cal.tail_width == width
+            l = cal.tail_size
+            tail = np.sort(samples, axis=1)[:, l - width:l]
+            assert cal.tail_rates(tail).tobytes() == cal.rates(samples).tobytes()
+            with pytest.raises(ValueError, match=rf"\(B, {width}\)"):
+                cal.tail_rates(np.sort(samples, axis=1)[:, :width + 1])
+        cal = calibrate(SelectorSpec("rayleigh"), target, 200)
+        assert cal.tail_width is None
+        with pytest.raises(ValueError, match="mean_rates"):
+            cal.tail_rates(samples)
+
     def test_rates_validates_samples(self):
         cal = calibrate(SelectorSpec("rayleigh"), ReliabilityTarget(1e-2), 4)
         good = np.ones((2, 4))
@@ -624,10 +644,10 @@ class TestCalibrate:
         cal = calibrate(SelectorSpec("rayleigh"), ReliabilityTarget(0.999999), 1)
         assert cal.eps_n == 1.0
         with pytest.raises(NoSolutionError, match=r"eps_n=1\.0 .*\(eps=0\.999999, n=1\)"):
-            cal.tail_rates(np.ones((3, 1)))
+            cal.mean_rates(np.ones(3))
         # a level just below 1 keeps its rate
         below = Calibration(SelectorSpec("plugin-rayleigh"), 1, eps_n=math.nextafter(1.0, 0.0))
-        assert np.isfinite(below.tail_rates(np.ones((1, 1)))).all()
+        assert np.isfinite(below.mean_rates(np.ones(1))).all()
 
     def test_powerlaw_batch_raises_like_fit_power_tail(self):
         target = ReliabilityTarget(1e-2)
