@@ -10,6 +10,9 @@ families and their parametrizations:
     Nakagami(lam, m)     Y ~ Gamma(shape m, scale lam), m >= 0.5
 
 Rician with k=0 and Nakagami with m=1 both coincide with Rayleigh.
+Each is a noncentral gamma law (k, m) of scale lam, Y = (lam/2) X with
+X ~ noncentral chi-square(2m, 2k): Rayleigh (0, 1), Rician (k, 1) and
+Nakagami (0, m); every model has the attributes k and m.
 Every CDF behaves like a power law alpha * y^(1/kappa) as y -> 0; the
 (alpha, kappa) pair is exposed by power_law() and drives the tail
 selectors and the mismatch approximations.
@@ -50,6 +53,8 @@ class ChannelModel:
     """Common interface of the fading models."""
 
     lam: float
+    k: float  # the noncentral gamma law (k, m), as the module docstring says
+    m: float
 
     def __post_init__(self):
         if not 0.0 < self.lam < math.inf:
@@ -82,8 +87,8 @@ class ChannelModel:
         raise NotImplementedError
 
     def moments(self) -> tuple[float, float]:
-        """(mean, variance) of Y."""
-        raise NotImplementedError
+        """(mean, variance) of Y: lam (m + k) and lam^2 (m + 2k)."""
+        return self.lam * (self.m + self.k), self.lam * self.lam * (self.m + 2.0 * self.k)
 
     def power_law(self) -> PowerLawTail:
         """Lower-tail power-law coefficients (alpha, kappa); a ValueError naming
@@ -105,6 +110,7 @@ class ChannelModel:
 @dataclass(frozen=True)
 class Rayleigh(ChannelModel):
     lam: float
+    k, m = 0.0, 1.0
 
     def cdf(self, y):
         y = self._check_y(y)
@@ -122,9 +128,6 @@ class Rayleigh(ChannelModel):
         y *= -self.lam
         return y
 
-    def moments(self):
-        return self.lam, self.lam * self.lam
-
     def power_law(self):
         return self._power_law(1.0 / self.lam, 1.0)
 
@@ -133,6 +136,7 @@ class Rayleigh(ChannelModel):
 class Rician(ChannelModel):
     lam: float
     k: float
+    m = 1.0
 
     def __post_init__(self):
         super().__post_init__()
@@ -172,11 +176,6 @@ class Rician(ChannelModel):
         y += np.square(g2, out=g2)
         return y
 
-    def moments(self):
-        mean = self.lam * (1.0 + self.k)
-        var = self.lam * self.lam * (1.0 + 2.0 * self.k)
-        return mean, var
-
     def power_law(self):
         return self._power_law(math.exp(-self.k) / self.lam, 1.0)
 
@@ -185,6 +184,7 @@ class Rician(ChannelModel):
 class Nakagami(ChannelModel):
     lam: float
     m: float
+    k = 0.0
 
     def __post_init__(self):
         super().__post_init__()
@@ -200,9 +200,6 @@ class Nakagami(ChannelModel):
 
     def sample(self, rng, count):
         return rng.gamma(self.m, self.lam, check_positive_int(count, "count"))
-
-    def moments(self):
-        return self.m * self.lam, self.m * self.lam * self.lam
 
     def power_law(self):
         # gamma(m, x)/Gamma(m) ~ x^m / Gamma(m+1) as x -> 0; math.exp raises past DBL_MAX

@@ -101,8 +101,9 @@ class EvalConfig:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.true_model, ChannelModel):
-            raise TypeError("true_model must be a ChannelModel")
+        # the mean draws read each model's noncentral gamma law (k, m)
+        if not isinstance(self.true_model, (Rayleigh, Rician, Nakagami)):
+            raise TypeError("true_model must be a Rayleigh, Rician or Nakagami model")
         if not isinstance(self.selector, SelectorSpec):
             raise TypeError("selector must be a SelectorSpec")
         if not isinstance(self.target, ReliabilityTarget):
@@ -196,8 +197,7 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0):
     model = config.true_model
     calibration = calibrate(config.selector, config.target, n)
     l, width = calibration.tail_size, calibration.tail_width
-    # every truth is a noncentral gamma law (k, m) of scale lam
-    df, nc = 2.0 * n * getattr(model, "m", 1.0), 2.0 * n * getattr(model, "k", 0.0)
+    df, nc = 2.0 * n * model.m, 2.0 * n * model.k  # the law (k, m) of scale lam
     rates = np.zeros(trials)  # l = 0, the zero-rate regime, draws nothing
     for lo, hi, b in _blocks(trials, block_rows(width or 1)) if l != 0 else ():
         rng = _block_rng(config.seed, axis_index, b)

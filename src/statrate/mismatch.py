@@ -87,14 +87,11 @@ def _numeric_mean_outage(model: ChannelModel, eps_n: float, n: int) -> float:
 
 def _power_law_mean_outage(model: ChannelModel, eps_n: float, n: int) -> float:
     # second-order delta method on E[alpha (g Xbar)^(1/kappa)]; the gain's
-    # var/mean^2 is formed without lam, whose square can overflow
+    # var/mean^2, (m + 2k)/(m + k)^2 for the law (k, m), is formed without
+    # lam, whose square can overflow, and rounds as 1/m does at k = 0
     kappa = model.power_law().kappa
-    if isinstance(model, Nakagami):
-        rel_var = 1.0 / model.m
-    elif isinstance(model, Rician):
-        rel_var = (1.0 + 2.0 * model.k) / (1.0 + model.k) ** 2
-    else:
-        rel_var = 1.0
+    r = model.k / model.m
+    rel_var = (1.0 + 2.0 * r) / (model.m * (1.0 + r) ** 2)
     lead = _weak_n_mean_outage(model, -math.log1p(-eps_n))
     return lead * (1.0 + (1.0 - kappa) / (2.0 * n * kappa * kappa) * rel_var)
 
@@ -165,11 +162,11 @@ def chernoff_tilt(true_model: ChannelModel, eps_n: float, eps: float,
 
     Bounds P[sum X_i > n thr], thr = (eps/alpha)^kappa / g and
     g = -log(1-eps_n), with the true quantile replaced by its power-law
-    form. Every model is a noncentral gamma law (k, m) of scale lam:
-    Rician (k, 1), Nakagami (0, m), Rayleigh (0, 1). With w = 1 - lam t
-    its log-MGF is k(1-w)/w - m log w, so the stationarity condition
-    M'(t)/M(t) = thr reads r w^2 - m w - k = 0, r = thr/lam, and w is
-    its positive root. The bound is exp(n (k(1-w)/w - m log w - (1-w) r)).
+    form. Every model is a noncentral gamma law (k, m) of scale lam, its
+    k and m attributes: Rician (k, 1), Nakagami (0, m), Rayleigh (0, 1).
+    With w = 1 - lam t its log-MGF is k(1-w)/w - m log w, so the
+    stationarity condition M'(t)/M(t) = thr reads r w^2 - m w - k = 0,
+    r = thr/lam, and w is its positive root. The bound is exp(n (k(1-w)/w - m log w - (1-w) r)).
     A root w >= 1 (t* <= 0) means the threshold sits at or below the
     mean and the bound degenerates to 1.
     """
@@ -178,8 +175,7 @@ def chernoff_tilt(true_model: ChannelModel, eps_n: float, eps: float,
     eps = check_unit_interval(eps, "eps")
     n = check_positive_int(n, "n")
     pl = true_model.power_law()
-    k = getattr(true_model, "k", 0.0)
-    m = getattr(true_model, "m", 1.0)
+    k, m = true_model.k, true_model.m
     thr = (eps / pl.alpha) ** pl.kappa / -math.log1p(-eps_n)
     r = thr / true_model.lam
     if not 0.0 < r < math.inf:

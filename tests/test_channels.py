@@ -315,6 +315,28 @@ class TestMoments:
         assert Nakagami(1.0, 0.5).moments() == pytest.approx((0.5, 0.5), rel=1e-12)
 
 
+class TestNoncentralGammaLaw:
+    def test_attributes(self):
+        assert (Rayleigh(2.0).k, Rayleigh(2.0).m) == (0.0, 1.0)
+        assert (Rician(2.0, 3.0).k, Rician(2.0, 3.0).m) == (3.0, 1.0)
+        assert (Nakagami(2.0, 3.0).k, Nakagami(2.0, 3.0).m) == (0.0, 3.0)
+        # the attributes are no dataclass fields: constructors and equality keep theirs
+        assert Rician(2.0, 0.0) != Rayleigh(2.0)
+        assert repr(Nakagami(2.0, 3.0)) == "Nakagami(lam=2.0, m=3.0)"
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
+    def test_cdf_is_the_noncentral_chi_square_law(self, model):
+        # Y = (lam/2) X, X ~ noncentral chi-square(2m, 2k); at k = 0 the
+        # central chi-square, as scipy's ncx2 needs a positive noncentrality
+        y = model.lam * np.array([1e-6, 0.03, 0.7, 2.0, 9.0])
+        law = (scipy.stats.ncx2(2.0 * model.m, 2.0 * model.k) if model.k
+               else scipy.stats.chi2(2.0 * model.m))
+        np.testing.assert_allclose(model.cdf(y), law.cdf(2.0 * y / model.lam), rtol=1e-9)
+        mean, var = law.stats()
+        assert model.moments() == pytest.approx(
+            (model.lam / 2.0 * mean, (model.lam / 2.0) ** 2 * var), rel=1e-12)
+
+
 class TestPowerLaw:
     def test_examples(self):
         pl = Rayleigh(2.0).power_law()

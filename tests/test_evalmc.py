@@ -1,12 +1,13 @@
 import concurrent.futures
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 import scipy.stats
 from scipy.special import ndtri
 
-from statrate.channels import Nakagami, Rayleigh, Rician
+from statrate.channels import ChannelModel, Nakagami, Rayleigh, Rician
 from statrate import evalmc
 from statrate.evalmc import (
     SWEEP_AXES,
@@ -54,6 +55,25 @@ class TestEvalConfigValidation:
         with pytest.raises(TypeError):
             EvalConfig(true_model=Rayleigh(1.0), selector=SelectorSpec("rayleigh"),
                        target=1e-2, n=10, trials=10, seed=0)
+
+    def test_unknown_channel_model_is_rejected(self):
+        # a mean draw reads the truth's noncentral gamma law (k, m), which
+        # only the three fading models define; a subclass with its own cdf
+        # and quantile is refused, not given the Rayleigh law
+        @dataclass(frozen=True)
+        class Uniform(ChannelModel):
+            lam: float
+
+            def cdf(self, y):
+                return np.minimum(np.asarray(y) / self.lam, 1.0)
+
+            def quantile(self, p):
+                return self.lam * np.asarray(p)
+
+        for family in ("rayleigh", "nonparametric"):
+            with pytest.raises(TypeError, match="Rayleigh, Rician or Nakagami"):
+                EvalConfig(true_model=Uniform(1.0), selector=SelectorSpec(family),
+                           target=ReliabilityTarget(1e-2), n=10, trials=10, seed=0)
 
     def test_bounds(self):
         for bad in (0, 2.5, math.inf, math.nan):
@@ -425,8 +445,9 @@ class TestTailPath:
 
 
 class TestDraws:
-    # one partial block; rows > 1 with a partial last block
-    @pytest.mark.parametrize("n,trials", [(10, 4000), (2000, 1000)])
+    # one partial block; rows > 1 with a partial last block (twice); rows = 1
+    @pytest.mark.parametrize("n,trials", [(10, 4000), (500, 1000), (2000, 1000),
+                                          (70000, 200)])
     @pytest.mark.parametrize("family,beta", FAMILIES)
     @pytest.mark.parametrize("model", MODELS, ids=repr)
     def test_law_equals_full_samples(self, model, family, beta, n, trials):
