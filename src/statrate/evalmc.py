@@ -46,6 +46,7 @@ row t % rows. A block's tails are rated together, which changes no byte.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import os
@@ -270,11 +271,6 @@ def _apply_axis(base: EvalConfig, axis: str, value) -> EvalConfig:
     return replace(base, true_model=family(base.true_model.lam, float(value)))
 
 
-def _sweep_point(task) -> EvalReport:
-    config, idx = task
-    return evaluate(config, axis_index=idx)
-
-
 def sweep(base: EvalConfig, axis: str, values,
           workers: int = 1) -> list[tuple[float, EvalReport]]:
     """Evaluate base along one axis; (value, report) pairs in axis order.
@@ -289,28 +285,26 @@ def sweep(base: EvalConfig, axis: str, values,
     if not values:
         raise ValueError("sweep needs at least one axis value")
     workers = check_positive_int(workers, "workers")
-    tasks = [(_apply_axis(base, axis, v), i) for i, v in enumerate(values)]
+    configs = [_apply_axis(base, axis, v) for v in values]
     # no process beyond one per point and one per CPU
-    procs = min(workers, len(tasks), os.cpu_count() or 1)
+    procs = min(workers, len(configs), os.cpu_count() or 1)
 
+    runner = contextlib.nullcontext()
+    if procs > 1:
+        # forked workers inherit scipy.special instead of each importing it; on
+        # Rayleigh truth under AR targets no point needs it (closed forms only).
+        # The pool module is imported only here, so other commands start without it
+        if any(cfg.target.kind == PCR or not isinstance(cfg.true_model, Rayleigh)
+               for cfg in configs):
+            specfun.special()
+        from concurrent.futures import ProcessPoolExecutor
+
+        runner = ProcessPoolExecutor(max_workers=procs)
     results: list[tuple[float, EvalReport]] = []
-    if procs == 1:
-        for value, task in zip(values, tasks):
-            results.append((value, _sweep_point(task)))
+    with runner as pool:
+        reports = (pool.map if pool else map)(evaluate, configs, range(len(configs)))
+        for value, report in zip(values, reports):
+            results.append((value, report))
             logger.info("sweep %s=%s done (%d/%d)", axis, value,
-                        len(results), len(tasks))
-        return results
-    # forked workers inherit scipy.special instead of each importing it; on
-    # Rayleigh truth under AR targets no point needs it (closed forms only).
-    # The pool module is imported only here, so other commands start without it
-    if any(cfg.target.kind == PCR or not isinstance(cfg.true_model, Rayleigh)
-           for cfg, _ in tasks):
-        specfun.special()
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=procs) as pool:
-        for i, report in enumerate(pool.map(_sweep_point, tasks)):
-            results.append((values[i], report))
-            logger.info("sweep %s=%s done (%d/%d)", axis, values[i],
-                        i + 1, len(tasks))
+                        len(results), len(configs))
     return results

@@ -4,11 +4,14 @@ The selector assumes Rayleigh fading and picks the rate
 log2(1 - log(1-eps_n) Xbar) from the sample mean Xbar of n training
 gains. When the gains actually follow a Rician or Nakagami law the
 realized mean outage and meta-probability differ from their design
-values; this module evaluates both: exactly, by scipy.special closed
-forms (under Rician truth the mean outage is a Poisson(n k) sum of
-noncentral F CDFs), or through closed-form approximations (power-law /
-weak-n expansions for the mean outage, an exponential tilt bound for
-the meta-probability).
+values; this module evaluates both, exactly or through closed-form
+approximations (power-law / weak-n expansions for the mean outage, an
+exponential tilt bound for the meta-probability).
+
+Every truth is a noncentral gamma law (k, m) of scale lam (see
+channels), so each exact value is one formula of that law: a Poisson(n k)
+mixture of noncentral F CDFs for the mean outage, a noncentral
+chi-square tail of 2 n m degrees of freedom for the meta-probability.
 """
 
 from __future__ import annotations
@@ -68,23 +71,6 @@ def meta_prob_exact_rayleigh(eps_n: float, eps: float, n: int) -> float:
     return specfun.reg_upper_gamma(float(n), thr)
 
 
-def _numeric_mean_outage(model: ChannelModel, eps_n: float, n: int) -> float:
-    g = -math.log1p(-eps_n)
-    if isinstance(model, Rayleigh):
-        return mean_outage_exact_rayleigh(eps_n, n)
-    if isinstance(model, Nakagami):
-        # P[G <= (g/n) Z] with G ~ Gamma(m), Z ~ Gamma(n m) independent:
-        # G/(G+Z) ~ Beta(m, n m), so the outage is its CDF at g/(n+g)
-        return float(specfun.special().betainc(model.m, n * model.m, g / (n + g)))
-
-    # Rician: 2 sum(X_i)/lam ~ ncchi^2(2n, 2nk), a Poisson(n k) mixture of
-    # chi^2(2n + 2K); given K the outage is the noncentral F CDF at
-    # (g/n)(n + K), so small values keep their relative accuracy
-    ncfdtr = specfun.special().ncfdtr
-    return specfun._poisson_mixture(n * model.k, lambda K: ncfdtr(
-        2.0, 2.0 * (n + K), 2.0 * model.k, (g / n) * (n + K)), math.floor(n * model.k))
-
-
 def _power_law_mean_outage(model: ChannelModel, eps_n: float, n: int) -> float:
     # second-order delta method on E[alpha (g Xbar)^(1/kappa)]; the gain's
     # var/mean^2, (m + 2k)/(m + k)^2 for the law (k, m), is formed without
@@ -116,10 +102,10 @@ def mean_outage_mismatch(true_model: ChannelModel, eps_n: float, n: int,
     """Mean outage of the Rayleigh-MLE rate when the gains follow true_model.
 
     method "numeric" averages the outage over the exact sampling
-    distribution of the training mean, in closed form: under Rician
-    truth as a Poisson(n k) mixture of noncentral F CDFs
-    (scipy.special.ncfdtr), in time growing as sqrt(n k) and bounded
-    memory; specfun._poisson_mixture states its accuracy.
+    distribution of the training mean, for the law (k, m) of any truth:
+    a Poisson(n k) mixture of noncentral F CDFs (scipy.special.ncfdtr),
+    in time growing as sqrt(n k) and bounded memory;
+    specfun._poisson_mixture states its accuracy.
     "power_law" applies a second-order delta-method expansion around
     the power-law tail of the true CDF; "weak_n" is its n -> infinity
     limit with -log(1-x) ~ x, which evaluates the tail at the supplied
@@ -130,22 +116,20 @@ def mean_outage_mismatch(true_model: ChannelModel, eps_n: float, n: int,
     eps_n = check_unit_interval(eps_n, "eps_n")
     n = check_positive_int(n, "n")
     if method == "numeric":
-        return _numeric_mean_outage(true_model, eps_n, n)
+        # the gain is (lam/2) X and twice the training sum over lam is S, with
+        # X ~ ncchi^2(2m, 2k) and S ~ ncchi^2(2nm, 2nk) independent; S is a
+        # Poisson(n k) mixture of chi^2(2(nm + K)), and given K the outage
+        # P[X <= (g/n) S] is the noncentral F CDF at (g/n)(nm + K)/m
+        k, m = true_model.k, true_model.m
+        g = -math.log1p(-eps_n)
+        ncfdtr = specfun.special().ncfdtr
+        return specfun._poisson_mixture(n * k, lambda K: ncfdtr(
+            2.0 * m, 2.0 * (n * m + K), 2.0 * k, (g / n) * (n * m + K) / m), math.floor(n * k))
     if method == "power_law":
         return _power_law_mean_outage(true_model, eps_n, n)
     if method == "weak_n":
         return _weak_n_mean_outage(true_model, eps_n)
     raise ValueError(f"method must be one of {MEAN_OUTAGE_METHODS}, got {method!r}")
-
-
-def _numeric_meta_prob(model: ChannelModel, eps_n: float, eps: float, n: int) -> float:
-    if isinstance(model, Rayleigh):
-        return meta_prob_exact_rayleigh(eps_n, eps, n)
-    g = -math.log1p(-eps_n)
-    thr = model.quantile(eps) * n / g  # event {Xbar > quantile(eps)/g}
-    if isinstance(model, Nakagami):
-        return specfun.reg_upper_gamma(n * model.m, thr / model.lam)
-    return specfun.nc_chi2_sf(2.0 * thr / model.lam, float(n), 2.0 * n * model.k)
 
 
 @dataclass(frozen=True)
@@ -208,16 +192,19 @@ def meta_prob_mismatch(true_model: ChannelModel, eps_n: float, eps: float,
     true_model.
 
     method "numeric" evaluates the exact tail of the training-mean
-    distribution (gamma for Nakagami, noncentral chi^2 for Rician,
-    closed form for Rayleigh); "chernoff" returns the exponential tilt
-    upper bound from chernoff_tilt.
+    distribution, a noncentral chi-square of 2 n m degrees of freedom and
+    noncentrality 2 n k for the law (k, m) of any truth; "chernoff"
+    returns the exponential tilt upper bound from chernoff_tilt.
     """
     _check_model(true_model)
     eps_n = check_unit_interval(eps_n, "eps_n")
     eps = check_unit_interval(eps, "eps")
     n = check_positive_int(n, "n")
     if method == "numeric":
-        return _numeric_meta_prob(true_model, eps_n, eps, n)
+        # the event {Xbar > quantile(eps)/g}: S = 2 n Xbar/lam ~ ncchi^2(2nm, 2nk)
+        thr = true_model.quantile(eps) * n / -math.log1p(-eps_n)
+        return specfun.nc_chi2_sf(2.0 * thr / true_model.lam, n * true_model.m,
+                                  2.0 * n * true_model.k)
     if method == "chernoff":
         return chernoff_tilt(true_model, eps_n, eps, n).bound_value
     raise ValueError(f"method must be one of {META_PROB_METHODS}, got {method!r}")

@@ -251,13 +251,18 @@ def epsn_powerlaw(target: ReliabilityTarget, n: int, beta: float,
         if target.kind == AR:
             return eps
         vbar = _vbar(eps, beta)
-        shift = math.sqrt(vbar / n) * specfun.std_normal_quantile(target.xi)
+        z = specfun.std_normal_quantile(target.xi)
+        # no back-off at xi = 1/2 (z = 0), even where Vbar overflows to inf
+        shift = math.sqrt(vbar / n) * z if z else 0.0
         try:
-            return eps * math.exp(-shift)
+            back_off = math.exp(-shift)
         except OverflowError:
+            back_off = math.inf
+        if back_off == math.inf:  # past the largest double, or inf at an inf Vbar
             raise NoSolutionError(
                 f"the asymptotic PCR level eps*exp(-shift) overflows, shift={shift:.6g} "
-                f"(eps={eps}, xi={target.xi}, beta={beta}, n={n})") from None
+                f"(eps={eps}, xi={target.xi}, beta={beta}, n={n})")
+        return eps * back_off
 
     if target.kind != PCR:
         raise ValueError("the non-asymptotic calibration is defined for PCR targets only")
@@ -343,24 +348,30 @@ class Calibration:
         return self.tail_size
 
     def rates(self, samples) -> np.ndarray:
-        """Rates for a (B, n) array of training samples, one per row."""
+        """Rates for a (B, n) array of training samples, one per row; a
+        ValueError if a rate overflows."""
         rows = sample_rows(samples)
         if rows.shape[1] != self.n:
             raise ValueError(
                 f"calibrated for n={self.n}, got samples of size {rows.shape[1]}")
         l = self.tail_size
-        if l is None:
-            with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):
+            if l is None:
                 mean = rows.mean(axis=1)
-            over = np.isinf(mean)
-            if over.any():
-                # the row sum overflowed: sum the values scaled by 1/n instead
-                mean[over] = (rows[over] / self.n).sum(axis=1)
-            return self.mean_rates(mean)
-        if l:
-            rows = np.partition(rows, l - 1, axis=1)
-        # the l-th smallest value alone, or the l smallest
-        return self.tail_rates(rows[:, l - self.tail_width:l])
+                over = np.isinf(mean)
+                if over.any():
+                    # the row sum overflowed: sum the values scaled by 1/n instead
+                    mean[over] = (rows[over] / self.n).sum(axis=1)
+                rates = self.mean_rates(mean)
+            else:
+                if l:
+                    rows = np.partition(rows, l - 1, axis=1)
+                # the l-th smallest value alone, or the l smallest
+                rates = self.tail_rates(rows[:, l - self.tail_width:l])
+        if not np.isfinite(rates).all():
+            raise ValueError(f"non-finite rate: the rate formula overflows on a sample "
+                             f"at eps_n={self.eps_n}")
+        return rates
 
     def rate_level(self) -> float | None:
         """eps_n, once it is known to be below 1 (NoSolutionError otherwise)."""

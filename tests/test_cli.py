@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import gc
+import io
 import itertools
 import logging
 import math
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from statrate import cli
 from statrate.cli import MISMATCH_HEADER, SWEEP_HEADER, _parse_kv_file, main
 from statrate.errors import ConfigError
+from statrate.rateselect import FAMILIES
 
 GOLDEN_SWEEP_HEADER = (
     "axis_name,axis_value,rate_mean,rate_stddev,"
@@ -231,6 +234,23 @@ class TestRate:
         assert res.returncode == 3, res.stderr
         assert res.stdout == "" and "Traceback" not in res.stderr
         assert "eps=0.001, xi=0.9999999999999999, beta=1e-06, n=100" in res.stderr
+
+    @pytest.mark.parametrize("flags, values", [
+        # g = -log(1 - eps_n) is about 6, and g times the mean 5e307 passes DBL_MAX
+        (("--selector", "rayleigh", "--constraint", "pcr", "--eps", "0.9",
+          "--xi", "0.9999999999999999"), [1e308] * 50 + [1.0] * 50),
+        # the fitted log-quantile of this tail is past log(DBL_MAX)
+        (("--selector", "powerlaw-asym", "--constraint", "ar", "--eps", "0.9",
+          "--beta", "0.01"), [10.0 ** (305 + i / 3) for i in range(10)] + [1.5e308] * 990)],
+        ids=["mean", "powerlaw"])
+    def test_overflowing_rate_is_a_usage_error(self, tmp_path, flags, values):
+        p = tmp_path / "huge.txt"
+        p.write_text("".join(f"{v!r}\n" for v in values))
+        res = run_cli("rate", *flags, "--sample", str(p))
+        assert res.returncode == 2, res.stdout
+        assert res.stdout == ""
+        assert "invalid arguments: non-finite rate" in res.stderr
+        assert "RuntimeWarning" not in res.stderr
 
     def test_zero_in_powerlaw_tail_is_insufficient_tail_data(self, tmp_path):
         p = tmp_path / "zeros.txt"
@@ -1107,6 +1127,53 @@ class TestMismatchExitContract:
         assert code in (0, 2, 3)
         # the tilt's own degenerate-bound warnings only, none from numpy
         assert [str(w.message) for w in caught if "encountered" in str(w.message)] == []
+
+
+_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_sample_values = st.sampled_from(
+    [0.0, 5e-324, 1e-310, 1e-300, 1.0, 1e308, 1.7976931348623157e308]) | st.floats(
+    0.0, 1.7976931348623157e308)
+# ties come from the sampled values, and a single value from a one-value list
+_samples = st.lists(_sample_values, min_size=1, max_size=300) | st.tuples(
+    _sample_values, st.integers(1, 2000)).map(lambda vc: [vc[0]] * vc[1])
+
+
+def _main_in_contract(argv, constraint, xi, beta):
+    """main(argv + the flags the target and family take) in-process: the
+    exit code is in the contract, no numpy warning escapes and stdout is
+    never inf or nan. TestFlagCombinations covers the other flag sets."""
+    argv += ["--constraint", constraint] + (["--xi", repr(xi)] if constraint == "pcr" else [])
+    argv += ["--beta", repr(beta)] if "powerlaw" in argv[2] else []
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert [str(w.message) for w in caught if "encountered" in str(w.message)] == []
+    stdout = out.getvalue().strip()
+    assert stdout.lower().lstrip("+-") not in ("inf", "nan"), argv
+    if code == 0:
+        assert math.isfinite(float(stdout)), argv
+
+
+class TestEpsnRateExitContract:
+    @settings(deadline=None, max_examples=150)
+    @given(family=st.sampled_from(cli._EPSN_FAMILIES), constraint=st.sampled_from(["ar", "pcr"]),
+           eps=st.floats(1e-300, 1.0 - 1e-16), xi=_unit, beta=_unit,
+           n=st.integers(1, 10**18) | st.sampled_from([1, 2, 10**18]))
+    def test_epsn(self, family, constraint, eps, xi, beta, n):
+        _main_in_contract(["epsn", "--family", family, "--eps", repr(eps), "--n", str(n)],
+                          constraint, xi, beta)
+
+    @settings(deadline=None, max_examples=150)
+    @given(selector=st.sampled_from(FAMILIES), constraint=st.sampled_from(["ar", "pcr"]),
+           eps=st.floats(1e-300, 1.0 - 1e-16), xi=_unit, beta=_unit, values=_samples)
+    def test_rate(self, tmp_path_factory, selector, constraint, eps, xi, beta, values):
+        p = tmp_path_factory.getbasetemp() / "rate_contract.txt"
+        p.write_text("".join(f"{v!r}\n" for v in values))
+        _main_in_contract(["rate", "--selector", selector, "--eps", repr(eps),
+                           "--sample", str(p)], constraint, xi, beta)
 
 
 # config text: no line breaks, no control characters

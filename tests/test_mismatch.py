@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -278,6 +279,19 @@ class TestMetaProbMismatch:
             got = meta_prob_mismatch(Rayleigh(lam), 5e-4, 1e-3, 100)
             assert got == pytest.approx(
                 meta_prob_exact_rayleigh(5e-4, 1e-3, 100), abs=1e-9)
+
+    def test_law_formulas_give_the_rayleigh_closed_forms(self):
+        # the law (0, 1) through the noncentral F mixture and nc_chi2_sf;
+        # the meta-probability's threshold F^-1(eps)/lam rounds apart from
+        # log(1-eps), and a far tail grows that by up to its log-slope
+        for n, lam, eps, xi in itertools.product(
+                (1, 10, 1000, 10**5), (0.3, 7.0), (1e-6, 1e-2, 0.3), (1e-3, 0.7)):
+            for eps_n in (epsn_rayleigh_ar(eps, n), epsn_rayleigh_pcr(eps, xi, n)):
+                model = Rayleigh(lam)
+                assert mean_outage_mismatch(model, eps_n, n) == pytest.approx(
+                    mean_outage_exact_rayleigh(eps_n, n), rel=1e-15, abs=0)
+                assert meta_prob_mismatch(model, eps_n, eps, n) == pytest.approx(
+                    meta_prob_exact_rayleigh(eps_n, eps, n), rel=1e-12, abs=0)
 
     def test_nakagami_m1_matches_rayleigh(self):
         got = meta_prob_mismatch(Nakagami(1.0, 1.0), 5e-4, 1e-3, 100)

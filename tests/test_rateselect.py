@@ -267,6 +267,15 @@ class TestEpsnPowerlawAsymptotic:
             for n in (10, 10**6):
                 assert epsn_powerlaw(ReliabilityTarget(eps), n, 0.1) == eps
 
+    def test_overflowed_vbar(self):
+        # Vbar = inf at a subnormal beta: xi = 1/2 has no back-off (the
+        # shift is 0, not inf * 0 = nan), xi > 1/2 no level, xi < 1/2 level 0
+        assert rs._vbar(0.5, 5e-324) == math.inf
+        assert epsn_powerlaw(ReliabilityTarget(0.5, PCR, 0.5), 1, 5e-324) == 0.5
+        with pytest.raises(NoSolutionError, match="shift=-inf"):
+            epsn_powerlaw(ReliabilityTarget(0.5, PCR, 0.7), 1, 5e-324)
+        assert epsn_powerlaw(ReliabilityTarget(0.5, PCR, 0.3), 1, 5e-324) == 0.0
+
     def test_validation(self):
         t = ReliabilityTarget(1e-3, PCR, 0.1)
         with pytest.raises(TypeError):

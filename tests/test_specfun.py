@@ -388,7 +388,7 @@ class TestNcChi2:
     def test_domain_errors(self):
         for x, half_df, nc in [(-1.0, 1, 1.0), (math.nan, 1, 1.0), (1.0, 1, -1.0),
                                (1.0, 1, math.inf), (1.0, 1, math.nan), (1.0, 0, 1.0),
-                               (1.0, 1.5, 1.0)]:
+                               (1.0, -1.0, 1.0), (1.0, math.inf, 1.0), (1.0, math.nan, 1.0)]:
             for f in (nc_chi2_sf, nc_chi2_cdf):
                 with pytest.raises(ValueError):
                     f(x, half_df, nc)
@@ -404,10 +404,10 @@ class TestNcChi2:
     def mp_sf(x, half_df, nc):
         """P[W > x] at 40 digits: sum_j Pois(j; nc/2) Q(half_df + j, x/2).
 
-        The Poisson weights and Erlang tails advance by their exact
-        recurrences over j from 20 sd below nc/2 to 20 sd above
-        max(nc/2, j*), where j* (half_df + j*) = nc x/4 is the peak of
-        weight times Erlang term. The summand rises with j up to about
+        The Poisson weights and the gamma tails (of real shape half_df + j)
+        advance by their exact recurrences over j from 20 sd below nc/2 to
+        20 sd above max(nc/2, j*), where j* (half_df + j*) = nc x/4 is the
+        peak of weight times gamma tail. The summand rises with j up to about
         that point (below nc/2 both factors shrink as j falls); in the
         far upper tail it peaks within a few terms of j* and then decays
         at least like exp(-d^2 / (2 j*)) at d terms past it. The mass
@@ -425,7 +425,7 @@ class TestNcChi2:
             total = mpmath.mpf(0)
             for j in range(j_lo, j_hi + 1):
                 total += weight * tail
-                tail += erl  # Q(a + 1, v) = Q(a, v) + v^a e^-v / a!
+                tail += erl  # Q(a + 1, v) = Q(a, v) + v^a e^-v / Gamma(a + 1)
                 a += 1
                 erl *= v / a
                 weight *= u / (j + 1)
@@ -443,7 +443,7 @@ class TestNcChi2:
             assert abs(series - bessel) <= 1e-30 * bessel
         assert float(series) == pytest.approx(2.09357540356865e-299, rel=1e-14, abs=0)
 
-    @pytest.mark.parametrize("half_df", [1, 2, 50, 400])
+    @pytest.mark.parametrize("half_df", [1, 2, 2.5, 50, 400])
     @pytest.mark.parametrize("nc", [1.0, 200.0, 2000.0])
     def test_far_tail_mpmath_oracle(self, half_df, nc):
         # the upper tail down to 1e-300, where the summand peaks far above nc/2
@@ -454,9 +454,10 @@ class TestNcChi2:
                 assert nc_chi2_sf(ratio * mean, half_df, nc) == pytest.approx(
                     float(want), rel=1e-12, abs=0), ratio
 
-    @pytest.mark.parametrize("half_df, k", [(10_000, 1.0), (10_000, 10.0), (100_000, 1.0)])
+    @pytest.mark.parametrize("half_df, k", [(10_000, 1.0), (10_000, 10.0), (100_000, 1.0),
+                                            (5000.5, 1.0)])
     def test_large_df_mpmath_oracle(self, half_df, k):
-        # the mismatch meta-probability evaluates half_df = n around the mean
+        # the mismatch meta-probability evaluates half_df = n m around the mean
         nc = 2.0 * half_df * k
         mean = 2.0 * half_df + nc
         sd = math.sqrt(2.0 * (2.0 * half_df + 2.0 * nc))
