@@ -153,12 +153,14 @@ class Rician(ChannelModel):
         return values
 
     def cdf(self, y):
-        # F(y) = 1 - Q1(sqrt(2k), sqrt(2y/lam)), the noncentral
-        # chi-square CDF, evaluated directly so the deep lower tail
-        # keeps relative accuracy
+        # F(y) = 1 - Q1(sqrt(2k), sqrt(2y/lam)), the noncentral chi-square CDF,
+        # evaluated directly so the deep lower tail keeps relative accuracy; 2y
+        # overflows from y = 2^1023 on, where y/lam*2 is formed (F = 1 past DBL_MAX)
         y = self._check_y(y)
+        with np.errstate(over="ignore"):
+            x = np.where(y < 2.0 ** 1023, 2.0 * y / self.lam, y / self.lam * 2.0)
         return _as_scalar(self._check_scipy_result(
-            specfun.special().chndtr(2.0 * y / self.lam, 2.0, 2.0 * self.k), y))
+            specfun.special().chndtr(x, 2.0, 2.0 * self.k), y))
 
     def quantile(self, p):
         p = self._check_p(p)

@@ -14,8 +14,8 @@ Reported quantities per configuration:
     throughput ratio   E[R (1-q)] / (R_eps (1-eps))   (normal CI)
 
 Trials are drawn in blocks of block_rows(width) = max(1, 2**16 // width)
-rows, width being the values a row draws (Calibration.tail_width, or 1
-for a mean). Block b holds trials b*rows .. (b+1)*rows - 1 and is drawn
+rows, width being the values a row draws (Calibration.width, or 1 for
+a mean). Block b holds trials b*rows .. (b+1)*rows - 1 and is drawn
 from its own PCG64DXSM stream (O'Neill, "PCG: a family of simple fast
 space-efficient statistically good algorithms for random number
 generation", 2014) seeded by SeedSequence(seed, spawn_key=(axis index,
@@ -184,10 +184,10 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0):
 
     The outage of a trial is its exact conditional outage probability
     F(2^R - 1) under the true model. Each block draws the statistic its
-    selector reads, as the module docstring says, and rates it; with
-    tail_size 0 every rate is zero and nothing is drawn. Draws are rated
-    unchecked, so a non-finite rate (a scale lam so large that a drawn
-    mean or tail value overflows) raises ValueError.
+    selector reads, as the module docstring says, and Calibration.stat_rates
+    rates it; at width 0 every rate is zero and nothing is drawn. Draws
+    are rated unchecked, so a non-finite rate (a scale lam so large that a
+    drawn mean or tail value overflows) raises ValueError.
     """
     if not isinstance(config, EvalConfig):
         raise TypeError("config must be an EvalConfig")
@@ -197,27 +197,22 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0):
     n, trials = int(config.n), int(config.trials)
     model = config.true_model
     calibration = calibrate(config.selector, config.target, n)
-    l, width = calibration.tail_size, calibration.tail_width
+    l, width = calibration.l, calibration.width
     df, nc = 2.0 * n * model.m, 2.0 * n * model.k  # the law (k, m) of scale lam
-    rates = np.zeros(trials)  # l = 0, the zero-rate regime, draws nothing
-    for lo, hi, b in _blocks(trials, block_rows(width or 1)) if l != 0 else ():
+    rates = np.zeros(trials)  # width 0, the zero-rate regime, draws nothing
+    for lo, hi, b in _blocks(trials, block_rows(width or 1)) if width != 0 else ():
         rng = _block_rng(config.seed, axis_index, b)
         # an overflow to inf is reported by the finite-rate check
         with np.errstate(over="ignore"):
             if width is None:
                 # the sum of n powers is lam/2 times a noncentral chi-square draw
-                mean = rng.noncentral_chisquare(df, nc, hi - lo)
-                mean *= 0.5
-                mean /= n
-                mean *= model.lam
-                rates[lo:hi] = calibration.mean_rates(mean)
-            elif calibration.l is not None:
-                # the l-th smallest of n uniforms is Beta(l, n + 1 - l)
-                u = rng.beta(l, n + 1 - l, (hi - lo, 1))
-                rates[lo:hi] = calibration.tail_rates(model.quantile(u))
+                stat = rng.noncentral_chisquare(df, nc, hi - lo) * 0.5 / n * model.lam
             else:
-                u = _uniform_tails(rng, np.empty((hi - lo, l)), n)
-                rates[lo:hi] = calibration.tail_rates(model.quantile(u))
+                # the l-th smallest of n uniforms, Beta(l, n + 1 - l), or the l smallest
+                u = (rng.beta(l, n + 1 - l, (hi - lo, 1)) if l is not None
+                     else _uniform_tails(rng, np.empty((hi - lo, width)), n))
+                stat = model.quantile(u)
+            rates[lo:hi] = calibration.stat_rates(stat)
     if not np.isfinite(rates).all():
         raise ValueError(f"non-finite rate: the drawn powers overflow at lam={model.lam}")
     # conditional outage is an exact CDF value, not a simulated rate

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import specfun
 from .channels import ChannelModel, Nakagami, Rayleigh, Rician
@@ -201,10 +201,10 @@ def meta_prob_mismatch(true_model: ChannelModel, eps_n: float, eps: float,
     eps = check_unit_interval(eps, "eps")
     n = check_positive_int(n, "n")
     if method == "numeric":
-        # the event {Xbar > quantile(eps)/g}: S = 2 n Xbar/lam ~ ncchi^2(2nm, 2nk)
-        thr = true_model.quantile(eps) * n / -math.log1p(-eps_n)
-        return specfun.nc_chi2_sf(2.0 * thr / true_model.lam, n * true_model.m,
-                                  2.0 * n * true_model.k)
+        # the event {Xbar > quantile(eps)/g}: S = 2 n Xbar/lam ~ ncchi^2(2nm, 2nk),
+        # free of lam, so read at lam = 1, where nothing overflows or underflows
+        thr = replace(true_model, lam=1.0).quantile(eps) * n / -math.log1p(-eps_n)
+        return specfun.nc_chi2_sf(2.0 * thr, n * true_model.m, 2.0 * n * true_model.k)
     if method == "chernoff":
         return chernoff_tilt(true_model, eps_n, eps, n).bound_value
     raise ValueError(f"method must be one of {META_PROB_METHODS}, got {method!r}")

@@ -10,11 +10,11 @@ channel use, through a backed-off quantile level eps_n (parametric and
 power-law families) or an order-statistic index l (non-parametric
 family). Calibration depends only on (eps, xi, n, beta), never on the
 sample itself: calibrate() solves it once into a Calibration, whose
-rates() checks a (B, n) array of samples and maps it to B rates. The
-mean-based families read each sample's mean, rated by mean_rates().
-The order-statistic and power-law families read the l-th smallest or
-the l smallest values; rates() selects them and passes them to
-tail_rates(), which holds those families' formulas and checks nothing.
+rates() checks a (B, n) array of samples and maps it to B rates. Each
+rate reads one statistic of its sample: the mean (mean-based families),
+the l-th smallest value (order-statistic families) or the l smallest
+values (power-law). rates() reads it and passes it to stat_rates(),
+which holds every family's formula and checks nothing.
 select_rate and make_rate_fn are the array path on a batch of one.
 
 Families:
@@ -315,16 +315,16 @@ class Calibration:
     eps_n is the quantile level of the rayleigh, plugin-rayleigh and
     power-law families; l is the order-statistic index of the
     nonparametric families, where l = 0 is the zero-rate regime. A level
-    eps_n >= 1 has no rate: rate_level, which tail_rates and the analytic
+    eps_n >= 1 has no rate: rate_level, which stat_rates and the analytic
     mismatch rows read it through, raises NoSolutionError naming target.
 
-    tail_size is how many of the smallest sample values the rate reads:
-    l for the nonparametric families, ceil(beta*n) for power-law, None
-    for the mean-based families, whose rates mean_rates forms from each
-    sample's mean. tail_rates holds the tail families' rate formulas and
-    checks none of the values it is given: a (B, tail_width) array, the
-    l-th smallest value alone for a nonparametric family (tail_width 1,
-    or 0 at l = 0) or the l smallest values in any order for power-law.
+    width says which statistic of a sample the rate reads: None for the
+    mean-based families (the sample mean), min(l, 1) for the
+    nonparametric families (the l-th smallest value alone, nothing at
+    l = 0) and ceil(beta*n) for power-law (the width smallest values, in
+    any order). stat_rates holds every family's rate formula and checks
+    none of the values it is given: a (B,) array of means, or a
+    (B, width) array of tail values.
     """
 
     selector: SelectorSpec
@@ -334,18 +334,12 @@ class Calibration:
     target: ReliabilityTarget | None = None
 
     @property
-    def tail_size(self) -> int | None:
+    def width(self) -> int | None:
         if self.l is not None:
-            return self.l
+            return min(self.l, 1)
         if self.selector.family in _POWERLAW_FAMILIES:
             return _ceil_with_float_guard(self.selector.beta * self.n)
         return None
-
-    @property
-    def tail_width(self) -> int | None:
-        if self.l is not None:
-            return min(self.l, 1)
-        return self.tail_size
 
     def rates(self, samples) -> np.ndarray:
         """Rates for a (B, n) array of training samples, one per row; a
@@ -354,20 +348,21 @@ class Calibration:
         if rows.shape[1] != self.n:
             raise ValueError(
                 f"calibrated for n={self.n}, got samples of size {rows.shape[1]}")
-        l = self.tail_size
+        width = self.width
         with np.errstate(over="ignore"):
-            if l is None:
-                mean = rows.mean(axis=1)
-                over = np.isinf(mean)
+            if width is None:
+                stat = rows.mean(axis=1)
+                over = np.isinf(stat)
                 if over.any():
                     # the row sum overflowed: sum the values scaled by 1/n instead
-                    mean[over] = (rows[over] / self.n).sum(axis=1)
-                rates = self.mean_rates(mean)
+                    stat[over] = (rows[over] / self.n).sum(axis=1)
             else:
+                l = width if self.l is None else self.l
                 if l:
                     rows = np.partition(rows, l - 1, axis=1)
                 # the l-th smallest value alone, or the l smallest
-                rates = self.tail_rates(rows[:, l - self.tail_width:l])
+                stat = rows[:, l - width:l]
+            rates = self.stat_rates(stat)
         if not np.isfinite(rates).all():
             raise ValueError(f"non-finite rate: the rate formula overflows on a sample "
                              f"at eps_n={self.eps_n}")
@@ -383,22 +378,18 @@ class Calibration:
                                   f"so no rate meets the target ({given}n={self.n})")
         return self.eps_n
 
-    def mean_rates(self, mean: np.ndarray) -> np.ndarray:
-        """Rates of the mean-based families from each sample's mean."""
-        return _log2_1p(-math.log1p(-self.rate_level()) * mean)
-
-    def tail_rates(self, tail: np.ndarray) -> np.ndarray:
-        """Rates from the tail values each row's rate reads; see the class."""
+    def stat_rates(self, stat: np.ndarray) -> np.ndarray:
+        """Rates from the statistic each row's rate reads; see the class."""
         eps_n = self.rate_level()
-        width = self.tail_width
+        width = self.width
         if width is None:
-            raise ValueError(f"{self.selector.family} reads no tail: use mean_rates")
-        if tail.ndim != 2 or tail.shape[1] != width:
-            raise ValueError(f"expected a (B, {width}) array, got shape {tail.shape}")
-        if self.l is not None:
-            # log2(1 + x_(l))
-            return _log2_1p(tail[:, 0]) if width else np.zeros(tail.shape[0])
-        kappa, z_l = fit_ascending_tails(np.sort(tail, axis=1), self.n)
+            # log2(1 - log(1 - eps_n) mean)
+            return _log2_1p(-math.log1p(-eps_n) * stat)
+        if stat.ndim != 2 or stat.shape[1] != width:
+            raise ValueError(f"expected a (B, {width}) array, got shape {stat.shape}")
+        if self.l is not None:  # log2(1 + x_(l)); the empty row sums to 0 at l = 0
+            return _log2_1p(stat.sum(axis=1))
+        kappa, z_l = fit_ascending_tails(np.sort(stat, axis=1), self.n)
         # fitted log-quantile; eps_n = 0 (an underflowed level) gives rate 0
         with np.errstate(divide="ignore"):
             log_q = z_l + kappa * np.log(self.n * eps_n / width)

@@ -183,7 +183,8 @@ def _poisson_mixture(mu: float, term, start: int) -> float:
         while lo + _CHUNK > 0:
             K = np.arange(max(lo, 0), lo + _CHUNK, dtype=float)
             w = np.exp(sp.xlogy(K, mu) - mu - sp.gammaln(K + 1.0))
-            t = w * term(K)
+            t, pos = np.zeros_like(w), w > 0.0  # a zero weight adds exactly 0
+            t[pos] = w[pos] * term(K[pos])
             total += t.sum()
             weights += w.sum()
             if not (t[edge] > 1e-17 * total or w[edge] > 1e-17 * weights):

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -113,6 +114,16 @@ class TestCdf:
         for y in (0.01, 0.5, 2.0, 10.0):
             ref = scipy.stats.ncx2.cdf(2.0 * y / 1.5, df=2, nc=5.0)
             assert model.cdf(y) == pytest.approx(ref, rel=1e-9)
+
+    def test_rician_k0_is_rayleigh_past_half_the_largest_double(self):
+        # 2y overflows from y = 2^1023 on; the argument y/lam*2 is finite there
+        y = np.concatenate([np.geomspace(1e290, 1.5e308, 40), [2.0**1023, 1e308]])
+        for lam in (1.7e308, 1e308, 1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = Rician(lam, 0.0).cdf(y)
+            np.testing.assert_allclose(got, Rayleigh(lam).cdf(y), rtol=1e-13, atol=0)
+        assert Rician(1.7e308, 0.0).cdf(1.5e308) == pytest.approx(0.586191901, rel=1e-9)
 
 
 class TestReductions:

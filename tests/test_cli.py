@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statrate import cli
@@ -1126,6 +1126,39 @@ class TestMismatchExitContract:
             code = main(["mismatch", str(cfg)])
         assert code in (0, 2, 3)
         # the tilt's own degenerate-bound warnings only, none from numpy
+        assert [str(w.message) for w in caught if "encountered" in str(w.message)] == []
+
+
+class TestSweepExitContract:
+    # k = param, m = 0.5 + param: chndtrix time grows as sqrt(k), so k stays
+    # at most 1e3 and a tail at most l = 100 values of 50 trials
+    @settings(deadline=None, max_examples=100)
+    @given(model=st.sampled_from(["rayleigh", "rician", "nakagami"]),
+           param=st.floats(0.0, 1e3), lam=st.sampled_from([1e-320, 1.0, 1.7e308])
+           | st.floats(-320.0, 308.23).map(lambda e: 10.0 ** e),
+           selector=st.sampled_from(FAMILIES), constraint=st.sampled_from(["ar", "pcr"]),
+           eps=st.floats(1e-8, 0.99), xi=st.floats(1e-8, 0.99), beta=st.floats(1e-3, 0.1),
+           n=st.integers(1, 1000), trials=st.integers(1, 50))
+    # a Rician CDF past y = 2^1023 once overflowed to 1 with a numpy warning
+    @example(model="rician", param=0.0, lam=1.7e308, selector="nonparametric",
+             constraint="ar", eps=0.5, xi=0.1, beta=0.1, n=100, trials=50)
+    def test_exit_code_in_contract(self, tmp_path_factory, model, param, lam, selector,
+                                   constraint, eps, xi, beta, n, trials):
+        base = tmp_path_factory.getbasetemp()
+        cfg = base / "sweep_contract.cfg"
+        law = {"rician": f"k = {param!r}\n", "nakagami": f"m = {0.5 + param!r}\n"}
+        cfg.write_text(
+            f"model = {model}\n{law.get(model, '')}lam = {lam!r}\n"
+            f"selector = {selector}\nconstraint = {constraint}\neps = {eps!r}\n"
+            + (f"xi = {xi!r}\n" if constraint == "pcr" else "")
+            + (f"beta = {beta!r}\n" if "powerlaw" in selector else "")
+            + f"n = {n}\ntrials = {trials}\nseed = 5\naxis = n\naxis_values = {n}\n"
+            f"workers = 1\noutput = {base / 'sweep_contract.csv'}\n")
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(["sweep", str(cfg)])
+        assert code in (0, 2, 3, 4)
         assert [str(w.message) for w in caught if "encountered" in str(w.message)] == []
 
 

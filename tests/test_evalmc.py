@@ -1,6 +1,9 @@
 import concurrent.futures
+import functools
 import math
+import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,36 +226,30 @@ class TestDeterminism:
         assert serial == again
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 MODELS = (Rayleigh(1.3), Rician(1.3, 2.0), Nakagami(1.3, 2.0))
 FAMILIES = (("rayleigh", None), ("plugin-rayleigh", None), ("nonparametric", None),
             ("plugin-nonparametric", None), ("powerlaw-asym", 0.05),
             ("powerlaw-nonasym", 0.05))
 
 
+@functools.cache
+def _replay_recipe():
+    # the README's Determinism replay recipe, as printed there
+    section = README.read_text().split("\n## Determinism\n", 1)[1]
+    block, = (b for b in re.findall(r"^```python\n(.*?)^```", section, re.S | re.M)
+              if "stat_rates" in b)
+    return compile(block, "README.md", "exec")
+
+
 def _replay(cfg, axis_index, t):
-    # trial t's rate from its block's stream alone, as the README's
-    # Determinism section gives it: one draw per statistic kind, on every truth
-    n, model = cfg.n, cfg.true_model
-    # the calibration trial_outcomes uses, which a test may patch
-    cal = evalmc.calibrate(cfg.selector, cfg.target, n)
-    rows = block_rows(cal.tail_width or 1)
-    rng = np.random.Generator(np.random.PCG64DXSM(
-        np.random.SeedSequence(cfg.seed, spawn_key=(axis_index, t // rows))))
-    r = t % rows
-    if cal.tail_width is None:
-        # rayleigh, plugin-rayleigh: the noncentral gamma law (k, m) of scale lam
-        m, k = getattr(model, "m", 1.0), getattr(model, "k", 0.0)
-        x = rng.noncentral_chisquare(2.0 * n * m, 2.0 * n * k, r + 1)[r]
-        return cal.mean_rates(np.array([x * 0.5 / n * model.lam]))[0]
-    l = cal.tail_size
-    if cal.l is not None:
-        # the nonparametric families: the l-th smallest uniform
-        u = rng.beta(l, n + 1 - l, r + 1)[r:]
-    else:
-        # power-law: the l smallest uniforms from Renyi's spacings
-        e = -np.log1p(-rng.random((r + 1, l))[r]) / (n - np.arange(l))
-        u = -np.expm1(-np.cumsum(e))
-    return cal.tail_rates(model.quantile(u[None]))[0]
+    # trial t's rate from its block's stream alone, by executing the README's
+    # recipe; it reads evalmc.calibrate, which a test may patch
+    scope = dict(np=np, calibrate=evalmc.calibrate, block_rows=block_rows,
+                 selector=cfg.selector, target=cfg.target, n=cfg.n, seed=cfg.seed,
+                 axis_index=axis_index, t=t, model=cfg.true_model)
+    exec(_replay_recipe(), scope)
+    return scope["rate"]
 
 
 def _full_sample_outcomes(cfg, seed):
@@ -282,7 +279,7 @@ class TestBlockEngine:
                                 lambda seed, a, b: blocks.append(b) or real(seed, a, b))
             cfg = _cfg(model=model, family=family, beta=beta, eps=1e-2, kind=PCR,
                        xi=0.1, n=10**4, trials=trials)
-            assert calibrate(cfg.selector, cfg.target, cfg.n).tail_size in (None, 87)
+            assert calibrate(cfg.selector, cfg.target, cfg.n).width in (None, 1, 87)
             trial_outcomes(cfg)
             assert blocks == want
 
@@ -299,7 +296,7 @@ class TestBlockEngine:
         cfg = _cfg(model=model, family=family, beta=beta, eps=0.05, kind=PCR,
                    xi=0.1, n=n, trials=trials, seed=60)
         rates, outages = trial_outcomes(cfg, axis_index=3)
-        rows = block_rows(calibrate(cfg.selector, cfg.target, n).tail_width or 1)
+        rows = block_rows(calibrate(cfg.selector, cfg.target, n).width or 1)
         for t in sorted({0, rows - 1, rows, trials - 1} & set(range(trials))):
             rate = _replay(cfg, 3, t)
             assert rate == rates[t]
@@ -366,7 +363,7 @@ class TestBlockEngine:
 
 
 class TestTailPath:
-    def test_zero_tail_size_draws_nothing(self, monkeypatch):
+    def test_zero_width_draws_nothing(self, monkeypatch):
         # nonparametric AR with n < 1/eps - 1: l = 0, every rate is zero
         def no_draw(*args):
             raise AssertionError("drew a block for l = 0")
@@ -375,7 +372,7 @@ class TestTailPath:
         for model in MODELS:
             cfg = _cfg(model=model, family="nonparametric", eps=1e-2, n=50,
                        trials=40, seed=65)
-            assert calibrate(cfg.selector, cfg.target, 50).tail_size == 0
+            assert calibrate(cfg.selector, cfg.target, 50).width == 0
             rates, outages = trial_outcomes(cfg)
             assert rates.tolist() == outages.tolist() == [0.0] * 40
 
@@ -406,13 +403,13 @@ class TestTailPath:
             cal = calibrate(SelectorSpec(family, beta=beta), target, 4000)
             cal.rates(samples)
             assert samples.tobytes() == before
-            if cal.tail_size:
-                l = cal.tail_size
-                tail = np.partition(samples, l - 1, axis=1)[:, l - cal.tail_width:l]
+            if cal.width:
+                l = cal.width if cal.l is None else cal.l
+                tail = np.partition(samples, l - 1, axis=1)[:, l - cal.width:l]
                 # a power-law tail may come in any order
                 tail[:] = rng.permuted(tail, axis=1)
                 tail_before = tail.tobytes()
-                assert cal.tail_rates(tail).tobytes() == cal.rates(samples).tobytes()
+                assert cal.stat_rates(tail).tobytes() == cal.rates(samples).tobytes()
                 assert tail.tobytes() == tail_before
 
     @pytest.mark.parametrize("model", MODELS, ids=repr)
@@ -430,8 +427,8 @@ class TestTailPath:
     def test_each_block_is_rated_as_one_batch(self, monkeypatch, model):
         # a block of 753 rows of l = 87 tail values, or of 2^16 order statistics
         batches = []
-        real = Calibration.tail_rates
-        monkeypatch.setattr(Calibration, "tail_rates",
+        real = Calibration.stat_rates
+        monkeypatch.setattr(Calibration, "stat_rates",
                             lambda self, tail: batches.append(tail.shape) or real(self, tail))
         for family, beta, want in (("powerlaw-asym", 0.0087, [(753, 87), (753, 87), (94, 87)]),
                                    ("nonparametric", None, [(1600, 1)])):
@@ -456,7 +453,7 @@ class TestDraws:
         eps, xi, beta = (0.2, 0.3, beta and 0.3) if n == 10 else (0.05, 0.1, beta)
         cfg = _cfg(model=model, family=family, beta=beta, eps=eps, kind=PCR,
                    xi=xi, n=n, trials=trials, seed=64)
-        assert calibrate(cfg.selector, cfg.target, n).tail_size != 0
+        assert calibrate(cfg.selector, cfg.target, n).width != 0
         want = _full_sample_outcomes(cfg, 66)
         got = trial_outcomes(cfg, axis_index=5)
         assert scipy.stats.ks_2samp(got[0], want[0]).pvalue > 1e-3
@@ -478,7 +475,7 @@ class TestDraws:
                 evalmc._block_rng(68, 4, lo // 2**16).standard_gamma(n, out=means[lo:hi])
             means /= n
             means *= 1.3
-            rates = calibrate(cfg.selector, cfg.target, n).mean_rates(means)
+            rates = calibrate(cfg.selector, cfg.target, n).stat_rates(means)
             got = trial_outcomes(cfg, axis_index=4)
             assert got[0].tobytes() == rates.tobytes()
             assert got[1].tobytes() == cfg.true_model.cdf(np.expm1(rates * math.log(2.0))).tobytes()

@@ -324,6 +324,19 @@ class TestMetaProbMismatch:
         for v in vals:
             assert v == pytest.approx(vals[0], rel=1e-9, abs=0)
 
+    def test_numeric_value_is_free_of_lam(self):
+        # the threshold is read at lam = 1, so a subnormal lam or one near the
+        # largest double, where quantile(eps) n / g over- or underflowed, keeps it
+        eps, xi, n = 1e-3, 1e-2, 100
+        eps_n = epsn_rayleigh_pcr(eps, xi, n)
+        for model in (Rayleigh, Rician, Nakagami):
+            law = (2.0,) if model is not Rayleigh else ()
+            vals = {meta_prob_mismatch(model(lam, *law), eps_n, eps, n)
+                    for lam in (1e-318, 1.0, 1e306, 1e308)}
+            assert len(vals) == 1
+            if model is Rayleigh:
+                assert vals.pop() == pytest.approx(xi, rel=1e-12)
+
     def test_rician_underflow_is_zero_in_bounded_memory(self):
         # the true value is below the smallest double; computing that 0
         # must not take memory that grows with a truncation window

@@ -602,34 +602,32 @@ class TestCalibrate:
         assert mixed[:3].tobytes() == cal.rates(rows).tobytes()
         assert mixed[3] == big[0]
 
-    def test_mean_rates_is_the_rate_of_the_row_means(self):
+    def test_stat_rates_of_the_row_means_are_the_rates(self):
         rows = RNG(36).exponential(size=(5, 40))
         for family in ("rayleigh", "plugin-rayleigh"):
             cal = calibrate(SelectorSpec(family), ReliabilityTarget(1e-2, PCR, 0.1), 40)
-            assert cal.mean_rates(rows.mean(axis=1)).tobytes() == cal.rates(rows).tobytes()
+            assert cal.width is None
+            assert cal.stat_rates(rows.mean(axis=1)).tobytes() == cal.rates(rows).tobytes()
         cal = calibrate(SelectorSpec("rayleigh"), ReliabilityTarget(0.999999), 1)
         with pytest.raises(NoSolutionError, match="eps_n=1.0"):
-            cal.mean_rates(np.ones(1))
+            cal.stat_rates(np.ones(1))
 
-    def test_tail_rates_takes_the_tail_width(self):
-        # the l-th smallest alone for a nonparametric family, the l smallest
-        # for power-law; a mean-based family has no tail
+    def test_stat_rates_takes_the_width(self):
+        # the l-th smallest alone for a nonparametric family (nothing at
+        # l = 0), the l smallest for power-law
         target = ReliabilityTarget(0.05, PCR, 0.1)
         samples = RNG(37).exponential(size=(4, 200))
-        for family, beta, width in (("nonparametric", None, 1),
-                                    ("plugin-nonparametric", None, 1),
-                                    ("powerlaw-asym", 0.05, 10)):
-            cal = calibrate(SelectorSpec(family, beta=beta), target, 200)
-            assert cal.tail_width == width
-            l = cal.tail_size
-            tail = np.sort(samples, axis=1)[:, l - width:l]
-            assert cal.tail_rates(tail).tobytes() == cal.rates(samples).tobytes()
+        for family, beta, n, width in (("nonparametric", None, 200, 1),
+                                       ("plugin-nonparametric", None, 200, 1),
+                                       ("powerlaw-asym", 0.05, 200, 10),
+                                       ("nonparametric", None, 20, 0)):
+            cal = calibrate(SelectorSpec(family, beta=beta), target, n)
+            assert cal.width == width
+            l = width if cal.l is None else cal.l
+            tail = np.sort(samples[:, :n], axis=1)[:, l - width:l]
+            assert cal.stat_rates(tail).tobytes() == cal.rates(samples[:, :n]).tobytes()
             with pytest.raises(ValueError, match=rf"\(B, {width}\)"):
-                cal.tail_rates(np.sort(samples, axis=1)[:, :width + 1])
-        cal = calibrate(SelectorSpec("rayleigh"), target, 200)
-        assert cal.tail_width is None
-        with pytest.raises(ValueError, match="mean_rates"):
-            cal.tail_rates(samples)
+                cal.stat_rates(np.sort(samples, axis=1)[:, :width + 1])
 
     def test_rates_validates_samples(self):
         cal = calibrate(SelectorSpec("rayleigh"), ReliabilityTarget(1e-2), 4)
@@ -653,10 +651,10 @@ class TestCalibrate:
         cal = calibrate(SelectorSpec("rayleigh"), ReliabilityTarget(0.999999), 1)
         assert cal.eps_n == 1.0
         with pytest.raises(NoSolutionError, match=r"eps_n=1\.0 .*\(eps=0\.999999, n=1\)"):
-            cal.mean_rates(np.ones(3))
+            cal.stat_rates(np.ones(3))
         # a level just below 1 keeps its rate
         below = Calibration(SelectorSpec("plugin-rayleigh"), 1, eps_n=math.nextafter(1.0, 0.0))
-        assert np.isfinite(below.mean_rates(np.ones(1))).all()
+        assert np.isfinite(below.stat_rates(np.ones(1))).all()
 
     def test_powerlaw_batch_raises_like_fit_power_tail(self):
         target = ReliabilityTarget(1e-2)
