@@ -113,8 +113,8 @@ class Rayleigh(ChannelModel):
     k, m = 0.0, 1.0
 
     def cdf(self, y):
-        y = self._check_y(y)
-        return _as_scalar(-np.expm1(-y / self.lam))
+        with np.errstate(over="ignore"):  # y/lam = inf past DBL_MAX, where F = 1
+            return _as_scalar(-np.expm1(-self._check_y(y) / self.lam))
 
     def quantile(self, p):
         return -self.lam * _as_scalar(np.log1p(-self._check_p(p)))
@@ -194,8 +194,8 @@ class Nakagami(ChannelModel):
             raise ValueError(f"m must be finite and >= 0.5, got {self.m}")
 
     def cdf(self, y):
-        y = self._check_y(y)
-        return _as_scalar(specfun.special().gammainc(self.m, y / self.lam))
+        with np.errstate(over="ignore"):  # y/lam = inf past DBL_MAX, where F = 1
+            return _as_scalar(specfun.special().gammainc(self.m, self._check_y(y) / self.lam))
 
     def quantile(self, p):
         return self.lam * specfun.inv_reg_lower_gamma(self.m, self._check_p(p))

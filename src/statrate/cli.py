@@ -20,10 +20,11 @@ Importing this module loads only what argument parsing and the exit-code
 mapping need: errors and rateselect, which bring learn, specfun and
 numpy. epsn and rate use no more. Each other command imports its own
 modules: mismatch adds channels and mismatch, and evalmc only for
-power-law rows; sweep adds channels and evalmc, and is the only command
-that configures logging (INFO to stderr, for its progress lines), so an
-in-process caller of main for another command keeps its root logger
-as it was.
+power-law rows; sweep adds channels and evalmc, runs its points on
+threads of this process, and is the only command that configures
+logging (INFO to stderr, for its progress lines, logged from the calling
+thread), so an in-process caller of main for another command keeps its
+root logger as it was.
 
 Importing this module registers gc.freeze to run at interpreter exit,
 so CPython's final collections skip the objects numpy and scipy.special
@@ -250,19 +251,11 @@ def cmd_sweep(args) -> int:
     selector = SelectorSpec(family, beta=beta)
     base = EvalConfig(model, selector, target, n, trials, seed)
 
-    results = sweep(base, axis, axis_values, workers=workers)
-    rows = []
-    for value, rep in results:
-        rows.append([
-            axis, _fmt(value), _fmt(rep.rate_mean), _fmt(rep.rate_stddev),
-            _fmt(rep.mean_outage.value), _fmt(rep.mean_outage.ci_lo),
-            _fmt(rep.mean_outage.ci_hi),
-            _fmt(rep.meta_prob.value), _fmt(rep.meta_prob.ci_lo),
-            _fmt(rep.meta_prob.ci_hi),
-            _fmt(rep.throughput_ratio.value), _fmt(rep.throughput_ratio.ci_lo),
-            _fmt(rep.throughput_ratio.ci_hi),
-            _fmt(rep.zero_rate_fraction), str(rep.trials), str(rep.seed),
-        ])
+    rows = [[axis, _fmt(value), _fmt(rep.rate_mean), _fmt(rep.rate_stddev),
+             *(_fmt(x) for est in (rep.mean_outage, rep.meta_prob, rep.throughput_ratio)
+               for x in (est.value, est.ci_lo, est.ci_hi)),
+             _fmt(rep.zero_rate_fraction), str(rep.trials), str(rep.seed)]
+            for value, rep in sweep(base, axis, axis_values, workers=workers)]
     _write_csv(output, SWEEP_HEADER, rows)
     print(f"wrote {len(rows)} rows to {output}")
     return 0

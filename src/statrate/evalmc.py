@@ -24,7 +24,10 @@ distinct streams. Unused rows of the last block are dropped, and a
 partial block draws only its rows, a prefix of its stream. The width
 depends on (selector, target, n) alone, never on trials or workers, so
 trial t reads the same values for any trial count and sweep results are
-bitwise identical for any worker count.
+bitwise identical for any worker count. sweep runs its points on threads:
+each block has its own Generator, configs, models and Calibration are
+frozen and np.errstate is per-thread, and numpy's fills and ufuncs and
+scipy.special's release the GIL on block-sized arrays.
 
 The draws, one kind per statistic and the same on every truth:
 
@@ -54,10 +57,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import specfun
 from .channels import ChannelModel, Nakagami, Rayleigh, Rician
 from .errors import check_positive_int
-from .rateselect import PCR, ReliabilityTarget, SelectorSpec, calibrate
+from .rateselect import ReliabilityTarget, SelectorSpec, calibrate
 
 __all__ = [
     "SWEEP_AXES",
@@ -157,13 +159,6 @@ def _wilson_ci(successes: int, t: int) -> Estimate:
     return Estimate(p, max(center - half, 0.0), min(center + half, 1.0))
 
 
-def _blocks(trials: int, rows: int):
-    """(lo, hi, b) for the blocks of trials, in order; unused rows of
-    the last block are dropped."""
-    for lo in range(0, trials, rows):
-        yield lo, min(lo + rows, trials), lo // rows
-
-
 def _uniform_tails(rng: np.random.Generator, out: np.ndarray, n: int) -> np.ndarray:
     """Fill out, (rows, l), with each row's l smallest of n uniforms, ascending.
 
@@ -200,8 +195,10 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0):
     l, width = calibration.l, calibration.width
     df, nc = 2.0 * n * model.m, 2.0 * n * model.k  # the law (k, m) of scale lam
     rates = np.zeros(trials)  # width 0, the zero-rate regime, draws nothing
-    for lo, hi, b in _blocks(trials, block_rows(width or 1)) if width != 0 else ():
-        rng = _block_rng(config.seed, axis_index, b)
+    rows = block_rows(width or 1)
+    for lo in range(0, trials, rows) if width != 0 else ():
+        hi = min(lo + rows, trials)  # unused rows of the last block are dropped
+        rng = _block_rng(config.seed, axis_index, lo // rows)
         # an overflow to inf is reported by the finite-rate check
         with np.errstate(over="ignore"):
             if width is None:
@@ -271,8 +268,9 @@ def sweep(base: EvalConfig, axis: str, values,
     """Evaluate base along one axis; (value, report) pairs in axis order.
 
     Axis streams are keyed by position, so results do not depend on
-    workers. The points run in min(workers, len(values), os.cpu_count())
-    processes; with one, they run in this process.
+    workers. The points run on min(workers, len(values), os.cpu_count())
+    threads of this process; with one, they run in the calling thread.
+    Progress is logged from the calling thread, one line a point in axis order.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -281,20 +279,15 @@ def sweep(base: EvalConfig, axis: str, values,
         raise ValueError("sweep needs at least one axis value")
     workers = check_positive_int(workers, "workers")
     configs = [_apply_axis(base, axis, v) for v in values]
-    # no process beyond one per point and one per CPU
-    procs = min(workers, len(configs), os.cpu_count() or 1)
+    # no thread beyond one per point and one per CPU
+    threads = min(workers, len(configs), os.cpu_count() or 1)
 
     runner = contextlib.nullcontext()
-    if procs > 1:
-        # forked workers inherit scipy.special instead of each importing it; on
-        # Rayleigh truth under AR targets no point needs it (closed forms only).
-        # The pool module is imported only here, so other commands start without it
-        if any(cfg.target.kind == PCR or not isinstance(cfg.true_model, Rayleigh)
-               for cfg in configs):
-            specfun.special()
-        from concurrent.futures import ProcessPoolExecutor
+    if threads > 1:
+        # the pool module is imported only here, so other commands start without it
+        from concurrent.futures import ThreadPoolExecutor
 
-        runner = ProcessPoolExecutor(max_workers=procs)
+        runner = ThreadPoolExecutor(max_workers=threads)
     results: list[tuple[float, EvalReport]] = []
     with runner as pool:
         reports = (pool.map if pool else map)(evaluate, configs, range(len(configs)))

@@ -71,6 +71,18 @@ def meta_prob_exact_rayleigh(eps_n: float, eps: float, n: int) -> float:
     return specfun.reg_upper_gamma(float(n), thr)
 
 
+def _tail_scale(model: ChannelModel) -> ChannelModel:
+    # the approximations are free of lam, so they read the tail at lam = 1;
+    # where alpha is no normal double there (Rician k from about 708, Nakagami
+    # m from about 171), at the model's own lam, which may bring it back
+    unit = replace(model, lam=1.0)
+    try:
+        unit.power_law()
+    except ValueError:
+        return model
+    return unit
+
+
 def _power_law_mean_outage(model: ChannelModel, eps_n: float, n: int) -> float:
     # second-order delta method on E[alpha (g Xbar)^(1/kappa)]; the gain's
     # var/mean^2, (m + 2k)/(m + k)^2 for the law (k, m), is formed without
@@ -126,9 +138,9 @@ def mean_outage_mismatch(true_model: ChannelModel, eps_n: float, n: int,
         return specfun._poisson_mixture(n * k, lambda K: ncfdtr(
             2.0 * m, 2.0 * (n * m + K), 2.0 * k, (g / n) * (n * m + K) / m), math.floor(n * k))
     if method == "power_law":
-        return _power_law_mean_outage(true_model, eps_n, n)
+        return _power_law_mean_outage(_tail_scale(true_model), eps_n, n)
     if method == "weak_n":
-        return _weak_n_mean_outage(true_model, eps_n)
+        return _weak_n_mean_outage(_tail_scale(true_model), eps_n)
     raise ValueError(f"method must be one of {MEAN_OUTAGE_METHODS}, got {method!r}")
 
 
@@ -146,8 +158,9 @@ def chernoff_tilt(true_model: ChannelModel, eps_n: float, eps: float,
 
     Bounds P[sum X_i > n thr], thr = (eps/alpha)^kappa / g and
     g = -log(1-eps_n), with the true quantile replaced by its power-law
-    form. Every model is a noncentral gamma law (k, m) of scale lam, its
-    k and m attributes: Rician (k, 1), Nakagami (0, m), Rayleigh (0, 1).
+    form (read at lam = 1 as _tail_scale says: r below is free of lam).
+    Every model is a noncentral gamma law (k, m) of scale lam, its k and
+    m attributes: Rician (k, 1), Nakagami (0, m), Rayleigh (0, 1).
     With w = 1 - lam t its log-MGF is k(1-w)/w - m log w, so the
     stationarity condition M'(t)/M(t) = thr reads r w^2 - m w - k = 0,
     r = thr/lam, and w is its positive root. The bound is exp(n (k(1-w)/w - m log w - (1-w) r)).
@@ -158,10 +171,11 @@ def chernoff_tilt(true_model: ChannelModel, eps_n: float, eps: float,
     eps_n = check_unit_interval(eps_n, "eps_n")
     eps = check_unit_interval(eps, "eps")
     n = check_positive_int(n, "n")
-    pl = true_model.power_law()
+    tail = _tail_scale(true_model)
+    pl = tail.power_law()
     k, m = true_model.k, true_model.m
     thr = (eps / pl.alpha) ** pl.kappa / -math.log1p(-eps_n)
-    r = thr / true_model.lam
+    r = thr / tail.lam
     if not 0.0 < r < math.inf:
         raise NoValidTiltError(f"degenerate tilt equation (ratio {r})")
     # (m + sqrt(m^2 + 4 r k)) / (2 r) over sqrt(r), so that r k cannot overflow

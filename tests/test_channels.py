@@ -125,6 +125,14 @@ class TestCdf:
             np.testing.assert_allclose(got, Rayleigh(lam).cdf(y), rtol=1e-13, atol=0)
         assert Rician(1.7e308, 0.0).cdf(1.5e308) == pytest.approx(0.586191901, rel=1e-9)
 
+    @pytest.mark.parametrize("model", [Rayleigh(1e-3), Nakagami(1e-3, 2.0),
+                                       Rician(1e-3, 1.0)], ids=repr)
+    def test_y_over_lam_past_the_largest_double_is_one_without_warning(self, model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert model.cdf(1.5e308) == 1.0
+            assert model.cdf(np.array([1.5e308, np.finfo(float).max])).tolist() == [1.0, 1.0]
+
 
 class TestReductions:
     # Rician k=0 and Nakagami m=1 must match Rayleigh pointwise

@@ -324,9 +324,11 @@ class TestFlagCombinations:
 
 HEAVY_SCIPY = ("scipy.optimize", "scipy.stats", "scipy.integrate")
 # loaded on first use: by a command that evaluates a special function, and
-# by a sweep that starts a process pool
+# by a sweep that starts a thread pool
 SPECIAL = "scipy.special"
-POOL = "concurrent.futures.process"
+POOL = "concurrent.futures.thread"
+# what a process pool would load; no command loads either
+FORK = ("multiprocessing", "concurrent.futures.process")
 
 
 def modules_after(code):
@@ -383,23 +385,23 @@ AR_EPSN_FAMILIES = ["rayleigh", "powerlaw-asym"]
 CLI_MODULES = {f"statrate.{m}" for m in ("cli", "errors", "learn", "rateselect", "specfun")}
 
 
-def pool_script(argv, special):
-    """main_script(argv) that fails unless main builds one process pool, with
-    scipy.special loaded by then if special and not if not. cpu_count is
-    pinned so the pool is built."""
+def pool_script(argv):
+    """main_script(argv) that fails unless main builds one two-thread pool,
+    with scipy.special not loaded by then. cpu_count is pinned so the pool
+    is built."""
     return (
         "import concurrent.futures\n"
         "import os\n"
         "import sys\n"
         "seen = []\n"
-        "class Spy(concurrent.futures.ProcessPoolExecutor):\n"
-        "    def __init__(self, *args, **kwargs):\n"
-        "        seen.append('scipy.special' in sys.modules)\n"
-        "        super().__init__(*args, **kwargs)\n"
-        "concurrent.futures.ProcessPoolExecutor = Spy\n"
+        "class Spy(concurrent.futures.ThreadPoolExecutor):\n"
+        "    def __init__(self, max_workers):\n"
+        "        seen.append((max_workers, 'scipy.special' in sys.modules))\n"
+        "        super().__init__(max_workers)\n"
+        "concurrent.futures.ThreadPoolExecutor = Spy\n"
         "os.cpu_count = lambda: 2\n"
         + main_script(argv)
-        + f"assert seen == [{special!r}], seen\n")
+        + "assert seen == [(2, False)], seen\n")
 
 
 class TestColdStart:
@@ -453,13 +455,13 @@ class TestColdStart:
                        f"eps = 1e-4\nxi = 2\nn = 100\noutput = {tmp_path / 'o.csv'}\n")
         assert scipy_loaded_by("mismatch", str(cfg), status=2) == set()
 
-    def test_pool_is_built_after_scipy_special_is_loaded(self, tmp_path):
-        # forked workers inherit the parent's scipy.special, which every PCR
-        # calibration needs
+    def test_pooled_pcr_points_load_scipy_special_themselves(self, tmp_path):
+        # threads share the module, so the sweep loads nothing up front: the
+        # first PCR calibration on a pool thread imports it
         cfg = write_sweep_config(tmp_path / "cfg.txt", tmp_path / "out.csv",
                                  drop=("constraint",),
                                  extra="constraint = pcr\nxi = 0.1\nworkers = 2\n")
-        assert scipy_loaded(pool_script(["sweep", cfg], True)) == {SPECIAL, POOL}
+        assert scipy_loaded(pool_script(["sweep", cfg])) == {SPECIAL, POOL}
         with open(tmp_path / "out.csv") as fh:
             assert len(fh.read().splitlines()) == 3
 
@@ -468,9 +470,18 @@ class TestColdStart:
         cfg = write_sweep_config(tmp_path / "cfg.txt", tmp_path / "out.csv",
                                  drop=("selector",),
                                  extra="selector = nonparametric\nworkers = 2\n")
-        assert scipy_loaded(pool_script(["sweep", cfg], False)) == {POOL}
+        assert scipy_loaded(pool_script(["sweep", cfg])) == {POOL}
         with open(tmp_path / "out.csv") as fh:
             assert len(fh.read().splitlines()) == 3
+
+    def test_pooled_sweep_starts_no_process(self, tmp_path):
+        # the points run on threads: nothing forks, spawns or pickles
+        cfg = write_sweep_config(tmp_path / "cfg.txt", tmp_path / "out.csv",
+                                 drop=("constraint",),
+                                 extra="constraint = pcr\nxi = 0.1\nworkers = 2\n")
+        loaded = modules_after(pool_script(["sweep", cfg]))
+        assert POOL in loaded
+        assert loaded.isdisjoint(FORK)
 
     def test_import_statrate_loads_no_submodule(self):
         loaded = modules_after("import statrate\n")
@@ -964,11 +975,13 @@ class TestMismatch:
         assert not out.exists()
 
     def test_model_power_law_beyond_double_range_is_usage_error(self, tmp_path):
-        # the weak-n and Chernoff columns need the model's alpha; where it is
-        # no finite positive normal double the error names the parameters
+        # the weak-n and Chernoff columns need the model's alpha, read at
+        # lam = 1 or, where it is out of range there, at the model's lam;
+        # where it is no finite positive normal double at either the error
+        # names the parameters
         out = tmp_path / "x.csv"
         cfg = tmp_path / "cfg.txt"
-        cases = (("m", "5", "1e-300", "m=5.0", "alpha = inf"),
+        cases = (("m", "200", "1e-300", "m=200.0", "alpha = inf"),
                  ("m", "200", "1.0", "m=200.0", "alpha = 0.0"),
                  ("k", "1e3", "1.0", "k=1000.0", "alpha = 0.0"))
         for param, value, lam, name, alpha in cases:
@@ -987,6 +1000,24 @@ class TestMismatch:
             assert alpha in res.stderr
             assert "Traceback" not in res.stderr
             assert not out.exists()
+
+    @pytest.mark.parametrize("param,values", [("m", "0.5, 2, 5"), ("k", "0, 1, 10")])
+    def test_table_is_free_of_lam(self, tmp_path, param, values):
+        # every column is free of lam, so a lam where the model's own alpha
+        # leaves the normal doubles writes the lam = 1 table
+        tables = {}
+        for lam in ("1.0", "1e-318", "1e-300", "1e300", "1e308"):
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(
+                f"param = {param}\nparam_values = {values}\nlam = {lam}\n"
+                "selectors = rayleigh-ar, rayleigh-pcr\neps = 1e-3\nxi = 1e-2\n"
+                f"n = 100\noutput = {tmp_path / 'x.csv'}\n")
+            with warnings.catch_warnings():
+                # the tilt's degenerate-bound warning, at m = 0.5
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert main(["mismatch", str(cfg)]) == 0
+            tables[lam] = (tmp_path / "x.csv").read_bytes()
+        assert len(set(tables.values())) == 1
 
     def test_rician_k100_chernoff_column(self, tmp_path):
         # the tilt once rounded 1 - lam t* to 0 here (ZeroDivisionError)

@@ -2,6 +2,7 @@ import concurrent.futures
 import functools
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -520,20 +521,12 @@ class TestSweep:
     def test_pool_size_capped_by_points_and_cpus(self, monkeypatch):
         started = []
 
-        class RecordingPool:
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 started.append(max_workers)
+                super().__init__(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):  # Executor.map's signature
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         base = _cfg(trials=5, seed=63)
         serial = sweep(base, "n", [10, 20])
         monkeypatch.setattr(evalmc.os, "cpu_count", lambda: 2)
@@ -541,9 +534,21 @@ class TestSweep:
         assert sweep(base, "n", [10, 20], workers=64) == serial
         assert started == [2, 2]
         monkeypatch.setattr(evalmc.os, "cpu_count", lambda: 64)
-        sweep(base, "n", [10, 20, 30], workers=8)
+        assert sweep(base, "n", [10, 20, 30], workers=8)[:2] == serial
         sweep(base, "n", [10], workers=8)
         assert started == [2, 2, 3]
+
+    def test_pooled_point_warnings_reach_the_callers_filters(self, monkeypatch):
+        # ceil(beta*n) = 2 falls back to the asymptotic level with a RuntimeWarning,
+        # raised on a pool thread and filtered as if the point ran in this one
+        monkeypatch.setattr(evalmc.os, "cpu_count", lambda: 2)
+        base = _cfg(family="powerlaw-nonasym", beta=0.02, kind="pcr", xi=0.1, trials=5)
+        with pytest.warns(RuntimeWarning, match=r"ceil\(beta\*n\) = 2") as record:
+            pooled = sweep(base, "beta", [0.02, 0.015], workers=2)
+        assert len(record) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert pooled == sweep(base, "beta", [0.02, 0.015])
 
     def test_omega_non_decreasing_in_n(self):
         base = _cfg(trials=2000, seed=55)

@@ -71,23 +71,25 @@ def test_traced_modules_are_package_attributes():
               "    assert getattr(statrate, m) is importlib.import_module('statrate.' + m), m\n")
 
 
-def test_spawned_workers_write_the_serial_bytes(tmp_path):
-    # under spawn each worker imports statrate afresh, through the lazy package
+def test_pool_threads_loading_scipy_special_write_the_serial_bytes(tmp_path):
+    # in a fresh interpreter the workers = 2 sweep runs first, so its two pool
+    # threads are the first to load scipy.special, for their PCR calibrations
     outputs = {}
-    for workers in (1, 2):
+    for workers in (2, 1):
         outputs[workers] = tmp_path / f"out{workers}.csv"
         (tmp_path / f"cfg{workers}.txt").write_text(
             "model = rayleigh\nselector = nonparametric\nconstraint = pcr\n"
             "eps = 1e-2\nxi = 0.1\nn = 1000\ntrials = 40\nseed = 5\n"
             f"axis = n\naxis_values = 1000, 2000\nworkers = {workers}\n"
             f"output = {outputs[workers]}\n")
+    cfgs = [str(tmp_path / f"cfg{w}.txt") for w in (2, 1)]
     run_fresh(
-        "import multiprocessing\n"
         "import os\n"
+        "import sys\n"
         "import statrate.cli\n"
-        "multiprocessing.set_start_method('spawn')\n"
         "os.cpu_count = lambda: 2  # so the pool is built\n"
-        f"for cfg in {[str(tmp_path / f'cfg{w}.txt') for w in (1, 2)]!r}:\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        f"for cfg in {cfgs!r}:\n"
         "    assert statrate.cli.main(['sweep', cfg]) == 0\n")
     assert outputs[2].read_bytes() == outputs[1].read_bytes()
     assert len(outputs[1].read_bytes().splitlines()) == 3

@@ -337,6 +337,23 @@ class TestMetaProbMismatch:
             if model is Rayleigh:
                 assert vals.pop() == pytest.approx(xi, rel=1e-12)
 
+    def test_approximations_are_free_of_lam(self):
+        # read at lam = 1, so a lam where the model's own alpha leaves the
+        # normal doubles keeps the weak-n, power-law and Chernoff values
+        eps, n = 1e-3, 100
+        eps_n = epsn_rayleigh_pcr(eps, 1e-2, n)
+        for model in (Rayleigh, Rician, Nakagami):
+            law = (2.0,) if model is not Rayleigh else ()
+
+            def cells(lam):
+                truth = model(lam, *law)
+                return (mean_outage_mismatch(truth, eps, n, method="weak_n"),
+                        mean_outage_mismatch(truth, eps_n, n, method="power_law"),
+                        meta_prob_mismatch(truth, eps_n, eps, n, method="chernoff"))
+
+            for lam in (1e-318, 1e-300, 1e300, 1e306, 1e308):
+                assert cells(lam) == cells(1.0)
+
     def test_rician_underflow_is_zero_in_bounded_memory(self):
         # the true value is below the smallest double; computing that 0
         # must not take memory that grows with a truncation window
