@@ -117,7 +117,13 @@ class Rayleigh(ChannelModel):
             return _as_scalar(-np.expm1(-self._check_y(y) / self.lam))
 
     def quantile(self, p):
-        return -self.lam * _as_scalar(np.log1p(-self._check_p(p)))
+        # -lam log1p(-p) into one new array; lam y = inf past DBL_MAX
+        p = self._check_p(p)
+        y = np.negative(p, out=np.empty_like(p))
+        np.log1p(y, out=y)
+        with np.errstate(over="ignore"):
+            y *= -self.lam
+        return _as_scalar(y)
 
     def sample(self, rng, count):
         # inverse-CDF of a uniform keeps the draw reproducible across
@@ -164,8 +170,10 @@ class Rician(ChannelModel):
 
     def quantile(self, p):
         p = self._check_p(p)
-        return 0.5 * self.lam * _as_scalar(self._check_scipy_result(
-            specfun.special().chndtrix(p, 2.0, 2.0 * self.k), p))
+        x = self._check_scipy_result(specfun.special().chndtrix(p, 2.0, 2.0 * self.k), p)
+        with np.errstate(over="ignore"):  # lam x = inf past DBL_MAX
+            x *= 0.5 * self.lam
+        return _as_scalar(x)
 
     def sample(self, rng, count):
         count = check_positive_int(count, "count")
@@ -198,7 +206,8 @@ class Nakagami(ChannelModel):
             return _as_scalar(specfun.special().gammainc(self.m, self._check_y(y) / self.lam))
 
     def quantile(self, p):
-        return self.lam * specfun.inv_reg_lower_gamma(self.m, self._check_p(p))
+        with np.errstate(over="ignore"):  # lam x = inf past DBL_MAX
+            return self.lam * specfun.inv_reg_lower_gamma(self.m, self._check_p(p))
 
     def sample(self, rng, count):
         return rng.gamma(self.m, self.lam, check_positive_int(count, "count"))

@@ -205,11 +205,12 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0):
                 # the sum of n powers is lam/2 times a noncentral chi-square draw
                 stat = rng.noncentral_chisquare(df, nc, hi - lo) * 0.5 / n * model.lam
             else:
-                # the l-th smallest of n uniforms, Beta(l, n + 1 - l), or the l smallest
-                u = (rng.beta(l, n + 1 - l, (hi - lo, 1)) if l is not None
-                     else _uniform_tails(rng, np.empty((hi - lo, width)), n))
-                stat = model.quantile(u)
+                # the l-th smallest of n uniforms, Beta(l, n + 1 - l), or the l
+                # smallest; no name keeps the uniforms past the quantile
+                stat = model.quantile(rng.beta(l, n + 1 - l, (hi - lo, 1)) if l is not None
+                                      else _uniform_tails(rng, np.empty((hi - lo, width)), n))
             rates[lo:hi] = calibration.stat_rates(stat)
+        del stat  # the next block draws with none of this one's arrays live
     if not np.isfinite(rates).all():
         raise ValueError(f"non-finite rate: the drawn powers overflow at lam={model.lam}")
     # conditional outage is an exact CDF value, not a simulated rate

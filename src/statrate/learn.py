@@ -135,9 +135,15 @@ class TailFit:
 def fit_ascending_tails(tail: np.ndarray, n: int):
     """Fit the log-domain tail law to each row's l smallest of n values.
 
-    tail is (B, l), each row ascending. Returns (kappa_hat, z_l), each
-    of shape (B,); n only enters the error message.
+    tail is (B, l), each row ascending, and is left unchanged. Returns
+    (kappa_hat, z_l), each of shape (B,); n only enters the error message.
     """
+    return _fit_ascending_tails_in_place(np.array(tail), n)
+
+
+def _fit_ascending_tails_in_place(tail: np.ndarray, n: int):
+    # fit_ascending_tails on a tail it may overwrite: a float tail takes
+    # its logs in place, so the fit allocates no array the size of the tail
     l = tail.shape[1]
     if l < 2:
         raise InsufficientTailDataError(
@@ -147,7 +153,7 @@ def fit_ascending_tails(tail: np.ndarray, n: int):
         raise InsufficientTailDataError(
             f"tail fit needs positive values: {zeros} of the l={l} smallest "
             f"of n={n} values are 0")
-    z = np.log(tail)
+    z = np.log(tail, out=tail if tail.dtype.kind == "f" else None)
     z_l = z[:, -1]
     # an infinite tail gives inf - inf = nan, which the caller's
     # finite-rate check reports

@@ -45,8 +45,8 @@ from .errors import (
 from .learn import (
     TrainingSample,
     _ceil_with_float_guard,
+    _fit_ascending_tails_in_place,
     _floor_with_float_guard,
-    fit_ascending_tails,
     sample_rows,
 )
 
@@ -389,7 +389,7 @@ class Calibration:
             raise ValueError(f"expected a (B, {width}) array, got shape {stat.shape}")
         if self.l is not None:  # log2(1 + x_(l)); the empty row sums to 0 at l = 0
             return _log2_1p(stat.sum(axis=1))
-        kappa, z_l = fit_ascending_tails(np.sort(stat, axis=1), self.n)
+        kappa, z_l = _fit_ascending_tails_in_place(np.sort(stat, axis=1), self.n)
         # fitted log-quantile; eps_n = 0 (an underflowed level) gives rate 0
         with np.errstate(divide="ignore"):
             log_q = z_l + kappa * np.log(self.n * eps_n / width)

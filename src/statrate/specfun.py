@@ -88,23 +88,31 @@ def _polish_gamma_inverse(a: float, x, p, q):
     steps, with the density exp((a-1) log x - x - lgamma(a)) as
     derivative; an element stops once its residual no longer shrinks or
     its density is zero or not finite (at x = 0 or inf, or where it
-    overflows), and keeps the iterate with its smallest residual.
+    overflows), and keeps the iterate with its smallest residual. Only
+    the elements still live are stepped, each on its own residual.
     """
     sp = special()
     x, p, q = np.broadcast_arrays(np.asarray(x, dtype=float), p, q)
-    best, best_residual = x.copy(), np.full(x.shape, math.inf)
-    live = np.ones(x.shape, dtype=bool)
+    best = x.copy()
+    # the live elements, flat: their index in best, their iterates and levels
+    index, x, p, q = np.arange(best.size), x.ravel(), p.ravel(), q.ravel()
+    lower, best_residual = p <= q, np.full(best.size, math.inf)
     with np.errstate(all="ignore"):
         for _ in range(8):
-            residual = np.where(p <= q, sp.gammainc(a, x) - p, q - sp.gammaincc(a, x))
+            residual = np.empty_like(x)
+            residual[lower] = sp.gammainc(a, x[lower]) - p[lower]
+            residual[~lower] = q[~lower] - sp.gammaincc(a, x[~lower])
             density = np.exp((a - 1.0) * np.log(x) - x - math.lgamma(a))
-            live &= ((np.abs(residual) < best_residual)
-                     & (0.0 < density) & (density < math.inf))
+            live = (np.abs(residual) < best_residual) & (0.0 < density) & (density < math.inf)
             if not live.any():
                 break
-            np.copyto(best, x, where=live)
-            np.copyto(best_residual, np.abs(residual), where=live)
-            x = x - residual / density
+            # one array at a time, so the old ones go as the new ones come
+            index = index[live]
+            x = x[live]
+            np.put(best, index, x)
+            best_residual = np.abs(residual[live])
+            x -= residual[live] / density[live]
+            p, q, lower = p[live], q[live], lower[live]
     return best
 
 

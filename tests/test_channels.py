@@ -195,6 +195,26 @@ class TestQuantile:
         for p in (1e-5, 1e-3, 0.3, 0.99):
             assert model.cdf(model.quantile(p)) == pytest.approx(p, rel=1e-8)
 
+    @pytest.mark.parametrize("model", [Rayleigh(1e308), Nakagami(1e308, 0.5),
+                                       Rician(1e308, 1.0)], ids=repr)
+    def test_lam_times_the_unit_quantile_past_the_largest_double_is_inf_without_warning(
+            self, model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert model.quantile(0.999999) == math.inf
+            assert model.quantile(np.array([0.999999, 0.0])).tolist() == [math.inf, 0.0]
+
+    def test_scaled_in_place_bit_for_bit_and_input_unchanged(self):
+        # lam times the unit quantile, formed in the result array: the same
+        # bits as the product formed apart, and the caller's levels untouched
+        u = np.concatenate([np.geomspace(1e-300, 0.5, 40), [0.0, 1.0 - 1e-12]])
+        before = u.tobytes()
+        for lam in (1e-300, 1.3, 7.0, 1e300):
+            assert Rayleigh(lam).quantile(u).tobytes() == (-lam * np.log1p(-u)).tobytes()
+            unit = scipy.special.chndtrix(u, 2.0, 6.0)
+            assert Rician(lam, 3.0).quantile(u).tobytes() == (0.5 * lam * unit).tobytes()
+            assert u.tobytes() == before
+
 
 def mp_cdf(model, y):
     """F(y) at 40 digits: 1 - exp(-v) (Rayleigh), P(m, v) (Nakagami), or the

@@ -362,6 +362,29 @@ class TestBlockEngine:
                     tracemalloc.stop()
                 assert peak - 6 * 8 * trials < 10 * 2**20
 
+    def test_power_law_block_keeps_two_block_sized_arrays(self, monkeypatch):
+        # a Rayleigh power-law block of 65 rows of l = 1000 tail values, four
+        # blocks, the last partial: drawing and rating one holds the drawn
+        # tails and one sorted copy, not the uniforms, the previous block's
+        # statistic, the quantile's temporaries or the fit's logs
+        import tracemalloc
+        n = 10**5
+        cal = Calibration(SelectorSpec("powerlaw-nonasym", beta=0.01), n, eps_n=1e-4)
+        monkeypatch.setattr(evalmc, "calibrate", lambda *args: cal)
+        rows = block_rows(cal.width)
+        block = 8 * rows * cal.width
+        cfg = _cfg(family="powerlaw-nonasym", beta=0.01, kind=PCR, xi=0.1, n=n,
+                   trials=3 * rows + 7, seed=63)
+        assert (rows, cal.width) == (65, 1000)
+        trial_outcomes(cfg)
+        tracemalloc.start()
+        try:
+            trial_outcomes(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * block
+
 
 class TestTailPath:
     def test_zero_width_draws_nothing(self, monkeypatch):

@@ -140,6 +140,18 @@ class TestFitPowerTail:
             kappa, z_l = fit_ascending_tails(tail[None], sample.n)
             assert (fit.kappa_hat, fit.z_l) == (kappa[0], z_l[0])
 
+    def test_fit_ascending_tails_leaves_its_argument_unchanged(self):
+        # a float tail, a strided view of one and an integer tail: the fit
+        # takes its logs in a copy, and they are the logs taken apart
+        tails = np.sort(RNG(19).exponential(size=(6, 40)), axis=1)
+        for tail in (tails, tails[::2, ::3], np.arange(1, 61).reshape(3, 20)):
+            before = tail.tobytes()
+            kappa, z_l = fit_ascending_tails(tail, 1000)
+            assert tail.tobytes() == before
+            z = np.log(tail)
+            assert z_l.tobytes() == z[:, -1].tobytes()
+            assert kappa.tobytes() == (z[:, -1] - z.mean(axis=1)).tobytes()
+
     def test_rayleigh_truth_recovery(self):
         # Rayleigh{1} lower tail: alpha = 1, kappa = 1
         sample = TrainingSample(Rayleigh(1.0).sample(RNG(102), 10**6))

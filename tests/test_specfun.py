@@ -18,6 +18,7 @@ import scipy.special as sp
 import scipy.stats
 
 from statrate.specfun import (
+    _polish_gamma_inverse,
     inv_reg_lower_gamma,
     inv_reg_upper_gamma,
     log_gamma,
@@ -176,6 +177,55 @@ class TestInvRegLowerGamma:
             inv_reg_lower_gamma(1.0, -0.01)
         with pytest.raises(ValueError):
             inv_reg_lower_gamma(-2.0, 0.5)
+
+
+def _polish_every_element(a, x, p, q):
+    """The gamma-inverse Newton polish as it was before it stepped only the
+    live elements: both residual branches and a step for every element, all
+    8 steps, keeping the best iterate where the element is still live."""
+    x, p, q = np.broadcast_arrays(np.asarray(x, dtype=float), p, q)
+    best, best_residual = x.copy(), np.full(x.shape, math.inf)
+    live = np.ones(x.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(8):
+            residual = np.where(p <= q, sp.gammainc(a, x) - p, q - sp.gammaincc(a, x))
+            density = np.exp((a - 1.0) * np.log(x) - x - math.lgamma(a))
+            live &= ((np.abs(residual) < best_residual)
+                     & (0.0 < density) & (density < math.inf))
+            if not live.any():
+                break
+            np.copyto(best, x, where=live)
+            np.copyto(best_residual, np.abs(residual), where=live)
+            x = x - residual / density
+    return best
+
+
+class TestPolishGammaInverse:
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 10.0, 171.5, 1e3, 1e5])
+    def test_live_elements_only_is_the_every_element_polish_bit_for_bit(self, a):
+        # levels below 0.05 and over all of [0, 1), with p = 0, p near 1 and
+        # p = 1/2 (the branch edge), from scipy's start points and from
+        # non-finite and zero ones, which stop at once
+        rng = np.random.default_rng(int(a * 2))
+        for p in (rng.random(3000) * 0.05, rng.random(3000)):
+            p[:4] = (0.0, 1.0 - 2.0**-53, 0.5, 1.0 - 1e-12)
+            x = sp.gammaincinv(a, p)
+            x[4:8] = (math.inf, math.nan, 0.0, -math.inf)
+            want = _polish_every_element(a, x, p, 1.0 - p)
+            assert _polish_gamma_inverse(a, x, p, 1.0 - p).tobytes() == want.tobytes()
+
+    def test_scalar_and_broadcast_inputs(self):
+        for a, p in ((2.0, 0.3), (0.5, 0.0), (3.0, 0.9999), (1e5, 1e-30)):
+            for x in (sp.gammaincinv(a, p), math.inf, 0.0):
+                want = _polish_every_element(a, x, p, 1.0 - p)
+                got = _polish_gamma_inverse(a, x, p, 1.0 - p)
+                assert got.shape == want.shape == ()
+                assert got.tobytes() == want.tobytes()
+        # a scalar start point broadcast against a (2, 3) array of levels
+        p = np.array([[0.0, 0.1, 0.4], [0.5, 0.9, 0.99]])
+        want = _polish_every_element(2.0, 1.5, p, 1.0 - p)
+        got = _polish_gamma_inverse(2.0, 1.5, p, 1.0 - p)
+        assert got.shape == (2, 3) and got.tobytes() == want.tobytes()
 
 
 def mp_inv_reg_upper_gamma(a, q):
