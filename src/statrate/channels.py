@@ -13,9 +13,9 @@ Rician with k=0 and Nakagami with m=1 both coincide with Rayleigh.
 Each is a noncentral gamma law (k, m) of scale lam, Y = (lam/2) X with
 X ~ noncentral chi-square(2m, 2k): Rayleigh (0, 1), Rician (k, 1) and
 Nakagami (0, m); every model has the attributes k and m.
-Every CDF behaves like a power law alpha * y^(1/kappa) as y -> 0; the
-(alpha, kappa) pair is exposed by power_law() and drives the tail
-selectors and the mismatch approximations.
+Every CDF behaves like a power law alpha y^(1/kappa) as y -> 0, with
+alpha = exp(-k) lam^-m / Gamma(m+1) and kappa = 1/m; power_law() gives
+(alpha, kappa) to the tail selectors and the mismatch approximations.
 """
 
 from __future__ import annotations
@@ -91,15 +91,15 @@ class ChannelModel:
         return self.lam * (self.m + self.k), self.lam * self.lam * (self.m + 2.0 * self.k)
 
     def power_law(self) -> PowerLawTail:
-        """Lower-tail power-law coefficients (alpha, kappa); a ValueError naming
-        the parameters where alpha is no finite positive normal double."""
-        raise NotImplementedError
-
-    def _power_law(self, alpha: float, kappa: float) -> PowerLawTail:
+        """(alpha, kappa) of F(y) ~ exp(-k) (y/lam)^m / Gamma(m+1) as y -> 0; a ValueError
+        naming the parameters where alpha is no finite positive normal double."""
+        log_alpha = -self.k - self.m * math.log(self.lam) - specfun.log_gamma(self.m + 1.0)
+        # math.exp raises past DBL_MAX
+        alpha = math.exp(log_alpha) if log_alpha <= _LOG_MAX_DOUBLE else math.inf
         if not sys.float_info.min <= alpha < math.inf:
             raise ValueError(f"the power-law tail of {self!r} has alpha = {alpha}, "
                              "outside the finite positive normal doubles")
-        return PowerLawTail(alpha=alpha, kappa=kappa)
+        return PowerLawTail(alpha=alpha, kappa=1.0 / self.m)
 
     def epsilon_outage_capacity(self, eps: float) -> float:
         """log2(1 + F^{-1}(eps)): the largest rate with outage <= eps."""
@@ -134,9 +134,6 @@ class Rayleigh(ChannelModel):
         y *= -self.lam
         return y
 
-    def power_law(self):
-        return self._power_law(1.0 / self.lam, 1.0)
-
 
 @dataclass(frozen=True)
 class Rician(ChannelModel):
@@ -150,9 +147,9 @@ class Rician(ChannelModel):
             raise ValueError(f"k must be finite and >= 0, got {self.k}")
 
     def _check_scipy_result(self, values, arg):
-        # scipy's chndtr and chndtrix return nan, not an error, once the
-        # noncentrality 2k passes about 5e10; a nan argument stays nan
-        if np.any(~np.isfinite(values) & ~np.isnan(arg)):
+        # scipy's chndtr and chndtrix return nan, not an error, once the noncentrality
+        # 2k passes about 5e10; a nan argument stays nan. One boolean array at a time
+        if np.count_nonzero(np.isfinite(values)) + np.count_nonzero(np.isnan(arg)) < values.size:
             raise ValueError(
                 f"the Rician law with k={self.k}, lam={self.lam} is beyond the "
                 "noncentral chi-square range scipy evaluates (non-finite result)")
@@ -186,9 +183,6 @@ class Rician(ChannelModel):
         y += np.square(g2, out=g2)
         return y
 
-    def power_law(self):
-        return self._power_law(math.exp(-self.k) / self.lam, 1.0)
-
 
 @dataclass(frozen=True)
 class Nakagami(ChannelModel):
@@ -212,8 +206,9 @@ class Nakagami(ChannelModel):
     def sample(self, rng, count):
         return rng.gamma(self.m, self.lam, check_positive_int(count, "count"))
 
-    def power_law(self):
-        # gamma(m, x)/Gamma(m) ~ x^m / Gamma(m+1) as x -> 0; math.exp raises past DBL_MAX
-        log_alpha = -self.m * math.log(self.lam) - specfun.log_gamma(self.m + 1.0)
-        alpha = math.exp(log_alpha) if log_alpha <= _LOG_MAX_DOUBLE else math.inf
-        return self._power_law(alpha, 1.0 / self.m)
+
+def _check_truth(model) -> None:
+    # the draws and the mismatch formulas read the law (k, m) of these three alone
+    if not isinstance(model, (Rayleigh, Rician, Nakagami)):
+        raise TypeError("true_model must be a Rayleigh, Rician or Nakagami model, "
+                        f"got {type(model).__name__}")

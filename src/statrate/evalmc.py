@@ -57,7 +57,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import ChannelModel, Nakagami, Rayleigh, Rician
+from .channels import ChannelModel, Nakagami, Rayleigh, Rician, _check_truth
 from .errors import check_positive_int
 from .rateselect import ReliabilityTarget, SelectorSpec, calibrate
 
@@ -104,9 +104,7 @@ class EvalConfig:
     seed: int
 
     def __post_init__(self):
-        # the mean draws read each model's noncentral gamma law (k, m)
-        if not isinstance(self.true_model, (Rayleigh, Rician, Nakagami)):
-            raise TypeError("true_model must be a Rayleigh, Rician or Nakagami model")
+        _check_truth(self.true_model)
         if not isinstance(self.selector, SelectorSpec):
             raise TypeError("selector must be a SelectorSpec")
         if not isinstance(self.target, ReliabilityTarget):

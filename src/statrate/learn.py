@@ -161,7 +161,7 @@ def _fit_ascending_tails_in_place(tail: np.ndarray, n: int):
         kappa = z_l - z.mean(axis=1)
     if (kappa <= 0.0).any():
         raise InsufficientTailDataError(
-            "degenerate tail: the l smallest values are all identical")
+            f"degenerate tail: the l={l} smallest of n={n} values are all identical")
     return kappa, z_l
 
 

@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 from . import specfun
-from .channels import ChannelModel, Nakagami, Rayleigh, Rician
+from .channels import ChannelModel, _check_truth
 from .errors import NoValidTiltError, check_positive_int, check_unit_interval
 
 __all__ = [
@@ -35,13 +35,6 @@ __all__ = [
 
 MEAN_OUTAGE_METHODS = ("numeric", "power_law", "weak_n")
 META_PROB_METHODS = ("numeric", "chernoff")
-
-
-def _check_model(model: ChannelModel) -> None:
-    if not isinstance(model, (Rayleigh, Rician, Nakagami)):
-        raise TypeError(
-            f"mismatch analysis supports Rayleigh, Rician and Nakagami models, "
-            f"got {type(model).__name__}")
 
 
 def mean_outage_exact_rayleigh(eps_n: float, n: int) -> float:
@@ -124,7 +117,7 @@ def mean_outage_mismatch(true_model: ChannelModel, eps_n: float, n: int,
     level directly (pass the target eps to reproduce the design-level
     approximation).
     """
-    _check_model(true_model)
+    _check_truth(true_model)
     eps_n = check_unit_interval(eps_n, "eps_n")
     n = check_positive_int(n, "n")
     if method == "numeric":
@@ -167,7 +160,7 @@ def chernoff_tilt(true_model: ChannelModel, eps_n: float, eps: float,
     A root w >= 1 (t* <= 0) means the threshold sits at or below the
     mean and the bound degenerates to 1.
     """
-    _check_model(true_model)
+    _check_truth(true_model)
     eps_n = check_unit_interval(eps_n, "eps_n")
     eps = check_unit_interval(eps, "eps")
     n = check_positive_int(n, "n")
@@ -176,8 +169,10 @@ def chernoff_tilt(true_model: ChannelModel, eps_n: float, eps: float,
     k, m = true_model.k, true_model.m
     thr = (eps / pl.alpha) ** pl.kappa / -math.log1p(-eps_n)
     r = thr / tail.lam
-    if not 0.0 < r < math.inf:
-        raise NoValidTiltError(f"degenerate tilt equation (ratio {r})")
+    if not 0.0 < r:
+        raise NoValidTiltError(f"degenerate tilt equation (ratio {r}, eps={eps}, n={n})")
+    if r == math.inf:  # w -> 0, and the bound exp(-n r (1 + o(1))) is 0
+        return ChernoffSolution(t_star=1.0 / true_model.lam, bound_value=0.0)
     # (m + sqrt(m^2 + 4 r k)) / (2 r) over sqrt(r), so that r k cannot overflow
     s = math.sqrt(r)
     q = 0.5 * m / s
@@ -210,7 +205,7 @@ def meta_prob_mismatch(true_model: ChannelModel, eps_n: float, eps: float,
     noncentrality 2 n k for the law (k, m) of any truth; "chernoff"
     returns the exponential tilt upper bound from chernoff_tilt.
     """
-    _check_model(true_model)
+    _check_truth(true_model)
     eps_n = check_unit_interval(eps_n, "eps_n")
     eps = check_unit_interval(eps, "eps")
     n = check_positive_int(n, "n")

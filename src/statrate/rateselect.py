@@ -265,11 +265,13 @@ def epsn_powerlaw(target: ReliabilityTarget, n: int, beta: float,
         return eps * back_off
 
     if target.kind != PCR:
-        raise ValueError("the non-asymptotic calibration is defined for PCR targets only")
+        raise ValueError("the non-asymptotic calibration is defined for PCR targets "
+                         f"only, got constraint {target.kind!r}")
     l = _ceil_with_float_guard(beta * n)
     if l < 2:
         raise InsufficientTailDataError(
-            f"non-asymptotic calibration needs ceil(beta*n) >= 2, got l={l}")
+            f"non-asymptotic calibration needs ceil(beta*n) >= 2, got l={l} "
+            f"(beta={beta}, n={n})")
     if l == 2:
         warnings.warn(
             "ceil(beta*n) = 2: the finite-sample bound needs l >= 3; "

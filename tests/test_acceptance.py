@@ -20,7 +20,7 @@ import scipy.special as sp
 
 from statrate.channels import Nakagami, Rayleigh, Rician
 from statrate.evalmc import EvalConfig, evaluate
-from statrate.learn import TrainingSample, fit_power_tail
+from statrate.learn import TrainingSample, fit_ascending_tails
 from statrate.mismatch import (
     mean_outage_exact_rayleigh,
     mean_outage_mismatch,
@@ -35,6 +35,7 @@ from statrate.rateselect import (
     PCR,
     ReliabilityTarget,
     SelectorSpec,
+    calibrate,
     epsn_powerlaw,
     epsn_rayleigh_ar,
     epsn_rayleigh_pcr,
@@ -50,6 +51,9 @@ from statrate.specfun import (
     reg_lower_gamma,
     std_normal_quantile,
 )
+
+
+_Z95 = 1.9599639845400545  # the 97.5% normal quantile
 
 
 def _rng(seed):
@@ -103,22 +107,34 @@ def test_criterion_02_rayleigh_pcr_exact_and_scale_free():
         assert abs(reports[0].meta_prob.value - reports[1].meta_prob.value) <= 1e-9
 
 
+def _nonparametric_outages(model, target, n, trials, seed):
+    """The outage F(2^R - 1) of the nonparametric rate on trials full samples
+    of n draws: model.sample, the selector's l-th order statistic, model.cdf."""
+    cal = calibrate(SelectorSpec(FAMILY_NONPARAMETRIC), target, n)
+    rng = _rng(seed)
+    rates = np.concatenate([cal.rates(model.sample(rng, 250 * n).reshape(250, n))
+                            for _ in range(trials // 250)])
+    return model.cdf(np.expm1(rates * math.log(2.0)))
+
+
 def test_criterion_03_nonparametric_distribution_free_identities():
     with _criterion(3, "non-parametric outage laws hold for two distinct truths", 120.0):
-        eps, n, trials = 1e-2, 10**4, 2 * 10**4
+        eps, n, trials = 1e-2, 10**4, 2000
         l_ar = nonparam_l_ar(eps, n)
         exact_outage = l_ar / (n + 1)
         l_pcr = nonparam_l_pcr(eps, 0.1, n)
         exact_meta = 1.0 - reg_inc_beta(float(l_pcr), float(n + 1 - l_pcr), eps)
-        # four runs, four seeds: AR at seed, PCR at seed + 1
+        # four runs, four seeds: AR at seed, PCR at seed + 1. The checks are
+        # the 95% normal CI of the mean outage and the Wilson CI of the
+        # meta-probability, which holds exact_meta iff this score test passes
         for model, seed in ((Rayleigh(1.0), 2044), (Nakagami(1.0, 2.0), 2046)):
-            rep = evaluate(EvalConfig(model, SelectorSpec(FAMILY_NONPARAMETRIC),
-                                      ReliabilityTarget(eps), n, trials, seed))
-            assert rep.mean_outage.ci_lo <= exact_outage <= rep.mean_outage.ci_hi
-            rep2 = evaluate(EvalConfig(model, SelectorSpec(FAMILY_NONPARAMETRIC),
-                                       ReliabilityTarget(eps, kind=PCR, xi=0.1),
-                                       n, trials, seed + 1))
-            assert rep2.meta_prob.ci_lo <= exact_meta <= rep2.meta_prob.ci_hi
+            q = _nonparametric_outages(model, ReliabilityTarget(eps), n, trials, seed)
+            assert abs(q.mean() - exact_outage) <= _Z95 * q.std(ddof=1) / math.sqrt(trials)
+            q = _nonparametric_outages(model, ReliabilityTarget(eps, kind=PCR, xi=0.1),
+                                       n, trials, seed + 1)
+            meta = np.count_nonzero(q > eps) / trials
+            assert abs(meta - exact_meta) <= _Z95 * math.sqrt(
+                exact_meta * (1.0 - exact_meta) / trials)
 
 
 def test_criterion_04_zero_rate_threshold():
@@ -178,22 +194,30 @@ def test_criterion_06_mismatch_signs_and_magnitudes():
         assert spot_m05 == pytest.approx(7.98e-3, rel=0.10)
 
 
+def _rayleigh_tails(rng, rows, n, l):
+    """rows x the l smallest of n Rayleigh(1) powers, each row ascending.
+
+    Renyi: the i-th smallest of n uniforms is 1 - exp(-sum_{j<i} E_j / (n - j))
+    for i.i.d. Exp(1) E_j; Rayleigh.quantile maps them to powers.
+    """
+    spacings = rng.standard_exponential((rows, l)) / (n - np.arange(l))
+    return Rayleigh(1.0).quantile(-np.expm1(-np.cumsum(spacings, axis=1)))
+
+
 def test_criterion_07_tail_estimator_convergence():
     with _criterion(7, "tail-exponent estimate converges and its quantile variance matches theory", 600.0):
-        model = Rayleigh(1.0)
-        beta = 0.01
+        # beta = 0.01: each fit reads the l = n / 100 smallest of n values
         for n, lo, hi, seed in ((10**4, 0.9, 1.1, 971), (10**6, 0.97, 1.03, 972)):
-            rng = _rng(seed)
-            khats = [fit_power_tail(TrainingSample(model.sample(rng, n)), beta).kappa_hat
-                     for _ in range(200)]
+            khats, _ = fit_ascending_tails(_rayleigh_tails(_rng(seed), 200, n, n // 100), n)
             assert lo <= float(np.median(khats)) <= hi
-        n, reps, eps = 10**5, 10**4, 1e-4
+        n, reps, eps, beta = 10**5, 10**4, 1e-4, 0.01
+        l = n // 100
         rng = _rng(973)
-        quantiles = np.empty(reps)
-        for i in range(reps):
-            fit = fit_power_tail(TrainingSample(model.sample(rng, n)), beta)
+        quantiles = np.concatenate([
             # fitted log-quantile in its order-statistic form
-            quantiles[i] = fit.z_l + fit.kappa_hat * math.log(n * eps / fit.l)
+            z_l + kappa * math.log(n * eps / l)
+            for kappa, z_l in (fit_ascending_tails(_rayleigh_tails(rng, 1000, n, l), n)
+                               for _ in range(reps // 1000))])
         # true kappa = 1, so the predicted variance is Vbar / n
         vbar = (1.0 - beta + math.log(eps / beta) ** 2) / beta
         ratio = float(np.var(quantiles, ddof=1) / (vbar / n))

@@ -405,6 +405,17 @@ class TestPowerLaw:
         for model in ALL_MODELS + [Rician(1e-300, 700.0), Nakagami(1e-300, 1.0)]:
             assert sys.float_info.min <= model.power_law().alpha < math.inf
 
+    def test_rician_alpha_at_small_lam_past_the_exp_underflow(self):
+        # exp(-k) alone is 0 from k of about 745, but log alpha = -k - log(lam)
+        # is about -109.2 here: alpha is formed in logs, a normal double
+        pl = Rician(1e-300, 800.0).power_law()
+        with mpmath.workdps(30):
+            want = float(mpmath.exp(-800) / mpmath.mpf(1e-300))
+        assert (pl.alpha, pl.kappa) == (pytest.approx(want, rel=1e-12), 1.0)
+        assert 3.66e-48 < pl.alpha < 3.67e-48
+        with pytest.raises(ValueError, match="alpha = 0.0"):
+            Rician(1.0, 800.0).power_law()
+
     def test_tail_consistency(self):
         # cdf(y) / (alpha y^(1/kappa)) -> 1 as y -> 0; probe deep so the
         # first-order term dominates even at k=7

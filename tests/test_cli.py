@@ -38,10 +38,39 @@ GOLDEN_MISMATCH_HEADER = (
 )
 
 
-def run_cli(*argv):
+def run_process(*argv):
+    """`python -m statrate argv` in a fresh interpreter, for what runs at exit."""
     return subprocess.run(
         [sys.executable, "-m", "statrate", *argv],
         capture_output=True, text=True)
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def run_cli(*argv):
+    """main(argv) in this process, seen as run_process sees it: the exit code
+    (argparse's too), stdout, and stderr with each warning printed as a fresh
+    interpreter prints it and a sweep's progress lines. The root logger and
+    the warning filters are restored afterwards."""
+    out, err = io.StringIO(), io.StringIO()
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    root.handlers.clear()  # so that sweep's basicConfig logs to err, as at start-up
+    try:
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("default")
+            warnings.showwarning = _print_warning
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(level)
+    return SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
 
 
 @pytest.fixture(scope="module")
@@ -649,7 +678,7 @@ class TestSweep:
         out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
         c1 = write_sweep_config(tmp_path / "c1.txt", out1, extra="workers = 1\n")
         c2 = write_sweep_config(tmp_path / "c2.txt", out2, extra="workers = 2\n")
-        res1, res2 = run_cli("sweep", c1), run_cli("sweep", c2)
+        res1, res2 = run_process("sweep", c1), run_process("sweep", c2)
         assert res1.returncode == 0 and res2.returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
         progress = ["sweep n=10.0 done (1/2)", "sweep n=20.0 done (2/2)"]
@@ -1001,6 +1030,23 @@ class TestMismatch:
             assert "Traceback" not in res.stderr
             assert not out.exists()
 
+    def test_rician_tail_at_small_lam_writes_the_approximations(self, tmp_path):
+        # exp(-800) is 0, so alpha is no double at lam = 1; formed in logs at
+        # the model's lam = 1e-300 it is 3.67e-48, and the approximation
+        # columns are written (the weak-n value and the bound round to 0)
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "param = k\nparam_values = 800\nlam = 1e-300\n"
+            "selectors = rayleigh-ar, rayleigh-pcr\neps = 1e-3\nxi = 1e-2\n"
+            f"n = 100\noutput = {out}\n")
+        res = run_cli("mismatch", str(cfg))
+        assert res.returncode == 0, res.stderr
+        rows = list(csv.DictReader(out.open()))
+        assert [row["selector"] for row in rows] == ["rayleigh-ar", "rayleigh-pcr"]
+        assert {row[col] for row in rows for col in MISMATCH_HEADER[3:]} == {
+            "0.00000000000e+00"}
+
     @pytest.mark.parametrize("param,values", [("m", "0.5, 2, 5"), ("k", "0, 1, 10")])
     def test_table_is_free_of_lam(self, tmp_path, param, values):
         # every column is free of lam, so a lam where the model's own alpha
@@ -1152,12 +1198,16 @@ class TestMismatchExitContract:
             f"xi = {xi!r}\n"
             f"n = {n}\n"
             f"output = {base / 'mismatch_contract.csv'}\n")
-        with warnings.catch_warnings(record=True) as caught:
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
             code = main(["mismatch", str(cfg)])
         assert code in (0, 2, 3)
         # the tilt's own degenerate-bound warnings only, none from numpy
         assert [str(w.message) for w in caught if "encountered" in str(w.message)] == []
+        assert_names_fault(code, err.getvalue(), {
+            "param": param, "param_values": value, param: value, "lam": lam, "selectors": "",
+            "eps": eps, "xi": xi, "n": n, "output": ""})
 
 
 class TestSweepExitContract:
@@ -1173,6 +1223,12 @@ class TestSweepExitContract:
     # a Rician CDF past y = 2^1023 once overflowed to 1 with a numpy warning
     @example(model="rician", param=0.0, lam=1.7e308, selector="nonparametric",
              constraint="ar", eps=0.5, xi=0.1, beta=0.1, n=100, trials=50)
+    # a tail of l = 1 (exit 3) once gave neither beta nor n, and an AR target
+    # for the non-asymptotic family (exit 2) named no key
+    @example(model="rayleigh", param=0.0, lam=1.0, selector="powerlaw-nonasym",
+             constraint="pcr", eps=0.5, xi=0.5, beta=0.0625, n=1, trials=1)
+    @example(model="rayleigh", param=0.0, lam=1.0, selector="powerlaw-nonasym",
+             constraint="ar", eps=0.5, xi=0.5, beta=0.0625, n=1, trials=1)
     def test_exit_code_in_contract(self, tmp_path_factory, model, param, lam, selector,
                                    constraint, eps, xi, beta, n, trials):
         base = tmp_path_factory.getbasetemp()
@@ -1185,12 +1241,19 @@ class TestSweepExitContract:
             + (f"beta = {beta!r}\n" if "powerlaw" in selector else "")
             + f"n = {n}\ntrials = {trials}\nseed = 5\naxis = n\naxis_values = {n}\n"
             f"workers = 1\noutput = {base / 'sweep_contract.csv'}\n")
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
             code = main(["sweep", str(cfg)])
         assert code in (0, 2, 3, 4)
         assert [str(w.message) for w in caught if "encountered" in str(w.message)] == []
+        given = {"model": model, "lam": lam, "selector": selector, "constraint": constraint,
+                 "eps": eps, "n": n, "trials": trials, "seed": 5, "axis": "n",
+                 "axis_values": n, "workers": 1, "output": ""}
+        given.update({"rician": {"k": param}, "nakagami": {"m": 0.5 + param}}.get(model, {}))
+        given.update({"xi": xi} if constraint == "pcr" else {})
+        given.update({"beta": beta} if "powerlaw" in selector else {})
+        assert_names_fault(code, err.getvalue(), given)
 
 
 _unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -1202,10 +1265,21 @@ _samples = st.lists(_sample_values, min_size=1, max_size=300) | st.tuples(
     _sample_values, st.integers(1, 2000)).map(lambda vc: [vc[0]] * vc[1])
 
 
-def _main_in_contract(argv, constraint, xi, beta):
+def assert_names_fault(code, err, given):
+    """An exit 2 names a flag or config key that was given, and an exit 3
+    one of the given values it could not meet, as name=value; given maps
+    each name to its value as parsed."""
+    if code == 2:
+        assert any(re.search(rf"(?<![\w-]){re.escape(name)}\b", err) for name in given), err
+    if code == 3:
+        assert any(f"{name}={value}" in err for name, value in given.items()), err
+
+
+def _main_in_contract(argv, constraint, xi, beta, **given):
     """main(argv + the flags the target and family take) in-process: the
-    exit code is in the contract, no numpy warning escapes and stdout is
-    never inf or nan. TestFlagCombinations covers the other flag sets."""
+    exit code is in the contract, no numpy warning escapes, stdout is never
+    inf or nan and an exit 2 or 3 names its fault (assert_names_fault, with
+    the flags and given). TestFlagCombinations covers the other flag sets."""
     argv += ["--constraint", constraint] + (["--xi", repr(xi)] if constraint == "pcr" else [])
     argv += ["--beta", repr(beta)] if "powerlaw" in argv[2] else []
     out, err = io.StringIO(), io.StringIO()
@@ -1215,6 +1289,11 @@ def _main_in_contract(argv, constraint, xi, beta):
         code = main(argv)
     assert code in (0, 2, 3, 4), err.getvalue()
     assert [str(w.message) for w in caught if "encountered" in str(w.message)] == []
+    flags = {flag[2:]: value for flag, value in zip(argv[1::2], argv[2::2])}
+    for name in ("eps", "xi", "beta"):
+        if name in flags:
+            flags[name] = float(flags[name])
+    assert_names_fault(code, err.getvalue(), {**flags, **given})
     stdout = out.getvalue().strip()
     assert stdout.lower().lstrip("+-") not in ("inf", "nan"), argv
     if code == 0:
@@ -1226,6 +1305,9 @@ class TestEpsnRateExitContract:
     @given(family=st.sampled_from(cli._EPSN_FAMILIES), constraint=st.sampled_from(["ar", "pcr"]),
            eps=st.floats(1e-300, 1.0 - 1e-16), xi=_unit, beta=_unit,
            n=st.integers(1, 10**18) | st.sampled_from([1, 2, 10**18]))
+    # the two faults test_exit_code_in_contract of sweep found, in epsn
+    @example(family="powerlaw-nonasym", constraint="pcr", eps=0.5, xi=0.5, beta=0.5, n=1)
+    @example(family="powerlaw-nonasym", constraint="ar", eps=0.5, xi=0.5, beta=0.5, n=1)
     def test_epsn(self, family, constraint, eps, xi, beta, n):
         _main_in_contract(["epsn", "--family", family, "--eps", repr(eps), "--n", str(n)],
                           constraint, xi, beta)
@@ -1233,11 +1315,18 @@ class TestEpsnRateExitContract:
     @settings(deadline=None, max_examples=150)
     @given(selector=st.sampled_from(FAMILIES), constraint=st.sampled_from(["ar", "pcr"]),
            eps=st.floats(1e-300, 1.0 - 1e-16), xi=_unit, beta=_unit, values=_samples)
+    @example(selector="powerlaw-nonasym", constraint="pcr", eps=0.5, xi=0.5, beta=0.5,
+             values=[0.0])
+    # a tail of identical values (exit 3) once gave neither l nor n
+    @example(selector="powerlaw-asym", constraint="ar", eps=0.5, xi=0.5, beta=0.5,
+             values=[5e-324] * 3)
+    @example(selector="powerlaw-nonasym", constraint="ar", eps=0.5, xi=0.5, beta=0.5,
+             values=[0.0])
     def test_rate(self, tmp_path_factory, selector, constraint, eps, xi, beta, values):
         p = tmp_path_factory.getbasetemp() / "rate_contract.txt"
         p.write_text("".join(f"{v!r}\n" for v in values))
         _main_in_contract(["rate", "--selector", selector, "--eps", repr(eps),
-                           "--sample", str(p)], constraint, xi, beta)
+                           "--sample", str(p)], constraint, xi, beta, n=len(values))
 
 
 # config text: no line breaks, no control characters

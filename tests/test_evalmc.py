@@ -362,19 +362,17 @@ class TestBlockEngine:
                     tracemalloc.stop()
                 assert peak - 6 * 8 * trials < 10 * 2**20
 
-    def test_power_law_block_keeps_two_block_sized_arrays(self, monkeypatch):
-        # a Rayleigh power-law block of 65 rows of l = 1000 tail values, four
-        # blocks, the last partial: drawing and rating one holds the drawn
-        # tails and one sorted copy, not the uniforms, the previous block's
-        # statistic, the quantile's temporaries or the fit's logs
+    @staticmethod
+    def power_law_block_peak(monkeypatch, model, blocks):
+        """trial_outcomes' tracemalloc peak, in block sizes, over blocks - 1
+        blocks of 65 rows of l = 1000 tail values and a partial last one."""
         import tracemalloc
         n = 10**5
         cal = Calibration(SelectorSpec("powerlaw-nonasym", beta=0.01), n, eps_n=1e-4)
         monkeypatch.setattr(evalmc, "calibrate", lambda *args: cal)
         rows = block_rows(cal.width)
-        block = 8 * rows * cal.width
-        cfg = _cfg(family="powerlaw-nonasym", beta=0.01, kind=PCR, xi=0.1, n=n,
-                   trials=3 * rows + 7, seed=63)
+        cfg = _cfg(model=model, family="powerlaw-nonasym", beta=0.01, kind=PCR, xi=0.1,
+                   n=n, trials=(blocks - 1) * rows + 7, seed=63)
         assert (rows, cal.width) == (65, 1000)
         trial_outcomes(cfg)
         tracemalloc.start()
@@ -383,7 +381,19 @@ class TestBlockEngine:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * block
+        return peak / (8 * rows * cal.width)
+
+    def test_power_law_block_keeps_two_block_sized_arrays(self, monkeypatch):
+        # a Rayleigh power-law block: drawing and rating one holds the drawn
+        # tails and one sorted copy, not the uniforms, the previous block's
+        # statistic, the quantile's temporaries or the fit's logs
+        assert self.power_law_block_peak(monkeypatch, Rayleigh(1.0), 4) <= 2.25
+
+    def test_rician_power_law_block_checks_with_one_boolean_array(self, monkeypatch):
+        # the Rician quantile holds the uniforms and its result while it checks
+        # scipy's values; the check adds one boolean array (1/8 block) at a
+        # time, where three of them once took the peak to 2.38 blocks
+        assert self.power_law_block_peak(monkeypatch, Rician(1.0, 1.0), 2) <= 2.25
 
 
 class TestTailPath:

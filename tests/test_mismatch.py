@@ -421,6 +421,17 @@ class TestChernoffTilt:
         assert sol.t_star <= 0.0
         assert sol.bound_value == 1.0
 
+    def test_threshold_past_every_double_bounds_by_zero(self):
+        # Rician(1e-300, 800): alpha is normal only at the model's own lam, and
+        # r = thr/lam, about eps e^k / g, passes the largest double; the bound
+        # exp(-n r (1 + o(1))) is 0, where the tilt once raised "ratio inf"
+        n = 100
+        for eps_n in (epsn_rayleigh_ar(1e-3, n), epsn_rayleigh_pcr(1e-3, 1e-2, n)):
+            sol = chernoff_tilt(Rician(1e-300, 800.0), eps_n, 1e-3, n)
+            assert (sol.t_star, sol.bound_value) == (1.0 / 1e-300, 0.0)
+            assert meta_prob_mismatch(Rician(1e-300, 800.0), eps_n, 1e-3, n,
+                                      method="chernoff") == 0.0
+
     def test_mpmath_oracle(self):
         # at k >= 80 the Rician tilt once rounded 1 - lam t* to 0
         checked = 0
