@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .specfun import _as_scalar
+from .specfun import _as_scalar, _check_scipy_result
 from .errors import check_positive_int, check_unit_interval
 
 __all__ = ["ChannelModel", "Rayleigh", "Rician", "Nakagami", "PowerLawTail"]
@@ -146,15 +146,6 @@ class Rician(ChannelModel):
         if not 0.0 <= self.k < math.inf:
             raise ValueError(f"k must be finite and >= 0, got {self.k}")
 
-    def _check_scipy_result(self, values, arg):
-        # scipy's chndtr and chndtrix return nan, not an error, once the noncentrality
-        # 2k passes about 5e10; a nan argument stays nan. One boolean array at a time
-        if np.count_nonzero(np.isfinite(values)) + np.count_nonzero(np.isnan(arg)) < values.size:
-            raise ValueError(
-                f"the Rician law with k={self.k}, lam={self.lam} is beyond the "
-                "noncentral chi-square range scipy evaluates (non-finite result)")
-        return values
-
     def cdf(self, y):
         # F(y) = 1 - Q1(sqrt(2k), sqrt(2y/lam)), the noncentral chi-square CDF,
         # evaluated directly so the deep lower tail keeps relative accuracy; 2y
@@ -162,12 +153,14 @@ class Rician(ChannelModel):
         y = self._check_y(y)
         with np.errstate(over="ignore"):
             x = np.where(y < 2.0 ** 1023, 2.0 * y / self.lam, y / self.lam * 2.0)
-        return _as_scalar(self._check_scipy_result(
-            specfun.special().chndtr(x, 2.0, 2.0 * self.k), y))
+        # scipy's chndtr and chndtrix give nan once the noncentrality 2k passes about 5e10
+        return _as_scalar(_check_scipy_result(specfun.special().chndtr(x, 2.0, 2.0 * self.k),
+                                              y, f"the Rician law with k={self.k}, lam={self.lam}"))
 
     def quantile(self, p):
         p = self._check_p(p)
-        x = self._check_scipy_result(specfun.special().chndtrix(p, 2.0, 2.0 * self.k), p)
+        x = _check_scipy_result(specfun.special().chndtrix(p, 2.0, 2.0 * self.k), p,
+                                f"the Rician law with k={self.k}, lam={self.lam}")
         with np.errstate(over="ignore"):  # lam x = inf past DBL_MAX
             x *= 0.5 * self.lam
         return _as_scalar(x)

@@ -122,19 +122,14 @@ def _as_int(text: str) -> int:
     return int(value)
 
 
-def _as_float_list(text: str) -> list[float]:
-    parts = [p.strip() for p in text.split(",")]
-    values = [float(p) for p in parts if p]
-    if not values:
-        raise ValueError("expected a comma-separated list of numbers")
-    return values
-
-
-def _as_str_list(text: str) -> list[str]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected a comma-separated list")
-    return parts
+def _as_list(cast):
+    # a comma-separated list of cast values; empty items are skipped
+    def parse(text: str) -> list:
+        values = [cast(p.strip()) for p in text.split(",") if p.strip()]
+        if not values:
+            raise ValueError("expected a comma-separated list")
+        return values
+    return parse
 
 
 def _choice(options):
@@ -162,24 +157,15 @@ def _reject_unknown(entries: dict[str, str]) -> None:
         raise ConfigError(f"unknown keys: {', '.join(sorted(entries))}")
 
 
-def _build_model(name: str, lam: float, k, m):
-    from .channels import Nakagami, Rayleigh, Rician
-
-    if name == "rayleigh":
-        if k is not None or m is not None:
-            raise ConfigError("keys 'k'/'m' are only valid for rician/nakagami models")
-        return Rayleigh(lam)
-    if name == "rician":
-        if m is not None:
-            raise ConfigError("key 'm' is only valid for the nakagami model")
-        if k is None:
-            raise ConfigError("the rician model requires key 'k'")
-        return Rician(lam, k)
-    if m is None:
-        raise ConfigError("the nakagami model requires key 'm'")
-    if k is not None:
-        raise ConfigError("key 'k' is only valid for the rician model")
-    return Nakagami(lam, m)
+def _given_when(key: str, value, used: bool, where: str, default=None):
+    """The value of config key `key`, which is given exactly when what it
+    configures is used; `where` names that use and the given key that
+    decides it. A default makes the key optional where it is used."""
+    if value is not None and not used:
+        raise ConfigError(f"key {key!r} is only valid with {where}")
+    if value is None and used and default is None:
+        raise ConfigError(f"key {key!r} is required with {where}")
+    return default if value is None else value
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
@@ -219,6 +205,7 @@ def cmd_rate(args) -> int:
 def cmd_sweep(args) -> int:
     import logging
 
+    from .channels import Nakagami, Rayleigh, Rician
     from .evalmc import SWEEP_AXES, EvalConfig, sweep
 
     # the only command that logs: progress lines, one per sweep point
@@ -238,15 +225,18 @@ def cmd_sweep(args) -> int:
     trials = _take(entries, "trials", _as_int)
     seed = _take(entries, "seed", _as_int)
     axis = _take(entries, "axis", _choice(SWEEP_AXES))
-    axis_values = _take(entries, "axis_values", _as_float_list)
+    axis_values = _take(entries, "axis_values", _as_list(float))
     workers = _take(entries, "workers", _as_int, required=False, default=1)
     output = _take(entries, "output", str)
     _reject_unknown(entries)
 
+    _given_when("k", k, model_name == "rician", f"the rician model (model = {model_name})")
+    _given_when("m", m, model_name == "nakagami", f"the nakagami model (model = {model_name})")
     if axis == "beta" and beta is None:
         beta = axis_values[0]  # placeholder; overwritten at every axis point
 
-    model = _build_model(model_name, lam, k, m)
+    model = (Rician(lam, k) if model_name == "rician" else
+             Nakagami(lam, m) if model_name == "nakagami" else Rayleigh(lam))
     target = ReliabilityTarget(eps, constraint, xi)
     selector = SelectorSpec(family, beta=beta)
     base = EvalConfig(model, selector, target, n, trials, seed)
@@ -267,9 +257,9 @@ def cmd_mismatch(args) -> int:
 
     entries = _parse_kv_file(args.config)
     param = _take(entries, "param", _choice(("k", "m")))
-    param_values = _take(entries, "param_values", _as_float_list)
+    param_values = _take(entries, "param_values", _as_list(float))
     lam = _take(entries, "lam", float, required=False, default=1.0)
-    selectors = _take(entries, "selectors", _as_str_list)
+    selectors = _take(entries, "selectors", _as_list(_choice(MISMATCH_SELECTORS)))
     eps = _take(entries, "eps", float)
     xi = _take(entries, "xi", float, required=False)
     beta = _take(entries, "beta", float, required=False)
@@ -279,26 +269,13 @@ def cmd_mismatch(args) -> int:
     output = _take(entries, "output", str)
     _reject_unknown(entries)
 
-    for sel in selectors:
-        if sel not in MISMATCH_SELECTORS:
-            raise ConfigError(
-                f"unknown selector {sel!r}; expected one of {', '.join(MISMATCH_SELECTORS)}")
-    needs_xi = any(sel.endswith("-pcr") for sel in selectors)
+    listed = f"(selectors = {', '.join(selectors)})"
     needs_mc = any(sel.startswith("powerlaw") for sel in selectors)
-    if needs_xi and xi is None:
-        raise ConfigError("pcr-designed selectors require key 'xi'")
-    if not needs_xi and xi is not None:
-        raise ConfigError("key 'xi' is only valid with pcr-designed selectors")
-    if needs_mc and beta is None:
-        raise ConfigError("power-law selectors require key 'beta'")
-    if not needs_mc and beta is not None:
-        raise ConfigError("key 'beta' is only valid with power-law selectors")
-    if needs_mc and trials is None:
-        raise ConfigError("power-law selectors require key 'trials'")
-    if not needs_mc and (trials is not None or seed is not None):
-        raise ConfigError("keys 'trials' and 'seed' are only valid with power-law selectors")
-    if seed is None:
-        seed = 0
+    _given_when("xi", xi, any(sel.endswith("-pcr") for sel in selectors),
+                f"pcr-designed selectors {listed}")
+    _given_when("beta", beta, needs_mc, f"power-law selectors {listed}")
+    _given_when("trials", trials, needs_mc, f"power-law selectors {listed}")
+    seed = _given_when("seed", seed, needs_mc, f"power-law selectors {listed}", default=0)
     if needs_mc:
         # only the power-law rows simulate, so only they load evalmc
         from .evalmc import EvalConfig, evaluate

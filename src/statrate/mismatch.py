@@ -109,8 +109,8 @@ def mean_outage_mismatch(true_model: ChannelModel, eps_n: float, n: int,
     method "numeric" averages the outage over the exact sampling
     distribution of the training mean, for the law (k, m) of any truth:
     a Poisson(n k) mixture of noncentral F CDFs (scipy.special.ncfdtr),
-    in time growing as sqrt(n k) and bounded memory;
-    specfun._poisson_mixture states its accuracy.
+    in time growing as sqrt(n k) and bounded memory, and a ValueError
+    where ncfdtr gives nan; specfun._poisson_mixture states its accuracy.
     "power_law" applies a second-order delta-method expansion around
     the power-law tail of the true CDF; "weak_n" is its n -> infinity
     limit with -log(1-x) ~ x, which evaluates the tail at the supplied
@@ -125,11 +125,14 @@ def mean_outage_mismatch(true_model: ChannelModel, eps_n: float, n: int,
         # X ~ ncchi^2(2m, 2k) and S ~ ncchi^2(2nm, 2nk) independent; S is a
         # Poisson(n k) mixture of chi^2(2(nm + K)), and given K the outage
         # P[X <= (g/n) S] is the noncentral F CDF at (g/n)(nm + K)/m
+        # ncfdtr gives nan for some terms, as under Rician k of about 700 to 745
         k, m = true_model.k, true_model.m
         g = -math.log1p(-eps_n)
         ncfdtr = specfun.special().ncfdtr
-        return specfun._poisson_mixture(n * k, lambda K: ncfdtr(
-            2.0 * m, 2.0 * (n * m + K), 2.0 * k, (g / n) * (n * m + K) / m), math.floor(n * k))
+        what = f"the mean outage under {true_model!r} at n={n}"
+        return specfun._poisson_mixture(n * k, lambda K: specfun._check_scipy_result(ncfdtr(
+            2.0 * m, 2.0 * (n * m + K), 2.0 * k, (g / n) * (n * m + K) / m), K, what),
+            math.floor(n * k))
     if method == "power_law":
         return _power_law_mean_outage(_tail_scale(true_model), eps_n, n)
     if method == "weak_n":

@@ -121,6 +121,16 @@ def _as_scalar(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
+def _check_scipy_result(values, arg, what: str):
+    """values, unless scipy.special gave a non-finite result for an argument
+    arg that is not nan: past the range it evaluates, a function such as
+    chndtr, chndtrix or ncfdtr returns nan, not an error. The ValueError
+    names what was evaluated; one boolean array at a time."""
+    if np.count_nonzero(np.isfinite(values)) + np.count_nonzero(np.isnan(arg)) < np.size(values):
+        raise ValueError(f"{what} is beyond the range scipy evaluates (non-finite result)")
+    return values
+
+
 def inv_reg_lower_gamma(a: float, p):
     """Inverse of P(a, .): the x >= 0 with reg_lower_gamma(a, x) = p,
     elementwise for an array p (a float for a scalar p).
@@ -219,7 +229,7 @@ def marcum_q1(a: float, b: float) -> float:
 
 
 def marcum_q1_complement(a: float, b: float) -> float:
-    """1 - Q_1(a, b), evaluated as a CDF by scipy.special.chndtr.
+    """1 - Q_1(a, b), the noncentral chi-square CDF nc_chi2_cdf(b^2, 1, a^2).
 
     Keeps relative accuracy in the deep lower tail (b small), where
     forming 1 - marcum_q1 would cancel: relative error <= 1e-12 for
@@ -228,7 +238,7 @@ def marcum_q1_complement(a: float, b: float) -> float:
     """
     if a < 0.0 or b < 0.0:
         raise ValueError(f"marcum_q1_complement requires a, b >= 0, got a={a}, b={b}")
-    return float(special().chndtr(b * b, 2.0, a * a))
+    return nc_chi2_cdf(b * b, 1.0, a * a)
 
 
 def nc_chi2_sf(x: float, half_df: float, nc: float) -> float:
@@ -251,9 +261,12 @@ def nc_chi2_sf(x: float, half_df: float, nc: float) -> float:
 def nc_chi2_cdf(x: float, half_df: float, nc: float) -> float:
     """CDF P[W <= x] for W ~ noncentral chi-square(2*half_df, nc), by
     scipy.special.chndtr; same oracle accuracy as nc_chi2_sf near the mean.
+    A ValueError where chndtr gives nan, as from nc of about 5e10 on.
     """
     _check_nc_chi2(x, half_df, nc)
-    return float(special().chndtr(x, 2.0 * half_df, nc))
+    return float(_check_scipy_result(special().chndtr(x, 2.0 * half_df, nc), x,
+                                      f"the noncentral chi-square CDF at x={x}, "
+                                      f"half_df={half_df}, nc={nc}"))
 
 
 def std_normal_quantile(p: float) -> float:

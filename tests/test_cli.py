@@ -725,6 +725,38 @@ class TestSweep:
                                  extra="just some words\n")
         assert run_cli("sweep", cfg).returncode == 2
 
+    @pytest.mark.parametrize("drop,line,message", [
+        ((), "k =", "c.txt:13: expected 'key = value'"),
+        ((), "= 3", "c.txt:13: expected 'key = value'"),
+        (("model",), "model = foo",
+         "key 'model': expected one of rayleigh, rician, nakagami, got 'foo'"),
+        (("axis_values",), "axis_values = ,", "key 'axis_values': expected a comma-separated list"),
+    ], ids=["empty-value", "empty-key", "choice", "empty-list"])
+    def test_line_or_value_that_does_not_parse_rejected(self, tmp_path, drop, line, message):
+        cfg = write_sweep_config(tmp_path / "c.txt", tmp_path / "o.csv", drop=drop,
+                                 extra=line + "\n")
+        res = run_cli("sweep", cfg)
+        assert res.returncode == 2
+        assert res.stderr.startswith("config error: ") and message in res.stderr, res.stderr
+
+    def test_axis_epsilon_sets_the_target_of_each_point(self, tmp_path):
+        # a point's stream is keyed by its position, so the eps = 0.1 point of an
+        # epsilon sweep is the second point of an n sweep at eps = 0.1
+        out, ref = tmp_path / "eps.csv", tmp_path / "ref.csv"
+        cfg = write_sweep_config(tmp_path / "c.txt", out, drop=("axis", "axis_values"),
+                                 extra="axis = epsilon\naxis_values = 1e-3, 1e-1\n")
+        assert run_cli("sweep", cfg).returncode == 0
+        cfg = write_sweep_config(tmp_path / "r.txt", ref, drop=("eps", "axis_values"),
+                                 extra="eps = 1e-1\naxis_values = 20, 20\n")
+        assert run_cli("sweep", cfg).returncode == 0
+        rows, refs = list(csv.DictReader(out.open())), list(csv.DictReader(ref.open()))
+        assert [(r["axis_name"], r["axis_value"]) for r in rows] == [
+            ("epsilon", "1.00000000000e-03"), ("epsilon", "1.00000000000e-01")]
+        assert float(rows[0]["rate_mean"]) < float(rows[1]["rate_mean"])
+        for row in (rows[1], refs[1]):
+            del row["axis_name"], row["axis_value"]
+        assert rows[1] == refs[1]
+
     def test_missing_key_rejected(self, tmp_path):
         cfg = write_sweep_config(tmp_path / "c.txt", tmp_path / "o.csv",
                                  drop=("trials",))
@@ -1003,6 +1035,22 @@ class TestMismatch:
         assert "x=nan" not in res.stderr
         assert not out.exists()
 
+    def test_rician_k_where_ncfdtr_gives_nan_is_usage_error(self, tmp_path):
+        # scipy's ncfdtr gives nan inside the mean outage's Poisson mixture here
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "param = k\n"
+            "param_values = 700\n"
+            "selectors = rayleigh-ar\n"
+            "eps = 1e-3\n"
+            "n = 100\n"
+            f"output = {out}\n")
+        res = run_cli("mismatch", str(cfg))
+        assert res.returncode == 2
+        assert res.stderr.startswith("invalid arguments: ") and "k=700.0" in res.stderr
+        assert not out.exists()
+
     def test_model_power_law_beyond_double_range_is_usage_error(self, tmp_path):
         # the weak-n and Chernoff columns need the model's alpha, read at
         # lam = 1 or, where it is out of range there, at the model's lam;
@@ -1174,6 +1222,57 @@ class TestMismatch:
             "n = 100\n"
             f"output = {tmp_path / 'x.csv'}\n")
         assert run_cli("mismatch", str(cfg)).returncode == 2
+
+
+_MISMATCH_BASE = {"param": "k", "param_values": "1", "selectors": "rayleigh-ar",
+                  "eps": "1e-2", "n": "100"}
+
+
+class TestConfigKeyCombinations:
+    """A key is given exactly when what it configures is used: k with the
+    rician model, m with the nakagami model, xi with a pcr-designed selector,
+    beta, trials and seed (optional, default 0) with a power-law selector."""
+
+    @pytest.mark.parametrize("command,keys,fault,decider", [
+        ("sweep", {"k": "1"}, "k", "model"),
+        ("sweep", {"m": "2"}, "m", "model"),
+        ("sweep", {"model": "rician", "k": "1", "m": "2"}, "m", "model"),
+        ("sweep", {"model": "rician"}, "k", "model"),
+        ("sweep", {"model": "nakagami"}, "m", "model"),
+        ("sweep", {"model": "nakagami", "m": "2", "k": "1"}, "k", "model"),
+        ("mismatch", {"selectors": "rayleigh-ar, rayleigh-pcr"}, "xi", "selectors"),
+        ("mismatch", {"xi": "0.1"}, "xi", "selectors"),
+        ("mismatch", {"selectors": "powerlaw-asym-ar", "trials": "10"}, "beta", "selectors"),
+        ("mismatch", {"beta": "0.05"}, "beta", "selectors"),
+        ("mismatch", {"selectors": "powerlaw-asym-ar", "beta": "0.05"}, "trials", "selectors"),
+        ("mismatch", {"trials": "10"}, "trials", "selectors"),
+        ("mismatch", {"seed": "3"}, "seed", "selectors"),
+    ])
+    def test_key_combination_rejected(self, tmp_path, command, keys, fault, decider):
+        out, cfg = tmp_path / "o.csv", tmp_path / "c.txt"
+        if command == "sweep":
+            write_sweep_config(cfg, out, drop=("model",), extra="".join(
+                f"{key} = {value}\n" for key, value in {"model": "rayleigh", **keys}.items()))
+        else:
+            cfg.write_text("".join(f"{key} = {value}\n" for key, value in
+                                   {**_MISMATCH_BASE, **keys, "output": out}.items()))
+        res = run_cli(command, str(cfg))
+        assert res.returncode == 2
+        assert res.stderr.startswith("config error: "), res.stderr
+        for name in (fault, decider):
+            assert re.search(rf"(?<![\w-]){name}\b", res.stderr), (name, res.stderr)
+        assert not out.exists()
+
+    def test_seed_is_optional_with_power_law_selectors(self, tmp_path):
+        rows = []
+        for tag, seed in (("a", ""), ("b", "seed = 0\n")):
+            out, cfg = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.txt"
+            cfg.write_text("".join(f"{key} = {value}\n" for key, value in {
+                **_MISMATCH_BASE, "selectors": "powerlaw-asym-ar", "beta": "0.05",
+                "trials": "5", "output": out}.items()) + seed)
+            assert run_cli("mismatch", str(cfg)).returncode == 0
+            rows.append(out.read_bytes())
+        assert rows[0] == rows[1]
 
 
 _lams = st.sampled_from([1e-300, 1.0, 1e300]) | st.floats(-300.0, 300.0).map(

@@ -174,6 +174,11 @@ class TestMeanOutageMismatch:
         with pytest.raises(ValueError, match="2\\^52"):
             mean_outage_mismatch(Rician(1.0, 1e20), 1e-4, 100)
 
+    def test_rician_k_where_ncfdtr_gives_nan_is_rejected(self):
+        # scipy's ncfdtr gives nan for some Poisson terms at k = 700, n = 100
+        with pytest.raises(ValueError, match=r"Rician\(lam=1\.0, k=700\.0\) at n=100"):
+            mean_outage_mismatch(Rician(1.0, 700.0), 1e-3, 100)
+
     def test_weak_n_rician_k0_is_identity(self):
         assert mean_outage_mismatch(Rician(1.0, 0.0), 1e-4, 100,
                                     method="weak_n") == pytest.approx(1e-4, rel=1e-12)

@@ -414,6 +414,11 @@ class TestMarcumQ1:
         with pytest.raises(ValueError):
             marcum_q1_complement(1.0, -1.0)
 
+    def test_complement_where_scipy_gives_nan_raises(self):
+        # chndtr is nan at noncentrality 9e10; the error names the CDF's arguments
+        with pytest.raises(ValueError, match=r"x=90000000000\.0, half_df=1\.0, nc=9"):
+            marcum_q1_complement(3e5, 3e5)
+
 
 class TestNcChi2:
     def test_central_reduces_to_gamma(self):
@@ -445,6 +450,12 @@ class TestNcChi2:
         # the Poisson(nc/2) mixture needs exact K: nc/2 below 2^52
         with pytest.raises(ValueError):
             nc_chi2_sf(1.0, 1, 2.0 ** 53)
+
+    def test_cdf_where_scipy_gives_nan_raises(self):
+        # scipy's chndtr returns nan, not an error, at noncentrality 1e11
+        with pytest.raises(ValueError, match="beyond the range scipy evaluates"):
+            nc_chi2_cdf(1e11, 1.0, 1e11)
+        assert math.isfinite(nc_chi2_cdf(1e10, 1.0, 1e10))
 
     def test_sum_property(self):
         s = nc_chi2_sf(30.0, 10, 12.0) + nc_chi2_cdf(30.0, 10, 12.0)
