@@ -14,8 +14,8 @@ Each is a noncentral gamma law (k, m) of scale lam, Y = (lam/2) X with
 X ~ noncentral chi-square(2m, 2k): Rayleigh (0, 1), Rician (k, 1) and
 Nakagami (0, m); every model has the attributes k and m.
 Every CDF behaves like a power law alpha y^(1/kappa) as y -> 0, with
-alpha = exp(-k) lam^-m / Gamma(m+1) and kappa = 1/m; power_law() gives
-(alpha, kappa) to the tail selectors and the mismatch approximations.
+alpha = exp(-k) lam^-m / Gamma(m+1) and kappa = 1/m, as power_law() gives
+them; the mismatch approximations read log alpha at lam = 1.
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ from .errors import check_positive_int, check_unit_interval
 __all__ = ["ChannelModel", "Rayleigh", "Rician", "Nakagami", "PowerLawTail"]
 
 _LOG_MAX_DOUBLE = math.log(sys.float_info.max)
+
+
+def _exp_or_inf(x: float) -> float:
+    # math.exp raises past the largest double
+    return math.exp(x) if x <= _LOG_MAX_DOUBLE else math.inf
 
 
 @dataclass(frozen=True)
@@ -90,12 +95,14 @@ class ChannelModel:
         """(mean, variance) of Y: lam (m + k) and lam^2 (m + 2k)."""
         return self.lam * (self.m + self.k), self.lam * self.lam * (self.m + 2.0 * self.k)
 
+    def _log_alpha(self, lam: float) -> float:
+        # log alpha of the power-law tail at scale lam
+        return -self.k - self.m * math.log(lam) - specfun.log_gamma(self.m + 1.0)
+
     def power_law(self) -> PowerLawTail:
         """(alpha, kappa) of F(y) ~ exp(-k) (y/lam)^m / Gamma(m+1) as y -> 0; a ValueError
         naming the parameters where alpha is no finite positive normal double."""
-        log_alpha = -self.k - self.m * math.log(self.lam) - specfun.log_gamma(self.m + 1.0)
-        # math.exp raises past DBL_MAX
-        alpha = math.exp(log_alpha) if log_alpha <= _LOG_MAX_DOUBLE else math.inf
+        alpha = _exp_or_inf(self._log_alpha(self.lam))
         if not sys.float_info.min <= alpha < math.inf:
             raise ValueError(f"the power-law tail of {self!r} has alpha = {alpha}, "
                              "outside the finite positive normal doubles")

@@ -258,7 +258,6 @@ def cmd_mismatch(args) -> int:
     entries = _parse_kv_file(args.config)
     param = _take(entries, "param", _choice(("k", "m")))
     param_values = _take(entries, "param_values", _as_list(float))
-    lam = _take(entries, "lam", float, required=False, default=1.0)
     selectors = _take(entries, "selectors", _as_list(_choice(MISMATCH_SELECTORS)))
     eps = _take(entries, "eps", float)
     xi = _take(entries, "xi", float, required=False)
@@ -286,7 +285,8 @@ def cmd_mismatch(args) -> int:
         selector = SelectorSpec(family, beta=None if family == "rayleigh" else beta)
         target = ReliabilityTarget(eps, kind, xi if kind == PCR else None)
         designs[sel] = (selector, target, calibrate(selector, target, n))
-    models = [Rician(lam, v) if param == "k" else Nakagami(lam, v)
+    # every column is a function of the law (k, m) alone, so the scale is 1
+    models = [Rician(1.0, v) if param == "k" else Nakagami(1.0, v)
               for v in param_values]
 
     rows = []
@@ -297,9 +297,6 @@ def cmd_mismatch(args) -> int:
             selector, target, cal = designs[sel]
             if sel.startswith("rayleigh"):
                 eps_n = cal.rate_level()
-                # the exact columns first: where k is too large for them, theirs
-                # is the error reported, not the approximations' (alpha =
-                # exp(-k)/lam is subnormal from k of about 708 on)
                 mo_num = mean_outage_mismatch(model, eps_n, n, method="numeric")
                 mp_num = meta_prob_mismatch(model, eps_n, eps, n, method="numeric")
                 mo_app = mean_outage_mismatch(model, eps, n, method="weak_n")

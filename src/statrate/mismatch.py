@@ -12,6 +12,8 @@ Every truth is a noncentral gamma law (k, m) of scale lam (see
 channels), so each exact value is one formula of that law: a Poisson(n k)
 mixture of noncentral F CDFs for the mean outage, a noncentral
 chi-square tail of 2 n m degrees of freedom for the meta-probability.
+No value depends on lam: each approximation is formed in logs from the
+law at unit scale.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 from . import specfun
-from .channels import ChannelModel, _check_truth
+from .channels import ChannelModel, _check_truth, _exp_or_inf
 from .errors import NoValidTiltError, check_positive_int, check_unit_interval
 
 __all__ = [
@@ -64,23 +66,11 @@ def meta_prob_exact_rayleigh(eps_n: float, eps: float, n: int) -> float:
     return specfun.reg_upper_gamma(float(n), thr)
 
 
-def _tail_scale(model: ChannelModel) -> ChannelModel:
-    # the approximations are free of lam, so they read the tail at lam = 1;
-    # where alpha is no normal double there (Rician k from about 708, Nakagami
-    # m from about 171), at the model's own lam, which may bring it back
-    unit = replace(model, lam=1.0)
-    try:
-        unit.power_law()
-    except ValueError:
-        return model
-    return unit
-
-
 def _power_law_mean_outage(model: ChannelModel, eps_n: float, n: int) -> float:
-    # second-order delta method on E[alpha (g Xbar)^(1/kappa)]; the gain's
-    # var/mean^2, (m + 2k)/(m + k)^2 for the law (k, m), is formed without
-    # lam, whose square can overflow, and rounds as 1/m does at k = 0
-    kappa = model.power_law().kappa
+    # second-order delta method on E[alpha (g Xbar)^(1/kappa)], kappa = 1/m; the
+    # gain's var/mean^2, (m + 2k)/(m + k)^2 for the law (k, m), rounds as 1/m
+    # does at k = 0
+    kappa = 1.0 / model.m
     r = model.k / model.m
     rel_var = (1.0 + 2.0 * r) / (model.m * (1.0 + r) ** 2)
     lead = _weak_n_mean_outage(model, -math.log1p(-eps_n))
@@ -88,18 +78,9 @@ def _power_law_mean_outage(model: ChannelModel, eps_n: float, n: int) -> float:
 
 
 def _weak_n_mean_outage(model: ChannelModel, level: float) -> float:
-    # n -> infinity limit with -log(1-x) ~ x: alpha (level E[X])^(1/kappa).
-    # The power alone can pass the largest double where the product is
-    # finite, so it is taken as the square of its root: alpha is at least
-    # the smallest normal double, so where that root overflows the
-    # product is past the largest double too.
-    pl = model.power_law()
-    mean, _ = model.moments()
-    try:
-        root = (level * mean) ** (0.5 / pl.kappa)
-    except OverflowError:
-        return math.inf
-    return pl.alpha * root * root
+    # n -> infinity limit with -log(1-x) ~ x: alpha (level E[X])^m at unit
+    # scale, where E[X] = m + k, formed in logs
+    return _exp_or_inf(model._log_alpha(1.0) + model.m * math.log(level * (model.m + model.k)))
 
 
 def mean_outage_mismatch(true_model: ChannelModel, eps_n: float, n: int,
@@ -134,9 +115,9 @@ def mean_outage_mismatch(true_model: ChannelModel, eps_n: float, n: int,
             2.0 * m, 2.0 * (n * m + K), 2.0 * k, (g / n) * (n * m + K) / m), K, what),
             math.floor(n * k))
     if method == "power_law":
-        return _power_law_mean_outage(_tail_scale(true_model), eps_n, n)
+        return _power_law_mean_outage(true_model, eps_n, n)
     if method == "weak_n":
-        return _weak_n_mean_outage(_tail_scale(true_model), eps_n)
+        return _weak_n_mean_outage(true_model, eps_n)
     raise ValueError(f"method must be one of {MEAN_OUTAGE_METHODS}, got {method!r}")
 
 
@@ -154,7 +135,7 @@ def chernoff_tilt(true_model: ChannelModel, eps_n: float, eps: float,
 
     Bounds P[sum X_i > n thr], thr = (eps/alpha)^kappa / g and
     g = -log(1-eps_n), with the true quantile replaced by its power-law
-    form (read at lam = 1 as _tail_scale says: r below is free of lam).
+    form at unit scale (r below is free of lam).
     Every model is a noncentral gamma law (k, m) of scale lam, its k and
     m attributes: Rician (k, 1), Nakagami (0, m), Rayleigh (0, 1).
     With w = 1 - lam t its log-MGF is k(1-w)/w - m log w, so the
@@ -167,11 +148,10 @@ def chernoff_tilt(true_model: ChannelModel, eps_n: float, eps: float,
     eps_n = check_unit_interval(eps_n, "eps_n")
     eps = check_unit_interval(eps, "eps")
     n = check_positive_int(n, "n")
-    tail = _tail_scale(true_model)
-    pl = tail.power_law()
     k, m = true_model.k, true_model.m
-    thr = (eps / pl.alpha) ** pl.kappa / -math.log1p(-eps_n)
-    r = thr / tail.lam
+    # thr at unit scale; eps^(1/m) kept out of the exponential, whose summed
+    # logs would round the bound past 1e-12 of the oracle
+    r = _exp_or_inf(-true_model._log_alpha(1.0) / m) * eps ** (1.0 / m) / -math.log1p(-eps_n)
     if not 0.0 < r:
         raise NoValidTiltError(f"degenerate tilt equation (ratio {r}, eps={eps}, n={n})")
     if r == math.inf:  # w -> 0, and the bound exp(-n r (1 + o(1))) is 0

@@ -109,7 +109,7 @@ class ReliabilityTarget:
                 raise ValueError("PCR target requires a confidence level xi")
             check_unit_interval(self.xi, "xi")
         elif self.xi is not None:
-            raise ValueError("xi is only meaningful for a PCR target")
+            raise ValueError(f"xi is only meaningful for a PCR target, got kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,8 @@ class SelectorSpec:
                 raise ValueError(f"{self.family} requires a tail fraction beta")
             check_unit_interval(self.beta, "beta")
         elif self.beta is not None:
-            raise ValueError(f"beta is only meaningful for power-law selectors")
+            raise ValueError("beta is only meaningful for power-law selectors, "
+                             f"got family {self.family!r}")
 
 
 def epsn_rayleigh_ar(eps: float, n: int) -> float:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from statrate import cli
 from statrate.cli import MISMATCH_HEADER, SWEEP_HEADER, _parse_kv_file, main
 from statrate.errors import ConfigError
-from statrate.rateselect import FAMILIES
+from statrate.rateselect import FAMILIES, epsn_rayleigh_ar, epsn_rayleigh_pcr
 
 GOLDEN_SWEEP_HEADER = (
     "axis_name,axis_value,rate_mean,rate_stddev,"
@@ -771,7 +771,7 @@ class TestSweep:
         (tmp_path / "c.txt").write_text(text)
         res = run_cli("sweep", str(tmp_path / "c.txt"))
         assert res.returncode == 2
-        assert "xi is only meaningful for a PCR target" in res.stderr
+        assert "xi is only meaningful for a PCR target, got kind 'ar'" in res.stderr
         assert not (tmp_path / "o.csv").exists()
 
     def test_axis_beta_requires_powerlaw_selector(self, tmp_path):
@@ -780,7 +780,8 @@ class TestSweep:
                                  extra="axis = beta\naxis_values = 0.05, 0.1\n")
         res = run_cli("sweep", cfg)
         assert res.returncode == 2
-        assert "beta is only meaningful for power-law selectors" in res.stderr
+        assert ("beta is only meaningful for power-law selectors, got family 'rayleigh'"
+                in res.stderr)
         assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
@@ -886,6 +887,17 @@ class TestSweep:
         assert res.returncode == 3, res.stderr
         assert re.search(r"\d+ of the l=500 smallest of n=10000 values are 0", res.stderr)
         assert not out.exists()
+
+
+def mp_log_mgf(k, m, t):
+    """log E[e^(t Y)], t < 1, of the noncentral gamma law (k, m) at unit scale."""
+    return -m * mpmath.log(1 - t) + k * t / (1 - t)
+
+
+def mp_log_min(f, hi, points=400):
+    """The least f(s) on a log-spaced grid of (1e-9 hi, hi): where each f(s)
+    bounds a log-probability, so does the least."""
+    return min(f(hi * mpmath.mpf(10) ** (-9 * i / points)) for i in range(1, points))
 
 
 class TestMismatch:
@@ -1051,41 +1063,56 @@ class TestMismatch:
         assert res.stderr.startswith("invalid arguments: ") and "k=700.0" in res.stderr
         assert not out.exists()
 
-    def test_model_power_law_beyond_double_range_is_usage_error(self, tmp_path):
-        # the weak-n and Chernoff columns need the model's alpha, read at
-        # lam = 1 or, where it is out of range there, at the model's lam;
-        # where it is no finite positive normal double at either the error
-        # names the parameters
-        out = tmp_path / "x.csv"
-        cfg = tmp_path / "cfg.txt"
-        cases = (("m", "200", "1e-300", "m=200.0", "alpha = inf"),
-                 ("m", "200", "1.0", "m=200.0", "alpha = 0.0"),
-                 ("k", "1e3", "1.0", "k=1000.0", "alpha = 0.0"))
-        for param, value, lam, name, alpha in cases:
-            cfg.write_text(
-                f"param = {param}\n"
-                f"param_values = {value}\n"
-                f"lam = {lam}\n"
-                "selectors = rayleigh-ar, rayleigh-pcr\n"
-                "eps = 1e-3\n"
-                "xi = 1e-2\n"
-                "n = 100\n"
-                f"output = {out}\n")
-            res = run_cli("mismatch", str(cfg))
-            assert res.returncode == 2, res.stderr
-            assert name in res.stderr and f"lam={float(lam)}" in res.stderr
-            assert alpha in res.stderr
-            assert "Traceback" not in res.stderr
-            assert not out.exists()
-
-    def test_rician_tail_at_small_lam_writes_the_approximations(self, tmp_path):
-        # exp(-800) is 0, so alpha is no double at lam = 1; formed in logs at
-        # the model's lam = 1e-300 it is 3.67e-48, and the approximation
-        # columns are written (the weak-n value and the bound round to 0)
+    @pytest.mark.parametrize("param,value,k,m", [("m", "200", 0, 200), ("k", "1e3", 1000, 1)])
+    def test_tables_where_alpha_at_unit_scale_is_zero(self, tmp_path, param, value, k, m):
+        # alpha = exp(-k) / Gamma(m + 1) rounds to 0 here; formed in logs, every
+        # column is written and equals its mpmath oracle, which is below the
+        # smallest double in each cell, so each is 0. The weak-n oracle is its
+        # formula; the others are Chernoff bounds min_s E[e^(s Z)] of their
+        # events {Z >= 0}, read on a grid of s, so each is an upper bound
+        eps, xi, n = 1e-3, 1e-2, 100
         out = tmp_path / "x.csv"
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(
-            "param = k\nparam_values = 800\nlam = 1e-300\n"
+            f"param = {param}\nparam_values = {value}\n"
+            "selectors = rayleigh-ar, rayleigh-pcr\n"
+            f"eps = {eps}\nxi = {xi}\nn = {n}\noutput = {out}\n")
+        res = run_cli("mismatch", str(cfg))
+        assert res.returncode == 0, res.stderr
+        rows = list(csv.DictReader(out.open()))
+        assert [row["selector"] for row in rows] == ["rayleigh-ar", "rayleigh-pcr"]
+        for row, eps_n in zip(rows, (epsn_rayleigh_ar(eps, n), epsn_rayleigh_pcr(eps, xi, n))):
+            with mpmath.workdps(40):
+                g = -mpmath.log1p(-mpmath.mpf(eps_n))
+                log_alpha = -k - mpmath.loggamma(m + 1)
+                # the exact threshold n F^-1(eps)/g is at least n y0/g, as F(y0) <= eps
+                y0 = mpmath.mpf(m + k) / 2
+                assert mp_log_min(lambda s: mp_log_mgf(k, m, -s) + s * y0, 1e6) < math.log(eps)
+                # the tilt's threshold (eps/alpha)^(1/m)/g at unit scale
+                thr = mpmath.exp((math.log(eps) - log_alpha) / m) / g
+                log_oracle = {
+                    # P[g S/n - Y >= 0], S the training sum of n powers Y
+                    "mean_outage_numeric": mp_log_min(
+                        lambda s: mp_log_mgf(n * k, n * m, s * g / n) + mp_log_mgf(k, m, -s),
+                        n / g),
+                    "mean_outage_approx": log_alpha + m * mpmath.log(eps * (m + k)),
+                    "meta_prob_numeric": mp_log_min(
+                        lambda t: mp_log_mgf(n * k, n * m, t) - t * n * y0 / g, 1),
+                    "meta_prob_chernoff": mp_log_min(
+                        lambda t: n * (mp_log_mgf(k, m, t) - t * thr), 1),
+                }
+            for col, log_value in log_oracle.items():
+                # below half the smallest subnormal, which rounds to 0
+                assert log_value < math.log(math.ulp(0.0)) - math.log(2.0), (col, log_value)
+                assert row[col] == "0.00000000000e+00", (col, row[col])
+
+    def test_rician_k800_writes_the_approximations(self, tmp_path):
+        # exp(-800) is 0, so alpha is no double; the approximation columns,
+        # formed in logs, are written (the weak-n value and the bound round to 0)
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "param = k\nparam_values = 800\n"
             "selectors = rayleigh-ar, rayleigh-pcr\neps = 1e-3\nxi = 1e-2\n"
             f"n = 100\noutput = {out}\n")
         res = run_cli("mismatch", str(cfg))
@@ -1095,23 +1122,19 @@ class TestMismatch:
         assert {row[col] for row in rows for col in MISMATCH_HEADER[3:]} == {
             "0.00000000000e+00"}
 
-    @pytest.mark.parametrize("param,values", [("m", "0.5, 2, 5"), ("k", "0, 1, 10")])
-    def test_table_is_free_of_lam(self, tmp_path, param, values):
-        # every column is free of lam, so a lam where the model's own alpha
-        # leaves the normal doubles writes the lam = 1 table
-        tables = {}
-        for lam in ("1.0", "1e-318", "1e-300", "1e300", "1e308"):
-            cfg = tmp_path / "cfg.txt"
-            cfg.write_text(
-                f"param = {param}\nparam_values = {values}\nlam = {lam}\n"
-                "selectors = rayleigh-ar, rayleigh-pcr\neps = 1e-3\nxi = 1e-2\n"
-                f"n = 100\noutput = {tmp_path / 'x.csv'}\n")
-            with warnings.catch_warnings():
-                # the tilt's degenerate-bound warning, at m = 0.5
-                warnings.simplefilter("ignore", RuntimeWarning)
-                assert main(["mismatch", str(cfg)]) == 0
-            tables[lam] = (tmp_path / "x.csv").read_bytes()
-        assert len(set(tables.values())) == 1
+    def test_lam_key_is_rejected(self, tmp_path):
+        # every column is a function of the law (k, m) alone, so a scale would
+        # change nothing the table says
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "param = k\nparam_values = 0, 1, 10\nlam = 2.0\n"
+            "selectors = rayleigh-ar, rayleigh-pcr\neps = 1e-3\nxi = 1e-2\n"
+            f"n = 100\noutput = {out}\n")
+        res = run_cli("mismatch", str(cfg))
+        assert res.returncode == 2
+        assert res.stderr == "config error: unknown keys: lam\n"
+        assert not out.exists()
 
     def test_rician_k100_chernoff_column(self, tmp_path):
         # the tilt once rounded 1 - lam t* to 0 here (ZeroDivisionError)
@@ -1148,19 +1171,17 @@ class TestMismatch:
         assert 0.0 < float(row["mean_outage_numeric"]) < 1e-30
 
     def test_weak_n_column_where_its_power_overflows(self, tmp_path):
-        # (eps m lam)^m passes the largest double at m = 170, eps = 0.7369,
-        # while alpha (eps m lam)^m = (eps m)^m / Gamma(m + 1) is about 6e49;
-        # at m = 1000, lam = 0.0054, eps = 0.99 the product itself is past it
+        # (eps m)^m passes the largest double at m = 170, eps = 0.7369, while
+        # alpha (eps m)^m = (eps m)^m / Gamma(m + 1) is about 6e49; at m = 1000,
+        # eps = 0.99 the product itself is past it
         with mpmath.workdps(40):
             finite = float((mpmath.mpf(0.7369) * 170) ** 170 / mpmath.factorial(170))
-        for lam, m, eps, xi, want in ((1.0, 170, 0.7369, 1.2e-7, finite),
-                                      (0.0054, 1000, 0.99, 0.1, math.inf)):
+        for m, eps, xi, want in ((170, 0.7369, 1.2e-7, finite), (1000, 0.99, 0.1, math.inf)):
             out = tmp_path / "x.csv"
             cfg = tmp_path / "cfg.txt"
             cfg.write_text(
                 "param = m\n"
                 f"param_values = {m}\n"
-                f"lam = {lam}\n"
                 "selectors = rayleigh-ar, rayleigh-pcr\n"
                 f"eps = {eps}\n"
                 f"xi = {xi}\n"
@@ -1275,23 +1296,18 @@ class TestConfigKeyCombinations:
         assert rows[0] == rows[1]
 
 
-_lams = st.sampled_from([1e-300, 1.0, 1e300]) | st.floats(-300.0, 300.0).map(
-    lambda e: 10.0 ** e)
-
-
 class TestMismatchExitContract:
     @settings(deadline=None, max_examples=60)
-    @given(param=st.sampled_from(["k", "m"]), data=st.data(), lam=_lams,
+    @given(param=st.sampled_from(["k", "m"]), data=st.data(),
            eps=st.floats(1e-8, 0.99), xi=st.floats(1e-8, 0.5),
            n=st.sampled_from([1, 10, 1000, 10**4]))
-    def test_exit_code_in_contract(self, tmp_path_factory, param, data, lam, eps, xi, n):
+    def test_exit_code_in_contract(self, tmp_path_factory, param, data, eps, xi, n):
         value = data.draw(st.floats(0.0, 1e4) if param == "k" else st.floats(0.5, 1e3))
         base = tmp_path_factory.getbasetemp()
         cfg = base / "mismatch_contract.cfg"
         cfg.write_text(
             f"param = {param}\n"
             f"param_values = {value!r}\n"
-            f"lam = {lam!r}\n"
             "selectors = rayleigh-ar, rayleigh-pcr\n"
             f"eps = {eps!r}\n"
             f"xi = {xi!r}\n"
@@ -1305,7 +1321,7 @@ class TestMismatchExitContract:
         # the tilt's own degenerate-bound warnings only, none from numpy
         assert [str(w.message) for w in caught if "encountered" in str(w.message)] == []
         assert_names_fault(code, err.getvalue(), {
-            "param": param, "param_values": value, param: value, "lam": lam, "selectors": "",
+            "param": param, "param_values": value, param: value, "selectors": "",
             "eps": eps, "xi": xi, "n": n, "output": ""})
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -20,6 +21,12 @@ from statrate.mismatch import (
 from statrate.rateselect import epsn_rayleigh_ar, epsn_rayleigh_pcr
 
 
+# laws whose alpha at lam = 1 is 0 or subnormal (Rician k from about 708,
+# Nakagami m from about 171)
+FAR_K = (708.0, 800.0, 1000.0)
+FAR_M = (171.0, 200.0, 1000.0)
+
+
 def mp_nakagami_mean_outage(m, eps_n, n):
     """I_x(m, n m) at x = g/(n+g), g = -log(1-eps_n), at 40 digits."""
     with mpmath.workdps(40):
@@ -38,8 +45,9 @@ def mp_chernoff_bound(model, eps_n, eps, n):
     k = mpmath.mpf(getattr(model, "k", 0))
     m = mpmath.mpf(getattr(model, "m", 1))
     lam = mpmath.mpf(model.lam)
-    # 130 working digits: 1 - lam t* cancels up to about 70 of them (k = 300)
-    with mpmath.workdps(130):
+    # 1 - lam t* cancels about k/4.6 digits (65 at k = 300), so 130 working
+    # digits, and more from k = 280 on
+    with mpmath.workdps(max(130, 60 + int(k) // 4)):
         # alpha = e^-k / Gamma(m+1) / lam^m and kappa = 1/m for all three laws
         alpha = mpmath.exp(-k) / mpmath.gamma(m + 1) / lam ** m
         thr = (eps / alpha) ** (1 / m) / -mpmath.log1p(-mpmath.mpf(eps_n))
@@ -343,21 +351,57 @@ class TestMetaProbMismatch:
                 assert vals.pop() == pytest.approx(xi, rel=1e-12)
 
     def test_approximations_are_free_of_lam(self):
-        # read at lam = 1, so a lam where the model's own alpha leaves the
-        # normal doubles keeps the weak-n, power-law and Chernoff values
+        # formed in logs from the law at unit scale, so a lam where the model's
+        # own alpha leaves the normal doubles, and a law where alpha at lam = 1
+        # is 0 or subnormal, keep the weak-n, power-law and Chernoff values
         eps, n = 1e-3, 100
         eps_n = epsn_rayleigh_pcr(eps, 1e-2, n)
-        for model in (Rayleigh, Rician, Nakagami):
-            law = (2.0,) if model is not Rayleigh else ()
-
+        laws = ([(Rayleigh, ()), (Rician, (2.0,)), (Nakagami, (2.0,))]
+                + [(Rician, (k,)) for k in FAR_K] + [(Nakagami, (m,)) for m in FAR_M])
+        for model, law in laws:
             def cells(lam):
                 truth = model(lam, *law)
-                return (mean_outage_mismatch(truth, eps, n, method="weak_n"),
-                        mean_outage_mismatch(truth, eps_n, n, method="power_law"),
-                        meta_prob_mismatch(truth, eps_n, eps, n, method="chernoff"))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)  # degenerate tilts
+                    return (mean_outage_mismatch(truth, eps, n, method="weak_n"),
+                            mean_outage_mismatch(truth, eps_n, n, method="power_law"),
+                            meta_prob_mismatch(truth, eps_n, eps, n, method="chernoff"))
 
             for lam in (1e-318, 1e-300, 1e300, 1e306, 1e308):
-                assert cells(lam) == cells(1.0)
+                assert cells(lam) == cells(1.0), (model, law, lam)
+
+    @pytest.mark.parametrize("model", [Rician(1.0, k) for k in FAR_K]
+                             + [Nakagami(1.0, m) for m in FAR_M], ids=repr)
+    def test_approximations_where_alpha_is_no_normal_double_mpmath_oracle(self, model):
+        k, m = model.k, model.m
+        for level in (1e-3, 1e-2, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            with mpmath.workdps(50):
+                log_alpha = -k - mpmath.loggamma(m + 1)
+                log_power = m * mpmath.log(mpmath.mpf(level) * (m + k))
+                want = mpmath.exp(log_alpha + log_power)
+            got = mean_outage_mismatch(model, level, 100, method="weak_n")
+            if want > sys.float_info.max:
+                assert got == math.inf
+            elif want >= sys.float_info.min:
+                # the relative error is that of the rounded log, whose terms
+                # reach 5912 in magnitude at m = 1000 (2.7e-13 at level 0.3)
+                rel = max(1e-13, 2.0 ** -52 * float(abs(log_alpha) + abs(log_power)))
+                assert got == pytest.approx(float(want), rel=rel, abs=0), level
+            else:
+                assert got < sys.float_info.min
+        for n in (10, 10**4):
+            for eps in (0.5, 1e-2, 1e-3, 1e-5):
+                levels = [epsn_rayleigh_ar(eps, n)] + [
+                    epsn_rayleigh_pcr(eps, xi, n) for xi in (1e-2, 1e-6)]
+                for eps_n in levels:
+                    want = mp_chernoff_bound(model, eps_n, eps, n)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", RuntimeWarning)
+                        got = chernoff_tilt(model, eps_n, eps, n).bound_value
+                    if want >= 1e-300:
+                        assert got == pytest.approx(float(want), rel=1e-12, abs=0), (n, eps)
+                    else:
+                        assert got < 1e-300, (n, eps, eps_n)
 
     def test_rician_underflow_is_zero_in_bounded_memory(self):
         # the true value is below the smallest double; computing that 0
@@ -427,9 +471,9 @@ class TestChernoffTilt:
         assert sol.bound_value == 1.0
 
     def test_threshold_past_every_double_bounds_by_zero(self):
-        # Rician(1e-300, 800): alpha is normal only at the model's own lam, and
-        # r = thr/lam, about eps e^k / g, passes the largest double; the bound
-        # exp(-n r (1 + o(1))) is 0, where the tilt once raised "ratio inf"
+        # Rician(1e-300, 800): r, about eps e^k / g at unit scale, passes the
+        # largest double; the bound exp(-n r (1 + o(1))) is 0 and t* = 1/lam,
+        # where the tilt once raised "ratio inf"
         n = 100
         for eps_n in (epsn_rayleigh_ar(1e-3, n), epsn_rayleigh_pcr(1e-3, 1e-2, n)):
             sol = chernoff_tilt(Rician(1e-300, 800.0), eps_n, 1e-3, n)

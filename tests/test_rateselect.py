@@ -59,7 +59,8 @@ class TestReliabilityTarget:
         ReliabilityTarget(1e-3, kind=PCR, xi=0.1)
 
     def test_ar_forbids_xi(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^xi is only meaningful for a PCR target, "
+                                             "got kind 'ar'$"):
             ReliabilityTarget(1e-3, kind=AR, xi=0.1)
 
 
@@ -79,7 +80,8 @@ class TestSelectorSpec:
 
     def test_other_families_forbid_beta(self):
         for fam in ("rayleigh", "nonparametric", "plugin-rayleigh", "plugin-nonparametric"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^beta is only meaningful for power-law "
+                                                 f"selectors, got family '{fam}'$"):
                 SelectorSpec(fam, beta=0.1)
             SelectorSpec(fam)
 
