@@ -13,15 +13,11 @@ Rician with k=0 and Nakagami with m=1 both coincide with Rayleigh.
 Each is a noncentral gamma law (k, m) of scale lam, Y = (lam/2) X with
 X ~ noncentral chi-square(2m, 2k): Rayleigh (0, 1), Rician (k, 1) and
 Nakagami (0, m); every model has the attributes k and m.
-Every CDF behaves like a power law alpha y^(1/kappa) as y -> 0, with
-alpha = exp(-k) lam^-m / Gamma(m+1) and kappa = 1/m, as power_law() gives
-them; the mismatch approximations read log alpha at lam = 1.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,28 +26,7 @@ from . import specfun
 from .specfun import _as_scalar, _check_scipy_result
 from .errors import check_positive_int, check_unit_interval
 
-__all__ = ["ChannelModel", "Rayleigh", "Rician", "Nakagami", "PowerLawTail"]
-
-_LOG_MAX_DOUBLE = math.log(sys.float_info.max)
-
-
-def _exp_or_inf(x: float) -> float:
-    # math.exp raises past the largest double
-    return math.exp(x) if x <= _LOG_MAX_DOUBLE else math.inf
-
-
-@dataclass(frozen=True)
-class PowerLawTail:
-    """Leading-order lower-tail behaviour F(y) ~ alpha * y^(1/kappa)."""
-
-    alpha: float
-    kappa: float
-
-    def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not self.kappa > 0.0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
+__all__ = ["ChannelModel", "Rayleigh", "Rician", "Nakagami"]
 
 
 class ChannelModel:
@@ -90,23 +65,6 @@ class ChannelModel:
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw `count` i.i.d. received powers using `rng`."""
         raise NotImplementedError
-
-    def moments(self) -> tuple[float, float]:
-        """(mean, variance) of Y: lam (m + k) and lam^2 (m + 2k)."""
-        return self.lam * (self.m + self.k), self.lam * self.lam * (self.m + 2.0 * self.k)
-
-    def _log_alpha(self, lam: float) -> float:
-        # log alpha of the power-law tail at scale lam
-        return -self.k - self.m * math.log(lam) - specfun.log_gamma(self.m + 1.0)
-
-    def power_law(self) -> PowerLawTail:
-        """(alpha, kappa) of F(y) ~ exp(-k) (y/lam)^m / Gamma(m+1) as y -> 0; a ValueError
-        naming the parameters where alpha is no finite positive normal double."""
-        alpha = _exp_or_inf(self._log_alpha(self.lam))
-        if not sys.float_info.min <= alpha < math.inf:
-            raise ValueError(f"the power-law tail of {self!r} has alpha = {alpha}, "
-                             "outside the finite positive normal doubles")
-        return PowerLawTail(alpha=alpha, kappa=1.0 / self.m)
 
     def epsilon_outage_capacity(self, eps: float) -> float:
         """log2(1 + F^{-1}(eps)): the largest rate with outage <= eps."""
@@ -192,8 +150,9 @@ class Nakagami(ChannelModel):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.5 <= self.m < math.inf:
-            raise ValueError(f"m must be finite and >= 0.5, got {self.m}")
+        if not (0.5 <= self.m and specfun.log_gamma(self.m + 1.0) < math.inf):
+            raise ValueError("m must be >= 0.5 and below about 2.56e305, where "
+                             f"log Gamma(m + 1) is finite, got {self.m}")
 
     def cdf(self, y):
         with np.errstate(over="ignore"):  # y/lam = inf past DBL_MAX, where F = 1

@@ -6,6 +6,8 @@ exit 4. Every range check below raises a plain ValueError naming the
 argument, which the CLI also maps to exit 2.
 """
 
+import sys
+
 
 def check_unit_interval(value, name: str) -> float:
     """value as a float, which must lie in the open interval (0, 1)."""
@@ -16,7 +18,8 @@ def check_unit_interval(value, name: str) -> float:
 
 
 def check_positive_int(value, name: str, lo: int = 1) -> int:
-    """value as an int, a whole number >= lo: 1, or 0 for non-negative (not inf or nan)."""
+    """value as an int, a whole number >= lo: 1, or 0 for non-negative (not inf
+    or nan), and at most the largest double, so that float(value) is finite."""
     try:
         whole = int(value)
     except (OverflowError, ValueError):
@@ -24,6 +27,8 @@ def check_positive_int(value, name: str, lo: int = 1) -> int:
     if whole < lo or whole != value:
         kind = "positive" if lo == 1 else "non-negative"
         raise ValueError(f"{name} must be a {kind} integer, got {value}")
+    if whole > sys.float_info.max:
+        raise ValueError(f"{name} must be at most the largest double, got {value}")
     return whole
 
 

@@ -13,17 +13,20 @@ channels), so each exact value is one formula of that law: a Poisson(n k)
 mixture of noncentral F CDFs for the mean outage, a noncentral
 chi-square tail of 2 n m degrees of freedom for the meta-probability.
 No value depends on lam: each approximation is formed in logs from the
-law at unit scale.
+law at unit scale. Every CDF behaves like a power law alpha y^(1/kappa)
+as y -> 0, with alpha = exp(-k) lam^-m / Gamma(m+1) and kappa = 1/m; at
+lam = 1, log alpha = -k - log Gamma(m+1).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
 from . import specfun
-from .channels import ChannelModel, _check_truth, _exp_or_inf
+from .channels import ChannelModel, _check_truth
 from .errors import NoValidTiltError, check_positive_int, check_unit_interval
 
 __all__ = [
@@ -37,6 +40,18 @@ __all__ = [
 
 MEAN_OUTAGE_METHODS = ("numeric", "power_law", "weak_n")
 META_PROB_METHODS = ("numeric", "chernoff")
+
+_LOG_MAX_DOUBLE = math.log(sys.float_info.max)
+
+
+def _exp_or_inf(x: float) -> float:
+    # math.exp raises past the largest double
+    return math.exp(x) if x <= _LOG_MAX_DOUBLE else math.inf
+
+
+def _log_alpha(model: ChannelModel) -> float:
+    # log alpha of the power-law tail of the law (k, m) at unit scale
+    return -model.k - specfun.log_gamma(model.m + 1.0)
 
 
 def mean_outage_exact_rayleigh(eps_n: float, n: int) -> float:
@@ -80,7 +95,7 @@ def _power_law_mean_outage(model: ChannelModel, eps_n: float, n: int) -> float:
 def _weak_n_mean_outage(model: ChannelModel, level: float) -> float:
     # n -> infinity limit with -log(1-x) ~ x: alpha (level E[X])^m at unit
     # scale, where E[X] = m + k, formed in logs
-    return _exp_or_inf(model._log_alpha(1.0) + model.m * math.log(level * (model.m + model.k)))
+    return _exp_or_inf(_log_alpha(model) + model.m * math.log(level * (model.m + model.k)))
 
 
 def mean_outage_mismatch(true_model: ChannelModel, eps_n: float, n: int,
@@ -151,7 +166,7 @@ def chernoff_tilt(true_model: ChannelModel, eps_n: float, eps: float,
     k, m = true_model.k, true_model.m
     # thr at unit scale; eps^(1/m) kept out of the exponential, whose summed
     # logs would round the bound past 1e-12 of the oracle
-    r = _exp_or_inf(-true_model._log_alpha(1.0) / m) * eps ** (1.0 / m) / -math.log1p(-eps_n)
+    r = _exp_or_inf(-_log_alpha(true_model) / m) * eps ** (1.0 / m) / -math.log1p(-eps_n)
     if not 0.0 < r:
         raise NoValidTiltError(f"degenerate tilt equation (ratio {r}, eps={eps}, n={n})")
     if r == math.inf:  # w -> 0, and the bound exp(-n r (1 + o(1))) is 0

@@ -645,7 +645,7 @@ def write_sweep_config(path, out, extra="", drop=()):
         "output": f"output = {out}",
     }
     for key in drop:
-        lines.pop(key)
+        lines.pop(key, None)
     text = "# sweep smoke config\n" + "\n".join(lines.values()) + "\n" + extra
     path.write_text(text)
     return str(path)
@@ -1296,13 +1296,72 @@ class TestConfigKeyCombinations:
         assert rows[0] == rows[1]
 
 
+_BIG_N = "1" + "0" * 400  # an exact integer past the largest double
+
+
+def _past_double_config(tmp_path, command, **keys):
+    """A sweep or mismatch config with keys replaced, and its output path."""
+    out, cfg = tmp_path / f"{command}.csv", tmp_path / f"{command}.txt"
+    if command == "sweep":
+        write_sweep_config(cfg, out, drop=keys, extra="".join(
+            f"{key} = {value}\n" for key, value in keys.items()))
+    else:
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in
+                               {**_MISMATCH_BASE, **keys, "output": out}.items()))
+    return str(cfg), out
+
+
+class TestPastDoubleRange:
+    """A log Gamma or an integer n past the largest double ends in a value or
+    an exit 2 that names its argument, never in a traceback."""
+
+    def test_epsn_at_n_1e306_prints_a_level(self):
+        res = run_cli("epsn", "--family", "rayleigh", "--constraint", "pcr",
+                      "--eps", "1e-3", "--xi", "1e-2", "--n", "1e306")
+        assert res.returncode == 0, res.stderr
+        assert 0.0 < float(res.stdout) < 1.0
+
+    @pytest.mark.parametrize("command,keys", [
+        ("sweep", {"model": "nakagami", "m": "1e306", "selector": "nonparametric"}),
+        ("mismatch", {"param": "m", "param_values": "1e306", "n": "1"})])
+    def test_nakagami_m_1e306_names_m(self, tmp_path, command, keys):
+        cfg, out = _past_double_config(tmp_path, command, **keys)
+        res = run_cli(command, cfg)
+        assert res.returncode == 2
+        assert res.stderr.startswith("invalid arguments: m must be "), res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family", cli._EPSN_FAMILIES)
+    def test_epsn_n_past_double_names_n(self, family):
+        beta = [] if family == "rayleigh" else ["--beta", "0.1"]
+        res = run_cli("epsn", "--family", family, "--constraint", "pcr", "--eps", "1e-3",
+                      "--xi", "1e-2", *beta, "--n", _BIG_N)
+        assert res.returncode == 2
+        assert res.stderr.startswith("invalid arguments: n must be at most the largest double")
+
+    @pytest.mark.parametrize("command,keys", [
+        ("sweep", {"n": _BIG_N, "axis": "epsilon", "axis_values": "1e-2"}),
+        ("mismatch", {"n": _BIG_N})])
+    def test_config_n_past_double_names_n(self, tmp_path, command, keys):
+        cfg, out = _past_double_config(tmp_path, command, **keys)
+        res = run_cli(command, cfg)
+        assert res.returncode == 2
+        assert res.stderr.startswith("invalid arguments: n must be at most the largest double")
+        assert not out.exists()
+
+
 class TestMismatchExitContract:
     @settings(deadline=None, max_examples=60)
-    @given(param=st.sampled_from(["k", "m"]), data=st.data(),
+    @given(law=st.tuples(st.just("k"), st.floats(0.0, 1e4))
+           | st.tuples(st.just("m"), st.floats(0.5, 1e3)),
            eps=st.floats(1e-8, 0.99), xi=st.floats(1e-8, 0.5),
            n=st.sampled_from([1, 10, 1000, 10**4]))
-    def test_exit_code_in_contract(self, tmp_path_factory, param, data, eps, xi, n):
-        value = data.draw(st.floats(0.0, 1e4) if param == "k" else st.floats(0.5, 1e3))
+    # a log Gamma(m + 1) and an integer n past the largest double once raised
+    # OverflowError
+    @example(law=("m", 1e306), eps=1e-2, xi=1e-2, n=1)
+    @example(law=("k", 1.0), eps=1e-2, xi=1e-2, n=10**400)
+    def test_exit_code_in_contract(self, tmp_path_factory, law, eps, xi, n):
+        param, value = law
         base = tmp_path_factory.getbasetemp()
         cfg = base / "mismatch_contract.cfg"
         cfg.write_text(
@@ -1344,6 +1403,12 @@ class TestSweepExitContract:
              constraint="pcr", eps=0.5, xi=0.5, beta=0.0625, n=1, trials=1)
     @example(model="rayleigh", param=0.0, lam=1.0, selector="powerlaw-nonasym",
              constraint="ar", eps=0.5, xi=0.5, beta=0.0625, n=1, trials=1)
+    # a Nakagami m = 1e306, whose log Gamma(m + 1) overflows, once raised
+    # OverflowError; an integer n past the largest double is rejected as given
+    @example(model="nakagami", param=1e306, lam=1.0, selector="nonparametric",
+             constraint="ar", eps=1e-2, xi=0.1, beta=0.1, n=100, trials=5)
+    @example(model="rayleigh", param=0.0, lam=1.0, selector="rayleigh",
+             constraint="ar", eps=1e-2, xi=0.1, beta=0.1, n=10**400, trials=5)
     def test_exit_code_in_contract(self, tmp_path_factory, model, param, lam, selector,
                                    constraint, eps, xi, beta, n, trials):
         base = tmp_path_factory.getbasetemp()
@@ -1423,6 +1488,10 @@ class TestEpsnRateExitContract:
     # the two faults test_exit_code_in_contract of sweep found, in epsn
     @example(family="powerlaw-nonasym", constraint="pcr", eps=0.5, xi=0.5, beta=0.5, n=1)
     @example(family="powerlaw-nonasym", constraint="ar", eps=0.5, xi=0.5, beta=0.5, n=1)
+    # a shape whose log Gamma overflows, and an n past the largest double, once
+    # raised OverflowError
+    @example(family="rayleigh", constraint="pcr", eps=1e-3, xi=1e-2, beta=0.5, n=int(1e306))
+    @example(family="powerlaw-asym", constraint="pcr", eps=1e-3, xi=1e-2, beta=0.1, n=10**400)
     def test_epsn(self, family, constraint, eps, xi, beta, n):
         _main_in_contract(["epsn", "--family", family, "--eps", repr(eps), "--n", str(n)],
                           constraint, xi, beta)

@@ -229,11 +229,12 @@ class TestMeanOutageMismatch:
         # var = m lam^2 (lam^2 (1 + 2k) for Rician) is inf from lam of about
         # 1.3e154 on, yet var / mean^2 is lam-free: 1/m, (1 + 2k)/(1 + k)^2
         eps_n, n = 1e-4, 100
-        pl = model.power_law()
         with mpmath.workdps(40):
-            mean = mpmath.mpf(model.lam) * mean_per_lam[0] / mean_per_lam[1]
-            kappa = mpmath.mpf(pl.kappa)
-            lead = pl.alpha * (-mpmath.log1p(-mpmath.mpf(eps_n)) * mean) ** (1 / kappa)
+            lam, k, m = (mpmath.mpf(v) for v in (model.lam, model.k, model.m))
+            alpha = mpmath.exp(-k) * lam ** -m / mpmath.gamma(m + 1)
+            mean = lam * mean_per_lam[0] / mean_per_lam[1]
+            kappa = 1 / m
+            lead = alpha * (-mpmath.log1p(-mpmath.mpf(eps_n)) * mean) ** (1 / kappa)
             correction = 1 + (1 - kappa) / (2 * n * kappa ** 2) * rel_var[0] / rel_var[1]
             want = float(lead * correction)
         assert mean_outage_mismatch(model, eps_n, n, method="power_law") == pytest.approx(
@@ -435,8 +436,9 @@ class TestChernoffTilt:
                 model = Rician(lam, k)
                 sol = chernoff_tilt(model, eps_n, eps, n)
                 assert sol.t_star < 1.0 / lam
-                pl = model.power_law()
-                r = (eps / pl.alpha) ** pl.kappa / (g * lam)
+                with mpmath.workdps(40):  # alpha = exp(-k) / lam, kappa = 1/m = 1
+                    alpha = mpmath.exp(-k) / lam
+                    r = float(eps / alpha / (g * lam))
                 w = 1.0 - lam * sol.t_star
                 resid = r * w * w - w - k
                 scale = max(r * w * w, abs(w), k, 1.0)

@@ -62,6 +62,11 @@ class TestLogGamma:
         stirling = (x - 0.5) * math.log(x) - x + 0.5 * math.log(2 * math.pi) + 1.0 / (12 * x)
         assert log_gamma(x) == pytest.approx(stirling, rel=1e-12)
 
+    def test_inf_past_the_largest_double(self):
+        # math.lgamma raises OverflowError from about 2.56e305; below, its value
+        assert log_gamma(2.5e305) == math.lgamma(2.5e305) < math.inf
+        assert log_gamma(2.6e305) == log_gamma(1e306) == log_gamma(math.inf) == math.inf
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             log_gamma(0.0)
@@ -213,6 +218,16 @@ class TestPolishGammaInverse:
             x[4:8] = (math.inf, math.nan, 0.0, -math.inf)
             want = _polish_every_element(a, x, p, 1.0 - p)
             assert _polish_gamma_inverse(a, x, p, 1.0 - p).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("a", [2.6e305, 1e306, sys.float_info.max])
+    def test_infinite_log_gamma_keeps_the_start(self, a):
+        # log Gamma(a) is inf, so no density is positive and finite: every
+        # element stops at once, as the inverses that call the polish do
+        p = np.array([0.0, 1e-3, 0.5, 0.9])
+        x = sp.gammaincinv(a, p)
+        assert _polish_gamma_inverse(a, x, p, 1.0 - p).tobytes() == x.tobytes()
+        assert inv_reg_lower_gamma(a, p).tobytes() == x.tobytes()
+        assert inv_reg_upper_gamma(a, 1e-2) == sp.gammainccinv(a, 1e-2)
 
     def test_scalar_and_broadcast_inputs(self):
         for a, p in ((2.0, 0.3), (0.5, 0.0), (3.0, 0.9999), (1e5, 1e-30)):
