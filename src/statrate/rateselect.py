@@ -182,14 +182,18 @@ def nonparam_l_pcr(eps: float, xi: float, n: int) -> int:
     The outage of the l-th smallest sample is Beta(l, n+1-l)
     distributed, so feasibility reads 1 - I_eps(l, n+1-l) <= xi; the
     left side increases with l and the largest feasible l is found by
-    integer bisection. Returns 0 when even l = 1 is infeasible.
+    integer bisection. Returns 0 when even l = 1 is infeasible, that is
+    when (1 - eps)^n > xi. The tail is read as betaincc, not 1 - betainc,
+    whose subtraction cancels once the tail nears 1e-16 and would accept
+    indices above a small xi.
     """
     eps = check_unit_interval(eps, "eps")
     xi = check_unit_interval(xi, "xi")
     n = check_positive_int(n, "n")
+    sp = specfun.special()
 
     def feasible(l: int) -> bool:
-        return 1.0 - specfun.reg_inc_beta(float(l), float(n + 1 - l), eps) <= xi
+        return sp.betaincc(float(l), float(n + 1 - l), eps) <= xi
 
     lo, hi = 0, n
     while lo < hi:

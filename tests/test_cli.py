@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import gc
@@ -157,6 +158,16 @@ class TestRate:
         assert res.returncode == 0
         assert res.stdout.strip() == "0"
         assert "zero-rate" in res.stderr
+
+    def test_nonparametric_pcr_at_tiny_xi_is_pcr_feasible(self, tmp_path):
+        # l = 734, the largest index whose meta-probability is at most 1e-20;
+        # reading the tail as 1 - betainc took l = 761 and printed 9.57364718749
+        sample = tmp_path / "ranks.txt"
+        sample.write_text("".join(f"{i}\n" for i in range(1, 10_001)))
+        res = run_cli("rate", "--selector", "nonparametric", "--constraint", "pcr",
+                      "--eps", "0.1", "--xi", "1e-20", "--sample", str(sample))
+        assert res.returncode == 0
+        assert res.stdout == f"{math.log2(1 + 734):.11e}\n" == "9.52160043972e+00\n"
 
     def test_plugin_rayleigh_mean_one(self, mean_one_file):
         res = run_cli("rate", "--selector", "plugin-rayleigh", "--constraint", "ar",
@@ -1568,7 +1579,48 @@ def readme_section(heading):
     return re.split(r"^#+ ", README.read_text().split(f"\n{heading}\n", 1)[1], flags=re.M)[0]
 
 
+def collected_tests(path):
+    """The names pytest collects from a test file, read with ast: each
+    module-level `test*` function, `Test*` class and `Test*::test*` method."""
+    names = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test"):
+            names.add(node.name)
+        elif isinstance(node, ast.ClassDef) and node.name.startswith("Test"):
+            names.add(node.name)
+            names.update(f"{node.name}::{item.name}" for item in node.body
+                         if isinstance(item, ast.FunctionDef) and item.name.startswith("test"))
+    return names
+
+
+def library_tag_faults(text):
+    """The bullets of `text` that end in no `[test_<file>::<name>]` tag, and
+    the tags that name no test collected from tests/test_<file>.py."""
+    bullets = re.findall(r"^- (.*(?:\n  .*)*)", text, re.M)
+    untagged = [b for b in bullets if not re.search(r"\[test_\w+(::\w+)+\]$", b)]
+    unknown = []
+    for tag in re.findall(r"\[(test_\w+(?:::\w+)+)\]", text):
+        module, name = tag.split("::", 1)
+        path = README.parent / "tests" / f"{module}.py"
+        if not (path.is_file() and name in collected_tests(path)):
+            unknown.append(tag)
+    return untagged, unknown
+
+
 class TestReadmeContract:
+    def test_library_claims_name_collected_tests(self):
+        text = README.read_text().split("\n## Library\n", 1)[1].split("\n## Command line\n")[0]
+        assert library_tag_faults(text) == ([], [])
+        # an untagged bullet, and tags naming no class, method or file, are faults
+        faults = library_tag_faults(
+            "- tagged [test_cli::TestReadmeContract] [test_cli::TestRate::test_parse_error_reports_line]\n"
+            "- untagged,\n  over two lines\n"
+            "- [test_cli::TestNoSuchClass] [test_cli::TestRate::test_no_such_method]\n"
+            "- [test_no_such_file::test_x] [test_cli::collected_tests]\n")
+        assert faults == (["untagged,\n  over two lines"],
+                          ["test_cli::TestNoSuchClass", "test_cli::TestRate::test_no_such_method",
+                           "test_no_such_file::test_x", "test_cli::collected_tests"])
+
     def test_exit_codes(self, tmp_path, mean_one_file, capsys):
         listed = re.findall(r"^- `(\d+)` - ", readme_section("### Exit codes"), re.M)
         epsn = ["epsn", "--family", "rayleigh", "--constraint", "ar", "--n", "10", "--eps"]

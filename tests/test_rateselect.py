@@ -1,11 +1,14 @@
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statrate import rateselect as rs
 from statrate.channels import Rayleigh
@@ -31,6 +34,17 @@ from statrate.rateselect import (
 )
 
 RNG = lambda s: np.random.Generator(np.random.Philox(key=np.array([s, 0], dtype=np.uint64)))
+
+
+def binom_cdf(n, eps, k):
+    """P[Bin(n, eps) <= k], exact for the double eps: the PCR meta-probability
+    1 - I_eps(k+1, n-k) of the (k+1)-th smallest of n values."""
+    p, d = eps.as_integer_ratio()  # eps = p / d
+    acc, p_j = 0, 1
+    for j in range(k + 1):  # Horner: sum_j C(n, j) p^j (d - p)^(k - j)
+        acc = acc * (d - p) + math.comb(n, j) * p_j
+        p_j *= p
+    return Fraction(acc * (d - p) ** (n - k), d**n)
 
 
 def _rate(family, sample, beta=None, **level):
@@ -212,17 +226,19 @@ class TestNonparamIndices:
     def test_pcr_frozen_example_with_binomial_oracle(self):
         # feasibility 1 - I_eps(l, n+1-l) = P[Bin(n, eps) <= l-1]
         n, eps, xi = 1000, 1e-2, 0.1
-
-        def binom_cdf(k):
-            return math.fsum(
-                math.comb(n, j) * eps**j * (1.0 - eps) ** (n - j) for j in range(k + 1))
-
         oracle = 0
         for l in range(1, 40):
-            if binom_cdf(l - 1) <= xi:
+            if binom_cdf(n, eps, l - 1) <= xi:
                 oracle = l
         assert oracle == 6
         assert nonparam_l_pcr(eps, xi, n) == 6
+
+    @pytest.mark.parametrize("n,eps,xi,want", [
+        (10**4, 0.1, 1e-15, 770), (10**4, 0.1, 1e-20, 734), (1000, 0.1, 1e-17, 30)])
+    def test_pcr_at_tiny_xi_is_the_largest_feasible_index(self, n, eps, xi, want):
+        # 1 - betainc cancels near a tail of 1e-16, and accepted 771, 761 and 32
+        assert binom_cdf(n, eps, want - 1) <= xi < binom_cdf(n, eps, want)
+        assert nonparam_l_pcr(eps, xi, n) == want
 
     def test_pcr_maximality(self):
         for eps, xi, n in [(1e-2, 0.1, 1000), (0.05, 0.3, 200), (1e-3, 0.5, 5000),
@@ -244,6 +260,30 @@ class TestNonparamIndices:
 
     def test_plug_in_capped_at_n(self):
         assert plug_in_nonparam_index(0.9, 4) == 4
+
+
+class TestExactPcrCalibrations:
+    @settings(deadline=None, max_examples=200)
+    @given(n_index=st.integers(1, 10**6), n_mean=st.integers(1, 10**5),
+           eps=st.floats(1e-6, 0.5, exclude_min=True), log10_xi=st.floats(-30.0, -0.3))
+    def test_meta_probability_at_small_xi(self, n_index, n_mean, eps, log10_xi):
+        xi = 10.0**log10_xi
+        # the largest index whose upper tail (Boost's betaincc, accurate where
+        # 1 - betainc has cancelled to nothing) is at most xi
+        n = n_index
+        l = nonparam_l_pcr(eps, xi, n)
+        assert l == 0 or scipy.special.betaincc(l, n + 1 - l, eps) <= xi
+        assert l == n or scipy.special.betaincc(l + 1, n - l, eps) > xi
+        # the exact meta-probability Q(n, n log(1-eps) / log(1-eps_n)) at 40
+        # digits; the level is as exact as scipy's gammaincc, which the Newton
+        # polish reads and which is off by up to 1.5e-12 relative in the far
+        # tail (n of about 1e3 at xi = 1e-30)
+        n = n_mean
+        eps_n = epsn_rayleigh_pcr(eps, xi, n)
+        with mpmath.workdps(40):
+            x = n * mpmath.log1p(-mpmath.mpf(eps)) / mpmath.log1p(-mpmath.mpf(eps_n))
+            meta = mpmath.gammainc(n, x, mpmath.inf, regularized=True)
+            assert abs(meta / mpmath.mpf(xi) - 1) <= 5e-12, (n, eps, xi)
 
 
 class TestEpsnPowerlawAsymptotic:
