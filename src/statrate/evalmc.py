@@ -21,8 +21,9 @@ space-efficient statistically good algorithms for random number
 generation", 2014) seeded by SeedSequence(seed, spawn_key=(axis index,
 b)), which hashes the key apart from the seed, so distinct keys give
 distinct streams. Unused rows of the last block are dropped, and a
-partial block draws only its rows, a prefix of its stream. The width
-depends on (selector, target, n) alone, never on trials or workers, so
+partial block draws a prefix of its stream: only its rows, after the
+levels of all rows for a power-law tail. The width depends on
+(selector, target, n) alone, never on trials or workers, so
 trial t reads the same values for any trial count and sweep results are
 bitwise identical for any worker count. sweep runs its points on threads:
 each block has its own Generator, configs, models and Calibration are
@@ -38,10 +39,11 @@ The draws, one kind per statistic and the same on every truth:
     order statistic (nonparametric families)  the l-th smallest of n
         values is F^-1(U), U ~ Beta(l, n + 1 - l) (David and Nagaraja,
         "Order Statistics", 2003, ch. 2): one beta draw, then quantile.
-    l smallest values (power-law)  Renyi ("On the theory of order
-        statistics", 1953): the l smallest of n uniforms are
-        1 - exp(-cumsum(E_j / (n - j))), j = 0..l-1, from a (rows, l)
-        array of uniforms u with E_j = -log1p(-u_j); then quantile.
+    l smallest values (power-law)  the l-th smallest uniform U, one beta
+        draw as above for every row of the block, then the l - 1 below it,
+        i.i.d. uniform on [0, U) (the Markov property of order statistics,
+        ibid.): a (rows, l) array of uniforms, each row scaled by its U,
+        with U itself in the last column; then quantile.
 
 Trial t is replayed from block t // rows's stream with the same draw,
 row t % rows. A block's tails are rated together, which changes no byte.
@@ -157,21 +159,6 @@ def _wilson_ci(successes: int, t: int) -> Estimate:
     return Estimate(p, max(center - half, 0.0), min(center + half, 1.0))
 
 
-def _uniform_tails(rng: np.random.Generator, out: np.ndarray, n: int) -> np.ndarray:
-    """Fill out, (rows, l), with each row's l smallest of n uniforms, ascending.
-
-    Renyi: they are 1 - exp(-cumsum(E_j / (n - j))), j = 0..l-1, for i.i.d.
-    Exp(1) E_j, each drawn as -log1p(-u) of a uniform u.
-    """
-    rng.random(out=out)
-    np.negative(out, out=out)
-    np.log1p(out, out=out)
-    out /= float(n) - np.arange(out.shape[1])  # -E_j / (n - j)
-    np.cumsum(out, axis=1, out=out)
-    np.expm1(out, out=out)
-    return np.negative(out, out=out)
-
-
 def trial_outcomes(config: EvalConfig, axis_index: int = 0):
     """Per-trial (rates, outages) arrays of length config.trials.
 
@@ -202,11 +189,17 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0):
             if width is None:
                 # the sum of n powers is lam/2 times a noncentral chi-square draw
                 stat = rng.noncentral_chisquare(df, nc, hi - lo) * 0.5 / n * model.lam
+            elif l is not None:  # the l-th smallest of n uniforms, Beta(l, n + 1 - l)
+                stat = model.quantile(rng.beta(l, n + 1 - l, (hi - lo, 1)))
             else:
-                # the l-th smallest of n uniforms, Beta(l, n + 1 - l), or the l
-                # smallest; no name keeps the uniforms past the quantile
-                stat = model.quantile(rng.beta(l, n + 1 - l, (hi - lo, 1)) if l is not None
-                                      else _uniform_tails(rng, np.empty((hi - lo, width)), n))
+                # the width-th smallest U, drawn for all rows so that a partial
+                # block reads a prefix, and below it width - 1 i.i.d. uniforms
+                # on [0, U) (the Markov property), each U times a uniform
+                top = rng.beta(width, n + 1 - width, rows)[:hi - lo, None]
+                stat = rng.random((hi - lo, width))
+                stat *= top
+                stat[:, -1:] = top
+                stat = model.quantile(stat)
             rates[lo:hi] = calibration.stat_rates(stat)
         del stat  # the next block draws with none of this one's arrays live
     if not np.isfinite(rates).all():

@@ -165,8 +165,10 @@ def chernoff_tilt(true_model: ChannelModel, eps_n: float, eps: float,
     n = check_positive_int(n, "n")
     k, m = true_model.k, true_model.m
     # thr at unit scale; eps^(1/m) kept out of the exponential, whose summed
-    # logs would round the bound past 1e-12 of the oracle
-    r = _exp_or_inf(-_log_alpha(true_model) / m) * eps ** (1.0 / m) / -math.log1p(-eps_n)
+    # logs would round the bound past 1e-12 of the oracle, unless it underflows
+    log_a, g, p = -_log_alpha(true_model) / m, -math.log1p(-eps_n), eps ** (1.0 / m)
+    r = (_exp_or_inf(log_a) * p / g if p >= sys.float_info.min
+         else _exp_or_inf(log_a + math.log(eps) / m - math.log(g)))
     if not 0.0 < r:
         raise NoValidTiltError(f"degenerate tilt equation (ratio {r}, eps={eps}, n={n})")
     if r == math.inf:  # w -> 0, and the bound exp(-n r (1 + o(1))) is 0

@@ -1164,6 +1164,25 @@ class TestMismatch:
         rows = list(csv.DictReader(out.open()))
         assert [float(r["meta_prob_chernoff"]) for r in rows] == [0.0, 0.0]
 
+    def test_chernoff_column_where_eps_power_underflows(self, tmp_path):
+        # eps^(1/m) = 1e-400 underflows before the division by g, about 1e-200,
+        # and the tilt once raised "degenerate tilt equation (ratio 0.0 ...)"
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "param = m\n"
+            "param_values = 0.5\n"
+            "selectors = rayleigh-ar, rayleigh-pcr\n"
+            "eps = 1e-200\n"
+            "xi = 1e-2\n"
+            "n = 100\n"
+            f"output = {out}\n")
+        res = run_cli("mismatch", str(cfg))
+        assert res.returncode == 0, res.stderr
+        assert "RuntimeWarning: optimal tilt is non-positive" in res.stderr
+        rows = list(csv.DictReader(out.open()))
+        assert [float(r["meta_prob_chernoff"]) for r in rows] == [1.0, 1.0]
+
     def test_nakagami_tiny_eps(self, tmp_path):
         # the Nakagami quantile at eps = 1e-30 used to end in a traceback
         out = tmp_path / "x.csv"

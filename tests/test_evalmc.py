@@ -287,11 +287,12 @@ class TestBlockEngine:
     @pytest.mark.parametrize("family,beta,n,trials", [
         # one partial block of means, of 13107 rows (l = 5) and of order
         # statistics; two blocks of means and of order statistics, the second
-        # of one trial; three blocks of 131 rows (l = 500), the last partial
+        # of one trial; three blocks of 131 rows (l = 500), the last partial;
+        # two blocks of 6553 rows at l = n = 10, each level a row's maximum
         ("rayleigh", None, 100, 700), ("powerlaw-nonasym", 0.05, 100, 700),
         ("nonparametric", None, 10**5, 3), ("plugin-rayleigh", None, 10, 2**16 + 1),
         ("plugin-nonparametric", None, 1000, 2**16 + 1),
-        ("powerlaw-asym", 0.05, 10**4, 300)])
+        ("powerlaw-asym", 0.05, 10**4, 300), ("powerlaw-asym", 0.95, 10, 6600)])
     @pytest.mark.parametrize("model", MODELS, ids=repr)
     def test_trial_replays_from_its_block_stream(self, model, family, beta, n, trials):
         cfg = _cfg(model=model, family=family, beta=beta, eps=0.05, kind=PCR,
@@ -476,15 +477,19 @@ class TestTailPath:
 
 
 class TestDraws:
-    # one partial block; rows > 1 with a partial last block (twice); rows = 1
-    @pytest.mark.parametrize("n,trials", [(10, 4000), (500, 1000), (2000, 1000),
-                                          (70000, 200)])
-    @pytest.mark.parametrize("family,beta", FAMILIES)
+    # one partial block; rows > 1 with a partial last block (twice); rows = 1;
+    # and l = n = 10 in four blocks of 6553 rows, the last partial, each level
+    # a row's maximum, Beta(n, 1)
+    @pytest.mark.parametrize("family,beta,n,trials", [
+        (family, beta, n, trials) for n, trials in ((10, 4000), (500, 1000), (2000, 1000),
+                                                    (70000, 200))
+        for family, beta in FAMILIES] + [("powerlaw-asym", 0.95, 10, 20000)])
     @pytest.mark.parametrize("model", MODELS, ids=repr)
     def test_law_equals_full_samples(self, model, family, beta, n, trials):
-        # the mean, order-statistic and Renyi tail draws give the rates of
-        # full samples in law, on every truth
-        eps, xi, beta = (0.2, 0.3, beta and 0.3) if n == 10 else (0.05, 0.1, beta)
+        # the mean, order-statistic and power-law tail draws give the rates
+        # of full samples in law, on every truth; at n = 10 a tail reads at
+        # least 3 values
+        eps, xi, beta = (0.2, 0.3, beta and max(beta, 0.3)) if n == 10 else (0.05, 0.1, beta)
         cfg = _cfg(model=model, family=family, beta=beta, eps=eps, kind=PCR,
                    xi=xi, n=n, trials=trials, seed=64)
         assert calibrate(cfg.selector, cfg.target, n).width != 0
