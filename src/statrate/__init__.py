@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 # submodule -> the names the package exports from it, in __all__ order
 _EXPORTS = {
     "channels": ("ChannelModel", "Rayleigh", "Rician", "Nakagami"),
-    "learn": ("TrainingSample", "TailFit", "fit_power_tail", "load_sample_file"),
+    "learn": ("TrainingSample", "fit_power_tail", "load_sample_file"),
     "rateselect": (
         "ReliabilityTarget", "SelectorSpec", "epsn_rayleigh_ar", "epsn_rayleigh_pcr",
         "epsn_powerlaw", "nonparam_l_ar", "nonparam_l_pcr", "plug_in_nonparam_index",

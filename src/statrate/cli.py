@@ -92,7 +92,7 @@ def _fmt(x) -> str:
 
 
 def _parse_kv_file(path: str) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     entries: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):

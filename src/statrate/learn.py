@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,6 @@ from .errors import InsufficientTailDataError, SampleParseError, check_unit_inte
 
 __all__ = [
     "TrainingSample",
-    "TailFit",
     "sample_rows",
     "fit_power_tail",
     "fit_ascending_tails",
@@ -71,7 +69,8 @@ class TrainingSample:
     """Immutable batch of non-negative received-power measurements."""
 
     def __init__(self, values):
-        arr = np.ascontiguousarray(values, dtype=np.float64)
+        # a private copy: freezing the caller's own array would lock it too
+        arr = np.array(values, dtype=np.float64, order="C")
         if arr.ndim != 1:
             raise ValueError(f"sample must be one-dimensional, got shape {arr.shape}")
         _check_values(arr)
@@ -115,23 +114,6 @@ class TrainingSample:
         return head
 
 
-@dataclass(frozen=True)
-class TailFit:
-    """Fitted lower-tail power law in the log-power domain.
-
-    z_l + kappa_hat log(n q / l) is the fitted log-quantile at level q.
-    """
-
-    kappa_hat: float
-    l: int
-    beta: float
-    z_l: float
-
-    def __post_init__(self):
-        if not self.kappa_hat >= 0.0:
-            raise ValueError(f"kappa_hat must be >= 0, got {self.kappa_hat}")
-
-
 def fit_ascending_tails(tail: np.ndarray, n: int):
     """Fit the log-domain tail law to each row's l smallest of n values.
 
@@ -165,8 +147,9 @@ def _fit_ascending_tails_in_place(tail: np.ndarray, n: int):
     return kappa, z_l
 
 
-def fit_power_tail(sample: TrainingSample, beta: float) -> TailFit:
-    """Fit the log-domain tail law to the l = ceil(beta*n) smallest values.
+def fit_power_tail(sample: TrainingSample, beta: float) -> tuple[float, float]:
+    """(kappa_hat, z_l) of fit_ascending_tails on the l = ceil(beta*n)
+    smallest values: the batch fit on a batch of one.
 
     The rate path fits with fit_ascending_tails; this one-sample form is
     kept because the benchmark's traced mode wraps it by name.
@@ -174,7 +157,7 @@ def fit_power_tail(sample: TrainingSample, beta: float) -> TailFit:
     beta = check_unit_interval(beta, "beta")
     l = _ceil_with_float_guard(beta * sample.n)
     kappa, z_l = fit_ascending_tails(sample.smallest(l)[None], sample.n)
-    return TailFit(kappa_hat=float(kappa[0]), l=l, beta=beta, z_l=float(z_l[0]))
+    return float(kappa[0]), float(z_l[0])
 
 
 def load_sample_file(path) -> TrainingSample:
@@ -191,7 +174,7 @@ def load_sample_file(path) -> TrainingSample:
     """
     path = Path(path)
     values = []
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8-sig") as fh:
         if fh.seekable():
             try:
                 with warnings.catch_warnings():
@@ -222,4 +205,4 @@ def load_sample_file(path) -> TrainingSample:
             values.append(v)
     if not values:
         raise SampleParseError(f"{path}: no sample values found", line_no=None)
-    return TrainingSample(np.asarray(values))
+    return TrainingSample(values)

@@ -41,14 +41,6 @@ __all__ = [
 MEAN_OUTAGE_METHODS = ("numeric", "power_law", "weak_n")
 META_PROB_METHODS = ("numeric", "chernoff")
 
-_LOG_MAX_DOUBLE = math.log(sys.float_info.max)
-
-
-def _exp_or_inf(x: float) -> float:
-    # math.exp raises past the largest double
-    return math.exp(x) if x <= _LOG_MAX_DOUBLE else math.inf
-
-
 def _log_alpha(model: ChannelModel) -> float:
     # log alpha of the power-law tail of the law (k, m) at unit scale
     return -model.k - specfun.log_gamma(model.m + 1.0)
@@ -95,7 +87,7 @@ def _power_law_mean_outage(model: ChannelModel, eps_n: float, n: int) -> float:
 def _weak_n_mean_outage(model: ChannelModel, level: float) -> float:
     # n -> infinity limit with -log(1-x) ~ x: alpha (level E[X])^m at unit
     # scale, where E[X] = m + k, formed in logs
-    return _exp_or_inf(_log_alpha(model) + model.m * math.log(level * (model.m + model.k)))
+    return specfun._exp_or_inf(_log_alpha(model) + model.m * math.log(level * (model.m + model.k)))
 
 
 def mean_outage_mismatch(true_model: ChannelModel, eps_n: float, n: int,
@@ -167,8 +159,8 @@ def chernoff_tilt(true_model: ChannelModel, eps_n: float, eps: float,
     # thr at unit scale; eps^(1/m) kept out of the exponential, whose summed
     # logs would round the bound past 1e-12 of the oracle, unless it underflows
     log_a, g, p = -_log_alpha(true_model) / m, -math.log1p(-eps_n), eps ** (1.0 / m)
-    r = (_exp_or_inf(log_a) * p / g if p >= sys.float_info.min
-         else _exp_or_inf(log_a + math.log(eps) / m - math.log(g)))
+    r = (specfun._exp_or_inf(log_a) * p / g if p >= sys.float_info.min
+         else specfun._exp_or_inf(log_a + math.log(eps) / m - math.log(g)))
     if not 0.0 < r:
         raise NoValidTiltError(f"degenerate tilt equation (ratio {r}, eps={eps}, n={n})")
     if r == math.inf:  # w -> 0, and the bound exp(-n r (1 + o(1))) is 0

@@ -259,10 +259,7 @@ def epsn_powerlaw(target: ReliabilityTarget, n: int, beta: float,
         z = specfun.std_normal_quantile(target.xi)
         # no back-off at xi = 1/2 (z = 0), even where Vbar overflows to inf
         shift = math.sqrt(vbar / n) * z if z else 0.0
-        try:
-            back_off = math.exp(-shift)
-        except OverflowError:
-            back_off = math.inf
+        back_off = specfun._exp_or_inf(-shift)
         if back_off == math.inf:  # past the largest double, or inf at an inf Vbar
             raise NoSolutionError(
                 f"the asymptotic PCR level eps*exp(-shift) overflows, shift={shift:.6g} "

@@ -22,6 +22,7 @@ none of it; the other modules reach scipy.special through special().
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -40,6 +41,13 @@ __all__ = [
 ]
 
 _CHUNK = 1024  # Poisson-mixture terms added at once
+
+_LOG_MAX_DOUBLE = math.log(sys.float_info.max)
+
+
+def _exp_or_inf(x: float) -> float:
+    # math.exp raises past the largest double
+    return math.exp(x) if x <= _LOG_MAX_DOUBLE else math.inf
 
 
 def special():

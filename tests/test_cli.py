@@ -1552,6 +1552,13 @@ _cfg_values = st.lists(st.sampled_from(["=", ""]) | _cfg_tokens, min_size=1).map
 _noise_lines = st.lists(st.sampled_from(["", "   ", "# note", "  # k = v"]))
 
 
+class TestParseKvFile:
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        p = tmp_path / "kv.txt"
+        p.write_text("\ufeffparam = k\nn = 100\n", encoding="utf-8")
+        assert _parse_kv_file(str(p)) == {"param": "k", "n": "100"}
+
+
 class TestParseKvFileProperties:
     @settings(deadline=None)
     @given(entries=st.dictionaries(_cfg_tokens, _cfg_values, max_size=8),

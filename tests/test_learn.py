@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 from statrate.channels import Rayleigh
 from statrate.errors import InsufficientTailDataError, SampleParseError
 from statrate.learn import (
-    TailFit,
     TrainingSample,
     fit_ascending_tails,
     fit_power_tail,
@@ -31,9 +32,16 @@ def _rayleigh_scale(values):
     return math.expm1(cal.rates(x[None])[0] * LN2)
 
 
-def _alpha_hat(fit, n):
-    """The fitted tail constant (l/n) exp(-z_l/kappa_hat), from the fit's other fields."""
-    return (fit.l / n) * math.exp(-fit.z_l / fit.kappa_hat)
+def _fit(values, l):
+    """(kappa_hat, z_l) of fit_ascending_tails on the l smallest values, as a batch of one."""
+    x = np.asarray(values, dtype=float)
+    kappa, z_l = fit_ascending_tails(np.sort(x)[:l][None], x.size)
+    return float(kappa[0]), float(z_l[0])
+
+
+def _alpha_hat(kappa_hat, z_l, l, n):
+    """The fitted tail constant (l/n) exp(-z_l/kappa_hat)."""
+    return (l / n) * math.exp(-z_l / kappa_hat)
 
 
 def _log_quantile(values, beta, eps_n):
@@ -66,6 +74,12 @@ class TestTrainingSample:
         s = TrainingSample([3.0, 1.0, 2.0])
         with pytest.raises(ValueError):
             s.values[0] = 7.0
+
+    def test_callers_array_stays_writable(self):
+        x = np.array([1.0, 2.0, 3.0])
+        s = TrainingSample(x)
+        x[0] = 5.0
+        assert s.values.tolist() == [1.0, 2.0, 3.0]
 
     def test_sorted_is_a_permutation(self):
         rng = RNG(11)
@@ -117,30 +131,17 @@ class TestRayleighMle:
         assert abs(_rayleigh_scale(x) - 5.0) < 3.0 * (5.0 / 10**3)
 
 
-class TestFitPowerTail:
+class TestFitAscendingTails:
     def test_direct_substitution(self):
         # three smallest log-values are (0, 1, 2); seven larger fillers
         vals = [1.0, math.e, math.e**2] + [8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0]
-        fit = fit_power_tail(TrainingSample(vals), 0.3)
-        assert fit.l == 3
-        assert fit.beta == 0.3
-        assert fit.z_l == pytest.approx(2.0, abs=1e-14)
-        assert fit.kappa_hat == pytest.approx(1.0, rel=1e-13)
-        assert _alpha_hat(fit, 10) == pytest.approx(0.3 * math.exp(-2.0), rel=1e-12)
-        assert _alpha_hat(fit, 10) == pytest.approx(0.0406006, abs=5e-8)
+        kappa_hat, z_l = _fit(vals, 3)
+        assert z_l == pytest.approx(2.0, abs=1e-14)
+        assert kappa_hat == pytest.approx(1.0, rel=1e-13)
+        assert _alpha_hat(kappa_hat, z_l, 3, 10) == pytest.approx(0.3 * math.exp(-2.0), rel=1e-12)
+        assert _alpha_hat(kappa_hat, z_l, 3, 10) == pytest.approx(0.0406006, abs=5e-8)
 
-    def test_equals_fit_ascending_tails_on_smallest(self):
-        # at seed 18 and l = 499, kappa_hat's last bits depend on the tail's order
-        sample = TrainingSample(RNG(18).exponential(size=997))
-        for beta, l in ((0.003, 3), (0.05, 50), (0.5, 499)):
-            fit = fit_power_tail(sample, beta)
-            tail = sample.smallest(l)
-            assert fit.l == l
-            assert tail.tobytes() == np.sort(sample.values)[:l].tobytes()
-            kappa, z_l = fit_ascending_tails(tail[None], sample.n)
-            assert (fit.kappa_hat, fit.z_l) == (kappa[0], z_l[0])
-
-    def test_fit_ascending_tails_leaves_its_argument_unchanged(self):
+    def test_leaves_its_argument_unchanged(self):
         # a float tail, a strided view of one and an integer tail: the fit
         # takes its logs in a copy, and they are the logs taken apart
         tails = np.sort(RNG(19).exponential(size=(6, 40)), axis=1)
@@ -153,28 +154,53 @@ class TestFitPowerTail:
             assert kappa.tobytes() == (z[:, -1] - z.mean(axis=1)).tobytes()
 
     def test_rayleigh_truth_recovery(self):
-        # Rayleigh{1} lower tail: alpha = 1, kappa = 1
-        sample = TrainingSample(Rayleigh(1.0).sample(RNG(102), 10**6))
-        fit = fit_power_tail(sample, 0.01)
-        assert fit.l == 10**4
-        assert abs(fit.kappa_hat - 1.0) < 0.05
-        assert abs(_alpha_hat(fit, 10**6) - 1.0) < 0.1
+        # Rayleigh{1} lower tail: alpha = 1, kappa = 1; beta = 0.01 of n = 1e6
+        vals = Rayleigh(1.0).sample(RNG(102), 10**6)
+        kappa_hat, z_l = _fit(vals, 10**4)
+        assert abs(kappa_hat - 1.0) < 0.05
+        assert abs(_alpha_hat(kappa_hat, z_l, 10**4, 10**6) - 1.0) < 0.1
 
     def test_scaling_property(self):
         rng = RNG(14)
         vals = rng.exponential(size=500) + 1e-12
-        base = fit_power_tail(TrainingSample(vals), 0.1)
+        base_kappa, base_z = _fit(vals, 50)
         for c in (0.5, 3.7):
-            scaled = fit_power_tail(TrainingSample(c * vals), 0.1)
-            assert scaled.kappa_hat == pytest.approx(base.kappa_hat, rel=1e-10)
-            assert _alpha_hat(scaled, 500) == pytest.approx(
-                _alpha_hat(base, 500) * c ** (-1.0 / base.kappa_hat), rel=1e-9)
+            kappa_hat, z_l = _fit(c * vals, 50)
+            assert kappa_hat == pytest.approx(base_kappa, rel=1e-10)
+            assert _alpha_hat(kappa_hat, z_l, 50, 500) == pytest.approx(
+                _alpha_hat(base_kappa, base_z, 50, 500) * c ** (-1.0 / base_kappa), rel=1e-9)
+
+    def test_insufficient_tail(self):
+        # ceil(0.05 * 10) and ceil(0.5 * 1) are both 1
+        with pytest.raises(InsufficientTailDataError):
+            _fit(np.linspace(1.0, 2.0, 10), 1)
+        with pytest.raises(InsufficientTailDataError):
+            _fit([1.0], 1)
+
+    def test_zero_values_rejected(self):
+        with pytest.raises(ValueError):
+            _fit([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0], 3)
+
+    def test_degenerate_tail(self):
+        with pytest.raises(InsufficientTailDataError):
+            _fit([1.0, 1.0, 1.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0], 3)
+
+
+class TestFitPowerTail:
+    def test_equals_fit_ascending_tails_on_smallest(self):
+        # at seed 18 and l = 499, kappa_hat's last bits depend on the tail's order
+        sample = TrainingSample(RNG(18).exponential(size=997))
+        for beta, l in ((0.003, 3), (0.05, 50), (0.5, 499)):
+            fit = fit_power_tail(sample, beta)
+            tail = sample.smallest(l)
+            assert tail.tobytes() == np.sort(sample.values)[:l].tobytes()
+            kappa, z_l = fit_ascending_tails(tail[None], sample.n)
+            assert type(fit) is tuple and fit == (kappa[0], z_l[0])
 
     def test_ceil_float_guard(self):
         # 0.07 * 100 = 7.000000000000001 in binary; l must still be 7
         vals = np.linspace(1.0, 2.0, 100)
-        fit = fit_power_tail(TrainingSample(vals), 0.07)
-        assert fit.l == 7
+        assert fit_power_tail(TrainingSample(vals), 0.07) == _fit(vals, 7)
 
     def test_beta_domain(self):
         s = TrainingSample(np.linspace(1.0, 2.0, 50))
@@ -182,61 +208,37 @@ class TestFitPowerTail:
             with pytest.raises(ValueError):
                 fit_power_tail(s, bad)
 
-    def test_insufficient_tail(self):
-        s = TrainingSample(np.linspace(1.0, 2.0, 10))
-        with pytest.raises(InsufficientTailDataError):
-            fit_power_tail(s, 0.05)
-        with pytest.raises(InsufficientTailDataError):
-            fit_power_tail(TrainingSample([1.0]), 0.5)
-
-    def test_zero_values_rejected(self):
-        s = TrainingSample([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0])
-        with pytest.raises(ValueError):
-            fit_power_tail(s, 0.3)
-
-    def test_degenerate_tail(self):
-        s = TrainingSample([1.0, 1.0, 1.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0])
-        with pytest.raises(InsufficientTailDataError):
-            fit_power_tail(s, 0.3)
-
-
-class TestTailFitType:
-    def test_zero_kappa_allowed(self):
-        TailFit(kappa_hat=0.0, l=5, beta=0.1, z_l=0.0)
-
-    def test_negative_kappa_rejected(self):
-        with pytest.raises(ValueError):
-            TailFit(kappa_hat=-1e-9, l=5, beta=0.1, z_l=0.0)
-
 
 class TestTailQuantile:
     def test_unit_fit_value(self):
         # the l = 3 smallest log-values are log(0.3) - (2, 1, 0): at
         # beta = 0.3 the fit has alpha_hat = kappa_hat = 1
         x = [0.3 * math.exp(-2.0), 0.3 * math.exp(-1.0), 0.3] + list(range(1, 8))
-        fit = fit_power_tail(TrainingSample(x), 0.3)
-        assert _alpha_hat(fit, 10) == pytest.approx(1.0, rel=1e-14)
-        assert fit.kappa_hat == pytest.approx(1.0, rel=1e-14)
+        kappa_hat, z_l = _fit(x, 3)
+        assert _alpha_hat(kappa_hat, z_l, 3, 10) == pytest.approx(1.0, rel=1e-14)
+        assert kappa_hat == pytest.approx(1.0, rel=1e-14)
         assert _log_quantile(x, 0.3, 1e-3) == pytest.approx(math.log(1e-3), rel=1e-13)
         assert _log_quantile(x, 0.3, 1e-3) == pytest.approx(-6.907755, abs=5e-7)
 
     def test_returns_z_l_at_level_l_over_n(self):
         rng = RNG(15)
-        for n, beta in [(100, 0.1), (500, 0.05), (1000, 0.013)]:
+        # l = ceil(beta n)
+        for n, beta, l in [(100, 0.1, 10), (500, 0.05, 25), (1000, 0.013, 13)]:
             x = rng.exponential(size=n)
-            fit = fit_power_tail(TrainingSample(x), beta)
-            got = _log_quantile(x, beta, fit.l / n)
-            assert got == pytest.approx(fit.z_l, rel=1e-12, abs=1e-12)
+            _, z_l = _fit(x, l)
+            got = _log_quantile(x, beta, l / n)
+            assert got == pytest.approx(z_l, rel=1e-12, abs=1e-12)
 
     def test_both_algebraic_forms_agree(self):
         rng = RNG(16)
-        for n, beta in [(100, 0.1), (400, 0.03), (2000, 0.01)]:
+        # l = ceil(beta n)
+        for n, beta, l in [(100, 0.1, 10), (400, 0.03, 12), (2000, 0.01, 20)]:
             x = rng.exponential(size=n)
-            fit = fit_power_tail(TrainingSample(x), beta)
+            kappa_hat, z_l = _fit(x, l)
             for eps_n in (1e-6, 1e-4, 1e-2, 0.3):
-                direct = fit.kappa_hat * math.log(eps_n / _alpha_hat(fit, n))
+                direct = kappa_hat * math.log(eps_n / _alpha_hat(kappa_hat, z_l, l, n))
                 # Z_(l) + (1/l) log(n eps_n / l) sum(Z_(l) - Z_(i))
-                order_form = fit.z_l + fit.kappa_hat * math.log(n * eps_n / fit.l)
+                order_form = z_l + kappa_hat * math.log(n * eps_n / l)
                 assert abs(direct - order_form) <= 1e-12 * max(1.0, abs(direct))
                 got = _log_quantile(x, beta, eps_n)
                 assert abs(got - order_form) <= 1e-12 * max(1.0, abs(got))
@@ -254,15 +256,10 @@ class TestErlangStatistic:
         # so l*kappa_hat = sum(Z_(l)-Z_(i)) is exactly Gamma(l-1, scale=kappa)
         # and independent of Z_(l)
         kappa = 2.0
-        n, beta, trials = 200, 0.05, 2000
-        rng = RNG(103)
-        sums = np.empty(trials)
-        pivots = np.empty(trials)
-        for t in range(trials):
-            fit = fit_power_tail(TrainingSample(rng.random(n) ** kappa), beta)
-            assert fit.l == 10
-            sums[t] = fit.l * fit.kappa_hat
-            pivots[t] = fit.z_l
+        n, l, trials = 200, 10, 2000  # l = ceil(0.05 n)
+        samples = RNG(103).random((trials, n)) ** kappa
+        kappa_hat, pivots = fit_ascending_tails(np.sort(samples, axis=1)[:, :l], n)
+        sums = l * kappa_hat
         ks = scipy.stats.kstest(sums, scipy.stats.gamma(a=9, scale=kappa).cdf)
         assert ks.pvalue > 0.01
         corr = np.corrcoef(pivots, sums)[0, 1]
@@ -346,9 +343,43 @@ class TestLoadSampleFile:
             load_sample_file(p)
         assert exc.value.line_no == line_no
 
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_text("\ufeff1.0\n2.5\n", encoding="utf-8")
+        assert load_sample_file(p).values.tolist() == [1.0, 2.5]
+        # the line loop reads the file again from its start, past the mark
+        p.write_text("\ufeff1.0\nbogus\n", encoding="utf-8")
+        with pytest.raises(SampleParseError) as exc:
+            load_sample_file(p)
+        assert exc.value.line_no == 2
+
+    def test_non_seekable_file_is_read_line_by_line(self, tmp_path):
+        texts = [repr(v) for v in RNG(74).exponential(size=200).tolist()]
+        texts += ["0", "-0", "5.", "+.5", " 2e-3 ", "1e-400", "4.9e-324", "1" * 30]
+        want = np.array([float(t) for t in texts])
+        assert _load_fifo(tmp_path, "\n".join(texts) + "\n").values.tobytes() == want.tobytes()
+        assert _load_fifo(tmp_path, "2.5\n1_000\n").values.tolist() == [2.5, 1000.0]
+        with pytest.raises(SampleParseError) as exc:
+            _load_fifo(tmp_path, "1.0\n\n# note\nbogus\n5.0\n")
+        assert exc.value.line_no == 4
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_sample_file(tmp_path / "absent.txt")
+
+
+def _load_fifo(tmp_path, text):
+    """load_sample_file on a FIFO that one writer thread fills with text: a
+    file that cannot seek, as /dev/stdin may be."""
+    fifo = tmp_path / "s.fifo"
+    fifo.unlink(missing_ok=True)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        return load_sample_file(fifo)
+    finally:
+        writer.join(timeout=10.0)
 
 
 _values = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)

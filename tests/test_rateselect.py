@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from statrate import rateselect as rs
 from statrate.channels import Rayleigh
 from statrate.errors import InsufficientTailDataError, NoSolutionError
-from statrate.learn import TrainingSample, fit_power_tail, sample_rows
+from statrate.learn import TrainingSample, fit_ascending_tails, sample_rows
 from statrate.mismatch import mean_outage_mismatch, meta_prob_mismatch
 from statrate.rateselect import (
     AR,
@@ -563,10 +563,11 @@ class TestSelectRate:
         s = TrainingSample(RNG(30).exponential(size=2000))
         got = select_rate(SelectorSpec("powerlaw-asym", beta=0.05), ReliabilityTarget(1e-3), s)
         assert got == _rate("powerlaw-asym", s.values, beta=0.05, eps_n=1e-3)
-        fit = fit_power_tail(s, 0.05)
-        alpha_hat = (fit.l / s.n) * math.exp(-fit.z_l / fit.kappa_hat)
+        l = 100  # ceil(0.05 n)
+        kappa, z_l = fit_ascending_tails(np.sort(s.values)[:l][None], s.n)
+        alpha_hat = (l / s.n) * math.exp(-z_l[0] / kappa[0])
         assert got == pytest.approx(math.log1p(math.exp(
-            fit.kappa_hat * math.log(1e-3 / alpha_hat))) / math.log(2.0), rel=1e-13)
+            kappa[0] * math.log(1e-3 / alpha_hat))) / math.log(2.0), rel=1e-13)
 
     def test_all_families_produce_finite_rates(self):
         s = TrainingSample(RNG(31).exponential(size=10**4))
@@ -732,7 +733,7 @@ class TestCalibrate:
         # alpha_hat = (l/n) exp(-z_l/kappa_hat) overflows to inf on this
         # tail; the z_l-based log-quantile is the one Calibration.rates takes
         x = 1e-300 * (1.0 + 1e-12 * np.arange(1000))
-        beta = 0.05
+        beta, l = 0.05, 50  # l = ceil(beta n)
         cases = ((SelectorSpec("powerlaw-asym", beta=beta), ReliabilityTarget(1e-3)),
                  (SelectorSpec("powerlaw-nonasym", beta=beta),
                   ReliabilityTarget(1e-3, kind=PCR, xi=0.1)))
@@ -740,11 +741,11 @@ class TestCalibrate:
             cal = calibrate(spec, target, x.size)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                fit = fit_power_tail(TrainingSample(x), beta)
+                kappa, z_l = fit_ascending_tails(np.sort(x)[:l][None], x.size)
                 got = cal.rates(x[None])[0]
-            q = fit.z_l + fit.kappa_hat * math.log(x.size * cal.eps_n / fit.l)
+            q = z_l[0] + kappa[0] * math.log(x.size * cal.eps_n / l)
             with np.errstate(over="ignore"):
-                alpha_hat = (fit.l / x.size) * np.exp(-fit.z_l / fit.kappa_hat)
+                alpha_hat = (l / x.size) * np.exp(-z_l[0] / kappa[0])
             assert alpha_hat == math.inf
             assert q == pytest.approx(math.log(1e-300), rel=1e-9)
             assert got == pytest.approx(math.log1p(math.exp(q)) / math.log(2.0), rel=1e-14, abs=0)
