@@ -19,13 +19,13 @@ schemas are documented in the README and enforced here.
 Importing this module loads only what argument parsing and the exit-code
 mapping need: errors and rateselect, which bring learn, specfun and
 numpy. epsn and rate use no more. Each other command imports its own
-modules: mismatch adds channels and mismatch, and evalmc only for
-power-law rows; sweep adds channels and evalmc, runs its points on
-threads of this process, and is the only command that configures
-logging (INFO to stderr, for its progress lines, logged from the calling
-thread), so an in-process caller of main for another command keeps its
-root logger as it was. A PCR command or mismatch imports scipy.special:
-about 0.24 s after numpy, half such a command's wall time (see specfun).
+modules: mismatch adds channels and mismatch; sweep adds channels and
+evalmc, runs its points on threads of this process, and is the only
+command that configures logging (INFO to stderr, for its progress lines,
+logged from the calling thread), so an in-process caller of main for
+another command keeps its root logger as it was. A PCR command or
+mismatch imports scipy.special: about 0.24 s after numpy, half such a
+command's wall time (see specfun).
 
 Importing this module registers gc.freeze to run at interpreter exit,
 so CPython's final collections skip the objects numpy and scipy.special
@@ -42,7 +42,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import math
 import sys
 
 from .errors import (
@@ -77,9 +76,7 @@ MISMATCH_HEADER = [
     "meta_prob_numeric", "meta_prob_chernoff",
 ]
 
-MISMATCH_SELECTORS = (
-    "rayleigh-ar", "rayleigh-pcr", "powerlaw-asym-ar", "powerlaw-asym-pcr",
-)
+MISMATCH_SELECTORS = ("rayleigh-ar", "rayleigh-pcr")
 
 _EPSN_FAMILIES = ("rayleigh", "powerlaw-asym", "powerlaw-nonasym")
 
@@ -158,15 +155,13 @@ def _reject_unknown(entries: dict[str, str]) -> None:
         raise ConfigError(f"unknown keys: {', '.join(sorted(entries))}")
 
 
-def _given_when(key: str, value, used: bool, where: str, default=None):
-    """The value of config key `key`, which is given exactly when what it
-    configures is used; `where` names that use and the given key that
-    decides it. A default makes the key optional where it is used."""
+def _given_when(key: str, value, used: bool, where: str) -> None:
+    """Check that config key `key` is given exactly when what it configures
+    is used; `where` names that use and the given key that decides it."""
     if value is not None and not used:
         raise ConfigError(f"key {key!r} is only valid with {where}")
-    if value is None and used and default is None:
+    if value is None and used:
         raise ConfigError(f"key {key!r} is required with {where}")
-    return default if value is None else value
 
 
 def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
@@ -262,54 +257,32 @@ def cmd_mismatch(args) -> int:
     selectors = _take(entries, "selectors", _as_list(_choice(MISMATCH_SELECTORS)))
     eps = _take(entries, "eps", float)
     xi = _take(entries, "xi", float, required=False)
-    beta = _take(entries, "beta", float, required=False)
     n = _take(entries, "n", _as_int)
-    trials = _take(entries, "trials", _as_int, required=False)
-    seed = _take(entries, "seed", _as_int, required=False)
     output = _take(entries, "output", str)
     _reject_unknown(entries)
 
-    listed = f"(selectors = {', '.join(selectors)})"
-    needs_mc = any(sel.startswith("powerlaw") for sel in selectors)
     _given_when("xi", xi, any(sel.endswith("-pcr") for sel in selectors),
-                f"pcr-designed selectors {listed}")
-    _given_when("beta", beta, needs_mc, f"power-law selectors {listed}")
-    _given_when("trials", trials, needs_mc, f"power-law selectors {listed}")
-    seed = _given_when("seed", seed, needs_mc, f"power-law selectors {listed}", default=0)
-    if needs_mc:
-        # only the power-law rows simulate, so only they load evalmc
-        from .evalmc import EvalConfig, evaluate
+                f"pcr-designed selectors (selectors = {', '.join(selectors)})")
 
     designs = {}
     for sel in selectors:
-        family, _, kind = sel.rpartition("-")
-        selector = SelectorSpec(family, beta=None if family == "rayleigh" else beta)
-        target = ReliabilityTarget(eps, kind, xi if kind == PCR else None)
-        designs[sel] = (selector, target, calibrate(selector, target, n))
+        kind = sel.rpartition("-")[2]
+        designs[sel] = calibrate(SelectorSpec("rayleigh"),
+                                 ReliabilityTarget(eps, kind, xi if kind == PCR else None), n)
     # every column is a function of the law (k, m) alone, so the scale is 1
     models = [Rician(1.0, v) if param == "k" else Nakagami(1.0, v)
               for v in param_values]
 
     rows = []
-    row_index = 0
-    nan = math.nan
     for value, model in zip(param_values, models):
         for sel in selectors:
-            selector, target, cal = designs[sel]
-            if sel.startswith("rayleigh"):
-                eps_n = cal.rate_level()
-                mo_num = mean_outage_mismatch(model, eps_n, n, method="numeric")
-                mp_num = meta_prob_mismatch(model, eps_n, eps, n, method="numeric")
-                mo_app = mean_outage_mismatch(model, eps, n, method="weak_n")
-                mp_ch = meta_prob_mismatch(model, eps_n, eps, n, method="chernoff")
-            else:
-                cfg = EvalConfig(model, selector, target, n, trials, seed)
-                rep = evaluate(cfg, axis_index=row_index)
-                mo_num, mo_app = rep.mean_outage.value, nan
-                mp_num, mp_ch = rep.meta_prob.value, nan
+            eps_n = designs[sel].rate_level()
+            mo_num = mean_outage_mismatch(model, eps_n, n, method="numeric")
+            mp_num = meta_prob_mismatch(model, eps_n, eps, n, method="numeric")
+            mo_app = mean_outage_mismatch(model, eps, n, method="weak_n")
+            mp_ch = meta_prob_mismatch(model, eps_n, eps, n, method="chernoff")
             rows.append([param, _fmt(value), sel, _fmt(mo_num), _fmt(mo_app),
                          _fmt(mp_num), _fmt(mp_ch)])
-            row_index += 1
     _write_csv(output, MISMATCH_HEADER, rows)
     print(f"wrote {len(rows)} rows to {output}")
     return 0

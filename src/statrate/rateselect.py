@@ -309,7 +309,12 @@ def epsn_powerlaw(target: ReliabilityTarget, n: int, beta: float,
 
 
 def _log2_1p(y):
-    return np.log1p(y) / _LN2
+    # every caller passes a fresh value: a float array is rated in place, so
+    # rating a block holds no third array
+    in_place = isinstance(y, np.ndarray) and y.dtype.kind == "f"
+    y = np.log1p(y, out=y if in_place else None)
+    y /= _LN2
+    return y
 
 
 @dataclass(frozen=True)
@@ -319,8 +324,8 @@ class Calibration:
     eps_n is the quantile level of the rayleigh, plugin-rayleigh and
     power-law families; l is the order-statistic index of the
     nonparametric families, where l = 0 is the zero-rate regime. A level
-    eps_n >= 1 has no rate: rate_level, which stat_rates and the analytic
-    mismatch rows read it through, raises NoSolutionError naming target.
+    eps_n >= 1 has no rate: rate_level, which stat_rates and the mismatch
+    table read it through, raises NoSolutionError naming target.
 
     width says which statistic of a sample the rate reads: None for the
     mean-based families (the sample mean), min(l, 1) for the

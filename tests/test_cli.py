@@ -551,10 +551,14 @@ class TestColdStart:
         assert statrate_loaded_by("rate", "--selector", *selector, "--constraint", "ar",
                                   "--eps", "1e-2", "--sample", file_500) == (CLI_MODULES, False)
 
-    def test_rayleigh_mismatch_loads_no_evalmc(self, tmp_path):
+    @pytest.mark.parametrize("param,selectors", [
+        ("k", "rayleigh-ar"), ("m", "rayleigh-ar, rayleigh-pcr")])
+    def test_mismatch_loads_no_evalmc(self, tmp_path, param, selectors):
+        # every column is a closed form or a Poisson sum: no row is simulated
+        xi = "xi = 1e-2\n" if "pcr" in selectors else ""
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("param = k\nparam_values = 0.5, 2\nselectors = rayleigh-ar\n"
-                       f"eps = 1e-3\nn = 100\noutput = {tmp_path / 'out.csv'}\n")
+        cfg.write_text(f"param = {param}\nparam_values = 0.5, 2\nselectors = {selectors}\n"
+                       f"eps = 1e-3\n{xi}n = 100\noutput = {tmp_path / 'out.csv'}\n")
         loaded, _ = statrate_loaded_by("mismatch", str(cfg))
         assert loaded == CLI_MODULES | {"statrate.channels", "statrate.mismatch"}
 
@@ -948,26 +952,24 @@ class TestMismatch:
         for row in csv.DictReader(out.open()):
             assert float(row["mean_outage_numeric"]) > 1e-4
 
-    def test_powerlaw_selector_rows_have_nan_approx(self, tmp_path):
-        out = tmp_path / "mp.csv"
+    def test_powerlaw_selectors_are_rejected(self, tmp_path):
+        # a power-law design under a mismatched truth is a sweep along k or m
+        out = tmp_path / "x.csv"
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(
-            "param = k\n"
-            "param_values = 1\n"
-            "selectors = powerlaw-asym-ar\n"
-            "eps = 1e-2\n"
-            "beta = 0.05\n"
-            "n = 1000\n"
-            "trials = 20\n"
-            f"output = {out}\n")
-        res = run_cli("mismatch", str(cfg))
-        assert res.returncode == 0
-        rows = list(csv.DictReader(out.open()))
-        assert len(rows) == 1
-        assert rows[0]["selector"] == "powerlaw-asym-ar"
-        assert rows[0]["mean_outage_approx"] == "nan"
-        assert rows[0]["meta_prob_chernoff"] == "nan"
-        assert math.isfinite(float(rows[0]["mean_outage_numeric"]))
+        for selector in ("powerlaw-asym-ar", "powerlaw-asym-pcr"):
+            cfg.write_text(
+                "param = k\n"
+                "param_values = 1\n"
+                f"selectors = rayleigh-ar, {selector}\n"
+                "eps = 1e-2\n"
+                "n = 1000\n"
+                f"output = {out}\n")
+            res = run_cli("mismatch", str(cfg))
+            assert res.returncode == 2
+            assert res.stderr == (
+                "config error: key 'selectors': expected one of rayleigh-ar, "
+                f"rayleigh-pcr, got {selector!r}\n")
+            assert not out.exists()
 
     def test_pcr_selector_requires_xi(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -982,33 +984,23 @@ class TestMismatch:
         assert res.returncode == 2
         assert "xi" in res.stderr
 
-    def test_powerlaw_selector_requires_beta_and_trials(self, tmp_path):
-        base = ("param = k\n"
-                "param_values = 1\n"
-                "selectors = powerlaw-asym-ar\n"
-                "eps = 1e-2\n"
-                "n = 1000\n"
-                f"output = {tmp_path / 'x.csv'}\n")
+    @pytest.mark.parametrize("extra", ["beta = 0.05", "trials = 10", "seed = 3"])
+    def test_monte_carlo_keys_are_unknown(self, tmp_path, extra):
+        # the table simulates nothing, so it has no tail fraction, trials or seed
+        out = tmp_path / "x.csv"
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(base + "trials = 10\n")
-        assert run_cli("mismatch", str(cfg)).returncode == 2
-        cfg2 = tmp_path / "cfg2.txt"
-        cfg2.write_text(base + "beta = 0.05\n")
-        assert run_cli("mismatch", str(cfg2)).returncode == 2
-
-    def test_trials_and_seed_need_powerlaw_selector(self, tmp_path):
-        base = ("param = k\n"
-                "param_values = 1\n"
-                "selectors = rayleigh-ar\n"
-                "eps = 1e-4\n"
-                "n = 100\n"
-                f"output = {tmp_path / 'x.csv'}\n")
-        for extra in ("trials = 10\n", "seed = 3\n"):
-            cfg = tmp_path / "cfg.txt"
-            cfg.write_text(base + extra)
-            res = run_cli("mismatch", str(cfg))
-            assert res.returncode == 2
-            assert "power-law" in res.stderr
+        cfg.write_text(
+            "param = k\n"
+            "param_values = 1\n"
+            "selectors = rayleigh-ar\n"
+            "eps = 1e-4\n"
+            "n = 100\n"
+            f"{extra}\n"
+            f"output = {out}\n")
+        res = run_cli("mismatch", str(cfg))
+        assert res.returncode == 2
+        assert res.stderr == f"config error: unknown keys: {extra.split()[0]}\n"
+        assert not out.exists()
 
     def test_non_finite_model_parameter_is_usage_error(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -1224,25 +1216,6 @@ class TestMismatch:
             # the column prints 12 digits; the value is within 2e-14 of the oracle
             assert [row["mean_outage_approx"] for row in rows] == [f"{want:.11e}"] * 2
 
-    def test_powerlaw_level_above_one_has_no_rate(self, tmp_path):
-        # the asymptotic PCR level is 1.03 at xi = 0.9, beta = 0.9, n = 10
-        out = tmp_path / "x.csv"
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(
-            "param = k\n"
-            "param_values = 1\n"
-            "selectors = powerlaw-asym-pcr\n"
-            "eps = 0.9\n"
-            "xi = 0.9\n"
-            "beta = 0.9\n"
-            "n = 10\n"
-            "trials = 5\n"
-            f"output = {out}\n")
-        res = run_cli("mismatch", str(cfg))
-        assert res.returncode == 3, res.stderr
-        assert "eps_n=1.03" in res.stderr
-        assert not out.exists()
-
     @pytest.mark.parametrize("selector,xi", [("rayleigh-ar", None), ("rayleigh-pcr", "0.9")])
     def test_rayleigh_level_rounding_to_one_has_no_rate(self, tmp_path, capsys, selector, xi):
         # eps_n rounds to 1 at eps = 0.999999, n = 1, as in rate and sweep
@@ -1281,8 +1254,7 @@ _MISMATCH_BASE = {"param": "k", "param_values": "1", "selectors": "rayleigh-ar",
 
 class TestConfigKeyCombinations:
     """A key is given exactly when what it configures is used: k with the
-    rician model, m with the nakagami model, xi with a pcr-designed selector,
-    beta, trials and seed (optional, default 0) with a power-law selector."""
+    rician model, m with the nakagami model, xi with a pcr-designed selector."""
 
     @pytest.mark.parametrize("command,keys,fault,decider", [
         ("sweep", {"k": "1"}, "k", "model"),
@@ -1293,11 +1265,6 @@ class TestConfigKeyCombinations:
         ("sweep", {"model": "nakagami", "m": "2", "k": "1"}, "k", "model"),
         ("mismatch", {"selectors": "rayleigh-ar, rayleigh-pcr"}, "xi", "selectors"),
         ("mismatch", {"xi": "0.1"}, "xi", "selectors"),
-        ("mismatch", {"selectors": "powerlaw-asym-ar", "trials": "10"}, "beta", "selectors"),
-        ("mismatch", {"beta": "0.05"}, "beta", "selectors"),
-        ("mismatch", {"selectors": "powerlaw-asym-ar", "beta": "0.05"}, "trials", "selectors"),
-        ("mismatch", {"trials": "10"}, "trials", "selectors"),
-        ("mismatch", {"seed": "3"}, "seed", "selectors"),
     ])
     def test_key_combination_rejected(self, tmp_path, command, keys, fault, decider):
         out, cfg = tmp_path / "o.csv", tmp_path / "c.txt"
@@ -1313,17 +1280,6 @@ class TestConfigKeyCombinations:
         for name in (fault, decider):
             assert re.search(rf"(?<![\w-]){name}\b", res.stderr), (name, res.stderr)
         assert not out.exists()
-
-    def test_seed_is_optional_with_power_law_selectors(self, tmp_path):
-        rows = []
-        for tag, seed in (("a", ""), ("b", "seed = 0\n")):
-            out, cfg = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.txt"
-            cfg.write_text("".join(f"{key} = {value}\n" for key, value in {
-                **_MISMATCH_BASE, "selectors": "powerlaw-asym-ar", "beta": "0.05",
-                "trials": "5", "output": out}.items()) + seed)
-            assert run_cli("mismatch", str(cfg)).returncode == 0
-            rows.append(out.read_bytes())
-        assert rows[0] == rows[1]
 
 
 _BIG_N = "1" + "0" * 400  # an exact integer past the largest double
@@ -1685,6 +1641,31 @@ class TestReadmeContract:
         assert out[2:] == ["wrote 2 rows to sweep.csv\n", "wrote 2 rows to mismatch.csv\n"]
         assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 3
         assert len((tmp_path / "mismatch.csv").read_text().splitlines()) == 3
+
+    def test_powerlaw_mismatch_sweep(self, monkeypatch, tmp_path):
+        # the README's sweep of a power-law design along a Rician k: point i's
+        # mean outage and meta-probability are evaluate's at axis_index i
+        from statrate.channels import Rician
+        from statrate.evalmc import EvalConfig, evaluate
+        from statrate.rateselect import ReliabilityTarget, SelectorSpec
+
+        block, = (b for b in re.findall(r"^```\n(.*?)^```", readme_section("### Config files"),
+                                        re.S | re.M) if "selector = powerlaw-asym" in b)
+        (tmp_path / "sweep.cfg").write_text(block)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("sweep", "sweep.cfg").returncode == 0
+        keys = _parse_kv_file("sweep.cfg")
+        assert (keys["model"], keys["axis"]) == ("rician", "k")
+        rows = list(csv.DictReader((tmp_path / keys["output"]).open()))
+        values = [float(v) for v in keys["axis_values"].split(",")]
+        assert len(rows) == len(values) > 1
+        for i, (value, row) in enumerate(zip(values, rows)):
+            report = evaluate(EvalConfig(
+                Rician(1.0, value), SelectorSpec(keys["selector"], beta=float(keys["beta"])),
+                ReliabilityTarget(float(keys["eps"]), keys["constraint"], float(keys["xi"])),
+                int(keys["n"]), int(keys["trials"]), int(keys["seed"])), axis_index=i)
+            assert row["mean_outage"] == cli._fmt(report.mean_outage.value)
+            assert row["meta_prob"] == cli._fmt(report.meta_prob.value)
 
     def test_csv_headers(self):
         blocks = re.findall(r"^```\w*\n(.*?)^```", README.read_text(), re.S | re.M)

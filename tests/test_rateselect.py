@@ -672,6 +672,20 @@ class TestCalibrate:
             with pytest.raises(ValueError, match=rf"\(B, {width}\)"):
                 cal.stat_rates(np.sort(samples, axis=1)[:, :width + 1])
 
+    def test_stat_rates_of_integers_and_scalars_are_those_of_float_arrays(self):
+        # a float array is rated in place; an integer array or a scalar mean
+        # may not be
+        target = ReliabilityTarget(0.05, PCR, 0.1)
+        for family, beta in (("rayleigh", None), ("nonparametric", None),
+                             ("powerlaw-asym", 0.05)):
+            cal = calibrate(SelectorSpec(family, beta=beta), target, 200)
+            stat = np.arange(1, 3 * (cal.width or 1) + 1).reshape(3, -1)
+            if cal.width is None:
+                stat = stat[:, 0]
+                for mean in (2.0, np.float64(2.0), np.array(2.0)):
+                    assert cal.stat_rates(mean) == cal.stat_rates(np.array([2.0]))[0]
+            assert cal.stat_rates(stat).tobytes() == cal.stat_rates(stat * 1.0).tobytes()
+
     def test_rates_validates_samples(self):
         cal = calibrate(SelectorSpec("rayleigh"), ReliabilityTarget(1e-2), 4)
         good = np.ones((2, 4))
