@@ -25,11 +25,10 @@ _EXPORTS = {
         "select_rate", "make_rate_fn", "Calibration", "calibrate"),
     "mismatch": (
         "mean_outage_exact_rayleigh", "meta_prob_exact_rayleigh", "mean_outage_mismatch",
-        "meta_prob_mismatch", "chernoff_tilt", "ChernoffSolution"),
+        "mean_outage_weak_n", "mean_outage_power_law", "meta_prob_mismatch", "chernoff_tilt"),
     "evalmc": ("EvalConfig", "EvalReport", "Estimate", "evaluate", "sweep"),
     "errors": (
-        "ConfigError", "NoSolutionError", "InsufficientTailDataError", "NoValidTiltError",
-        "SampleParseError"),
+        "ConfigError", "NoSolutionError", "InsufficientTailDataError", "SampleParseError"),
 }
 _SUBMODULES = (*_EXPORTS, "cli", "specfun")
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -48,7 +48,6 @@ from .errors import (
     ConfigError,
     InsufficientTailDataError,
     NoSolutionError,
-    NoValidTiltError,
     SampleParseError,
 )
 from .learn import load_sample_file
@@ -249,7 +248,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_mismatch(args) -> int:
     from .channels import Nakagami, Rician
-    from .mismatch import mean_outage_mismatch, meta_prob_mismatch
+    from .mismatch import (chernoff_tilt, mean_outage_mismatch, mean_outage_weak_n,
+                           meta_prob_mismatch)
 
     entries = _parse_kv_file(args.config)
     param = _take(entries, "param", _choice(("k", "m")))
@@ -277,12 +277,11 @@ def cmd_mismatch(args) -> int:
     for value, model in zip(param_values, models):
         for sel in selectors:
             eps_n = designs[sel].rate_level()
-            mo_num = mean_outage_mismatch(model, eps_n, n, method="numeric")
-            mp_num = meta_prob_mismatch(model, eps_n, eps, n, method="numeric")
-            mo_app = mean_outage_mismatch(model, eps, n, method="weak_n")
-            mp_ch = meta_prob_mismatch(model, eps_n, eps, n, method="chernoff")
-            rows.append([param, _fmt(value), sel, _fmt(mo_num), _fmt(mo_app),
-                         _fmt(mp_num), _fmt(mp_ch)])
+            rows.append([param, _fmt(value), sel,
+                         _fmt(mean_outage_mismatch(model, eps_n, n)),
+                         _fmt(mean_outage_weak_n(model, eps)),
+                         _fmt(meta_prob_mismatch(model, eps_n, eps, n)),
+                         _fmt(chernoff_tilt(model, eps_n, eps, n))])
     _write_csv(output, MISMATCH_HEADER, rows)
     print(f"wrote {len(rows)} rows to {output}")
     return 0
@@ -343,7 +342,7 @@ def main(argv=None) -> int:
         where = f" (line {exc.line_no})" if exc.line_no is not None else ""
         print(f"sample parse error{where}: {exc}", file=sys.stderr)
         return 4
-    except (NoSolutionError, InsufficientTailDataError, NoValidTiltError) as exc:
+    except (NoSolutionError, InsufficientTailDataError) as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -44,10 +44,6 @@ class InsufficientTailDataError(ValueError):
     """Too few tail samples to fit or calibrate a tail model."""
 
 
-class NoValidTiltError(ValueError):
-    """No exponential tilt satisfies the MGF domain constraint."""
-
-
 class SampleParseError(ValueError):
     """A sample file could not be parsed.
 

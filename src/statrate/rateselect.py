@@ -158,10 +158,10 @@ def epsn_rayleigh_pcr(eps: float, xi: float, n: int) -> float:
     eps = check_unit_interval(eps, "eps")
     xi = check_unit_interval(xi, "xi")
     n = check_positive_int(n, "n")
-    t_star = specfun.inv_reg_upper_gamma(float(n), xi)
-    if t_star <= 0.0:
+    thr = specfun.inv_reg_upper_gamma(float(n), xi)
+    if thr <= 0.0:
         raise NoSolutionError(f"degenerate Erlang quantile for n={n}, xi={xi}")
-    return -math.expm1(n * math.log1p(-eps) / t_star)
+    return -math.expm1(n * math.log1p(-eps) / thr)
 
 
 def nonparam_l_ar(eps: float, n: int) -> int:
@@ -324,8 +324,9 @@ class Calibration:
     eps_n is the quantile level of the rayleigh, plugin-rayleigh and
     power-law families; l is the order-statistic index of the
     nonparametric families, where l = 0 is the zero-rate regime. A level
-    eps_n >= 1 has no rate: rate_level, which stat_rates and the mismatch
-    table read it through, raises NoSolutionError naming target.
+    eps_n >= 1 has no rate: rate_level, which stat_rates and every mismatch
+    column but the weak-n one (it reads eps) read it through, raises
+    NoSolutionError naming target.
 
     width says which statistic of a sample the rate reads: None for the
     mean-based families (the sample mean), min(l, 1) for the

@@ -24,6 +24,7 @@ from statrate.learn import TrainingSample, fit_ascending_tails
 from statrate.mismatch import (
     mean_outage_exact_rayleigh,
     mean_outage_mismatch,
+    mean_outage_weak_n,
     meta_prob_exact_rayleigh,
     meta_prob_mismatch,
 )
@@ -97,7 +98,7 @@ def test_criterion_02_rayleigh_pcr_exact_and_scale_free():
         # path and once through the full selector + evaluator path
         for n in (10, 1000):
             eps_n = epsn_rayleigh_pcr(1e-3, 1e-2, n)
-            vals = [meta_prob_mismatch(Rayleigh(lam), eps_n, 1e-3, n, method="numeric")
+            vals = [meta_prob_mismatch(Rayleigh(lam), eps_n, 1e-3, n)
                     for lam in (0.1, 10.0)]
             assert abs(vals[0] - vals[1]) <= 1e-9
         target = ReliabilityTarget(1e-3, kind=PCR, xi=1e-2)
@@ -178,19 +179,19 @@ def test_criterion_06_mismatch_signs_and_magnitudes():
         eps_n = epsn_rayleigh_ar(eps, n)
         for k in (1.0, 3.0, 7.0):
             model = Rician(1.0, k)
-            numeric = mean_outage_mismatch(model, eps_n, n, method="numeric")
-            weak = mean_outage_mismatch(model, eps_n, n, method="weak_n")
+            numeric = mean_outage_mismatch(model, eps_n, n)
+            weak = mean_outage_weak_n(model, eps_n)
             assert numeric < eps
             assert abs(weak - numeric) <= 0.10 * numeric
         for m in (0.5, 0.7, 0.9):
             model = Nakagami(1.0, m)
-            numeric = mean_outage_mismatch(model, eps_n, n, method="numeric")
-            weak = mean_outage_mismatch(model, eps_n, n, method="weak_n")
+            numeric = mean_outage_mismatch(model, eps_n, n)
+            weak = mean_outage_weak_n(model, eps_n)
             assert numeric > eps
             assert abs(weak - numeric) <= 0.10 * numeric
-        spot_k3 = mean_outage_mismatch(Rician(1.0, 3.0), eps_n, n, method="numeric")
+        spot_k3 = mean_outage_mismatch(Rician(1.0, 3.0), eps_n, n)
         assert spot_k3 == pytest.approx(1.99e-5, rel=0.10)
-        spot_m05 = mean_outage_mismatch(Nakagami(1.0, 0.5), eps_n, n, method="numeric")
+        spot_m05 = mean_outage_mismatch(Nakagami(1.0, 0.5), eps_n, n)
         assert spot_m05 == pytest.approx(7.98e-3, rel=0.10)
 
 

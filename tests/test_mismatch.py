@@ -15,6 +15,8 @@ from statrate.mismatch import (
     chernoff_tilt,
     mean_outage_exact_rayleigh,
     mean_outage_mismatch,
+    mean_outage_power_law,
+    mean_outage_weak_n,
     meta_prob_exact_rayleigh,
     meta_prob_mismatch,
 )
@@ -188,18 +190,17 @@ class TestMeanOutageMismatch:
             mean_outage_mismatch(Rician(1.0, 700.0), 1e-3, 100)
 
     def test_weak_n_rician_k0_is_identity(self):
-        assert mean_outage_mismatch(Rician(1.0, 0.0), 1e-4, 100,
-                                    method="weak_n") == pytest.approx(1e-4, rel=1e-12)
+        assert mean_outage_weak_n(Rician(1.0, 0.0), 1e-4) == pytest.approx(1e-4, rel=1e-12)
 
     def test_weak_n_rician_k3(self):
         # (k+1) e^(-k) eps
-        got = mean_outage_mismatch(Rician(1.0, 3.0), 1e-4, 100, method="weak_n")
+        got = mean_outage_weak_n(Rician(1.0, 3.0), 1e-4)
         assert got == pytest.approx(4.0 * math.exp(-3.0) * 1e-4, rel=1e-12)
         assert got == pytest.approx(1.9915e-5, abs=5e-10)
 
     def test_weak_n_nakagami_half(self):
         # 0.5^0.5 / Gamma(1.5) * sqrt(eps)
-        got = mean_outage_mismatch(Nakagami(1.0, 0.5), 1e-4, 100, method="weak_n")
+        got = mean_outage_weak_n(Nakagami(1.0, 0.5), 1e-4)
         assert got == pytest.approx(
             math.sqrt(0.5) / math.gamma(1.5) * math.sqrt(1e-4), rel=1e-12)
         assert got == pytest.approx(7.979e-3, abs=5e-7)
@@ -212,14 +213,14 @@ class TestMeanOutageMismatch:
         model = Nakagami(lam, m)
         with mpmath.workdps(40):
             want = float((mpmath.mpf(level) * m) ** m / mpmath.gamma(m + 1))
-        assert mean_outage_mismatch(model, level, 100, method="weak_n") == pytest.approx(
+        assert mean_outage_weak_n(model, level) == pytest.approx(
             want, rel=1e-13, abs=0)
         g = -math.log1p(-level)
         with mpmath.workdps(40):
             lead = float((mpmath.mpf(g) * m) ** m / mpmath.gamma(m + 1))
         # 1 + (1 - kappa) / (2 n kappa^2) var / mean^2, kappa = 1/m and var / mean^2 = 1/m
         correction = 1.0 + (1.0 - 1.0 / m) * m / (2.0 * 100)
-        assert mean_outage_mismatch(model, level, 100, method="power_law") == pytest.approx(
+        assert mean_outage_power_law(model, level, 100) == pytest.approx(
             lead * correction, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("model,mean_per_lam,rel_var", [
@@ -237,12 +238,12 @@ class TestMeanOutageMismatch:
             lead = alpha * (-mpmath.log1p(-mpmath.mpf(eps_n)) * mean) ** (1 / kappa)
             correction = 1 + (1 - kappa) / (2 * n * kappa ** 2) * rel_var[0] / rel_var[1]
             want = float(lead * correction)
-        assert mean_outage_mismatch(model, eps_n, n, method="power_law") == pytest.approx(
+        assert mean_outage_power_law(model, eps_n, n) == pytest.approx(
             want, rel=1e-13, abs=0)
 
     def test_weak_n_scale_free(self):
         for lam in (0.1, 1.0, 10.0):
-            got = mean_outage_mismatch(Rician(lam, 3.0), 1e-4, 100, method="weak_n")
+            got = mean_outage_weak_n(Rician(lam, 3.0), 1e-4)
             assert got == pytest.approx(4.0 * math.exp(-3.0) * 1e-4, rel=1e-10)
 
     def test_pessimism_optimism_signs(self):
@@ -265,7 +266,7 @@ class TestMeanOutageMismatch:
             eps_n = epsn_rayleigh_ar(eps, n)
             for model in models:
                 numeric = mean_outage_mismatch(model, eps_n, n)
-                approx = mean_outage_mismatch(model, eps_n, n, method="power_law")
+                approx = mean_outage_power_law(model, eps_n, n)
                 assert abs(approx - numeric) / numeric <= 0.10
 
     def test_weak_n_independence_of_n(self):
@@ -278,13 +279,25 @@ class TestMeanOutageMismatch:
             hi = mean_outage_mismatch(model, epsn_rayleigh_ar(eps, 10**4), 10**4)
             assert abs(lo - hi) / hi <= 0.05
 
-    def test_method_validation(self):
-        with pytest.raises(ValueError):
-            mean_outage_mismatch(Rayleigh(1.0), 1e-3, 10, method="mc")
+    @pytest.mark.parametrize("column", [
+        lambda truth, level: mean_outage_mismatch(truth, level, 10),
+        mean_outage_weak_n,
+        lambda truth, level: mean_outage_power_law(truth, level, 10)],
+        ids=["exact", "weak_n", "power_law"])
+    def test_model_and_level_validation(self, column):
+        with pytest.raises(TypeError):
+            column(object(), 1e-3)
+        for level in (0.0, 1.0, -1e-3, 1.5):
+            with pytest.raises(ValueError, match="must be in \\(0, 1\\)"):
+                column(Rayleigh(1.0), level)
 
     def test_model_validation(self):
         with pytest.raises(TypeError):
             mean_outage_mismatch(object(), 1e-3, 10)
+
+    def test_power_law_sample_size_validation(self):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            mean_outage_power_law(Rayleigh(1.0), 1e-3, 0)
 
 
 class TestMetaProbMismatch:
@@ -364,9 +377,9 @@ class TestMetaProbMismatch:
                 truth = model(lam, *law)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)  # degenerate tilts
-                    return (mean_outage_mismatch(truth, eps, n, method="weak_n"),
-                            mean_outage_mismatch(truth, eps_n, n, method="power_law"),
-                            meta_prob_mismatch(truth, eps_n, eps, n, method="chernoff"))
+                    return (mean_outage_weak_n(truth, eps),
+                            mean_outage_power_law(truth, eps_n, n),
+                            chernoff_tilt(truth, eps_n, eps, n))
 
             for lam in (1e-318, 1e-300, 1e300, 1e306, 1e308):
                 assert cells(lam) == cells(1.0), (model, law, lam)
@@ -380,7 +393,7 @@ class TestMetaProbMismatch:
                 log_alpha = -k - mpmath.loggamma(m + 1)
                 log_power = m * mpmath.log(mpmath.mpf(level) * (m + k))
                 want = mpmath.exp(log_alpha + log_power)
-            got = mean_outage_mismatch(model, level, 100, method="weak_n")
+            got = mean_outage_weak_n(model, level)
             if want > sys.float_info.max:
                 assert got == math.inf
             elif want >= sys.float_info.min:
@@ -398,7 +411,7 @@ class TestMetaProbMismatch:
                     want = mp_chernoff_bound(model, eps_n, eps, n)
                     with warnings.catch_warnings():
                         warnings.simplefilter("ignore", RuntimeWarning)
-                        got = chernoff_tilt(model, eps_n, eps, n).bound_value
+                        got = chernoff_tilt(model, eps_n, eps, n)
                     if want >= 1e-300:
                         assert got == pytest.approx(float(want), rel=1e-12, abs=0), (n, eps)
                     else:
@@ -418,37 +431,24 @@ class TestMetaProbMismatch:
         assert got == 0.0
         assert peak < 10e6
 
-    def test_method_validation(self):
-        with pytest.raises(ValueError):
-            meta_prob_mismatch(Rayleigh(1.0), 1e-3, 1e-3, 10, method="exact")
+    @pytest.mark.parametrize("column", [meta_prob_mismatch, chernoff_tilt],
+                             ids=["exact", "chernoff"])
+    def test_model_and_level_validation(self, column):
+        with pytest.raises(TypeError):
+            column(object(), 1e-3, 1e-3, 10)
+        for level in (0.0, 1.0, -1e-3, 1.5):
+            with pytest.raises(ValueError, match="eps_n must be in"):
+                column(Rayleigh(1.0), level, 1e-3, 10)
+            with pytest.raises(ValueError, match="eps must be in"):
+                column(Rayleigh(1.0), 1e-3, level, 10)
 
 
 class TestChernoffTilt:
-    def test_rician_quadratic_residual(self):
-        # the tilt satisfies r w^2 - w - k = 0 with w = 1 - lam t*,
-        # r = (eps/alpha)^kappa / (g lam)
-        n = 10**3
-        eps = 1e-4
-        eps_n = epsn_rayleigh_pcr(eps, 1e-2, n)
-        g = -math.log1p(-eps_n)
-        for lam in (0.5, 1.0, 2.0):
-            for k in (0.5, 2.0, 5.0):
-                model = Rician(lam, k)
-                sol = chernoff_tilt(model, eps_n, eps, n)
-                assert sol.t_star < 1.0 / lam
-                with mpmath.workdps(40):  # alpha = exp(-k) / lam, kappa = 1/m = 1
-                    alpha = mpmath.exp(-k) / lam
-                    r = float(eps / alpha / (g * lam))
-                w = 1.0 - lam * sol.t_star
-                resid = r * w * w - w - k
-                scale = max(r * w * w, abs(w), k, 1.0)
-                assert abs(resid) <= 1e-8 * scale
-
     def test_nakagami_m1_vs_rayleigh_numeric_order_of_magnitude(self):
         n = 10**3
         eps = 1e-4
         eps_n = epsn_rayleigh_pcr(eps, 1e-2, n)
-        bound = chernoff_tilt(Nakagami(1.0, 1.0), eps_n, eps, n).bound_value
+        bound = chernoff_tilt(Nakagami(1.0, 1.0), eps_n, eps, n)
         exact = meta_prob_exact_rayleigh(eps_n, eps, n)
         assert exact == pytest.approx(1e-2, abs=1e-8)
         assert 0.1 <= bound / exact <= 10.0
@@ -458,7 +458,7 @@ class TestChernoffTilt:
         eps = 1e-4
         eps_n = epsn_rayleigh_pcr(eps, 1e-2, n)
         for model in [Nakagami(1.0, 1.0), Nakagami(1.0, 2.0), Rician(1.0, 1.0)]:
-            bound = meta_prob_mismatch(model, eps_n, eps, n, method="chernoff")
+            bound = chernoff_tilt(model, eps_n, eps, n)
             numeric = meta_prob_mismatch(model, eps_n, eps, n)
             assert 0.0 <= bound <= 1.0
             assert bound >= numeric
@@ -467,21 +467,24 @@ class TestChernoffTilt:
         # AR design: the threshold sits below the mean, no useful tilt
         n = 100
         eps_n = epsn_rayleigh_ar(1e-3, n)
-        with pytest.warns(RuntimeWarning):
-            sol = chernoff_tilt(Nakagami(1.0, 1.0), eps_n, 1e-3, n)
-        assert sol.t_star <= 0.0
-        assert sol.bound_value == 1.0
+        with pytest.warns(RuntimeWarning, match="optimal tilt is non-positive"):
+            assert chernoff_tilt(Nakagami(1.0, 1.0), eps_n, 1e-3, n) == 1.0
+
+    def test_underflowed_ratio_degenerates(self):
+        # eps^(1/m) / g = 1e-400 / 0.69 underflows the ratio r to 0, where the
+        # root w is infinite: the bound degenerates to 1 as it does at
+        # eps = 1e-150, where r is about 1e-300 (it once raised "ratio 0.0")
+        for eps in (1e-150, 1e-200):
+            with pytest.warns(RuntimeWarning, match="optimal tilt is non-positive"):
+                assert chernoff_tilt(Nakagami(1.0, 0.5), 0.5, eps, 10) == 1.0
 
     def test_threshold_past_every_double_bounds_by_zero(self):
         # Rician(1e-300, 800): r, about eps e^k / g at unit scale, passes the
-        # largest double; the bound exp(-n r (1 + o(1))) is 0 and t* = 1/lam,
-        # where the tilt once raised "ratio inf"
+        # largest double; the bound exp(-n r (1 + o(1))) is 0, where the tilt
+        # once raised "ratio inf"
         n = 100
         for eps_n in (epsn_rayleigh_ar(1e-3, n), epsn_rayleigh_pcr(1e-3, 1e-2, n)):
-            sol = chernoff_tilt(Rician(1e-300, 800.0), eps_n, 1e-3, n)
-            assert (sol.t_star, sol.bound_value) == (1.0 / 1e-300, 0.0)
-            assert meta_prob_mismatch(Rician(1e-300, 800.0), eps_n, 1e-3, n,
-                                      method="chernoff") == 0.0
+            assert chernoff_tilt(Rician(1e-300, 800.0), eps_n, 1e-3, n) == 0.0
 
     def test_mpmath_oracle(self):
         # at k >= 80 the Rician tilt once rounded 1 - lam t* to 0
@@ -499,7 +502,7 @@ class TestChernoffTilt:
                             want = mp_chernoff_bound(model, eps_n, eps, n)
                             with warnings.catch_warnings():
                                 warnings.simplefilter("ignore", RuntimeWarning)
-                                got = chernoff_tilt(model, eps_n, eps, n).bound_value
+                                got = chernoff_tilt(model, eps_n, eps, n)
                             if want >= 1e-300:
                                 assert got == pytest.approx(float(want), rel=1e-12, abs=0), (
                                     model, n, eps, eps_n)
