@@ -57,9 +57,10 @@ class ChannelModel:
         """P[Y <= y], elementwise for an array y; a float for a scalar y."""
         raise NotImplementedError
 
-    def quantile(self, p):
+    def quantile(self, p, out=None):
         """The y with cdf(y) = p for p in [0, 1), elementwise for an array p;
-        a float for a scalar p."""
+        a float for a scalar p. Given a float64 array out of p's shape, p
+        itself included, the result is written there and out returned."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -81,14 +82,14 @@ class Rayleigh(ChannelModel):
         with np.errstate(over="ignore"):  # y/lam = inf past DBL_MAX, where F = 1
             return _as_scalar(-np.expm1(-self._check_y(y) / self.lam))
 
-    def quantile(self, p):
-        # -lam log1p(-p) into one new array; lam y = inf past DBL_MAX
+    def quantile(self, p, out=None):
+        # -lam log1p(-p) into out or one new array; lam y = inf past DBL_MAX
         p = self._check_p(p)
-        y = np.negative(p, out=np.empty_like(p))
+        y = np.negative(p, out=np.empty_like(p) if out is None else out)
         np.log1p(y, out=y)
         with np.errstate(over="ignore"):
             y *= -self.lam
-        return _as_scalar(y)
+        return _as_scalar(y) if out is None else out
 
     def sample(self, rng, count):
         # inverse-CDF of a uniform keeps the draw reproducible across
@@ -122,13 +123,14 @@ class Rician(ChannelModel):
         return _as_scalar(_check_scipy_result(specfun.special().chndtr(x, 2.0, 2.0 * self.k),
                                               y, f"the Rician law with k={self.k}, lam={self.lam}"))
 
-    def quantile(self, p):
-        p = self._check_p(p)
-        x = _check_scipy_result(specfun.special().chndtrix(p, 2.0, 2.0 * self.k), p,
-                                f"the Rician law with k={self.k}, lam={self.lam}")
+    def quantile(self, p, out=None):
+        x = specfun.special().chndtrix(self._check_p(p), 2.0, 2.0 * self.k, out=out)
+        # _check_p refuses a nan level, so every nan is scipy's; p is not read
+        # again, as out may be p
+        _check_scipy_result(x, 0.0, f"the Rician law with k={self.k}, lam={self.lam}")
         with np.errstate(over="ignore"):  # lam x = inf past DBL_MAX
             x *= 0.5 * self.lam
-        return _as_scalar(x)
+        return _as_scalar(x) if out is None else out
 
     def sample(self, rng, count):
         count = check_positive_int(count, "count")
@@ -158,9 +160,10 @@ class Nakagami(ChannelModel):
         with np.errstate(over="ignore"):  # y/lam = inf past DBL_MAX, where F = 1
             return _as_scalar(specfun.special().gammainc(self.m, self._check_y(y) / self.lam))
 
-    def quantile(self, p):
+    def quantile(self, p, out=None):
         with np.errstate(over="ignore"):  # lam x = inf past DBL_MAX
-            return self.lam * specfun.inv_reg_lower_gamma(self.m, self._check_p(p))
+            x = specfun.inv_reg_lower_gamma(self.m, self._check_p(p))
+            return self.lam * x if out is None else np.multiply(self.lam, x, out=out)
 
     def sample(self, rng, count):
         return rng.gamma(self.m, self.lam, check_positive_int(count, "count"))

@@ -47,6 +47,10 @@ The draws, one kind per statistic and the same on every truth:
 
 Trial t is replayed from block t // rows's stream with the same draw,
 row t % rows. A block's tails are rated together, which changes no byte.
+A point allocates one (rows, l) array for its power-law tails: each
+block draws its uniforms into it, scales them and maps them through
+quantile(out=) in place, and the rating sorts the rows and takes the
+fit's logs in place too, so a block holds one block-sized array.
 """
 
 from __future__ import annotations
@@ -164,10 +168,11 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0):
 
     The outage of a trial is its exact conditional outage probability
     F(2^R - 1) under the true model. Each block draws the statistic its
-    selector reads, as the module docstring says, and Calibration.stat_rates
-    rates it; at width 0 every rate is zero and nothing is drawn. Draws
-    are rated unchecked, so a non-finite rate (a scale lam so large that a
-    drawn mean or tail value overflows) raises ValueError.
+    selector reads, as the module docstring says, and rates it with
+    Calibration.stat_rates's formulas, in place; at width 0 every rate is
+    zero and nothing is drawn. Draws are rated unchecked, so a non-finite
+    rate (a scale lam so large that a drawn mean or tail value overflows)
+    raises ValueError.
     """
     if not isinstance(config, EvalConfig):
         raise TypeError("config must be an EvalConfig")
@@ -181,6 +186,8 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0):
     df, nc = 2.0 * n * model.m, 2.0 * n * model.k  # the law (k, m) of scale lam
     rates = np.zeros(trials)  # width 0, the zero-rate regime, draws nothing
     rows = block_rows(width or 1)
+    # a power-law block's tails, drawn, mapped and rated in place block by block
+    tails = np.empty((min(rows, trials), width)) if width and l is None else None
     for lo in range(0, trials, rows) if width != 0 else ():
         hi = min(lo + rows, trials)  # unused rows of the last block are dropped
         rng = _block_rng(config.seed, axis_index, lo // rows)
@@ -190,18 +197,19 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0):
                 # the sum of n powers is lam/2 times a noncentral chi-square draw
                 stat = rng.noncentral_chisquare(df, nc, hi - lo) * 0.5 / n * model.lam
             elif l is not None:  # the l-th smallest of n uniforms, Beta(l, n + 1 - l)
-                stat = model.quantile(rng.beta(l, n + 1 - l, (hi - lo, 1)))
+                stat = rng.beta(l, n + 1 - l, (hi - lo, 1))
+                model.quantile(stat, out=stat)
             else:
                 # the width-th smallest U, drawn for all rows so that a partial
                 # block reads a prefix, and below it width - 1 i.i.d. uniforms
                 # on [0, U) (the Markov property), each U times a uniform
                 top = rng.beta(width, n + 1 - width, rows)[:hi - lo, None]
-                stat = rng.random((hi - lo, width))
+                stat = rng.random(out=tails[:hi - lo])
                 stat *= top
                 stat[:, -1:] = top
-                stat = model.quantile(stat)
-            rates[lo:hi] = calibration.stat_rates(stat)
-        del stat  # the next block draws with none of this one's arrays live
+                model.quantile(stat, out=stat)
+            rates[lo:hi] = calibration._stat_rates_in_place(stat)
+        del stat  # the next block draws with no array of this one live but tails
     if not np.isfinite(rates).all():
         raise ValueError(f"non-finite rate: the drawn powers overflow at lam={model.lam}")
     # conditional outage is an exact CDF value, not a simulated rate

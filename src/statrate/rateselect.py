@@ -308,11 +308,9 @@ def epsn_powerlaw(target: ReliabilityTarget, n: int, beta: float,
     return (l / n) * math.exp(u_star)
 
 
-def _log2_1p(y):
-    # every caller passes a fresh value: a float array is rated in place, so
-    # rating a block holds no third array
-    in_place = isinstance(y, np.ndarray) and y.dtype.kind == "f"
-    y = np.log1p(y, out=y if in_place else None)
+def _log2_1p(y: np.ndarray) -> np.ndarray:
+    # log2(1 + y) of a fresh float array, in place
+    np.log1p(y, out=y)
     y /= _LN2
     return y
 
@@ -389,17 +387,26 @@ class Calibration:
         return self.eps_n
 
     def stat_rates(self, stat: np.ndarray) -> np.ndarray:
-        """Rates from the statistic each row's rate reads; see the class."""
+        """Rates from the statistic each row's rate reads; see the class.
+        stat is left unchanged."""
+        return self._stat_rates_in_place(np.array(stat, dtype=float))
+
+    def _stat_rates_in_place(self, stat: np.ndarray) -> np.ndarray:
+        # stat_rates on a float array it may overwrite: a mean is scaled, and a
+        # power-law tail sorted and its logs taken, in place, so rating a
+        # block of either allocates no array the size of the block
         eps_n = self.rate_level()
         width = self.width
         if width is None:
             # log2(1 - log(1 - eps_n) mean)
-            return _log2_1p(-math.log1p(-eps_n) * stat)
+            stat *= -math.log1p(-eps_n)
+            return _log2_1p(stat)
         if stat.ndim != 2 or stat.shape[1] != width:
             raise ValueError(f"expected a (B, {width}) array, got shape {stat.shape}")
         if self.l is not None:  # log2(1 + x_(l)); the empty row sums to 0 at l = 0
             return _log2_1p(stat.sum(axis=1))
-        kappa, z_l = _fit_ascending_tails_in_place(np.sort(stat, axis=1), self.n)
+        stat.sort(axis=1)
+        kappa, z_l = _fit_ascending_tails_in_place(stat, self.n)
         # fitted log-quantile; eps_n = 0 (an underflowed level) gives rate 0
         with np.errstate(divide="ignore"):
             log_q = z_l + kappa * np.log(self.n * eps_n / width)

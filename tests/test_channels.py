@@ -207,6 +207,36 @@ class TestQuantile:
             assert u.tobytes() == before
 
 
+class TestQuantileOut:
+    LEVELS = (np.array([0.0, 1e-300, 1e-30, 1e-3, 0.3, 0.5, 0.9, 1.0 - 1e-12]),
+              np.array([[0.0, 1e-10, 1e-3], [0.25, 0.5, 0.999]]))
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
+    def test_out_gives_the_bits_of_the_allocating_call_and_is_returned(self, model):
+        # out = p itself, as a Monte Carlo block maps its uniforms, or apart
+        for p in self.LEVELS:
+            want = model.quantile(p).tobytes()
+            apart = np.full_like(p, np.nan)
+            assert model.quantile(p, out=apart) is apart
+            assert apart.tobytes() == want
+            same = p.copy()
+            assert model.quantile(same, out=same) is same
+            assert same.tobytes() == want
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
+    def test_scalar_without_out_is_a_float(self, model):
+        for p in (0.0, 1e-3, np.float64(0.5), np.array(0.9)):
+            y = model.quantile(p)
+            assert type(y) is float
+            assert y == model.quantile(np.array([p]))[0]
+
+    def test_rician_beyond_scipy_range_raises_with_out_the_levels(self):
+        # scipy's nan must not be read back as a nan level, which _check_p refuses
+        q = np.array([1e-4, 0.5])
+        with pytest.raises(ValueError, match=r"k=100000000000\.0, lam=1\.0 is beyond the range"):
+            Rician(1.0, 1e11).quantile(q, out=q)
+
+
 def mp_cdf(model, y):
     """F(y) at 40 digits: 1 - exp(-v) (Rayleigh), P(m, v) (Nakagami), or the
     Poisson(k) mixture sum_j Pois(j; k) P(1 + j, v) (Rician), v = y / lam,

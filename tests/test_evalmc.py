@@ -386,17 +386,17 @@ class TestBlockEngine:
             tracemalloc.stop()
         return peak / (8 * rows * cal.width)
 
-    def test_power_law_block_keeps_two_block_sized_arrays(self, monkeypatch):
-        # a Rayleigh power-law block: drawing and rating one holds the drawn
-        # tails and one sorted copy, not the uniforms, the previous block's
-        # statistic, the quantile's temporaries or the fit's logs
-        assert self.power_law_block_peak(monkeypatch, Rayleigh(1.0), 4) <= 2.25
+    def test_power_law_block_keeps_one_block_sized_array(self, monkeypatch):
+        # a Rayleigh power-law block: the uniforms are drawn, mapped, sorted and
+        # logged in one buffer a point allocates once, with no copy of them, no
+        # second block's array and no temporary of the quantile or the fit
+        assert self.power_law_block_peak(monkeypatch, Rayleigh(1.0), 4) <= 1.25
 
     def test_rician_power_law_block_checks_with_one_boolean_array(self, monkeypatch):
-        # the Rician quantile holds the uniforms and its result while it checks
-        # scipy's values; the check adds one boolean array (1/8 block) at a
-        # time, where three of them once took the peak to 2.38 blocks
-        assert self.power_law_block_peak(monkeypatch, Rician(1.0, 1.0), 2) <= 2.25
+        # the Rician quantile maps the buffer in place and checks scipy's
+        # values with one boolean array (1/8 block) at a time, where three of
+        # them once took the peak to 2.38 blocks
+        assert self.power_law_block_peak(monkeypatch, Rician(1.0, 1.0), 2) <= 1.25
 
     @pytest.mark.parametrize("model,family", [
         (Rayleigh(1.0), "rayleigh"), (Rayleigh(1.0), "nonparametric"),
@@ -412,14 +412,14 @@ class TestBlockEngine:
         # README's exception: the gamma inversion holds about 11 blocks)
         import tracemalloc
         peaks = []
-        stat_rates = Calibration.stat_rates
+        stat_rates = Calibration._stat_rates_in_place
 
         def spy(cal, stat):
             rates = stat_rates(cal, stat)
             peaks.append(tracemalloc.get_traced_memory()[1])
             return rates
 
-        monkeypatch.setattr(Calibration, "stat_rates", spy)
+        monkeypatch.setattr(Calibration, "_stat_rates_in_place", spy)
         cfg = _cfg(model=model, family=family, kind=PCR, xi=0.1, n=10**4,
                    trials=2**16, seed=64)
         assert block_rows(calibrate(cfg.selector, cfg.target, cfg.n).width or 1) == 2**16
@@ -498,8 +498,8 @@ class TestTailPath:
     def test_each_block_is_rated_as_one_batch(self, monkeypatch, model):
         # a block of 753 rows of l = 87 tail values, or of 2^16 order statistics
         batches = []
-        real = Calibration.stat_rates
-        monkeypatch.setattr(Calibration, "stat_rates",
+        real = Calibration._stat_rates_in_place
+        monkeypatch.setattr(Calibration, "_stat_rates_in_place",
                             lambda self, tail: batches.append(tail.shape) or real(self, tail))
         for family, beta, want in (("powerlaw-asym", 0.0087, [(753, 87), (753, 87), (94, 87)]),
                                    ("nonparametric", None, [(1600, 1)])):

@@ -673,8 +673,7 @@ class TestCalibrate:
                 cal.stat_rates(np.sort(samples, axis=1)[:, :width + 1])
 
     def test_stat_rates_of_integers_and_scalars_are_those_of_float_arrays(self):
-        # a float array is rated in place; an integer array or a scalar mean
-        # may not be
+        # stat_rates rates a float copy of whatever it is given
         target = ReliabilityTarget(0.05, PCR, 0.1)
         for family, beta in (("rayleigh", None), ("nonparametric", None),
                              ("powerlaw-asym", 0.05)):
