@@ -93,12 +93,9 @@ class Rayleigh(ChannelModel):
 
     def sample(self, rng, count):
         # inverse-CDF of a uniform keeps the draw reproducible across
-        # numpy versions (no rejection steps): -lam log1p(-u), in place
-        y = rng.random(check_positive_int(count, "count"))
-        np.negative(y, out=y)
-        np.log1p(y, out=y)
-        y *= -self.lam
-        return y
+        # numpy versions (no rejection steps): quantile, in place
+        u = rng.random(check_positive_int(count, "count"))
+        return self.quantile(u, out=u)
 
 
 @dataclass(frozen=True)

@@ -36,21 +36,18 @@ The draws, one kind per statistic and the same on every truth:
         (k, m) of scale lam (Rayleigh (0, 1), Rician (k, 1), Nakagami
         (0, m)), so the sum of n powers is lam/2 times a draw X of
         noncentral_chisquare(2 n m, 2 n k); the mean is lam * (X/2 / n).
-    order statistic (nonparametric families)  the l-th smallest of n
-        values is F^-1(U), U ~ Beta(l, n + 1 - l) (David and Nagaraja,
-        "Order Statistics", 2003, ch. 2): one beta draw, then quantile.
-    l smallest values (power-law)  the l-th smallest uniform U, one beta
-        draw as above for every row of the block, then the l - 1 below it,
-        i.i.d. uniform on [0, U) (the Markov property of order statistics,
-        ibid.): a (rows, l) array of uniforms, each row scaled by its U,
-        with U itself in the last column; then quantile.
+    tail (nonparametric: the l-th smallest; power-law: the l = width smallest)
+        the l-th smallest of n uniforms is U ~ Beta(l, n + 1 - l), and the
+        width - 1 below it are i.i.d. uniform on [0, U) (David and
+        Nagaraja, "Order Statistics", 2003, ch. 2; the Markov property): a
+        (rows, width) array of uniforms, each row scaled by its U, with U
+        in the last column; then quantile.
 
 Trial t is replayed from block t // rows's stream with the same draw,
 row t % rows. A block's tails are rated together, which changes no byte.
-A point allocates one (rows, l) array for its power-law tails: each
-block draws its uniforms into it, scales them and maps them through
-quantile(out=) in place, and the rating sorts the rows and takes the
-fit's logs in place too, so a block holds one block-sized array.
+A point allocates one (rows, width) array for its tails, which each block
+draws into, scales and maps through quantile(out=) in place; a power-law
+rating sorts its rows and takes the fit's logs in place too.
 """
 
 from __future__ import annotations
@@ -65,6 +62,7 @@ import numpy as np
 
 from .channels import ChannelModel, Nakagami, Rayleigh, Rician, _check_truth
 from .errors import check_positive_int
+from .learn import fit_ascending_tails
 from .rateselect import ReliabilityTarget, SelectorSpec, calibrate
 
 __all__ = [
@@ -169,10 +167,11 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0):
     The outage of a trial is its exact conditional outage probability
     F(2^R - 1) under the true model. Each block draws the statistic its
     selector reads, as the module docstring says, and rates it with
-    Calibration.stat_rates's formulas, in place; at width 0 every rate is
-    zero and nothing is drawn. Draws are rated unchecked, so a non-finite
-    rate (a scale lam so large that a drawn mean or tail value overflows)
-    raises ValueError.
+    Calibration.stat_rates's formulas, in place; at l = 0 every rate is
+    zero and nothing is drawn, and a power-law tail narrower than 2 raises
+    InsufficientTailDataError before a block is drawn. Draws are rated
+    unchecked, so a non-finite rate (a scale lam so large that a drawn mean
+    or tail value overflows) raises ValueError.
     """
     if not isinstance(config, EvalConfig):
         raise TypeError("config must be an EvalConfig")
@@ -184,11 +183,14 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0):
     calibration = calibrate(config.selector, config.target, n)
     l, width = calibration.l, calibration.width
     df, nc = 2.0 * n * model.m, 2.0 * n * model.k  # the law (k, m) of scale lam
-    rates = np.zeros(trials)  # width 0, the zero-rate regime, draws nothing
+    if l is None and width is not None:  # a power-law tail narrower than 2 raises here
+        fit_ascending_tails(np.empty((0, width)), n)
+    top = width if l is None else l  # the rank of a tail row's top level
+    rates = np.zeros(trials)  # l = 0, the zero-rate regime, draws nothing
     rows = block_rows(width or 1)
-    # a power-law block's tails, drawn, mapped and rated in place block by block
-    tails = np.empty((min(rows, trials), width)) if width and l is None else None
-    for lo in range(0, trials, rows) if width != 0 else ():
+    # a block's tails, drawn, mapped and rated in place block by block
+    tails = np.empty((min(rows, trials), width)) if width else None
+    for lo in range(0, trials, rows) if l != 0 else ():
         hi = min(lo + rows, trials)  # unused rows of the last block are dropped
         rng = _block_rng(config.seed, axis_index, lo // rows)
         # an overflow to inf is reported by the finite-rate check
@@ -196,17 +198,17 @@ def trial_outcomes(config: EvalConfig, axis_index: int = 0):
             if width is None:
                 # the sum of n powers is lam/2 times a noncentral chi-square draw
                 stat = rng.noncentral_chisquare(df, nc, hi - lo) * 0.5 / n * model.lam
-            elif l is not None:  # the l-th smallest of n uniforms, Beta(l, n + 1 - l)
-                stat = rng.beta(l, n + 1 - l, (hi - lo, 1))
-                model.quantile(stat, out=stat)
             else:
-                # the width-th smallest U, drawn for all rows so that a partial
-                # block reads a prefix, and below it width - 1 i.i.d. uniforms
-                # on [0, U) (the Markov property), each U times a uniform
-                top = rng.beta(width, n + 1 - width, rows)[:hi - lo, None]
-                stat = rng.random(out=tails[:hi - lo])
-                stat *= top
-                stat[:, -1:] = top
+                # the top-th smallest U, in the last column, below it width - 1
+                # uniforms on [0, U); levels that uniforms follow are drawn for
+                # all rows, so that a partial block reads a prefix
+                level = rng.beta(top, n + 1 - top, rows if width > 1 else hi - lo)[:hi - lo, None]
+                stat = tails[:hi - lo]
+                if width > 1:
+                    rng.random(out=stat)
+                    stat *= level
+                stat[:, -1:] = level
+                del level  # block-sized for an order statistic: freed before rating
                 model.quantile(stat, out=stat)
             rates[lo:hi] = calibration._stat_rates_in_place(stat)
         del stat  # the next block draws with no array of this one live but tails

@@ -283,8 +283,9 @@ def test_criterion_09_special_function_oracles():
 
 
 def test_criterion_10_sweep_determinism(tmp_path):
-    # the rayleigh mean family in one partial block, and a nonparametric tail
-    # (l = 87 and 84) over blocks of 753 and 780 rows
+    # the rayleigh mean family in one partial block, and nonparametric order
+    # statistics (l = 87 and 84), whose 1600 trials are one partial block of
+    # 2^16 rows
     sweeps = {
         "mean": ("selector = rayleigh\nconstraint = ar\nn = 20\ntrials = 50\n"
                  "seed = 11\naxis = n\naxis_values = 10, 20\n", (1, 1, 4)),

@@ -354,6 +354,17 @@ class TestSampler:
             got = Rician(lam, k).sample(gen(), count)
             assert got.tobytes() == want.tobytes()
 
+    def test_rayleigh_sample_past_the_largest_double_is_inf_without_warning(self):
+        # the sampler is the quantile of its uniforms: lam y = inf past
+        # DBL_MAX (for y > 1.7977 at lam = 1e308, about 17% of the draws)
+        model = Rayleigh(1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = model.sample(RNG(606), 1000)
+            want = model.quantile(RNG(606).random(1000))
+        assert 100 < np.count_nonzero(np.isinf(x)) < 300
+        assert x.tobytes() == want.tobytes()
+
     def test_count_and_nonnegative(self):
         for model in ALL_MODELS:
             x = model.sample(RNG(404), 17)

@@ -903,6 +903,26 @@ class TestSweep:
         assert re.search(r"\d+ of the l=500 smallest of n=10000 values are 0", res.stderr)
         assert not out.exists()
 
+    @pytest.mark.parametrize("beta,n,l", [(5e-324, 1, 0), (0.5, 2, 1)])
+    def test_powerlaw_tail_narrower_than_two_fails_as_rate_does(self, tmp_path, beta, n, l):
+        # ceil(beta n) = 0 (a subnormal beta) or 1: no tail to fit, not the
+        # nonparametric zero-rate regime, so sweep exits 3 as rate does
+        message = f"tail fit needs ceil(beta*n) >= 2 values, got l={l} (n={n})"
+        sample = tmp_path / "s.txt"
+        sample.write_text("".join(f"{1.0 + i}\n" for i in range(n)))
+        res = run_cli("rate", "--selector", "powerlaw-asym", "--constraint", "ar",
+                      "--eps", "0.5", "--beta", repr(beta), "--sample", str(sample))
+        assert (res.returncode, res.stderr) == (3, f"no solution: {message}\n")
+        out = tmp_path / "x.csv"
+        cfg = write_sweep_config(
+            tmp_path / "cfg.txt", out, drop=("selector", "eps", "n", "axis_values"),
+            extra=f"selector = powerlaw-asym\neps = 0.5\nbeta = {beta!r}\n"
+                  f"n = {n}\naxis_values = {n}\n")
+        res = run_cli("sweep", cfg)
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.endswith(f"no solution: {message}\n")
+        assert not out.exists()
+
 
 def mp_log_mgf(k, m, t):
     """log E[e^(t Y)], t < 1, of the noncentral gamma law (k, m) at unit scale."""

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
-from scipy.special import ndtri
+from scipy.special import betaincc, ndtri
 
 from statrate.channels import ChannelModel, Nakagami, Rayleigh, Rician
 from statrate import evalmc
@@ -23,6 +23,7 @@ from statrate.evalmc import (
     sweep,
     trial_outcomes,
 )
+from statrate.errors import InsufficientTailDataError
 from statrate.learn import TrainingSample
 from statrate.mismatch import mean_outage_exact_rayleigh, meta_prob_exact_rayleigh
 from statrate.rateselect import (
@@ -443,9 +444,22 @@ class TestTailPath:
         for model in MODELS:
             cfg = _cfg(model=model, family="nonparametric", eps=1e-2, n=50,
                        trials=40, seed=65)
-            assert calibrate(cfg.selector, cfg.target, 50).width == 0
+            assert calibrate(cfg.selector, cfg.target, 50).l == 0
             rates, outages = trial_outcomes(cfg)
             assert rates.tolist() == outages.tolist() == [0.0] * 40
+
+    @pytest.mark.parametrize("beta,n", [(5e-324, 1), (0.5, 2)])
+    def test_narrow_power_law_tail_raises_before_drawing(self, monkeypatch, beta, n):
+        # ceil(beta n) = 0 or 1: rate's tail-fit error, not the zero-rate regime
+        def no_draw(*args):
+            raise AssertionError("drew a block for a tail narrower than 2")
+
+        monkeypatch.setattr(evalmc, "_block_rng", no_draw)
+        cfg = _cfg(family="powerlaw-asym", beta=beta, eps=0.5, n=n, trials=40, seed=65)
+        width = calibrate(cfg.selector, cfg.target, n).width
+        with pytest.raises(InsufficientTailDataError,
+                           match=rf"ceil\(beta\*n\) >= 2 values, got l={width} \(n={n}\)"):
+            trial_outcomes(cfg)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_rate_raises(self):
@@ -510,6 +524,65 @@ class TestTailPath:
             assert batches == want
             for t in (0, 752, 753, 1506, 1599):
                 assert _replay(cfg, 0, t) == rates[t]
+
+
+class TestOrderStatisticOracle:
+    """The three metrics of the order-statistic designs against exact values.
+
+    A trial rates R = log2(1 + F^-1(U)) with outage q = U, U ~ Beta(l,
+    n + 1 - l) (David and Nagaraja, "Order Statistics", 2003, ch. 2), so the
+    mean outage is l/(n+1), the meta-probability 1 - I_eps(l, n + 1 - l) and
+    the throughput ratio E[R (1 - U)] / (R_eps (1 - eps)) an integral over
+    the Beta density, by quad at relative tolerance 1e-10, with F^-1 from
+    scipy.stats. Pass rule, fixed before the first run: seed 4242, axis
+    index 0 and 20000 trials a cell; each Monte Carlo metric lies within
+    4 standard errors of its exact value, the standard error sd/sqrt(trials)
+    of the exact law. At l = 0 (nonparametric PCR at n = 200) every rate is
+    0 and each metric is exactly 0.
+    """
+
+    TRIALS = 20000
+    LAWS = ((Rayleigh(1.0), scipy.stats.expon(scale=1.0)),
+            (Nakagami(1.0, 2.0), scipy.stats.gamma(2.0, scale=1.0)),
+            (Rician(1.0, 3.0), scipy.stats.ncx2(2.0, 6.0, scale=0.5)))
+
+    @staticmethod
+    def beta_moments(law, l, n):
+        """E[R (1 - U)] and E[(R (1 - U))^2] over U ~ Beta(l, n + 1 - l)."""
+        from scipy.integrate import quad
+
+        density = scipy.stats.beta(l, n + 1 - l)
+        # break the range where the density's mass lies, so quad finds it
+        points = (density.ppf(1e-14), density.mean(), density.isf(1e-14))
+        goodput = lambda u: math.log2(1.0 + law.ppf(u)) * (1.0 - u)
+        return [quad(lambda u: goodput(u) ** power * density.pdf(u), 0.0, 1.0, points=points,
+                     epsrel=1e-10, epsabs=0.0, limit=200)[0] for power in (1, 2)]
+
+    @pytest.mark.parametrize("n", [200, 2000])
+    @pytest.mark.parametrize("family,kind", [
+        ("nonparametric", "ar"), ("nonparametric", PCR), ("plugin-nonparametric", "ar")])
+    @pytest.mark.parametrize("model,law", LAWS, ids=["rayleigh", "nakagami", "rician"])
+    def test_metrics_within_four_se_of_exact(self, model, law, family, kind, n):
+        eps, trials = 1e-2, self.TRIALS
+        cfg = _cfg(model=model, family=family, eps=eps, kind=kind,
+                   xi=0.1 if kind == PCR else None, n=n, trials=trials, seed=4242)
+        l = calibrate(cfg.selector, cfg.target, n).l
+        report = evaluate(cfg)
+        got = (report.mean_outage.value, report.meta_prob.value,
+               report.throughput_ratio.value)
+        if l == 0:
+            assert (family, kind, n) == ("nonparametric", PCR, 200)
+            assert got == (0.0, 0.0, 0.0)
+            return
+        a, b = l, n + 1 - l
+        meta = float(betaincc(a, b, eps))
+        denom = math.log2(1.0 + law.ppf(eps)) * (1.0 - eps)
+        m1, m2 = self.beta_moments(law, l, n)
+        exact = (a / (n + 1), meta, m1 / denom)
+        variance = (a * b / ((n + 1) ** 2 * (n + 2)), meta * (1.0 - meta),
+                    (m2 - m1 * m1) / denom**2)
+        for value, want, var in zip(got, exact, variance):
+            assert abs(value - want) <= 4.0 * math.sqrt(var / trials), (value, want)
 
 
 class TestDraws:
