@@ -13,6 +13,9 @@ Every truth is a noncentral gamma law (k, m) of scale lam (see
 channels), so each exact value is one formula of that law: a Poisson(n k)
 mixture of noncentral F CDFs for the mean outage, a noncentral
 chi-square tail of 2 n m degrees of freedom for the meta-probability.
+Rayleigh is the law (0, 1), so its closed forms 1 - (1 + g/n)^-n and the
+Gamma(n) tail are these formulas at k = 0, and mean_outage_exact_rayleigh
+and meta_prob_exact_rayleigh are the two exact columns at Rayleigh(1.0).
 No value depends on lam: each approximation is formed in logs from the
 law at unit scale. Every CDF behaves like a power law alpha y^(1/kappa)
 as y -> 0, with alpha = exp(-k) lam^-m / Gamma(m+1) and kappa = 1/m; at
@@ -27,7 +30,7 @@ import warnings
 from dataclasses import replace
 
 from . import specfun
-from .channels import ChannelModel, _check_truth
+from .channels import ChannelModel, Rayleigh, _check_truth
 from .errors import check_positive_int, check_unit_interval
 
 __all__ = [
@@ -47,30 +50,13 @@ def _log_tail(model: ChannelModel, y: float) -> float:
 
 
 def mean_outage_exact_rayleigh(eps_n: float, n: int) -> float:
-    """Exact mean outage of the Rayleigh-MLE rate under Rayleigh fading.
-
-    With g = -log(1-eps_n) the outage is 1 - exp(-g Xbar/lam) and
-    Xbar/lam averages n unit exponentials, so the expectation is the
-    scaled-gamma MGF value 1 - (1 + g/n)^(-n). Independent of lam.
-    """
-    eps_n = check_unit_interval(eps_n, "eps_n")
-    n = check_positive_int(n, "n")
-    g = -math.log1p(-eps_n)
-    return -math.expm1(-n * math.log1p(g / n))
+    """mean_outage_mismatch at Rayleigh truth, the law (0, 1)."""
+    return mean_outage_mismatch(Rayleigh(1.0), eps_n, n)
 
 
 def meta_prob_exact_rayleigh(eps_n: float, eps: float, n: int) -> float:
-    """Exact meta-probability P[outage > eps] under Rayleigh fading.
-
-    The outage exceeds eps iff the unit-scale sum S ~ Gamma(n, 1)
-    exceeds n log(1-eps)/log(1-eps_n); the result is the regularized
-    upper gamma tail of that threshold. Independent of lam.
-    """
-    eps_n = check_unit_interval(eps_n, "eps_n")
-    eps = check_unit_interval(eps, "eps")
-    n = check_positive_int(n, "n")
-    thr = n * math.log1p(-eps) / math.log1p(-eps_n)
-    return specfun.reg_upper_gamma(float(n), thr)
+    """meta_prob_mismatch at Rayleigh truth, the law (0, 1)."""
+    return meta_prob_mismatch(Rayleigh(1.0), eps_n, eps, n)
 
 
 def mean_outage_mismatch(true_model: ChannelModel, eps_n: float, n: int) -> float:
@@ -165,8 +151,9 @@ def chernoff_tilt(true_model: ChannelModel, eps_n: float, eps: float,
     r = thr/lam, and w is its positive root. The bound is
     exp(n (k(1-w)/w - m log w - (1-w) r)). A root w >= 1 (no positive
     tilt) means the threshold sits at or below the mean and the bound
-    degenerates to 1, with a RuntimeWarning; so does r = 0, where w is
-    infinite. Where r overflows, w -> 0 and the bound is 0.
+    degenerates to 1, with a RuntimeWarning naming k, m, eps_n and n; so
+    does r = 0, where w is infinite. Where r overflows, w -> 0 and the
+    bound is 0.
     """
     _check_truth(true_model)
     eps_n = check_unit_interval(eps_n, "eps_n")
@@ -189,15 +176,10 @@ def chernoff_tilt(true_model: ChannelModel, eps_n: float, eps: float,
 
     if w >= 1.0:
         warnings.warn(
-            "optimal tilt is non-positive (threshold at or below the mean); "
-            "the exponential bound degenerates to 1", RuntimeWarning,
-            stacklevel=2)
+            "optimal tilt is non-positive (threshold at or below the mean) at "
+            f"k={k!r}, m={m!r}, eps_n={eps_n!r}, n={n}; the exponential bound "
+            "degenerates to 1", RuntimeWarning, stacklevel=2)
         return 1.0
-
-    log_bound = n * (k * (1.0 - w) / w - m * math.log(w) - (1.0 - w) * r)
-    if log_bound > 0.0:
-        warnings.warn(
-            "exponential bound exceeds 1 and was clamped", RuntimeWarning,
-            stacklevel=2)
-        return 1.0
-    return math.exp(log_bound)
+    # the exponent is strictly convex in w and 0 at w = 1, so negative at the
+    # root w < 1 but for rounding
+    return math.exp(min(n * (k * (1.0 - w) / w - m * math.log(w) - (1.0 - w) * r), 0.0))

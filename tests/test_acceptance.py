@@ -22,10 +22,8 @@ from statrate.channels import Nakagami, Rayleigh, Rician
 from statrate.evalmc import EvalConfig, evaluate
 from statrate.learn import TrainingSample, fit_ascending_tails
 from statrate.mismatch import (
-    mean_outage_exact_rayleigh,
     mean_outage_mismatch,
     mean_outage_weak_n,
-    meta_prob_exact_rayleigh,
     meta_prob_mismatch,
 )
 from statrate.rateselect import (
@@ -83,7 +81,8 @@ def test_criterion_01_rayleigh_ar_exact_inverse():
         for eps in (1e-3, 1e-4, 1e-5):
             for n in (1, 10, 100, 1000, 10000):
                 eps_n = epsn_rayleigh_ar(eps, n)
-                achieved = mean_outage_exact_rayleigh(eps_n, n)
+                # the closed form 1 - (1 + g/n)^-n, g = -log(1-eps_n)
+                achieved = -math.expm1(-n * math.log1p(-math.log1p(-eps_n) / n))
                 assert abs(achieved - eps) <= 1e-12
 
 
@@ -93,7 +92,9 @@ def test_criterion_02_rayleigh_pcr_exact_and_scale_free():
             for n in (1, 10, 100, 1000, 10000):
                 for xi in (1e-3, 1e-2, 1e-1):
                     eps_n = epsn_rayleigh_pcr(eps, xi, n)
-                    assert abs(meta_prob_exact_rayleigh(eps_n, eps, n) - xi) <= 1e-8
+                    # the closed form: the Gamma(n, 1) tail past the threshold
+                    meta = sp.gammaincc(n, n * math.log1p(-eps) / math.log1p(-eps_n))
+                    assert abs(meta - xi) <= 1e-8
         # mean-power independence, once through the numeric-integration
         # path and once through the full selector + evaluator path
         for n in (10, 1000):

@@ -1195,6 +1195,27 @@ class TestMismatch:
         rows = list(csv.DictReader(out.open()))
         assert [float(r["meta_prob_chernoff"]) for r in rows] == [1.0, 1.0]
 
+    def test_each_degenerate_tilt_row_warns_with_its_law(self, tmp_path):
+        # at n = 1 the AR threshold sits below the mean at m = 0.5 and 1, so
+        # both rows degenerate; the warning once printed one line for both
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            "param = m\n"
+            "param_values = 0.5, 1\n"
+            "selectors = rayleigh-ar\n"
+            "eps = 1e-3\n"
+            "n = 1\n"
+            f"output = {out}\n")
+        res = run_cli("mismatch", str(cfg))
+        assert res.returncode == 0, res.stderr
+        warned = re.findall(r"RuntimeWarning: optimal tilt is non-positive .* at "
+                            r"k=(\S+), m=(\S+), eps_n=(\S+), n=(\d+);", res.stderr)
+        eps_n = repr(epsn_rayleigh_ar(1e-3, 1))
+        assert warned == [("0.0", "0.5", eps_n, "1"), ("0.0", "1.0", eps_n, "1")]
+        rows = list(csv.DictReader(out.open()))
+        assert [float(r["meta_prob_chernoff"]) for r in rows] == [1.0, 1.0]
+
     def test_nakagami_tiny_eps(self, tmp_path):
         # the Nakagami quantile at eps = 1e-30 used to end in a traceback
         out = tmp_path / "x.csv"

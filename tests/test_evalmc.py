@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
-from scipy.special import betaincc, ndtri
+from scipy.special import betaincc, gammaincc, ndtri
 
 from statrate.channels import ChannelModel, Nakagami, Rayleigh, Rician
 from statrate import evalmc
@@ -25,7 +25,7 @@ from statrate.evalmc import (
 )
 from statrate.errors import InsufficientTailDataError
 from statrate.learn import TrainingSample
-from statrate.mismatch import mean_outage_exact_rayleigh, meta_prob_exact_rayleigh
+from statrate.mismatch import mean_outage_mismatch, meta_prob_mismatch
 from statrate.rateselect import (
     PCR,
     Calibration,
@@ -140,7 +140,9 @@ class TestParametricExactness:
     def test_ar_mean_outage_matches_exact(self):
         n, eps, trials = 20, 1e-2, 4000
         report = evaluate(_cfg(n=n, eps=eps, trials=trials, seed=1140))
-        exact = mean_outage_exact_rayleigh(epsn_rayleigh_ar(eps, n), n)
+        # the closed form 1 - (1 + g/n)^-n, g = -log(1-eps_n)
+        g = -math.log1p(-epsn_rayleigh_ar(eps, n))
+        exact = -math.expm1(-n * math.log1p(g / n))
         assert exact == pytest.approx(eps, abs=1e-12)
         assert report.mean_outage.ci_lo <= exact <= report.mean_outage.ci_hi
 
@@ -148,7 +150,8 @@ class TestParametricExactness:
         n, eps, xi, trials = 20, 1e-2, 0.1, 4000
         report = evaluate(_cfg(n=n, eps=eps, kind=PCR, xi=xi, trials=trials, seed=45))
         eps_n = epsn_rayleigh_pcr(eps, xi, n)
-        exact = meta_prob_exact_rayleigh(eps_n, eps, n)
+        # the closed form: the Gamma(n, 1) tail past n log(1-eps)/log(1-eps_n)
+        exact = gammaincc(n, n * math.log1p(-eps) / math.log1p(-eps_n))
         assert exact == pytest.approx(xi, abs=1e-8)
         assert report.meta_prob.ci_lo <= exact <= report.meta_prob.ci_hi
 
@@ -526,6 +529,12 @@ class TestTailPath:
                 assert _replay(cfg, 0, t) == rates[t]
 
 
+# truths with their gain law in scipy.stats, at lam = 1
+EXACT_LAWS = ((Rayleigh(1.0), scipy.stats.expon(scale=1.0)),
+              (Nakagami(1.0, 2.0), scipy.stats.gamma(2.0, scale=1.0)),
+              (Rician(1.0, 3.0), scipy.stats.ncx2(2.0, 6.0, scale=0.5)))
+
+
 class TestOrderStatisticOracle:
     """The three metrics of the order-statistic designs against exact values.
 
@@ -542,9 +551,6 @@ class TestOrderStatisticOracle:
     """
 
     TRIALS = 20000
-    LAWS = ((Rayleigh(1.0), scipy.stats.expon(scale=1.0)),
-            (Nakagami(1.0, 2.0), scipy.stats.gamma(2.0, scale=1.0)),
-            (Rician(1.0, 3.0), scipy.stats.ncx2(2.0, 6.0, scale=0.5)))
 
     @staticmethod
     def beta_moments(law, l, n):
@@ -561,7 +567,7 @@ class TestOrderStatisticOracle:
     @pytest.mark.parametrize("n", [200, 2000])
     @pytest.mark.parametrize("family,kind", [
         ("nonparametric", "ar"), ("nonparametric", PCR), ("plugin-nonparametric", "ar")])
-    @pytest.mark.parametrize("model,law", LAWS, ids=["rayleigh", "nakagami", "rician"])
+    @pytest.mark.parametrize("model,law", EXACT_LAWS, ids=["rayleigh", "nakagami", "rician"])
     def test_metrics_within_four_se_of_exact(self, model, law, family, kind, n):
         eps, trials = 1e-2, self.TRIALS
         cfg = _cfg(model=model, family=family, eps=eps, kind=kind,
@@ -581,6 +587,63 @@ class TestOrderStatisticOracle:
         exact = (a / (n + 1), meta, m1 / denom)
         variance = (a * b / ((n + 1) ** 2 * (n + 2)), meta * (1.0 - meta),
                     (m2 - m1 * m1) / denom**2)
+        for value, want, var in zip(got, exact, variance):
+            assert abs(value - want) <= 4.0 * math.sqrt(var / trials), (value, want)
+
+
+class TestMeanOracle:
+    """The three metrics of the mean designs against exact values.
+
+    A trial rates R = log2(1 + g S/(2n)) with outage q = F(g S/(2n)),
+    g = -log(1 - eps_n), where S, twice the training sum over lam, is a
+    noncentral chi-square of 2 n m degrees of freedom and noncentrality
+    2 n k for the law (k, m) of the truth. The mean outage and
+    meta-probability are mean_outage_mismatch and meta_prob_mismatch; the
+    throughput ratio E[R (1 - q)] / (R_eps (1 - eps)), and E[q^2] and
+    E[(R (1 - q))^2] for the standard errors, are integrals over the
+    density of S, by quad at relative tolerance 1e-10. Pass rule, fixed
+    before the first run: seed 4242, axis index 0 and 20000 trials a cell;
+    each Monte Carlo metric lies within 4 standard errors of its exact
+    value, the standard error sd/sqrt(trials) of the exact law. Off
+    Rayleigh truth these designs are conservative enough that the exact
+    meta-probability is 0, and the gate asks the Monte Carlo one to be 0.
+    """
+
+    TRIALS = 20000
+
+    @staticmethod
+    def sum_moments(model, law, g, n):
+        """E[q^2], E[R (1 - q)] and E[(R (1 - q))^2] over S ~ ncchi^2(2nm, 2nk)."""
+        from scipy.integrate import quad
+
+        density = scipy.stats.ncx2(2.0 * n * model.m, 2.0 * n * model.k)
+        lo, hi = density.ppf(1e-14), density.isf(1e-14)
+
+        def moment(f):
+            return quad(lambda s: f(g * s / (2.0 * n)) * density.pdf(s), lo, hi,
+                        points=(density.mean(),), epsrel=1e-10, epsabs=0.0, limit=200)[0]
+        goodput = lambda x: math.log2(1.0 + x) * law.sf(x)
+        return (moment(lambda x: law.cdf(x) ** 2), moment(goodput),
+                moment(lambda x: goodput(x) ** 2))
+
+    @pytest.mark.parametrize("n", [200, 2000])
+    @pytest.mark.parametrize("family,kind", [
+        ("rayleigh", "ar"), ("rayleigh", PCR), ("plugin-rayleigh", "ar")])
+    @pytest.mark.parametrize("model,law", EXACT_LAWS, ids=["rayleigh", "nakagami", "rician"])
+    def test_metrics_within_four_se_of_exact(self, model, law, family, kind, n):
+        eps, trials = 1e-2, self.TRIALS
+        cfg = _cfg(model=model, family=family, eps=eps, kind=kind,
+                   xi=0.1 if kind == PCR else None, n=n, trials=trials, seed=4242)
+        eps_n = calibrate(cfg.selector, cfg.target, n).rate_level()
+        report = evaluate(cfg)
+        got = (report.mean_outage.value, report.meta_prob.value,
+               report.throughput_ratio.value)
+        mean = mean_outage_mismatch(model, eps_n, n)
+        meta = meta_prob_mismatch(model, eps_n, eps, n)
+        denom = math.log2(1.0 + law.ppf(eps)) * (1.0 - eps)
+        q2, m1, m2 = self.sum_moments(model, law, -math.log1p(-eps_n), n)
+        exact = (mean, meta, m1 / denom)
+        variance = (q2 - mean * mean, meta * (1.0 - meta), (m2 - m1 * m1) / denom**2)
         for value, want, var in zip(got, exact, variance):
             assert abs(value - want) <= 4.0 * math.sqrt(var / trials), (value, want)
 

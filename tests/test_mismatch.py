@@ -23,6 +23,16 @@ from statrate.mismatch import (
 from statrate.rateselect import epsn_rayleigh_ar, epsn_rayleigh_pcr
 
 
+def rayleigh_mean_outage(eps_n, n):
+    """The Rayleigh closed form 1 - (1 + g/n)^-n, g = -log(1-eps_n)."""
+    return -math.expm1(-n * math.log1p(-math.log1p(-eps_n) / n))
+
+
+def rayleigh_meta_prob(eps_n, eps, n):
+    """The Rayleigh closed form: the Gamma(n, 1) tail past n log(1-eps)/log(1-eps_n)."""
+    return sp.gammaincc(n, n * math.log1p(-eps) / math.log1p(-eps_n))
+
+
 # laws whose alpha at lam = 1 is 0 or subnormal (Rician k from about 708,
 # Nakagami m from about 171)
 FAR_K = (708.0, 800.0, 1000.0)
@@ -131,16 +141,31 @@ class TestMetaProbExactRayleigh:
         assert 0.0 <= v <= 1.0
 
 
+class TestRayleighIsTheLawK0:
+    @pytest.mark.parametrize("n", [1, 2, 10, 10**3, 10**6, 10**9, 10**12])
+    def test_general_forms_are_the_closed_forms(self, n):
+        # the exact columns at Rayleigh(1.0), the law (0, 1), are the library's
+        # only Rayleigh formulas: the mean outage within two machine epsilons
+        # relative of the closed form, the meta-probability bit for bit
+        for eps_n in (1e-300, 1e-100, 1e-12, 1e-3, 0.3, 0.9, 1.0 - 1e-12):
+            want = rayleigh_mean_outage(eps_n, n)
+            got = mean_outage_mismatch(Rayleigh(1.0), eps_n, n)
+            assert abs(got - want) <= 4.4e-16 * want, eps_n
+            for eps in (1e-9, 1e-3, 0.5):
+                assert meta_prob_mismatch(Rayleigh(1.0), eps_n, eps, n) == (
+                    rayleigh_meta_prob(eps_n, eps, n)), (eps_n, eps)
+
+
 class TestMeanOutageMismatch:
     def test_rayleigh_numeric_is_exact(self):
         for lam in (0.5, 1.0, 3.0):
             got = mean_outage_mismatch(Rayleigh(lam), 1e-3, 100)
-            assert got == pytest.approx(mean_outage_exact_rayleigh(1e-3, 100), abs=1e-15)
+            assert got == pytest.approx(rayleigh_mean_outage(1e-3, 100), abs=1e-15)
 
     def test_nakagami_m1_matches_rayleigh(self):
         for eps_n, n in [(1e-4, 10), (1e-3, 100), (1e-2, 1000), (0.1, 1)]:
             got = mean_outage_mismatch(Nakagami(1.0, 1.0), eps_n, n)
-            assert got == pytest.approx(mean_outage_exact_rayleigh(eps_n, n), rel=1e-14)
+            assert got == pytest.approx(rayleigh_mean_outage(eps_n, n), rel=1e-14)
 
     def test_nakagami_mpmath_oracle(self):
         for n in (1, 2, 10, 10**4):
@@ -164,7 +189,7 @@ class TestMeanOutageMismatch:
     def test_rician_k0_matches_rayleigh(self):
         for eps_n, n in [(1e-3, 10), (1e-2, 100), (1e-9, 2), (1e-4, 10**4)]:
             got = mean_outage_mismatch(Rician(1.0, 0.0), eps_n, n)
-            want = mean_outage_exact_rayleigh(eps_n, n)
+            want = rayleigh_mean_outage(eps_n, n)
             assert abs(got - want) <= 1e-12 * want, (n, eps_n)
 
     def test_rician_large_n_in_bounded_memory(self):
@@ -304,8 +329,7 @@ class TestMetaProbMismatch:
     def test_rayleigh_numeric_is_exact(self):
         for lam in (0.1, 1.0, 10.0):
             got = meta_prob_mismatch(Rayleigh(lam), 5e-4, 1e-3, 100)
-            assert got == pytest.approx(
-                meta_prob_exact_rayleigh(5e-4, 1e-3, 100), abs=1e-9)
+            assert got == pytest.approx(rayleigh_meta_prob(5e-4, 1e-3, 100), abs=1e-9)
 
     def test_law_formulas_give_the_rayleigh_closed_forms(self):
         # the law (0, 1) through the noncentral F mixture and nc_chi2_sf;
@@ -316,13 +340,13 @@ class TestMetaProbMismatch:
             for eps_n in (epsn_rayleigh_ar(eps, n), epsn_rayleigh_pcr(eps, xi, n)):
                 model = Rayleigh(lam)
                 assert mean_outage_mismatch(model, eps_n, n) == pytest.approx(
-                    mean_outage_exact_rayleigh(eps_n, n), rel=1e-15, abs=0)
+                    rayleigh_mean_outage(eps_n, n), rel=1e-15, abs=0)
                 assert meta_prob_mismatch(model, eps_n, eps, n) == pytest.approx(
-                    meta_prob_exact_rayleigh(eps_n, eps, n), rel=1e-12, abs=0)
+                    rayleigh_meta_prob(eps_n, eps, n), rel=1e-12, abs=0)
 
     def test_nakagami_m1_matches_rayleigh(self):
         got = meta_prob_mismatch(Nakagami(1.0, 1.0), 5e-4, 1e-3, 100)
-        assert got == pytest.approx(meta_prob_exact_rayleigh(5e-4, 1e-3, 100), abs=1e-9)
+        assert got == pytest.approx(rayleigh_meta_prob(5e-4, 1e-3, 100), abs=1e-9)
 
     def test_nakagami_tiny_eps(self):
         # the Nakagami quantile at eps = 1e-30 used to raise a RuntimeError
@@ -343,7 +367,7 @@ class TestMetaProbMismatch:
 
     def test_rician_k0_matches_rayleigh(self):
         got = meta_prob_mismatch(Rician(1.0, 0.0), 5e-4, 1e-3, 100)
-        assert got == pytest.approx(meta_prob_exact_rayleigh(5e-4, 1e-3, 100), abs=1e-8)
+        assert got == pytest.approx(rayleigh_meta_prob(5e-4, 1e-3, 100), abs=1e-8)
 
     def test_scale_invariance(self):
         vals = [meta_prob_mismatch(Rician(lam, 2.0), 5e-4, 1e-3, 50)
@@ -449,7 +473,7 @@ class TestChernoffTilt:
         eps = 1e-4
         eps_n = epsn_rayleigh_pcr(eps, 1e-2, n)
         bound = chernoff_tilt(Nakagami(1.0, 1.0), eps_n, eps, n)
-        exact = meta_prob_exact_rayleigh(eps_n, eps, n)
+        exact = rayleigh_meta_prob(eps_n, eps, n)
         assert exact == pytest.approx(1e-2, abs=1e-8)
         assert 0.1 <= bound / exact <= 10.0
 
