@@ -158,9 +158,10 @@ class Nakagami(ChannelModel):
             return _as_scalar(specfun.special().gammainc(self.m, self._check_y(y) / self.lam))
 
     def quantile(self, p, out=None):
+        x = specfun.special().gammaincinv(self.m, self._check_p(p), out=out)
         with np.errstate(over="ignore"):  # lam x = inf past DBL_MAX
-            x = specfun.inv_reg_lower_gamma(self.m, self._check_p(p))
-            return self.lam * x if out is None else np.multiply(self.lam, x, out=out)
+            x *= self.lam
+        return _as_scalar(x) if out is None else out
 
     def sample(self, rng, count):
         return rng.gamma(self.m, self.lam, check_positive_int(count, "count"))

@@ -150,10 +150,10 @@ def epsn_rayleigh_pcr(eps: float, xi: float, n: int) -> float:
     The meta-probability of the Rayleigh-MLE rate is the Erlang-n tail
     1 - P(n, n log(1-eps)/log(1-eps_n)), strictly increasing in eps_n,
     so the unique root of (meta = xi) is obtained by sending the
-    threshold through the Newton-polished upper incomplete-gamma
-    quantile: T = Q^-1(n, xi), eps_n = 1 - (1-eps)^(n/T). xi goes in as
-    given; forming 1 - xi first would round away digits of small xi.
-    Like the AR level, the result does not depend on lam.
+    threshold through the upper incomplete-gamma quantile (scipy's
+    gammainccinv): T = Q^-1(n, xi), eps_n = 1 - (1-eps)^(n/T). xi goes
+    in as given; forming 1 - xi first would round away digits of small
+    xi. Like the AR level, the result does not depend on lam.
     """
     eps = check_unit_interval(eps, "eps")
     xi = check_unit_interval(xi, "xi")
@@ -241,8 +241,8 @@ def epsn_powerlaw(target: ReliabilityTarget, n: int, beta: float,
     defined where that slack is > 0 (at tau = 1 it is xi), and the
     root is u* = max over tau of u_tau, eps_n = (l/n) e^u*. The maximum
     is located on a log-spaced tau grid and three zoom rounds, with
-    scipy's gammaincinv; u* is u_tau at the best point, through the
-    Newton-polished inverse. No root finder is involved.
+    scipy's gammaincinv; u* is u_tau at the last round's best point. No
+    root finder is involved.
     """
     if not isinstance(target, ReliabilityTarget):
         raise TypeError("target must be a ReliabilityTarget")
@@ -297,7 +297,7 @@ def epsn_powerlaw(target: ReliabilityTarget, n: int, beta: float,
         step = log_tau[1] - log_tau[0]
         lo, hi = max(log_tau[j] - step, log_eps), min(log_tau[j] + step, 0.0)
     # slack[j] > 0: at tau = 1 it is xi, and u_1 is finite
-    u_star = l * (log_eps - log_tau[j]) / specfun.inv_reg_lower_gamma(l - 1.0, slack[j])
+    u_star = float(u[j])
     if u_star >= -1e-10:
         # the supremum, approached as u -> 0, is the tau = eps bound 1 - I_eps
         warnings.warn(

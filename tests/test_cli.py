@@ -134,10 +134,10 @@ class TestEpsn:
             assert exc.value.code == 2
             assert "argument --n" in capsys.readouterr().err
 
-    def test_gamma_inverse_at_huge_shape_stops_polishing(self):
-        # the bound reaches the inverse at a = l - 1 of about 5e17, where the
-        # Newton density overflows; that element's polish stops instead of
-        # raising, and the bound stays below xi (its own warning)
+    def test_gamma_inverse_at_huge_shape_prints_a_value(self):
+        # the bound reaches scipy's gamma inverse at a = l - 1 of about 5e17,
+        # past the documented shapes; nothing raises, and the bound stays
+        # below xi (its own warning)
         res = run_cli("epsn", "--family", "powerlaw-nonasym", "--constraint", "pcr",
                       "--eps", "0.9", "--n", "1e18", "--xi", "0.1", "--beta", "0.5")
         assert res.returncode == 0, res.stderr

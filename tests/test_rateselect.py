@@ -274,9 +274,8 @@ class TestExactPcrCalibrations:
         assert l == 0 or scipy.special.betaincc(l, n + 1 - l, eps) <= xi
         assert l == n or scipy.special.betaincc(l + 1, n - l, eps) > xi
         # the exact meta-probability Q(n, n log(1-eps) / log(1-eps_n)) at 40
-        # digits; the level is as exact as scipy's gammaincc, which the Newton
-        # polish reads and which is off by up to 1.5e-12 relative in the far
-        # tail (n of about 1e3 at xi = 1e-30)
+        # digits; the threshold is scipy's gammainccinv, whose relative error
+        # the steep far tail (xi down to 1e-30) multiplies
         n = n_mean
         eps_n = epsn_rayleigh_pcr(eps, xi, n)
         with mpmath.workdps(40):
@@ -411,6 +410,22 @@ class TestEpsnPowerlawNonAsymptotic:
     def test_mpmath_oracle(self, eps, xi, n, beta):
         got = epsn_powerlaw(ReliabilityTarget(eps, PCR, xi), n, beta, mode="non-asymptotic")
         assert got == pytest.approx(self._mp_level(eps, xi, n, beta), rel=4e-15, abs=0)
+
+    @pytest.mark.parametrize("eps, xi, n, beta", [
+        (1e-5, 1e-9, 10**4, 0.005),
+        (1e-5, 1e-9, 10**3, 0.05),
+        (1e-3, 1e-2, 10**3, 0.005),
+        (1e-3, 0.1, 10**4, 0.002),
+        (1e-4, 1e-6, 10**4, 0.02),
+        (1e-2, 0.1, 500, 0.02),
+    ])
+    def test_mpmath_oracle_at_small_l(self, eps, xi, n, beta):
+        # l = 5 to 200, cells fixed before the first run. The relative error
+        # of scipy's gamma inverse reaches eps_n = (l/n) e^u* times |u*|,
+        # which grows as eps falls: the worst measured was 1.27e-14, at
+        # eps = 1e-5 and l = 50
+        got = epsn_powerlaw(ReliabilityTarget(eps, PCR, xi), n, beta, mode="non-asymptotic")
+        assert got == pytest.approx(self._mp_level(eps, xi, n, beta), rel=2e-14, abs=0)
 
     def test_more_conservative_than_asymptotic(self):
         target = ReliabilityTarget(self.EPS, PCR, self.XI)
